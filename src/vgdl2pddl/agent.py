@@ -105,13 +105,6 @@ def violated_literals(facts: frozenset[Atom] | set[Atom],
     return tuple(out)
 
 
-def state_facts(state: GameState, game: CompiledGame, config: ConfigFile,
-                binding: dict[int, str], pool=None) -> frozenset[Atom]:
-    problem, _ = generate_problem(state, game, config, binding=binding,
-                                  pool=pool)
-    return frozenset(problem.init)
-
-
 def monitor(state: GameState, action: GroundAction, game: CompiledGame,
             config: ConfigFile, binding: dict[int, str],
             pool=None) -> tuple[str, ...]:
@@ -222,8 +215,9 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
             continue
         # plan exhausted with the game still on: log the unmet goal literals
         # as the violation and replan from here
-        facts = state_facts(state, game, config, binding,
-                            pool=(ammo, consumed))
+        problem, _ = generate_problem(state, game, config, binding=binding,
+                                      pool=(ammo, consumed))
+        facts = frozenset(problem.init)
         unmet = []
         for atom, positive in task.goal_literals:
             if (atom in facts) != positive:

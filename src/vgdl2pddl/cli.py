@@ -228,8 +228,10 @@ def validate_kb_cmd(kb_dir):
         kb = KnowledgeBase(kb_dir)
         results = validate_kb(kb)
         failures = 0
-        for r in sorted(results, key=lambda r: r.template_id):
+        for r in sorted(results, key=lambda r: (r.template_id, r.case)):
             line = f"{r.status.upper():8s} {r.template_id}"
+            if r.case and r.case != r.template_id:
+                line += f" [{r.case}]"
             if r.message:
                 line += f"  ({r.message})"
             click.echo(line)

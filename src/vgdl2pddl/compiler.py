@@ -16,7 +16,11 @@ Compilation decisions that fall outside templates:
     closer's all-moved check stays satisfiable; at the grid edge it exits and
     dies, mirroring the simulator;
   * avatar projectiles are pooled: problems carry reserve objects that a USE
-    action places on the grid.
+    action places on the grid;
+  * directional templates are written once per construct; the compiler picks
+    the directions the KB instantiates them for: a missile's orientation, all
+    four for a ShootAvatar projectile (each USE re-orients it), and the
+    template's own ``directions:`` header otherwise.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DuplicateActionNameError, GdfError, UnsupportedGoalError
-from .kb import KnowledgeBase
+from .kb import DIRECTIONS, KnowledgeBase
 from .pddl import (
     Action,
     And,
@@ -48,8 +52,6 @@ from .vgdl import (
 
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":equality",
                 ":universal-preconditions", ":conditional-effects")
-
-DIRECTIONS = ("UP", "DOWN", "LEFT", "RIGHT")
 
 _AVATAR_TEMPLATE = {
     SpriteType.MOVING_AVATAR: "MovingAvatar",
@@ -349,22 +351,20 @@ def compile_game(model: GameModel,
             continue
         if (projectile is not None and s.name == projectile
                 and avatar.vgdl_type is SpriteType.SHOOT_AVATAR):
-            variant = "omni"
+            directions = DIRECTIONS  # re-oriented by each USE
         else:
             orientation = s.params.get("orientation")
             if orientation is None or orientation.upper() not in DIRECTIONS:
                 raise GdfError(
                     f"missile {s.name!r} needs an orientation parameter")
-            variant = orientation.lower()
-        inst = kb.instantiate(kb.lookup("sprite", "Missile", variant=variant),
-                              {"T": s.name})
+            directions = (orientation.upper(),)
+        inst = kb.instantiate(kb.lookup("sprite", "Missile"), {"T": s.name},
+                              directions)
         add_predicates(inst.predicates)
         mover_blockers = blockers_for(model, s.name, statics)
-        for p in inst.predicates:
-            if p.name.startswith("edge-"):
-                d = p.name.split("-", 1)[1].upper()
-                if d not in edge_dirs:
-                    edge_dirs.append(d)
+        for d in directions:
+            if d not in edge_dirs:
+                edge_dirs.append(d)
         actions = []
         for action in inst.actions:
             is_move_stop = "_MOVE_STOP" in action.name

@@ -137,29 +137,6 @@ class GameState:
         return (placed, tuple(sorted(self.resources.items())), self.turn,
                 self.status.value)
 
-    def copy(self) -> "GameState":
-        clone = GameState.__new__(GameState)
-        clone.model = self.model
-        clone.width = self.width
-        clone.height = self.height
-        clone.instances = {uid: Instance(i.uid, i.sprite, i.x, i.y,
-                                         i.orientation, i.alive)
-                           for uid, i in self.instances.items()}
-        clone.resources = dict(self.resources)
-        clone.turn = self.turn
-        clone.status = self.status
-        clone.seed = self.seed
-        clone._uid = self._uid
-        clone._streams = {k: _clone_rng(v) for k, v in self._streams.items()}
-        clone._blockers = self._blockers
-        return clone
-
-
-def _clone_rng(rng: random.Random) -> random.Random:
-    clone = random.Random()
-    clone.setstate(rng.getstate())
-    return clone
-
 
 def _blocker_names(model: GameModel, sprite: str) -> frozenset[str]:
     names: set[str] = set()

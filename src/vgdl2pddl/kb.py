@@ -2,7 +2,7 @@
 
 Templates live as data files (one per template) so new constructs can be added
 without touching the compiler.  A file has three header lines and a body of
-PDDL fragments:
+PDDL fragments (a fourth, optional ``directions:`` line is described below):
 
     id: interaction_killsprite
     kind: Interaction
@@ -12,10 +12,14 @@ PDDL fragments:
 
 Placeholders are written ``<NAME>`` and replaced textually; action-name heads
 are uppercased after substitution (SHOES_USER_COLLECTRESOURCE style), all
-other identifiers stay lowercase.  Each template with behaviour ships with a
-micro domain/problem check (templates/checks/<id>.yaml) executed by
-``validate_kb``: the instantiated action is grounded, applied to the check's
-initial state, and the state diff compared with the hand-checked expectation.
+other identifiers stay lowercase.  Fragments wrapped in ``(:per-direction
+...)`` are written once and instantiated once per requested direction, with
+the grid geometry of that direction filled in from ``DIRECTION_TABLE``; a
+``directions:`` header restricts a template to the directions it lists.
+Each template with behaviour ships with a micro domain/problem check
+(templates/checks/<id>.yaml) executed by ``validate_kb``: the instantiated
+action is grounded, applied to the check's initial state, and the state diff
+compared with the hand-checked expectation.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 import yaml
 
@@ -45,6 +49,29 @@ KIND_TURN = "TurnControl"
 
 _KINDS = {KIND_SPRITE, KIND_AVATAR, KIND_INTERACTION, KIND_TURN}
 
+# One grid step per direction, as template text.  The row order is the
+# canonical direction order: per-direction blocks expand in it, and
+# <O1> <O2> <O3> name the other three directions in it.  Besides these
+# columns a block sees <D> (the direction name) and <SUFFIX> (``_<D>`` when
+# the block is instantiated for more than one direction, else empty).
+DIRECTION_TABLE: dict[str, dict[str, str]] = {
+    "up": {"NEW": "?new_y", "DEST": "?x ?new_y", "NEXT": "?new_y ?y",
+           "EDGE": "?y"},
+    "down": {"NEW": "?new_y", "DEST": "?x ?new_y", "NEXT": "?y ?new_y",
+             "EDGE": "?y"},
+    "left": {"NEW": "?new_x", "DEST": "?new_x ?y", "NEXT": "?new_x ?x",
+             "EDGE": "?x"},
+    "right": {"NEW": "?new_x", "DEST": "?new_x ?y", "NEXT": "?x ?new_x",
+              "EDGE": "?x"},
+}
+DIRECTIONS = tuple(d.upper() for d in DIRECTION_TABLE)
+_DIRECTION_PLACEHOLDERS = frozenset(
+    {"D", "O1", "O2", "O3", "SUFFIX", *DIRECTION_TABLE["up"]})
+
+# A template section in file order; a nested tuple holds the fragments of one
+# (:per-direction ...) block.
+Section = tuple[Union[str, tuple[str, ...]], ...]
+
 
 @dataclass(frozen=True)
 class TemplateSet:
@@ -53,13 +80,20 @@ class TemplateSet:
     template_id: str
     kind: str
     placeholders: frozenset[str]
-    predicates: tuple[str, ...]
-    actions: tuple[str, ...]
-    init_facts: tuple[str, ...]
+    directions: tuple[str, ...]  # the directions blocks may be instantiated for
+    predicates: Section
+    actions: Section
+    init_facts: Section
+
+    def text(self) -> str:
+        """Every fragment, per-direction ones written once."""
+        fragments: list[str] = []
+        for item in self.predicates + self.actions + self.init_facts:
+            fragments.extend((item,) if isinstance(item, str) else item)
+        return "\n".join(fragments)
 
     def used_placeholders(self) -> frozenset[str]:
-        text = "\n".join(self.predicates + self.actions + self.init_facts)
-        return frozenset(_PLACEHOLDER_RE.findall(text))
+        return frozenset(_PLACEHOLDER_RE.findall(self.text()))
 
 
 @dataclass(frozen=True)
@@ -108,35 +142,82 @@ def _parse_template(text: str, source: str) -> TemplateSet:
     if fields["kind"] not in _KINDS:
         raise TemplateFormatError(f"{source}: unknown kind {fields['kind']!r}")
     placeholders = frozenset(fields.get("placeholders", "").split())
-
-    predicates: list[str] = []
-    actions: list[str] = []
-    init_facts: list[str] = []
-    for fragment in _split_fragments(body):
-        head = fragment[1:].split(None, 1)[0] if fragment[1:].split() else ""
-        if head == ":predicates":
-            inner = fragment[len("(:predicates"):-1]
-            predicates.extend(_split_fragments(inner))
-        elif head == ":action":
-            actions.append(fragment)
-        elif head == ":init":
-            inner = fragment[len("(:init"):-1]
-            init_facts.extend(_split_fragments(inner))
-        else:
-            raise TemplateFormatError(f"{source}: unexpected fragment {head!r}")
-    ts = TemplateSet(
-        template_id=fields["id"],
-        kind=fields["kind"],
-        placeholders=placeholders,
-        predicates=tuple(predicates),
-        actions=tuple(actions),
-        init_facts=tuple(init_facts),
-    )
-    undeclared = ts.used_placeholders() - placeholders
+    directions = tuple(fields.get("directions", " ".join(DIRECTIONS)).split())
+    unknown = set(directions) - set(DIRECTIONS)
+    if unknown:
+        raise TemplateFormatError(f"{source}: unknown directions {sorted(unknown)}")
+    sections = _parse_sections(_split_fragments(body), source)
+    ts = TemplateSet(template_id=fields["id"], kind=fields["kind"],
+                     placeholders=placeholders, directions=directions,
+                     **{key: tuple(items) for key, items in sections.items()})
+    undeclared = ts.used_placeholders() - placeholders - _DIRECTION_PLACEHOLDERS
     if undeclared:
         raise TemplateFormatError(
             f"{source}: undeclared placeholders {sorted(undeclared)}")
     return ts
+
+
+def _parse_sections(fragments: list[str], source: str,
+                    per_direction: bool = False) -> dict[str, list]:
+    """Sort fragments into predicates/actions/init_facts; a per-direction
+    block becomes one nested tuple in each section it contributes to."""
+    sections: dict[str, list] = {"predicates": [], "actions": [],
+                                  "init_facts": []}
+    for fragment in fragments:
+        head = fragment[1:].split(None, 1)[0] if fragment[1:].split() else ""
+        inner = fragment[len(head) + 1:-1]
+        if head == ":predicates":
+            sections["predicates"].extend(_split_fragments(inner))
+        elif head == ":action":
+            sections["actions"].append(fragment)
+        elif head == ":init":
+            sections["init_facts"].extend(_split_fragments(inner))
+        elif head == ":per-direction" and not per_direction:
+            block = _parse_sections(_split_fragments(inner), source, True)
+            for key, items in block.items():
+                if items:
+                    sections[key].append(tuple(items))
+        else:
+            raise TemplateFormatError(f"{source}: unexpected fragment {head!r}")
+        if not per_direction and head != ":per-direction":
+            used = set(_PLACEHOLDER_RE.findall(fragment))
+            if used & _DIRECTION_PLACEHOLDERS:
+                raise TemplateFormatError(
+                    f"{source}: direction placeholders "
+                    f"{sorted(used & _DIRECTION_PLACEHOLDERS)} outside "
+                    f"(:per-direction ...)")
+    return sections
+
+
+def _direction_rows(ts: TemplateSet,
+                    directions: Iterable[str]) -> list[dict[str, str]]:
+    names = [d.lower() for d in directions]
+    rows = []
+    for name in names:
+        if name.upper() not in ts.directions:
+            raise UnboundPlaceholderError(
+                f"{ts.template_id}: direction {name!r} not in "
+                f"{list(ts.directions)}")
+        others = [o for o in DIRECTION_TABLE if o != name]
+        rows.append({**DIRECTION_TABLE[name], "D": name,
+                     "O1": others[0], "O2": others[1], "O3": others[2],
+                     "SUFFIX": f"_{name}" if len(names) > 1 else ""})
+    return rows
+
+
+def _expand(section: Section, rows: list[dict[str, str]]) -> list[str]:
+    """Per-direction blocks once per row, directions outermost."""
+    out: list[str] = []
+    for item in section:
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        for row in rows:
+            for fragment in item:
+                for name, value in row.items():
+                    fragment = fragment.replace(f"<{name}>", value)
+                out.append(fragment)
+    return out
 
 
 def default_template_dir() -> Path:
@@ -144,7 +225,7 @@ def default_template_dir() -> Path:
 
 
 class KnowledgeBase:
-    """All templates from one directory, addressed by (kind, key[, variant])."""
+    """All templates from one directory, addressed by (section, key)."""
 
     def __init__(self, directory: Optional[Path] = None):
         self.directory = Path(directory) if directory else default_template_dir()
@@ -155,20 +236,20 @@ class KnowledgeBase:
                 raise TemplateFormatError(f"duplicate template id {ts.template_id}")
             self.templates[ts.template_id] = ts
 
-    def lookup(self, section: str, key: str,
-               variant: Optional[str] = None) -> TemplateSet:
+    def lookup(self, section: str, key: str) -> TemplateSet:
         """section is one of sprite/avatar/interaction/turn; key names the
-        VGDL type or interaction kind; variant selects e.g. an orientation."""
+        VGDL type or interaction kind."""
         name = f"{section.lower()}_{key.lower()}"
-        if variant:
-            name += f"_{variant.lower()}"
         ts = self.templates.get(name)
         if ts is None:
             raise UnknownTemplateError(f"no template {name!r} in {self.directory}")
         return ts
 
-    def instantiate(self, ts: TemplateSet,
-                    binding: dict[str, str]) -> Instantiated:
+    def instantiate(self, ts: TemplateSet, binding: dict[str, str],
+                    directions: Optional[Iterable[str]] = None) -> Instantiated:
+        """Fill ``binding`` in; per-direction blocks are instantiated once
+        for each of ``directions`` (default: the template's own), in the
+        given order."""
         missing = ts.placeholders - set(binding)
         if missing:
             raise UnboundPlaceholderError(
@@ -184,13 +265,17 @@ class KnowledgeBase:
                     f"{ts.template_id}: placeholder {leftover.group(0)} survives")
             return out
 
-        predicates = [pddl.parse_fragment_predicate(sub(f)) for f in ts.predicates]
+        rows = _direction_rows(
+            ts, ts.directions if directions is None else directions)
+        predicates = [pddl.parse_fragment_predicate(sub(f))
+                      for f in _expand(ts.predicates, rows)]
         actions = []
-        for frag in ts.actions:
+        for frag in _expand(ts.actions, rows):
             action = pddl.parse_fragment_action(sub(frag))
             actions.append(Action(action.name.upper(), action.params,
                                   action.precondition, action.effect))
-        init_facts = [pddl.parse_fragment_atom(sub(f)) for f in ts.init_facts]
+        init_facts = [pddl.parse_fragment_atom(sub(f))
+                      for f in _expand(ts.init_facts, rows)]
         return Instantiated(tuple(predicates), tuple(actions), tuple(init_facts))
 
 
@@ -201,6 +286,7 @@ class CheckResult:
     template_id: str
     status: str  # "pass" | "fail" | "vacuous"
     message: str = ""
+    case: str = ""  # check file stem; several cases may share a template
 
 
 def _micro_domain(kb: KnowledgeBase, check: dict) -> tuple[Domain, Problem]:
@@ -208,14 +294,16 @@ def _micro_domain(kb: KnowledgeBase, check: dict) -> tuple[Domain, Problem]:
     predicates = list(core.predicates)
     actions: list[Action] = []
     seen = {p.name for p in predicates}
-    inst_list = [(check["template"], check.get("binding", {}))]
+    inst_list = [(check["template"], check.get("binding", {}),
+                  check.get("directions"))]
     for extra in check.get("extra_templates", []):
-        inst_list.append((extra["id"], extra.get("binding", {})))
-    for template_id, binding in inst_list:
+        inst_list.append((extra["id"], extra.get("binding", {}), None))
+    for template_id, binding, directions in inst_list:
         ts = kb.templates.get(template_id)
         if ts is None:
             raise UnknownTemplateError(template_id)
-        inst = kb.instantiate(ts, {k: str(v) for k, v in binding.items()})
+        inst = kb.instantiate(ts, {k: str(v) for k, v in binding.items()},
+                              directions)
         for p in inst.predicates:
             if p.name not in seen:
                 predicates.append(p)
@@ -281,9 +369,11 @@ def validate_kb(kb: KnowledgeBase,
             check_id = check["template"]
             checked.add(check_id)
             try:
-                results.append(run_check(kb, check))
+                result = run_check(kb, check)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
-                results.append(CheckResult(check_id, "fail", repr(exc)))
+                result = CheckResult(check_id, "fail", repr(exc))
+            result.case = path.stem
+            results.append(result)
     for template_id, ts in sorted(kb.templates.items()):
         if template_id in checked:
             continue

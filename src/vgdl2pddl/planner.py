@@ -137,7 +137,7 @@ class _HAdd:
         for ai, a in enumerate(task.actions):
             pos = [i for i in range(n) if a.pos_pre >> i & 1]
             clauses = []
-            for (pos_mask, neg_mask), _ in zip(a.clauses, a.clause_literals):
+            for pos_mask, neg_mask in a.clauses:
                 if neg_mask:
                     continue  # optimistically satisfiable for free
                 clauses.append([i for i in range(n) if pos_mask >> i & 1])

@@ -1,6 +1,10 @@
 """Domain-assembly tests: element counts, type hierarchy, goal deduction."""
+import hashlib
+
 import pytest
 
+from test_acceptance import TOY_ONE_MOVER, TOY_TWO_MOVERS
+from test_agent import HUNTER_GDF
 from test_vgdl import ALIENS_GDF, SOKOBAN_GDF
 from vgdl2pddl.compiler import (
     compile_domain,
@@ -9,7 +13,7 @@ from vgdl2pddl.compiler import (
     static_sprites,
 )
 from vgdl2pddl.errors import UnsupportedGoalError
-from vgdl2pddl.games import load_game
+from vgdl2pddl.games import available_games, load_game
 from vgdl2pddl.pddl import format_formula, print_domain, read_domain
 from vgdl2pddl.vgdl import (
     SPRITE_TYPE_BY_NAME,
@@ -198,3 +202,57 @@ class TestSelfConsistency:
         second = print_domain(compile_domain(parse_gdf(SOKOBAN_GDF,
                                                        name="sokoban")))
         assert first == second
+
+
+# sha256 of print_domain output, frozen from the four-copies-per-direction
+# templates; the direction-expanding KB must reproduce them byte for byte.
+DOMAIN_SHA256 = {
+    "aliens": "573e3440aa9ca3a6af6fa07922f956285e65480d8d9597498e3dc3dc58e84bc0",
+    "digger": "aca172ebd246f9eef353c3e617dc451231cd54ba29e5bf61dc782d1399ae90bc",
+    "keymaze": "79dd37aac581e24b274be9f1f62ed8ee088b4b33fbfa0df71d12d2eafdb5b816",
+    "rain": "fd924f877d98f2cced36a7ebba0ee1817e79fa6c22a977bc0058eb29aa0990b0",
+    "sokoban": "c5dcc321299dd3ad84a655b028e749720ce04d11d2e4cd4ad49492297db1e19f",
+    "zenpuzzle": "aeb3039dbf6ce4a4fec23cff11d59df806a212163258d05d4cc6213006c7fe0c",
+    "toy_right": "95b4fe818f63c6c1926226cb2bb7aae645638ea891002faa3a4e1a66bc151571",
+    "toy_left": "732c6a815ea404f37c610904184886407996943addc36d7aed41152d8378c02e",
+    "toy_up": "3edcd334fafd6be21e08ef58fd6d5adc9cb4f350c4475cdace17d8c775c1c7b1",
+    "toy2": "3ffd46e1a8d730c2127c8c93cf254e54fe44e3c8fdc93cf8f24fb07d0f2765be",
+    "hunter": "e5175815131ec1399ae84066e7c4a6338f067b9c87fad4ed5096715e70aadf91",
+    "hunter_walled": "2af4a3cf6aed8c6a04dc8a7d1842bf1ad8fba6054330e52db14c133951a4913b",
+}
+
+# bolts stopped by walls: the four-direction projectile's BOLT_MOVE_STOP_<D>
+HUNTER_WALLED_GDF = HUNTER_GDF.replace(
+    "    slime > Immovable\n", "    slime > Immovable\n    wall > Immovable\n"
+).replace("    s > slime\n", "    s > slime\n    w > wall\n").replace(
+    "    slime bolt > killSprite\n",
+    "    slime bolt > killSprite\n    bolt wall > stepBack\n")
+
+
+def _stability_model(name):
+    if name in available_games():
+        return load_game(name)
+    if name.startswith("toy_"):
+        gdf = TOY_ONE_MOVER.replace("orientation=RIGHT",
+                                    f"orientation={name[4:].upper()}")
+        return parse_gdf(gdf, name="toy")
+    gdf = {"toy2": TOY_TWO_MOVERS, "hunter": HUNTER_GDF,
+           "hunter_walled": HUNTER_WALLED_GDF}[name]
+    return parse_gdf(gdf, name=name.split("_")[0])
+
+
+class TestPrintDomainStability:
+    def test_every_shipped_game_is_pinned(self):
+        assert set(available_games()) <= set(DOMAIN_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(DOMAIN_SHA256))
+    def test_print_domain_unchanged(self, name):
+        text = print_domain(compile_domain(_stability_model(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == DOMAIN_SHA256[name]
+
+    def test_walled_hunter_emits_directional_stay(self):
+        names = {a.name for a in
+                 compile_domain(_stability_model("hunter_walled")).actions}
+        assert {f"BOLT_MOVE_STOP_{d}"
+                for d in ("UP", "DOWN", "LEFT", "RIGHT")} <= names
+        assert "BOLT_MOVE_STOP" not in names

@@ -3,8 +3,12 @@ import re
 
 import pytest
 
-from vgdl2pddl.errors import UnboundPlaceholderError, UnknownTemplateError
-from vgdl2pddl.kb import KnowledgeBase, validate_kb
+from vgdl2pddl.errors import (
+    TemplateFormatError,
+    UnboundPlaceholderError,
+    UnknownTemplateError,
+)
+from vgdl2pddl.kb import DIRECTION_TABLE, KnowledgeBase, validate_kb
 from vgdl2pddl.pddl import And, Atom, Not, format_formula
 
 
@@ -15,14 +19,13 @@ def kb():
 
 class TestLookup:
     def test_missile_template_contents(self, kb):
-        ts = kb.lookup("sprite", "Missile", variant="DOWN")
-        text = "\n".join(ts.actions)
-        assert "<T>_MOVE_DOWN" in text
-        assert "<T>_MOVE_STOP" in text
-        preds = "\n".join(ts.predicates)
-        assert "(<T>-moved ?o - <T>)" in preds
-        assert "(turn-<T>-move)" in preds
-        assert "(finished-turn-<T>-move)" in preds
+        ts = kb.lookup("sprite", "Missile")
+        text = ts.text()
+        assert "<T>_MOVE_<D>" in text
+        assert "<T>_MOVE_STOP<SUFFIX>" in text
+        assert "(<T>-moved ?o - <T>)" in text
+        assert "(turn-<T>-move)" in text
+        assert "(finished-turn-<T>-move)" in text
 
     def test_collectresource_counter_update(self, kb):
         ts = kb.lookup("interaction", "collectResource")
@@ -66,8 +69,8 @@ class TestInstantiate:
             kb.instantiate(ts, {"S1": "shoes"})
 
     def test_rock_move_down(self, kb):
-        ts = kb.lookup("sprite", "Missile", variant="DOWN")
-        inst = kb.instantiate(ts, {"T": "rock"})
+        ts = kb.lookup("sprite", "Missile")
+        inst = kb.instantiate(ts, {"T": "rock"}, ["DOWN"])
         move = next(a for a in inst.actions if a.name == "ROCK_MOVE_DOWN")
         pre_text = format_formula(move.precondition)
         assert "(oriented-down ?o)" in pre_text
@@ -78,6 +81,47 @@ class TestInstantiate:
         eff_text = format_formula(stop.effect)
         assert "(forall (?o - rock) (not (rock-moved ?o)))" in eff_text
         assert "(finished-turn-rock-move)" in eff_text
+
+    def test_directions_expand_outermost(self, kb):
+        ts = kb.lookup("sprite", "Missile")
+        one = kb.instantiate(ts, {"T": "rock"}, ["LEFT"])
+        assert [a.name for a in one.actions] == [
+            "ROCK_MOVE_LEFT", "ROCK_MOVE_STOP", "ROCK_EXIT_LEFT",
+            "STOP_ROCK_MOVE"]
+        four = kb.instantiate(ts, {"T": "rock"})
+        assert [a.name for a in four.actions] == [
+            f"ROCK_{verb}_{d}" for d in ("UP", "DOWN", "LEFT", "RIGHT")
+            for verb in ("MOVE", "MOVE_STOP", "EXIT")] + ["STOP_ROCK_MOVE"]
+        assert [p.name for p in four.predicates][-4:] == [
+            "edge-up", "edge-down", "edge-left", "edge-right"]
+
+    def test_direction_row_fills_geometry(self, kb):
+        inst = kb.instantiate(kb.lookup("avatar", "MovingAvatar"),
+                              {"A": "avatar"}, ["LEFT"])
+        move = inst.actions[0]
+        assert move.name == "AVATAR_ACTION_MOVE_LEFT"
+        assert ("?new_x", "num") in move.params
+        assert "(next ?new_x ?x)" in format_formula(move.precondition)
+        eff = format_formula(move.effect)
+        assert "(at ?new_x ?y ?a)" in eff
+        assert "(oriented-left ?a)" in eff
+        for other in ("up", "down", "right"):
+            assert f"(not (oriented-{other} ?a))" in eff
+
+    def test_directions_header_limits_instantiation(self, kb):
+        ts = kb.lookup("avatar", "FlakAvatar")
+        assert ts.directions == ("LEFT", "RIGHT")
+        names = [a.name for a in kb.instantiate(ts, {"A": "a", "P": "p"}).actions]
+        assert names[:2] == ["AVATAR_ACTION_MOVE_LEFT", "AVATAR_ACTION_MOVE_RIGHT"]
+        with pytest.raises(UnboundPlaceholderError):
+            kb.instantiate(ts, {"A": "a", "P": "p"}, ["UP"])
+
+    def test_direction_placeholder_outside_block_rejected(self, tmp_path):
+        (tmp_path / "bad.tmpl").write_text(
+            "id: sprite_bad\nkind: SpriteBehaviour\nplaceholders: T\n---\n"
+            "(:predicates (edge-<D> ?n - num))\n")
+        with pytest.raises(TemplateFormatError):
+            KnowledgeBase(tmp_path)
 
     def test_no_placeholder_tokens_survive(self, kb):
         for ts in kb.templates.values():
@@ -135,6 +179,19 @@ class TestValidateKb:
         by_id = {r.template_id: r.status for r in results}
         assert by_id["interaction_killsprite"] == "fail"
         assert by_id["interaction_killboth"] == "pass"
+
+    def test_corrupt_direction_row_fails_only_down_checks(
+            self, kb, monkeypatch):
+        # a down step that walks up
+        monkeypatch.setitem(DIRECTION_TABLE["down"], "NEXT", "?new_y ?y")
+        results = validate_kb(kb)
+        failed = {r.case for r in results if r.status == "fail"}
+        assert failed == {"avatar_movingavatar", "interaction_bounceforward",
+                          "sprite_missile_down"}
+        passed = {r.case for r in results if r.status == "pass"}
+        assert passed == {r.case for r in results if r.case} - failed
+        assert {"sprite_missile_up", "sprite_missile_left",
+                "sprite_missile_right", "sprite_missile_omni"} <= passed
 
     def test_empty_kb_vacuous_with_warning(self, tmp_path):
         empty = tmp_path / "kb"
