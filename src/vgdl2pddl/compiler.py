@@ -211,6 +211,11 @@ def _blocker_conjuncts(blockers: Blockers, cell: tuple[str, str]) -> list[Formul
     return out
 
 
+def _stop_name(mover: str) -> str:
+    """The name of sprite_missile's end-of-phase action for ``mover``."""
+    return f"STOP_{mover.upper()}_MOVE"
+
+
 def _add_in_reserve_disjunct(action: Action) -> Action:
     """Extend STOP_<T>_MOVE's all-moved check with pooled projectiles."""
     parts = list(action.precondition.parts
@@ -365,21 +370,24 @@ def compile_game(model: GameModel,
         for d in directions:
             if d not in edge_dirs:
                 edge_dirs.append(d)
+        # classify by the exact names sprite_missile builds from <T>, never
+        # by substrings, which the sprite's own name may contain
+        t = s.name.upper()
+        moves = {f"{t}_MOVE_{d}" for d in directions}
+        stays = {f"{t}_MOVE_STOP",
+                 *(f"{t}_MOVE_STOP_{d}" for d in directions)}
         actions = []
         for action in inst.actions:
-            is_move_stop = "_MOVE_STOP" in action.name
-            is_move = (not is_move_stop and "_EXIT_" not in action.name
-                       and not action.name.startswith("STOP_"))
-            if is_move:
+            if action.name in moves:
                 action = _with_pre(action, _blocker_conjuncts(
                     mover_blockers, _dest_cell(action)))
-            elif is_move_stop:
+            elif action.name in stays:
                 if not mover_blockers:
                     continue  # nothing can block this mover: no stay-in-place
                 blocked = _blocked_disjunction(mover_blockers,
                                                _dest_cell(action))
                 action = _with_pre(action, [blocked])
-            elif action.name.startswith("STOP_") and s.name == projectile:
+            elif action.name == _stop_name(s.name) and s.name == projectile:
                 action = _add_in_reserve_disjunct(action)
             actions.append(action)
         mover_actions[s.name] = actions
@@ -398,7 +406,7 @@ def compile_game(model: GameModel,
     sprite_phase_actions: list[Action] = []
     for idx, mover in enumerate(movers):
         for action in mover_actions[mover]:
-            if action.name.startswith("STOP_") and idx + 1 < len(movers):
+            if action.name == _stop_name(mover) and idx + 1 < len(movers):
                 action = _with_eff(action,
                                    [Atom(f"turn-{movers[idx + 1]}-move")])
             sprite_phase_actions.append(action)
@@ -479,6 +487,6 @@ def emit_turn_structure(model: GameModel,
                             f"{m}-moved"})
     preds = tuple(p for p in game.domain.predicates if p.name in phase_names)
     action_names = {"END-TURN-INTERACTIONS", "END-TURN-SPRITES"}
-    action_names.update(f"STOP_{m.upper()}_MOVE" for m in game.moving_types)
+    action_names.update(_stop_name(m) for m in game.moving_types)
     actions = tuple(a for a in game.domain.actions if a.name in action_names)
     return preds, actions

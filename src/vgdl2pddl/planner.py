@@ -16,13 +16,13 @@ scans the buckets active in the current state.
 """
 from __future__ import annotations
 
-import heapq
 import subprocess
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Optional
 
@@ -66,6 +66,7 @@ class SearchConfig:
 class SearchStats:
     expanded: int = 0
     generated: int = 0
+    evaluated: int = 0  # heuristic calls; 0 for blind BFS
     wall_time: float = 0.0
 
 
@@ -83,129 +84,180 @@ class PlanResult:
 # -- successor generation -----------------------------------------------------------
 
 class _Successors:
-    """Bucket actions by their phase-gate fact for cheap expansion."""
+    """Bucket actions by their phase-gate fact for cheap expansion.
+
+    The gates are the argument-free ``turn-*`` and ``finished-turn-*`` facts;
+    an action's gate is the lowest-numbered gate among its positive
+    preconditions, and actions with none are always scanned, last.
+    """
 
     def __init__(self, task: GroundedTask):
-        gate_ids: dict[int, int] = {}
+        gate_mask = 0
         for atom, i in task.fact_id.items():
-            name = atom.predicate
-            if (name.startswith("turn-") or name == "turn-avatar"
-                    or name.startswith("finished-turn-")) and not atom.args:
-                gate_ids[i] = i
-        self.buckets: dict[int, list[GroundAction]] = {}
-        self.always: list[GroundAction] = []
+            if not atom.args and atom.predicate.startswith(
+                    ("turn-", "finished-turn-")):
+                gate_mask |= 1 << i
+        buckets: dict[int, list[GroundAction]] = {}
+        always: list[GroundAction] = []
         for action in task.actions:
-            gate = None
-            for i in gate_ids:
-                if action.pos_pre >> i & 1:
-                    gate = i
-                    break
-            if gate is None:
-                self.always.append(action)
+            gates = action.pos_pre & gate_mask
+            if gates:
+                buckets.setdefault(gates & -gates, []).append(action)
             else:
-                self.buckets.setdefault(gate, []).append(action)
-        self.gate_list = sorted(self.buckets)
+                always.append(action)
+        # (gate bit, actions) in gate order; 0 marks the always-scanned group
+        self.groups = [(bit, buckets[bit]) for bit in sorted(buckets)]
+        self.groups.append((0, always))
 
     def applicable(self, state: int):
-        for gate in self.gate_list:
-            if state >> gate & 1:
-                for action in self.buckets[gate]:
-                    if applicable(state, action):
-                        yield action
-        for action in self.always:
-            if applicable(state, action):
-                yield action
+        for bit, actions in self.groups:
+            if bit and not state & bit:
+                continue
+            for action in actions:
+                pos = action.pos_pre
+                if state & pos != pos or state & action.neg_pre:
+                    continue
+                for pos_mask, neg_mask in action.clauses:
+                    if not state & pos_mask and not neg_mask & ~state:
+                        break
+                else:
+                    yield action
 
 
 # -- additive heuristic -------------------------------------------------------------
 
-class _HAdd:
-    """Dijkstra-style additive heuristic over the delete relaxation.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Clause requirements (disjunctive preconditions) cost the cheapest member
-    literal; negative literals cost zero.  Negative goal literals cost zero
-    when currently true and NEG_GOAL_PENALTY otherwise.
+
+class _HAdd:
+    """The additive delete-relaxation heuristic h_add, computed exactly.
+
+    h_add (Bonet & Geffner, AIJ 2001): a fact true in the state costs 0; an
+    action costs 1 plus the sum of its requirement costs; any other fact
+    costs its cheapest adding action, or infinity.  A requirement is a
+    positive precondition or an all-positive clause (disjunctive
+    precondition), which costs its cheapest member; negative preconditions
+    and clauses with a negative literal are free.  h is the sum of the
+    positive goal facts' costs, plus NEG_GOAL_PENALTY for each negative goal
+    literal that is currently false.
+
+    ``value`` runs Dijkstra from the state's facts over tables built once per
+    task, and stops as soon as every positive goal fact has been popped.  The
+    stop is sound: an action costs more than any one of its requirements, so
+    whatever a popped fact enables costs more than the fact itself, popped
+    costs never decrease and a popped cost is final.  Once the goal facts are
+    popped, their sum cannot change.
     """
 
     def __init__(self, task: GroundedTask):
-        self.task = task
         n = len(task.facts)
-        # requirements per action: positive fact ids, then all-positive clauses
-        self.action_pos: list[list[int]] = []
-        self.action_clauses: list[list[list[int]]] = []
-        self.watchers: dict[int, list[tuple[int, int]]] = {}
+        # fact -> actions with it as a positive precondition
+        self.pre_watch: list[list[int]] = [[] for _ in range(n)]
+        # fact -> flat indices of the all-positive clauses containing it
+        self.clause_watch: list[list[int]] = [[] for _ in range(n)]
+        self.clause_action: list[int] = []  # flat clause index -> action
+        self.remaining0: list[int] = []  # requirements per action
+        self.adds: list[list[int]] = []
+        free = 0  # facts added by actions with no requirement
         for ai, a in enumerate(task.actions):
-            pos = [i for i in range(n) if a.pos_pre >> i & 1]
-            clauses = []
+            need = 0
+            for f in _bits(a.pos_pre):
+                self.pre_watch[f].append(ai)
+                need += 1
             for pos_mask, neg_mask in a.clauses:
                 if neg_mask:
                     continue  # optimistically satisfiable for free
-                clauses.append([i for i in range(n) if pos_mask >> i & 1])
-            self.action_pos.append(pos)
-            self.action_clauses.append(clauses)
-            for f in pos:
-                self.watchers.setdefault(f, []).append((ai, -1))
-            for ci, clause in enumerate(clauses):
-                for f in clause:
-                    self.watchers.setdefault(f, []).append((ai, ci))
-        self.adds: list[list[int]] = [
-            [i for i in range(n) if a.add >> i & 1] for a in task.actions]
-        self.goal_pos = [i for i in range(n) if task.goal_pos >> i & 1]
-        self.goal_neg = [i for i in range(n) if task.goal_neg >> i & 1]
+                for f in _bits(pos_mask):
+                    self.clause_watch[f].append(len(self.clause_action))
+                self.clause_action.append(ai)
+                need += 1
+            self.remaining0.append(need)
+            self.adds.append(_bits(a.add))
+            if not need:
+                free |= a.add
+        self.free_adds = _bits(free)
+        self.n = n
+        self.goal_mask = task.goal_pos
+        self.goal_pos = _bits(task.goal_pos)
+        self.is_goal = bytearray(n)
+        for f in self.goal_pos:
+            self.is_goal[f] = 1
+        self.goal_neg = task.goal_neg
 
     def value(self, state: int) -> float:
-        task = self.task
-        n = len(task.facts)
-        cost = [INF] * n
-        heap = []
-        for i in range(n):
-            if state >> i & 1:
-                cost[i] = 0
-                heap.append((0, i))
-        heapq.heapify(heap)
-        remaining = []
-        acc = []
-        clause_done: list[list[bool]] = []
-        for ai in range(len(task.actions)):
-            remaining.append(len(self.action_pos[ai])
-                             + len(self.action_clauses[ai]))
-            acc.append(0.0)
-            clause_done.append([False] * len(self.action_clauses[ai]))
-        # actions with no positive requirements fire immediately
-        for ai, rem in enumerate(remaining):
-            if rem == 0:
-                for f in self.adds[ai]:
-                    if cost[f] > 1:
-                        cost[f] = 1
-                        heapq.heappush(heap, (1, f))
-        seen = [False] * n
-        while heap:
-            c, f = heapq.heappop(heap)
-            if seen[f] or c > cost[f]:
-                continue
-            seen[f] = True
-            for ai, ci in self.watchers.get(f, ()):
-                if ci >= 0:
-                    if clause_done[ai][ci]:
-                        continue
-                    clause_done[ai][ci] = True
-                acc[ai] += c
-                remaining[ai] -= 1
-                if remaining[ai] == 0:
-                    new_cost = acc[ai] + 1
-                    for g in self.adds[ai]:
-                        if new_cost < cost[g]:
-                            cost[g] = new_cost
-                            heapq.heappush(heap, (new_cost, g))
         total = 0.0
-        for f in self.goal_pos:
-            if cost[f] == INF:
-                return INF
-            total += cost[f]
-        for f in self.goal_neg:
-            if state >> f & 1:
-                total += NEG_GOAL_PENALTY
-        return total
+        # positive goal facts still to be popped; those in the state cost 0
+        left = (self.goal_mask & ~state).bit_count()
+        if left:
+            cost: list[float] = [INF] * self.n
+            heap = []
+            m = state
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                cost[f] = 0
+                heap.append((0, f))  # ascending, so already a heap
+                m ^= low
+            for f in self.free_adds:
+                if cost[f] > 1:
+                    cost[f] = 1
+                    heappush(heap, (1, f))
+            pre_watch = self.pre_watch
+            clause_watch = self.clause_watch
+            clause_action = self.clause_action
+            adds = self.adds
+            is_goal = self.is_goal
+            remaining = self.remaining0[:]
+            acc = [0] * len(remaining)
+            done = bytearray(len(clause_action))
+            while heap:
+                c, f = heappop(heap)
+                if c > cost[f]:
+                    continue  # superseded by a cheaper push
+                if c and is_goal[f]:
+                    left -= 1
+                    if not left:
+                        break
+                for ai in pre_watch[f]:
+                    r = remaining[ai] - 1
+                    remaining[ai] = r
+                    if r:
+                        acc[ai] += c
+                    else:
+                        new_cost = acc[ai] + c + 1
+                        for g in adds[ai]:
+                            if new_cost < cost[g]:
+                                cost[g] = new_cost
+                                heappush(heap, (new_cost, g))
+                # the same update as above, inlined: a call per requirement
+                # would cost more than the update itself
+                for k in clause_watch[f]:
+                    if done[k]:
+                        continue
+                    done[k] = 1
+                    ai = clause_action[k]
+                    r = remaining[ai] - 1
+                    remaining[ai] = r
+                    if r:
+                        acc[ai] += c
+                    else:
+                        new_cost = acc[ai] + c + 1
+                        for g in adds[ai]:
+                            if new_cost < cost[g]:
+                                cost[g] = new_cost
+                                heappush(heap, (new_cost, g))
+            for f in self.goal_pos:
+                if cost[f] == INF:
+                    return INF
+                total += cost[f]
+        return total + (self.goal_neg & state).bit_count() * NEG_GOAL_PENALTY
 
 
 def _goal_count(task: GroundedTask, state: int) -> float:
@@ -287,12 +339,13 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
     parents = {task.init: None}
     counter = 0
     h0 = h(task.init)
+    stats.evaluated += 1
     open_heap = [(h0, h0, counter ^ cfg.seed, task.init)]
     closed: set[int] = set()
     while open_heap:
         if stats.expanded % 256 == 0 and time.perf_counter() > deadline:
             return PlanResult(Status.TIMEOUT, None, stats)
-        _, _, _, state = heapq.heappop(open_heap)
+        _, _, _, state = heappop(open_heap)
         if state in closed:
             continue
         closed.add(state)
@@ -314,11 +367,12 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
             if len(g_cost) > max_states:
                 return PlanResult(Status.OUT_OF_MEMORY, None, stats)
             hs = h(succ)
+            stats.evaluated += 1
             if hs >= INF:
                 continue
             counter += 1
             f = (new_g + hs) if astar else hs
-            heapq.heappush(open_heap, (f, hs, counter ^ cfg.seed, succ))
+            heappush(open_heap, (f, hs, counter ^ cfg.seed, succ))
     return PlanResult(Status.UNSOLVABLE, None, stats)
 
 

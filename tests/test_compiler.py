@@ -256,3 +256,43 @@ class TestPrintDomainStability:
         assert {f"BOLT_MOVE_STOP_{d}"
                 for d in ("UP", "DOWN", "LEFT", "RIGHT")} <= names
         assert "BOLT_MOVE_STOP" not in names
+
+
+# a missile whose own name contains a fragment of the template's action
+# names (_EXIT_, _MOVE_STOP, a STOP_ prefix) must compile like any other
+WALLED_TOY_TWO_MOVERS = TOY_TWO_MOVERS.replace(
+    "    avatar wall > stepBack\n",
+    "    avatar wall > stepBack\n    blob wall > stepBack\n")
+MISSILE_NAMES = ["fire_exit", "stop_blob", "a_move_stop"]
+
+
+class TestMissileNames:
+    @pytest.mark.parametrize("name", MISSILE_NAMES)
+    def test_domain_matches_blob_up_to_renaming(self, name):
+        expected = print_domain(compile_domain(
+            parse_gdf(WALLED_TOY_TWO_MOVERS, name="toy")))
+        expected = expected.replace("blob", name).replace(
+            "BLOB", name.upper())
+        got = print_domain(compile_domain(
+            parse_gdf(WALLED_TOY_TWO_MOVERS.replace("blob", name),
+                      name="toy")))
+        assert got == expected
+
+    @pytest.mark.parametrize("name", MISSILE_NAMES)
+    def test_move_keeps_wall_guard(self, name):
+        domain = compile_domain(
+            parse_gdf(WALLED_TOY_TWO_MOVERS.replace("blob", name),
+                      name="toy"))
+        actions = {a.name: a for a in domain.actions}
+        t = name.upper()
+        move = format_formula(actions[f"{t}_MOVE_RIGHT"].precondition)
+        assert "(not (is-wall ?new_x ?y))" in move
+        stay = format_formula(actions[f"{t}_MOVE_STOP"].precondition)
+        assert "(is-wall ?new_x ?y)" in stay.replace(
+            "(not (is-wall ?new_x ?y))", "")
+        # only the phase-closing action hands the turn to the next mover
+        assert "(turn-drip-move)" in format_formula(
+            actions[f"STOP_{t}_MOVE"].effect)
+        for suffix in ("MOVE_RIGHT", "MOVE_STOP", "EXIT_RIGHT"):
+            assert "turn-drip-move" not in format_formula(
+                actions[f"{t}_{suffix}"].effect)

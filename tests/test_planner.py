@@ -1,4 +1,7 @@
 """Planner tests: optimality oracle, validation, external adapter stubs."""
+import dataclasses
+import hashlib
+import heapq
 import random
 from collections import deque
 
@@ -6,10 +9,20 @@ import pytest
 
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import PlanParseError, ValidationFailedError
-from vgdl2pddl.games import load_game, load_level
-from vgdl2pddl.ground import apply, applicable, goal_satisfied, ground, simplify
+from vgdl2pddl.games import available_games, load_game, load_level
+from vgdl2pddl.ground import (
+    GroundedTask,
+    apply,
+    applicable,
+    goal_satisfied,
+    ground,
+    simplify,
+)
 from vgdl2pddl.pddl import format_plan, print_domain, print_problem
+from vgdl2pddl import planner
 from vgdl2pddl.planner import (
+    INF,
+    NEG_GOAL_PENALTY,
     Mode,
     SearchConfig,
     Status,
@@ -98,6 +111,13 @@ class TestSolve:
         assert avatar_steps
         ok, _ = validate(task, result.plan)
         assert ok  # the goal (forall box dead) holds at the end
+
+    def test_evaluated_counts_heuristic_calls(self):
+        task = sokoban_task()
+        bfs = solve(task, SearchConfig(mode=Mode.BLIND_BFS)).stats
+        assert bfs.evaluated == 0
+        goal_count = solve(task, SearchConfig(mode=Mode.GOAL_COUNT)).stats
+        assert goal_count.evaluated == goal_count.generated + 1
 
     def test_satisfied_goal_gives_empty_plan(self):
         game = compile_game(load_game("sokoban"))
@@ -189,6 +209,235 @@ class TestHAdd:
             state = apply(state, action)
         assert goal_satisfied(task, state)
         assert h(state) == 0
+
+
+# The h_add implementation before the early stop and the flat tables, kept
+# verbatim as the oracle: the planner's _HAdd must return the same number on
+# every state.
+class _ReferenceHAdd:
+    """Dijkstra-style additive heuristic over the delete relaxation.
+
+    Clause requirements (disjunctive preconditions) cost the cheapest member
+    literal; negative literals cost zero.  Negative goal literals cost zero
+    when currently true and NEG_GOAL_PENALTY otherwise.
+    """
+
+    def __init__(self, task: GroundedTask):
+        self.task = task
+        n = len(task.facts)
+        # requirements per action: positive fact ids, then all-positive clauses
+        self.action_pos: list[list[int]] = []
+        self.action_clauses: list[list[list[int]]] = []
+        self.watchers: dict[int, list[tuple[int, int]]] = {}
+        for ai, a in enumerate(task.actions):
+            pos = [i for i in range(n) if a.pos_pre >> i & 1]
+            clauses = []
+            for pos_mask, neg_mask in a.clauses:
+                if neg_mask:
+                    continue  # optimistically satisfiable for free
+                clauses.append([i for i in range(n) if pos_mask >> i & 1])
+            self.action_pos.append(pos)
+            self.action_clauses.append(clauses)
+            for f in pos:
+                self.watchers.setdefault(f, []).append((ai, -1))
+            for ci, clause in enumerate(clauses):
+                for f in clause:
+                    self.watchers.setdefault(f, []).append((ai, ci))
+        self.adds: list[list[int]] = [
+            [i for i in range(n) if a.add >> i & 1] for a in task.actions]
+        self.goal_pos = [i for i in range(n) if task.goal_pos >> i & 1]
+        self.goal_neg = [i for i in range(n) if task.goal_neg >> i & 1]
+
+    def value(self, state: int) -> float:
+        task = self.task
+        n = len(task.facts)
+        cost = [INF] * n
+        heap = []
+        for i in range(n):
+            if state >> i & 1:
+                cost[i] = 0
+                heap.append((0, i))
+        heapq.heapify(heap)
+        remaining = []
+        acc = []
+        clause_done: list[list[bool]] = []
+        for ai in range(len(task.actions)):
+            remaining.append(len(self.action_pos[ai])
+                             + len(self.action_clauses[ai]))
+            acc.append(0.0)
+            clause_done.append([False] * len(self.action_clauses[ai]))
+        # actions with no positive requirements fire immediately
+        for ai, rem in enumerate(remaining):
+            if rem == 0:
+                for f in self.adds[ai]:
+                    if cost[f] > 1:
+                        cost[f] = 1
+                        heapq.heappush(heap, (1, f))
+        seen = [False] * n
+        while heap:
+            c, f = heapq.heappop(heap)
+            if seen[f] or c > cost[f]:
+                continue
+            seen[f] = True
+            for ai, ci in self.watchers.get(f, ()):
+                if ci >= 0:
+                    if clause_done[ai][ci]:
+                        continue
+                    clause_done[ai][ci] = True
+                acc[ai] += c
+                remaining[ai] -= 1
+                if remaining[ai] == 0:
+                    new_cost = acc[ai] + 1
+                    for g in self.adds[ai]:
+                        if new_cost < cost[g]:
+                            cost[g] = new_cost
+                            heapq.heappush(heap, (new_cost, g))
+        total = 0.0
+        for f in self.goal_pos:
+            if cost[f] == INF:
+                return INF
+            total += cost[f]
+        for f in self.goal_neg:
+            if state >> f & 1:
+                total += NEG_GOAL_PENALTY
+        return total
+
+
+def level_task(name, index):
+    game = compile_game(load_game(name))
+    problem, _ = generate_problem(load_level(name, index, game.model), game)
+    return ground(game.domain, problem)
+
+
+def gbfs_states(task, monkeypatch):
+    """(search task, every state GBFS evaluates) for one GBFS run."""
+    seen = {}
+
+    class Recording(_HAdd):
+        def __init__(self, search_task):
+            super().__init__(search_task)
+            seen["task"] = search_task
+            seen["states"] = []
+
+        def value(self, state):
+            seen["states"].append(state)
+            return super().value(state)
+
+    with monkeypatch.context() as m:
+        m.setattr(planner, "_HAdd", Recording)
+        result = solve(task, SearchConfig(mode=Mode.GBFS_HADD))
+    assert result.status is Status.SOLVED
+    assert len(seen["states"]) == result.stats.evaluated
+    return seen["task"], seen["states"]
+
+
+def assert_same_hadd(task, states):
+    new, ref = _HAdd(task).value, _ReferenceHAdd(task).value
+    for state in states:
+        assert new(state) == ref(state)
+
+
+class TestHAddOracle:
+    @pytest.mark.parametrize("name,index", [
+        ("sokoban", 1),
+        ("rain", 1),  # a negative goal literal: (not (dead avatar))
+        ("aliens", 0),  # all-positive and mixed-sign clauses
+    ])
+    def test_equals_reference_on_gbfs_states(self, name, index, monkeypatch):
+        task, states = gbfs_states(level_task(name, index), monkeypatch)
+        assert_same_hadd(task, states)
+
+    def test_task_variants(self, monkeypatch):
+        task, states = gbfs_states(level_task("sokoban", 1), monkeypatch)
+        at_facts = sum(1 << i for atom, i in task.fact_id.items()
+                       if atom.predicate == "at")
+        # negative goal literals on facts the search makes true and false
+        neg_goal = dataclasses.replace(task, goal_neg=at_facts)
+        assert task.goal_pos and neg_goal.goal_neg
+        assert_same_hadd(neg_goal, states)
+        # no positive goal fact: h is the negative-goal penalty alone
+        no_pos = dataclasses.replace(neg_goal, goal_pos=0)
+        assert_same_hadd(no_pos, states)
+        assert _HAdd(no_pos).value(task.init) == (
+            (at_facts & task.init).bit_count() * NEG_GOAL_PENALTY)
+        # an action with no requirement adds its facts at cost 1
+        nil = next(i for i, a in enumerate(task.actions)
+                   if a.name == "AVATAR_ACTION_NIL")
+        actions = list(task.actions)
+        actions[nil] = dataclasses.replace(actions[nil], pos_pre=0,
+                                           clauses=())
+        free = dataclasses.replace(task, actions=tuple(actions))
+        assert_same_hadd(free, states)
+        # an unreachable goal fact makes h infinite
+        unreachable = dataclasses.replace(
+            task, actions=tuple(a for a in task.actions
+                                if a.name != "BOX_HOLE_KILLSPRITE"))
+        assert _HAdd(unreachable).value(task.init) == INF
+        assert_same_hadd(unreachable, states)
+
+
+# (sha256 of repr(plan.steps), expanded, generated), frozen before h_add
+# gained its early stop: the exact heuristic must not move the search.
+SEARCH_PINS = {
+    ("GBFS_hadd", "aliens", 0): (
+        "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
+        114, 156),
+    ("GBFS_hadd", "aliens", 1): (
+        "8393976e130fd8ba2cf3b0ae836706459d24f6aa022f42324366e508c11bb854",
+        249, 366),
+    ("GBFS_hadd", "digger", 0): (
+        "2b27f80573814ee7efe6f451cc28b83ff99b86dbd6144aafb9dae4a0026b996a",
+        79, 110),
+    ("GBFS_hadd", "digger", 1): (
+        "d18ba28887d2db29afd2bf28940db2945b85bac62a2d59309b37ff5c4411251e",
+        270, 314),
+    ("GBFS_hadd", "keymaze", 0): (
+        "8ebf2022f34bcbfb079e984d44fb39110e85ebff55c3ec0009d733c88e15c057",
+        46, 58),
+    ("GBFS_hadd", "keymaze", 1): (
+        "5a5512becfafffd9b94b055521a131a2f7b4d95401f49c323d086f1301a5d8a4",
+        15, 21),
+    ("GBFS_hadd", "rain", 0): (
+        "fa5079152be46be9ca0cd4cfb8293e6553a28781df20b03d8a3dcf6fff0910e9",
+        697, 731),
+    ("GBFS_hadd", "rain", 1): (
+        "bf6f585a2431c2a4f4d512ac41feb8aa26e3ed157d85f020a2729ee23cc3f428",
+        3409, 3444),
+    ("GBFS_hadd", "sokoban", 0): (
+        "fc4692ce9e871164ac766dfd94fc53ad01d4e72dcce6649d14fbb14d9060c08d",
+        30, 38),
+    ("GBFS_hadd", "sokoban", 1): (
+        "5e60138e53b86bc87c5c14d7ad34b576bc12ec9faeec2ca20e70c8aba6cd1881",
+        89, 117),
+    ("GBFS_hadd", "zenpuzzle", 0): (
+        "ad0c2ca705da5bbc74f3484b7206f19734653b9934fe89f06046164633ae3f85",
+        125, 191),
+    ("GBFS_hadd", "zenpuzzle", 1): (
+        "9678d5a1b8119a98a80b4fc9931804eb8a1b809490df68c4717311c72f6df23a",
+        25, 31),
+    ("AStar_hadd", "sokoban", 0): (
+        "fc4692ce9e871164ac766dfd94fc53ad01d4e72dcce6649d14fbb14d9060c08d",
+        30, 38),
+    ("AStar_hadd", "sokoban", 1): (
+        "b23c94279c5b5835d63ad8ad2104db51568c8fe87c335f102acf247353bc5a3b",
+        108, 153),
+}
+
+
+class TestSearchStability:
+    def test_every_shipped_level_is_pinned(self):
+        assert {(name, i) for name in available_games() for i in (0, 1)} == {
+            (name, i) for mode, name, i in SEARCH_PINS if mode == "GBFS_hadd"}
+
+    @pytest.mark.parametrize("mode,name,index", sorted(SEARCH_PINS))
+    def test_plan_and_counts_unchanged(self, mode, name, index):
+        result = solve(level_task(name, index),
+                       SearchConfig(mode=Mode(mode), time_limit=120))
+        digest = hashlib.sha256(repr(result.steps).encode()).hexdigest()
+        stats = result.stats
+        assert (digest, stats.expanded, stats.generated) == \
+            SEARCH_PINS[(mode, name, index)]
+        assert stats.evaluated == stats.generated + 1
 
 
 class TestValidate:
