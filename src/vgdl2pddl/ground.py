@@ -9,17 +9,25 @@ and from the no-collision-left checks on END-TURN-INTERACTIONS.
 Facts over static predicates (never added or deleted by any action, e.g.
 is-wall, next) are evaluated at grounding time: actions with a statically
 false precondition are dropped, literals that are statically true disappear.
-The generated action set therefore equals the naive cross product filtered by
-static preconditions, which is the contract the test-suite oracle checks.
+
+Only relaxed-reachable actions are built (the technique of Fast Downward's
+translator, Helmert 2009). A binding's *needs* are its top-level positive
+dynamic atoms; it is built once every need is in init or added by an action
+already built, and its add effects then wake the bindings waiting on them.
+The generated action set is therefore the relaxed-reachable subset of the
+naive cross product filtered by static preconditions, in enumeration order.
+Every binding that survives the static filter is still checked for adding
+and deleting the same atom, reachable or not.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import NotApplicableError, TypeMismatchError, UnsupportedConstructError
-from .pddl import And, Atom, Domain, Forall, Formula, Not, Or, Problem, ROOT_TYPE
+from .pddl import Action, And, Atom, Domain, Forall, Formula, Not, Or, Problem, ROOT_TYPE
 
 Literal = tuple[Atom, bool]  # (atom, is_positive)
 
@@ -324,7 +332,8 @@ def _split_conjuncts(f: Formula) -> list[Formula]:
 
 
 class _SchemaGrounder:
-    """Backtracking enumeration of one action schema's bindings.
+    """Backtracking enumeration of bindings over one task's static facts,
+    for action schemas and for the instances of statically joined foralls.
 
     Static positive atoms both filter candidates (when one argument is left
     unbound, the static fact table supplies its candidates) and reject
@@ -332,13 +341,24 @@ class _SchemaGrounder:
     """
 
     def __init__(self, task_statics: dict[str, list[tuple[str, ...]]],
-                 static_preds: frozenset[str]):
+                 static_preds: frozenset[str], universe: dict[str, list[str]]):
         self.static_table = task_statics
+        self.static_sets = {p: set(rows) for p, rows in task_statics.items()}
         self.static_preds = static_preds
+        self.universe = universe
+        self._index: dict[tuple[str, int, str],
+                          dict[tuple[str, ...], tuple[int, list[str]]]] = {}
 
     def bindings(self, params: tuple[tuple[str, str], ...],
-                 universe: dict[str, list[str]],
-                 conjuncts: list[Formula]):
+                 conjuncts: list[Formula]) -> list[tuple[str, ...]]:
+        """Bindings of `params` that satisfy the static atoms and the
+        inequalities among `conjuncts`, as value tuples in parameter order.
+
+        Parameters are bound in order. Each constraint is checked once, when
+        its last parameter is bound (never, if it mentions a variable that
+        is not a parameter). A static atom whose only open argument is the
+        parameter being bound supplies that parameter's candidates.
+        """
         static_atoms: list[Atom] = []
         neq: list[tuple[str, str]] = []
         for c in conjuncts:
@@ -350,61 +370,369 @@ class _SchemaGrounder:
 
         order = [v for v, _ in params]
         types = dict(params)
-        binding: dict[str, str] = {}
-        out: list[dict[str, str]] = []
+        depth = {v: i for i, v in enumerate(order)}
 
-        def consistent() -> bool:
-            for a, b in neq:
-                va, vb = binding.get(a, a), binding.get(b, b)
-                if va.startswith("?") or vb.startswith("?"):
-                    continue  # not fully bound yet
-                if va == vb:
+        def bound_at(args: tuple[str, ...]) -> Optional[int]:
+            level = 0
+            for a in args:
+                if a in depth:
+                    level = max(level, depth[a])
+                elif a.startswith("?"):
+                    return None
+            return level
+
+        # without parameters the one empty binding is never checked
+        neq_at: list[list[tuple[str, str]]] = [[] for _ in order]
+        for pair in neq:
+            level = bound_at(pair)
+            if level is not None and order:
+                neq_at[level].append(pair)
+        static_at: list[list[Atom]] = [[] for _ in order]
+        options_at: list[list[tuple[str, int, tuple[str, ...]]]] = [[] for _ in order]
+        for atom in static_atoms:
+            level = bound_at(atom.args)
+            if level is not None and order:
+                static_at[level].append(atom)
+            for i, var in enumerate(order):
+                open_args = [a for a in atom.args if a.startswith("?")
+                             and depth.get(a, i) >= i]
+                if open_args == [var]:
+                    pos = atom.args.index(var)
+                    options_at[i].append((atom.predicate, pos,
+                                          atom.args[:pos] + atom.args[pos + 1:]))
+
+        binding: dict[str, str] = {}
+        out: list[tuple[str, ...]] = []
+
+        def consistent(i: int) -> bool:
+            for a, b in neq_at[i]:
+                if binding.get(a, a) == binding.get(b, b):
                     return False
-            for atom in static_atoms:
-                args = [binding.get(a, a) for a in atom.args]
-                if any(a.startswith("?") for a in args):
-                    continue
-                if tuple(args) not in self.static_table.get(atom.predicate, ()):
+            for atom in static_at[i]:
+                args = tuple([binding.get(a, a) for a in atom.args])
+                if args not in self.static_sets.get(atom.predicate, ()):
                     return False
             return True
 
-        def candidates(var: str) -> list[str]:
-            base = universe.get(types[var], [])
+        def candidates(i: int) -> list[str]:
+            typ = types[order[i]]
             best: Optional[list[str]] = None
-            for atom in static_atoms:
-                if var not in atom.args:
-                    continue
-                args = [binding.get(a, a) for a in atom.args]
-                if sum(a.startswith("?") for a in args) != 1:
-                    continue
-                pos = args.index(var)
-                opts = []
-                for row in self.static_table.get(atom.predicate, ()):
-                    if all(a.startswith("?") or a == r for a, r in zip(args, row)):
-                        opts.append(row[pos])
-                if best is None or len(opts) < len(best):
-                    best = opts
-            if best is None:
-                return list(base)
-            allowed = set(universe.get(types[var], []))
-            return [o for o in dict.fromkeys(best) if o in allowed]
+            best_rows = 0
+            for pred, pos, others in options_at[i]:
+                rows, opts = self._options(
+                    pred, pos, typ, tuple([binding.get(a, a) for a in others]))
+                if best is None or rows < best_rows:
+                    best, best_rows = opts, rows
+            return self.universe.get(typ, []) if best is None else best
 
         def search(i: int):
             if i == len(order):
-                out.append(dict(binding))
+                out.append(tuple(map(binding.__getitem__, order)))
                 return
             var = order[i]
-            for value in candidates(var):
+            for value in candidates(i):
                 binding[var] = value
-                if consistent():
+                if consistent(i):
                     search(i + 1)
                 del binding[var]
 
         search(0)
         return out
 
+    def _options(self, pred: str, pos: int, typ: str, others: tuple[str, ...]
+                 ) -> tuple[int, list[str]]:
+        """Values at `pos` of the `pred` rows whose other arguments are
+        `others`: (how many rows match, the distinct values of type `typ` in
+        table order). Indexed once per (pred, pos, typ)."""
+        index = self._index.get((pred, pos, typ))
+        if index is None:
+            matches: dict[tuple[str, ...], list[str]] = {}
+            for row in self.static_table.get(pred, ()):
+                matches.setdefault(row[:pos] + row[pos + 1:], []).append(row[pos])
+            allowed = set(self.universe.get(typ, []))
+            index = self._index[pred, pos, typ] = {
+                key: (len(values), [o for o in dict.fromkeys(values) if o in allowed])
+                for key, values in matches.items()}
+        return index.get(others, (0, []))
+
+    def forall_clauses(self, f: Forall) -> Optional[list[list[Literal]]]:
+        """The CNF of a ground forall whose body is one clause with a negated
+        static atom or a positive equality, or None for any other forall.
+
+        Only instances static evaluation cannot satisfy are expanded: they
+        need every negated static atom of the clause to hold and every
+        equality in it to be false, which is a static join, where the full
+        product is mostly satisfied instances. The clauses keep
+        `itertools.product` order; equalities are folded, static literals
+        are left to the caller.
+        """
+        literals: list[Literal] = []
+        constraints: list[Formula] = []
+        for lit in f.body.parts if isinstance(f.body, Or) else (f.body,):
+            atom = lit.body if isinstance(lit, Not) else lit
+            if not isinstance(atom, Atom):
+                return None
+            literals.append((atom, lit is atom))
+            if lit is not atom and atom.predicate in self.static_preds:
+                constraints.append(atom)
+            elif lit is atom and atom.predicate == "=":
+                constraints.append(Not(atom))
+        if not constraints:
+            return None
+        rows = self.bindings(f.variables, constraints)
+        ranks = [{o: i for i, o in enumerate(self.universe.get(typ, []))}
+                 for _, typ in f.variables]
+        rows.sort(key=lambda row: tuple(map(dict.__getitem__, ranks, row)))
+        names = [v for v, _ in f.variables]
+        clauses = []
+        for row in rows:
+            binding = dict(zip(names, row))
+            clause: list[Literal] = []
+            for atom, positive in literals:
+                args = tuple([binding.get(a, a) for a in atom.args])
+                if atom.predicate != "=":
+                    clause.append((Atom(atom.predicate, args), positive))
+                elif (args[0] == args[1]) == positive:
+                    break  # the instance holds
+            else:
+                clauses.append(clause)
+        return clauses
+
+
+class _AtomTable(dict):
+    """Ground atoms interned by (predicate, args)."""
+
+    def __missing__(self, key: tuple[str, tuple[str, ...]]) -> Atom:
+        atom = self[key] = Atom(*key)
+        return atom
+
+
+_EQUALITY = object()  # the "table" of an equality literal in a template
+
+
+def _arg_getter(idx: tuple[int, ...]):
+    """Map `ext` to the tuple of its items at `idx` (itemgetter returns a
+    bare item for one index and fails for none; slices keep tuples)."""
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx) if idx else itemgetter(slice(0))
+
+
+def _equalities_top_level(pre: Formula, conjuncts: list[Formula]) -> bool:
+    top = sum(1 for c in conjuncts
+              if (isinstance(c, Not) and isinstance(c.body, Atom)
+                  and c.body.predicate == "=")
+              or (isinstance(c, Atom) and c.predicate == "="))
+    return top == sum(1 for a in _atoms_in(pre) if a.predicate == "=")
+
+
+class _Schema:
+    """One action schema, normalized once per task into literal templates.
+
+    A binding's values followed by the constants the schema mentions form
+    its `ext` tuple; each template atom is a predicate and a getter of its
+    arguments from `ext`. `needs` are the top-level positive dynamic atoms,
+    `adds`/`dels` the effects with foralls expanded, and `overlaps` the
+    argument equalities under which an add and a delete coincide.
+
+    `clauses` is the precondition CNF, taken once with the foralls expanded;
+    a binding then only substitutes arguments and evaluates static and
+    equality literals. Folding equalities before or after the CNF gives the
+    same clauses when every equality is a top-level conjunct; otherwise
+    `clauses` is None and each binding is normalized on its own.
+    """
+
+    def __init__(self, schema: Action, grounder: _SchemaGrounder,
+                 atoms: _AtomTable):
+        self.schema = schema
+        self.grounder = grounder
+        self.atoms = atoms
+        self.params = tuple(v for v, _ in schema.params)
+        slot = {v: i for i, v in enumerate(self.params)}
+        consts: list[str] = []
+
+        def index(atom: Atom) -> tuple[str, tuple[int, ...]]:
+            for a in atom.args:
+                if a not in slot:
+                    slot[a] = len(slot)
+                    consts.append(a)
+            return atom.predicate, tuple(slot[a] for a in atom.args)
+
+        static_preds = grounder.static_preds
+        pre = schema.precondition
+        conjuncts = self.conjuncts = _split_conjuncts(pre)
+        needs = dict.fromkeys(
+            index(c) for c in conjuncts if isinstance(c, Atom)
+            and c.predicate != "=" and c.predicate not in static_preds)
+        self.needs = tuple((p, _arg_getter(idx)) for p, idx in needs)
+
+        adds: set[Atom] = set()
+        dels: set[Atom] = set()
+        _collect_effects(schema.effect, grounder.universe, adds, dels)
+        add_idx = [index(a) for a in adds]
+        del_idx = [index(a) for a in dels]
+        self.adds = tuple((p, _arg_getter(idx)) for p, idx in add_idx)
+        self.dels = tuple((p, _arg_getter(idx)) for p, idx in del_idx)
+        n = len(self.params)
+        overlaps = []
+        for p, ia in add_idx:
+            for q, idl in del_idx:
+                if p != q or len(ia) != len(idl):
+                    continue
+                conds = tuple((i, j) for i, j in zip(ia, idl) if i != j)
+                # two distinct constants at one position never coincide
+                if not any(i >= n and j >= n for i, j in conds):
+                    overlaps.append(conds)
+        self.overlaps = tuple(overlaps)
+
+        self.clauses: Optional[tuple] = None
+        if _equalities_top_level(pre, conjuncts):
+            clauses = []
+            for clause in _cnf(_nnf(_expand_foralls(pre, grounder.universe),
+                                    False)):
+                template = []
+                for atom, positive in clause:
+                    pred, idx = index(atom)
+                    if pred == "=":
+                        table = _EQUALITY
+                    elif pred in static_preds:
+                        table = grounder.static_sets.get(pred, frozenset())
+                    else:
+                        table = None
+                    template.append((pred, _arg_getter(idx), positive, table))
+                clauses.append(tuple(template))
+            self.clauses = tuple(clauses)
+        self.consts = tuple(consts)
+
+    def needs_of(self, ext: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
+        return [(p, get(ext)) for p, get in self.needs]
+
+    def may_overlap(self, ext: tuple[str, ...]) -> bool:
+        return any(all(ext[i] == ext[j] for i, j in conds)
+                   for conds in self.overlaps)
+
+    def build(self, args: tuple[str, ...]):
+        """The grounded action as (name, args, clauses, adds, dels), or None
+        when its precondition is statically false."""
+        ext = args + self.consts
+        atoms = self.atoms
+        clauses = (self._normalize(args) if self.clauses is None
+                   else self._instantiate(ext))
+        if clauses is None:
+            return None
+        adds = {atoms[p, get(ext)] for p, get in self.adds}
+        dels = {atoms[p, get(ext)] for p, get in self.dels}
+        both = adds & dels
+        if both:
+            raise TypeMismatchError(
+                f"action {self.schema.name} adds and deletes {sorted(map(str, both))}")
+        return self.schema.name, args, clauses, adds, dels
+
+    def _instantiate(self, ext: tuple[str, ...]) -> Optional[list[list[Literal]]]:
+        atoms = self.atoms
+        clauses = []
+        for template in self.clauses:
+            kept = []
+            for pred, get, positive, table in template:
+                args = get(ext)
+                if table is None:
+                    kept.append((atoms[pred, args], positive))
+                elif (args[0] == args[1] if table is _EQUALITY
+                      else args in table) == positive:
+                    break  # statically satisfied
+            else:
+                if not kept:
+                    return None
+                clauses.append(kept)
+        return clauses
+
+    def _normalize(self, args: tuple[str, ...]) -> Optional[list[list[Literal]]]:
+        """Per-binding normalization, one conjunct at a time (the CNF of a
+        conjunction is its conjuncts' CNFs in order)."""
+        grounder = self.grounder
+        binding = dict(zip(self.params, args))
+        clauses = []
+        for conjunct in self.conjuncts:
+            part = _substitute(conjunct, binding)
+            cnf = grounder.forall_clauses(part) if isinstance(part, Forall) else None
+            if cnf is None:
+                cnf = normalize_ground(part, grounder.universe)
+                if cnf is None:
+                    return None
+            for clause in cnf:
+                kept = []
+                for atom, positive in clause:
+                    if atom.predicate not in grounder.static_preds:
+                        kept.append((atom, positive))
+                    elif (atom.args in grounder.static_sets.get(atom.predicate, ())
+                          ) == positive:
+                        break  # statically satisfied
+                else:
+                    if not kept:
+                        return None
+                    clauses.append(kept)
+        return clauses
+
+
+class _Worklist:
+    """Counter-based relaxed reachability over enumerated bindings.
+
+    A binding waits on each of its needs not yet reached; when the last one
+    is reached it is built, and the add effects of a built action reach new
+    atoms in turn. Atoms are (predicate, args) keys.
+    """
+
+    def __init__(self, reached: set[tuple[str, tuple[str, ...]]]):
+        self.reached = reached
+        self.waiting: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+        self.pending: dict[int, list] = {}  # index -> [missing, schema, args]
+        self.built: dict[int, tuple] = {}
+        self.count = 0
+
+    def add(self, schema: _Schema, args: tuple[str, ...], needs) -> None:
+        i = self.count
+        self.count += 1
+        missing = {k for k in needs if k not in self.reached}
+        if not missing:
+            self._fire(i, schema, args)
+            return
+        self.pending[i] = [len(missing), schema, args]
+        for key in missing:
+            self.waiting.setdefault(key, []).append(i)
+
+    def _fire(self, i: int, schema: _Schema, args: tuple[str, ...]) -> None:
+        stack = [(i, schema, args)]
+        while stack:
+            i, schema, args = stack.pop()
+            raw = schema.build(args)
+            if raw is None:
+                continue
+            self.built[i] = raw
+            for atom in raw[3]:
+                key = (atom.predicate, atom.args)
+                if key in self.reached:
+                    continue
+                self.reached.add(key)
+                for j in self.waiting.pop(key, ()):
+                    entry = self.pending[j]
+                    entry[0] -= 1
+                    if not entry[0]:
+                        del self.pending[j]
+                        stack.append((j, entry[1], entry[2]))
+
+    def actions(self) -> list[tuple]:
+        """The built actions in enumeration order."""
+        return [self.built[i] for i in sorted(self.built)]
+
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
+    """Ground the relaxed-reachable actions of `problem`.
+
+    Bindings are enumerated schema by schema, joined on the static facts;
+    each is built once its needs are reached (see the module docstring) and
+    the built actions keep enumeration order. The fact table holds the
+    dynamic atoms of init, the goal and the built actions, sorted by text.
+    """
     universe = _build_universe(domain, problem)
     parents = dict(domain.types)
 
@@ -435,53 +763,24 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         else:
             init_dynamic.add(atom)
 
-    grounder = _SchemaGrounder(static_table, static_preds)
-
-    raw_actions: list[tuple[str, tuple[str, ...], list[list[Literal]],
-                            set[Atom], set[Atom]]] = []
+    grounder = _SchemaGrounder(static_table, static_preds, universe)
+    atoms = _AtomTable()
+    worklist = _Worklist({(a.predicate, a.args) for a in init_dynamic})
     for schema in domain.actions:
         conjuncts = _split_conjuncts(schema.precondition)
         for atom in _atoms_in(schema.precondition):
             _check_signature(domain, atom, dict(schema.params) | types_of, closure)
         for atom in _atoms_in(schema.effect):
             _check_signature(domain, atom, dict(schema.params) | types_of, closure)
-        for binding in grounder.bindings(schema.params, universe, conjuncts):
-            pre = _substitute(schema.precondition, binding)
-            cnf = normalize_ground(pre, universe)
-            if cnf is None:
-                continue
-            # evaluate static literals now
-            clauses: list[list[Literal]] = []
-            impossible = False
-            for clause in cnf:
-                kept: list[Literal] = []
-                sat = False
-                for atom, positive in clause:
-                    if atom.predicate in static_preds:
-                        holds = atom in static_facts
-                        if holds == positive:
-                            sat = True
-                            break
-                    else:
-                        kept.append((atom, positive))
-                if sat:
-                    continue
-                if not kept:
-                    impossible = True
-                    break
-                clauses.append(kept)
-            if impossible:
-                continue
-            adds: set[Atom] = set()
-            dels: set[Atom] = set()
-            eff = _substitute(schema.effect, binding)
-            _collect_effects(eff, universe, adds, dels)
-            both = adds & dels
-            if both:
-                raise TypeMismatchError(
-                    f"action {schema.name} adds and deletes {sorted(map(str, both))}")
-            args = tuple(binding[v] for v, _ in schema.params)
-            raw_actions.append((schema.name, args, clauses, adds, dels))
+        compiled: Optional[_Schema] = None  # normalized at the first binding
+        for args in grounder.bindings(schema.params, conjuncts):
+            if compiled is None:
+                compiled = _Schema(schema, grounder, atoms)
+            ext = args + compiled.consts
+            if compiled.may_overlap(ext):
+                compiled.build(args)  # raises unless statically false
+            worklist.add(compiled, args, compiled.needs_of(ext))
+    raw_actions = worklist.actions()
 
     # fact index over dynamic atoms
     fact_set: set[Atom] = set(init_dynamic)
@@ -626,6 +925,13 @@ def simplify(task: GroundedTask) -> GroundedTask:
     Sound for search: a pruned action has a positive precondition that can
     never become true, a pruned clause is permanently satisfied by a negative
     literal whose atom can never become true.
+
+    `ground` already builds only actions whose top-level positive atoms are
+    relaxed-reachable, so on its output this pass is nearly a no-op: it
+    still applies the clauses of only positive literals (a forall over a
+    disjunction of positives), which the grounder does not look at, and
+    trims clause literals over atoms that never become true. On the output
+    of the naive grounding it gives the same task, literal for literal.
     """
     def optimistic(a: GroundAction, reachable: int) -> bool:
         if a.pos_pre & ~reachable:

@@ -336,7 +336,8 @@ def run_check(kb: KnowledgeBase, check: dict) -> CheckResult:
     action = task.action(step[0], tuple(step[1:]))
     if action is None:
         return CheckResult(template_id, "fail",
-                           f"action {check['action']} was not grounded")
+                           f"action {check['action']} was not grounded: "
+                           "statically false or unreachable from init")
     if not G.applicable(task.init, action):
         return CheckResult(template_id, "fail",
                            f"action {check['action']} not applicable in init")

@@ -130,3 +130,59 @@ def _statics_hold(f, static_atoms, static_preds, uni) -> bool:
             elif atom.predicate in static_preds and atom in static_atoms:
                 return False
     return True
+
+
+def static_predicates(domain: Domain) -> set[str]:
+    """Predicates no action effect mentions."""
+    mentioned: set[str] = set()
+
+    def walk(g):
+        if isinstance(g, Atom):
+            mentioned.add(g.predicate)
+        elif isinstance(g, Not):
+            walk(g.body)
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p)
+        elif isinstance(g, Forall):
+            walk(g.body)
+
+    for action in domain.actions:
+        walk(action.effect)
+    return {p.name for p in domain.predicates} - mentioned
+
+
+def relaxed_reachable(domain: Domain, problem: Problem, static_preds: set[str],
+                      actions: set) -> set:
+    """The (name, args) in `actions` that relaxed reachability keeps.
+
+    An action fires once every top-level positive non-static atom of its
+    precondition is in init or added by an action that already fired;
+    negative literals, disjunctions and deletes are ignored. Iterated to a
+    fixpoint by plain rescanning.
+    """
+    uni = universe_of(domain, problem)
+    schemas = {a.name: a for a in domain.actions}
+    needs = {}
+    adds = {}
+    for name, args in actions:
+        schema = schemas[name]
+        binding = {v: obj for (v, _), obj in zip(schema.params, args)}
+        pre = substitute(schema.precondition, binding)
+        parts = pre.parts if isinstance(pre, And) else (pre,)
+        needs[name, args] = {p for p in parts if isinstance(p, Atom)
+                             and p.predicate != "="
+                             and p.predicate not in static_preds}
+        adds[name, args], _ = effects(substitute(schema.effect, binding),
+                                      frozenset(), uni)
+    reached = {a for a in problem.init if a.predicate not in static_preds}
+    fired: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for act in sorted(actions):
+            if act not in fired and needs[act] <= reached:
+                fired.add(act)
+                reached |= adds[act]
+                changed = True
+    return fired

@@ -1,0 +1,342 @@
+"""The naive grounding contract, kept as the reference the tests compare with.
+
+`reference_ground` instantiates every binding that survives the static
+preconditions (the static-filtered cross product, reachable or not) and
+builds each one by substituting and normalizing the whole precondition;
+`reference_simplify` then drops what relaxed reachability rules out. This is
+the grounder and simplifier `vgdl2pddl.ground` had before it grounded only the
+relaxed-reachable actions, copied verbatim apart from the names. The
+production `simplify(ground(x))` must equal `reference_simplify(
+reference_ground(x))` literal for literal.
+"""
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from vgdl2pddl.errors import TypeMismatchError, UnsupportedConstructError
+from vgdl2pddl.ground import (
+    GroundAction,
+    GroundedTask,
+    Literal,
+    _atoms_in,
+    _build_universe,
+    _check_signature,
+    _collect_effects,
+    _roots_at_object,
+    _split_conjuncts,
+    _static_predicates,
+    _substitute,
+    normalize_ground,
+)
+from vgdl2pddl.pddl import Atom, Domain, Formula, Not, Problem, ROOT_TYPE
+
+
+class _SchemaGrounder:
+    """Backtracking enumeration of one action schema's bindings.
+
+    Static positive atoms both filter candidates (when one argument is left
+    unbound, the static fact table supplies its candidates) and reject
+    partial bindings early.
+    """
+
+    def __init__(self, task_statics: dict[str, list[tuple[str, ...]]],
+                 static_preds: frozenset[str]):
+        self.static_table = task_statics
+        self.static_preds = static_preds
+
+    def bindings(self, params: tuple[tuple[str, str], ...],
+                 universe: dict[str, list[str]],
+                 conjuncts: list[Formula]):
+        static_atoms: list[Atom] = []
+        neq: list[tuple[str, str]] = []
+        for c in conjuncts:
+            if isinstance(c, Atom) and c.predicate in self.static_preds:
+                static_atoms.append(c)
+            elif (isinstance(c, Not) and isinstance(c.body, Atom)
+                  and c.body.predicate == "="):
+                neq.append((c.body.args[0], c.body.args[1]))
+
+        order = [v for v, _ in params]
+        types = dict(params)
+        binding: dict[str, str] = {}
+        out: list[dict[str, str]] = []
+
+        def consistent() -> bool:
+            for a, b in neq:
+                va, vb = binding.get(a, a), binding.get(b, b)
+                if va.startswith("?") or vb.startswith("?"):
+                    continue  # not fully bound yet
+                if va == vb:
+                    return False
+            for atom in static_atoms:
+                args = [binding.get(a, a) for a in atom.args]
+                if any(a.startswith("?") for a in args):
+                    continue
+                if tuple(args) not in self.static_table.get(atom.predicate, ()):
+                    return False
+            return True
+
+        def candidates(var: str) -> list[str]:
+            base = universe.get(types[var], [])
+            best: Optional[list[str]] = None
+            for atom in static_atoms:
+                if var not in atom.args:
+                    continue
+                args = [binding.get(a, a) for a in atom.args]
+                if sum(a.startswith("?") for a in args) != 1:
+                    continue
+                pos = args.index(var)
+                opts = []
+                for row in self.static_table.get(atom.predicate, ()):
+                    if all(a.startswith("?") or a == r for a, r in zip(args, row)):
+                        opts.append(row[pos])
+                if best is None or len(opts) < len(best):
+                    best = opts
+            if best is None:
+                return list(base)
+            allowed = set(universe.get(types[var], []))
+            return [o for o in dict.fromkeys(best) if o in allowed]
+
+        def search(i: int):
+            if i == len(order):
+                out.append(dict(binding))
+                return
+            var = order[i]
+            for value in candidates(var):
+                binding[var] = value
+                if consistent():
+                    search(i + 1)
+                del binding[var]
+
+        search(0)
+        return out
+
+
+def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
+    universe = _build_universe(domain, problem)
+    parents = dict(domain.types)
+
+    def closure(typ: str) -> set[str]:
+        out = {typ}
+        cur: Optional[str] = typ
+        while cur in parents and parents[cur] is not None:
+            cur = parents[cur]
+            out.add(cur)
+        if _roots_at_object(parents, typ):
+            out.add(ROOT_TYPE)
+        return out
+
+    types_of = {name: typ for name, typ in
+                tuple(domain.constants) + tuple(problem.objects)}
+
+    static_preds = _static_predicates(domain)
+
+    # init facts, type-checked and split static/dynamic
+    static_table: dict[str, list[tuple[str, ...]]] = {}
+    init_dynamic: set[Atom] = set()
+    static_facts: set[Atom] = set()
+    for atom in problem.init:
+        _check_signature(domain, atom, types_of, closure)
+        if atom.predicate in static_preds:
+            static_table.setdefault(atom.predicate, []).append(atom.args)
+            static_facts.add(atom)
+        else:
+            init_dynamic.add(atom)
+
+    grounder = _SchemaGrounder(static_table, static_preds)
+
+    raw_actions: list[tuple[str, tuple[str, ...], list[list[Literal]],
+                            set[Atom], set[Atom]]] = []
+    for schema in domain.actions:
+        conjuncts = _split_conjuncts(schema.precondition)
+        for atom in _atoms_in(schema.precondition):
+            _check_signature(domain, atom, dict(schema.params) | types_of, closure)
+        for atom in _atoms_in(schema.effect):
+            _check_signature(domain, atom, dict(schema.params) | types_of, closure)
+        for binding in grounder.bindings(schema.params, universe, conjuncts):
+            pre = _substitute(schema.precondition, binding)
+            cnf = normalize_ground(pre, universe)
+            if cnf is None:
+                continue
+            # evaluate static literals now
+            clauses: list[list[Literal]] = []
+            impossible = False
+            for clause in cnf:
+                kept: list[Literal] = []
+                sat = False
+                for atom, positive in clause:
+                    if atom.predicate in static_preds:
+                        holds = atom in static_facts
+                        if holds == positive:
+                            sat = True
+                            break
+                    else:
+                        kept.append((atom, positive))
+                if sat:
+                    continue
+                if not kept:
+                    impossible = True
+                    break
+                clauses.append(kept)
+            if impossible:
+                continue
+            adds: set[Atom] = set()
+            dels: set[Atom] = set()
+            eff = _substitute(schema.effect, binding)
+            _collect_effects(eff, universe, adds, dels)
+            both = adds & dels
+            if both:
+                raise TypeMismatchError(
+                    f"action {schema.name} adds and deletes {sorted(map(str, both))}")
+            args = tuple(binding[v] for v, _ in schema.params)
+            raw_actions.append((schema.name, args, clauses, adds, dels))
+
+    # fact index over dynamic atoms
+    fact_set: set[Atom] = set(init_dynamic)
+    for _, _, clauses, adds, dels in raw_actions:
+        for clause in clauses:
+            fact_set.update(a for a, _ in clause)
+        fact_set.update(adds)
+        fact_set.update(dels)
+
+    # goal
+    goal_cnf = normalize_ground(problem.goal, universe)
+    if goal_cnf is None:
+        goal_literals: tuple[Literal, ...] = ((Atom("=", ("a", "b")), True),)
+        unsolvable = True
+    else:
+        goal_lits: list[Literal] = []
+        unsolvable = False
+        for clause in goal_cnf:
+            if len(clause) != 1:
+                raise UnsupportedConstructError(
+                    "goal must be a conjunction of literals")
+            goal_lits.append(clause[0])
+        goal_literals = tuple(goal_lits)
+        for atom, positive in goal_literals:
+            if atom.predicate in static_preds:
+                if (atom in static_facts) != positive:
+                    unsolvable = True
+            else:
+                fact_set.update({atom})
+
+    facts = tuple(sorted(fact_set, key=str))
+    fact_id = {f: i for i, f in enumerate(facts)}
+
+    def mask(atoms: Iterable[Atom]) -> int:
+        m = 0
+        for a in atoms:
+            m |= 1 << fact_id[a]
+        return m
+
+    actions = []
+    for name, args, clauses, adds, dels in raw_actions:
+        pos_atoms: list[Atom] = []
+        neg_atoms: list[Atom] = []
+        multi: list[list[Literal]] = []
+        for clause in clauses:
+            if len(clause) == 1:
+                atom, positive = clause[0]
+                (pos_atoms if positive else neg_atoms).append(atom)
+            else:
+                multi.append(clause)
+        actions.append(GroundAction(
+            name=name,
+            args=args,
+            pos_pre=mask(pos_atoms),
+            neg_pre=mask(neg_atoms),
+            clauses=tuple((mask(a for a, p in cl if p),
+                           mask(a for a, p in cl if not p)) for cl in multi),
+            add=mask(adds),
+            delete=mask(dels),
+            pre_literals=tuple([(a, True) for a in pos_atoms]
+                               + [(a, False) for a in neg_atoms]),
+            clause_literals=tuple(tuple(cl) for cl in multi),
+        ))
+
+    goal_pos = 0
+    goal_neg = 0
+    for atom, positive in goal_literals:
+        i = fact_id.get(atom)
+        if i is None:
+            continue
+        if positive:
+            goal_pos |= 1 << i
+        else:
+            goal_neg |= 1 << i
+
+    task = GroundedTask(
+        facts=facts,
+        fact_id=fact_id,
+        actions=tuple(actions),
+        init=mask(init_dynamic),
+        goal_literals=goal_literals,
+        goal_pos=goal_pos,
+        goal_neg=goal_neg,
+        objects=types_of,
+        static_facts=frozenset(static_facts),
+        unsolvable_goal=unsolvable,
+    )
+    return task.finalize()
+
+
+def reference_simplify(task: GroundedTask) -> GroundedTask:
+    """Drop actions and clause literals that relaxed reachability rules out.
+
+    Sound for search: a pruned action has a positive precondition that can
+    never become true, a pruned clause is permanently satisfied by a negative
+    literal whose atom can never become true.
+    """
+    def optimistic(a: GroundAction, reachable: int) -> bool:
+        if a.pos_pre & ~reachable:
+            return False
+        for pos_mask, neg_mask in a.clauses:
+            # negative literals are optimistically satisfiable; a clause of
+            # only positives needs at least one reachable atom
+            if neg_mask == 0 and not pos_mask & reachable:
+                return False
+        return True
+
+    reachable = task.init
+    while True:
+        new_reachable = reachable
+        for a in task.actions:
+            if optimistic(a, reachable):
+                new_reachable |= a.add
+        if new_reachable == reachable:
+            break
+        reachable = new_reachable
+
+    ever_true = reachable
+    kept = [a for a in task.actions if optimistic(a, ever_true)]
+    simplified = []
+    for a in kept:
+        new_clauses = []
+        new_clause_lits = []
+        dead = False
+        for (pos_mask, neg_mask), lits in zip(a.clauses, a.clause_literals):
+            # a negative literal over a never-true fact satisfies the clause
+            if neg_mask & ~ever_true:
+                continue
+            pos_mask &= ever_true
+            if pos_mask == 0 and neg_mask == 0:
+                dead = True
+                break
+            new_clauses.append((pos_mask, neg_mask))
+            new_clause_lits.append(lits)
+        if dead:
+            continue
+        simplified.append(GroundAction(
+            name=a.name, args=a.args, pos_pre=a.pos_pre, neg_pre=a.neg_pre,
+            clauses=tuple(new_clauses), add=a.add, delete=a.delete,
+            pre_literals=a.pre_literals,
+            clause_literals=tuple(new_clause_lits),
+        ))
+    out = GroundedTask(
+        facts=task.facts, fact_id=task.fact_id, actions=tuple(simplified),
+        init=task.init, goal_literals=task.goal_literals,
+        goal_pos=task.goal_pos, goal_neg=task.goal_neg, objects=task.objects,
+        static_facts=task.static_facts,
+        unsolvable_goal=task.unsolvable_goal or bool(task.goal_pos & ~ever_true),
+    )
+    return out.finalize()

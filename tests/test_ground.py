@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from oracle_interp import naive_apply, naive_ground_actions
+from oracle_interp import (
+    naive_apply,
+    naive_ground_actions,
+    relaxed_reachable,
+    static_predicates,
+)
+from reference_ground import reference_ground, reference_simplify
+from test_compiler import _stability_model
+from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
+from vgdl2pddl.games import available_games, load_game, load_level
 from vgdl2pddl.ground import (
     applicable,
     apply,
@@ -13,6 +22,8 @@ from vgdl2pddl.ground import (
     simplify,
 )
 from vgdl2pddl.pddl import Atom, read_domain, read_problem
+from vgdl2pddl.problems import generate_problem
+from vgdl2pddl.vgdl import parse_ldf
 
 PUSH_DOMAIN = """\
 (define (domain push)
@@ -128,6 +139,15 @@ def push_task():
     return domain, problem, ground(domain, problem)
 
 
+@pytest.fixture()
+def reference_push_task():
+    """The naive grounding: every statically possible action, reachable or
+    not (SQUASH, for one, can never fire from the push init)."""
+    domain = read_domain(PUSH_DOMAIN)
+    problem = read_problem(PUSH_PROBLEM)
+    return domain, problem, reference_ground(domain, problem)
+
+
 class TestGrounding:
     def test_static_pruning_drops_wall_targets(self, push_task):
         _, _, task = push_task
@@ -164,25 +184,76 @@ class TestGrounding:
         assert stop.clauses == ()
         assert applicable(task.init, stop)
 
-    def test_equality_prunes_same_object(self, push_task):
-        _, _, task = push_task
-        for a in task.actions:
-            if a.name == "SQUASH":
-                assert a.args[0] != a.args[1]
+    def test_equality_prunes_same_object(self):
+        # the walker starts in b1's column, so SQUASH is reachable
+        problem = read_problem(PUSH_PROBLEM.replace("(at n0 n2 w1)",
+                                                    "(at n1 n2 w1)"))
+        task = ground(read_domain(PUSH_DOMAIN), problem)
+        squashes = [a for a in task.actions if a.name == "SQUASH"]
+        assert squashes
+        for a in squashes:
+            assert a.args[0] != a.args[1]
 
-    def test_soundness_vs_naive_oracle(self, push_task):
-        domain, problem, task = push_task
+    def test_soundness_vs_naive_oracle(self, reference_push_task):
+        domain, problem, task = reference_push_task
         static_preds = {"next", "is-wall"}
         init = frozenset(problem.init)
         expected = naive_ground_actions(domain, problem, static_preds, init)
         actual = {a.ident for a in task.actions}
         assert actual == expected
 
+    def test_reachable_subset_vs_naive_oracle(self, push_task):
+        domain, problem, task = push_task
+        static_preds = {"next", "is-wall"}
+        naive = naive_ground_actions(domain, problem, static_preds,
+                                     frozenset(problem.init))
+        expected = relaxed_reachable(domain, problem, static_preds, naive)
+        assert {a.ident for a in task.actions} == expected
+        assert not any(name == "SQUASH" for name, _ in expected)
+        assert expected < naive
+
     def test_type_mismatch_detected(self):
         domain = read_domain(PUSH_DOMAIN)
         bad = PUSH_PROBLEM.replace("(at n0 n2 w1)", "(at n0 w1 n2)")
         with pytest.raises(TypeMismatchError):
             ground(domain, read_problem(bad))
+
+
+def _with_action(action_text: str) -> str:
+    return PUSH_DOMAIN[:PUSH_DOMAIN.rindex(")")] + action_text + ")\n"
+
+
+STAY = """
+  (:action STAY
+    :parameters (?a - walker ?x ?y - num)
+    :precondition {pre}
+    :effect (and (not (at ?x ?y ?a)) (at ?x ?y ?a))
+  )
+"""
+
+
+class TestAddDeleteOverlap:
+    """An action that adds and deletes one atom is rejected for every binding
+    the static facts allow, whether or not relaxed reachability builds it."""
+
+    @pytest.mark.parametrize("pre, reachable, raises", [
+        ("(at ?x ?y ?a)", True, True),
+        ("(dead ?a)", False, True),  # only the unreachable SQUASH adds dead
+        ("(and (is-wall ?x ?y) (not (is-wall ?x ?y)))", False, False),
+    ], ids=["reachable", "unreachable", "statically-false"])
+    def test_overlap(self, pre, reachable, raises):
+        problem = read_problem(PUSH_PROBLEM)
+        domain = read_domain(_with_action(STAY.format(pre=pre)))
+        for grounder in (ground, reference_ground):
+            if raises:
+                with pytest.raises(TypeMismatchError, match="adds and deletes"):
+                    grounder(domain, problem)
+            else:
+                grounder(domain, problem)
+        harmless = read_domain(_with_action(
+            STAY.format(pre=pre).replace("(not (at ?x ?y ?a)) ", "")))
+        names = {a.name for a in ground(harmless, problem).actions}
+        assert ("STAY" in names) == reachable
 
 
 class TestSemantics:
@@ -207,10 +278,11 @@ class TestSemantics:
 
     def test_not_applicable_raises(self, push_task):
         _, _, task = push_task
-        squash = task.action("SQUASH", ("w1", "b1", "n0", "n0"))
-        assert squash is not None
+        # reachable (b1 first moves to (n1, n1)) but not applicable in init
+        move = task.action("BOULDER_MOVE_DOWN", ("b1", "n1", "n1", "n2"))
+        assert move is not None
         with pytest.raises(NotApplicableError):
-            apply(task.init, squash)
+            apply(task.init, move)
 
     def test_goal_detection(self, push_task):
         _, _, task = push_task
@@ -220,8 +292,8 @@ class TestSemantics:
         act = task.action("BOULDER_MOVE_DOWN", ("b1", "n1", "n1", "n2"))
         assert act is not None and applicable(s, act) is False  # b1 already moved
 
-    def test_negative_goal_literal(self, push_task):
-        _, _, task = push_task
+    def test_negative_goal_literal(self, reference_push_task):
+        _, _, task = reference_push_task
         # kill the walker: the goal (not (dead w1)) must then fail even if
         # the positive part were reached
         squash = task.action("SQUASH", ("w1", "b1", "n1", "n0"))
@@ -273,8 +345,8 @@ class TestSokobanAdjacency:
         game = compile_game(load_game("sokoban"))
         grid = load_level("sokoban", 0, game.model)
         problem, _ = generate_problem(grid, game)
-        # the raw grounding keeps statically-possible moves out of wall cells
-        # (the avatar is never there); relevance simplification removes them
+        # moves out of wall cells are statically possible, but the avatar
+        # never reaches a wall cell, so they are not grounded
         task = simplify(ground(game.domain, problem))
 
         open_cells = {(x, y) for x, y, c in grid.positions() if c != "w"}
@@ -305,3 +377,110 @@ class TestSimplify:
                                     "(:goal (at n0 n0 b1))")
         task = simplify(ground(domain, read_problem(text)))
         assert task.unsolvable_goal
+
+
+# -- equality with the naive grounding --------------------------------------------
+
+def _atoms(task, mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(task.facts[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def literal_view(task):
+    """A grounded task at the literal level: fact indices differ between
+    groundings that keep different fact sets, the atoms behind them do not."""
+    return (
+        tuple((a.name, a.args, _atoms(task, a.pos_pre), _atoms(task, a.neg_pre),
+               tuple((_atoms(task, p), _atoms(task, n)) for p, n in a.clauses),
+               a.pre_literals, a.clause_literals,
+               _atoms(task, a.add), _atoms(task, a.delete))
+              for a in task.actions),
+        task.goal_literals, _atoms(task, task.init), task.unsolvable_goal)
+
+
+TOY_LEVELS = {
+    "toy_right": "m p\nA  \nw w", "toy_left": "m p\nA  \nw w",
+    "toy_up": "m p\nA  \nw w", "toy2": "mdp\nA  \nw w",
+    "hunter": "  s  \n     \ns A  \n     \n     ",
+    "hunter_walled": "  s  \n  w  \ns A  \n     \n     ",
+}
+
+
+def _open_sokoban(side: int) -> str:
+    rows = [["w" if x in (0, side - 1) or y in (0, side - 1) else " "
+             for x in range(side)] for y in range(side)]
+    rows[2][2], rows[5][5], rows[5][8] = "A", "b", "h"
+    return "\n".join("".join(row) for row in rows)
+
+
+# a forall joined on is-wall, with the walls listed out of universe order:
+# the join meets (n2, n1) before (n2, n0), the conjunction must not; and its
+# instances with ?o distinct from ?p hold by the negated equality
+SETTLE = """
+  (:action SETTLE
+    :parameters ()
+    :precondition (and
+      (turn-boulder-move)
+      (forall (?o ?p - Object ?x ?y - num)
+        (or (= ?x ?y) (not (is-wall ?x ?y)) (not (= ?o ?p))
+            (not (at ?x ?y ?o)) (dead ?p)))
+    )
+    :effect (not (turn-boulder-move))
+  )
+"""
+
+
+def _case(case):
+    """(domain, problem) of a named grounding case."""
+    if case == "push":
+        return read_domain(PUSH_DOMAIN), read_problem(PUSH_PROBLEM)
+    if case == "push-walls":
+        walls = "(is-wall n2 n1)\n    (is-wall n2 n0)\n    (is-wall n0 n0)"
+        return (read_domain(_with_action(SETTLE)),
+                read_problem(PUSH_PROBLEM.replace("(is-wall n0 n0)", walls)))
+    if case == "open-sokoban-12":
+        game = compile_game(load_game("sokoban"))
+        grid = parse_ldf(_open_sokoban(12), game.model)
+    elif case in TOY_LEVELS:
+        game = compile_game(_stability_model(case))
+        grid = parse_ldf(TOY_LEVELS[case], game.model)
+    else:
+        name, index = case.rsplit("-", 1)
+        game = compile_game(load_game(name))
+        grid = load_level(name, int(index), game.model)
+    problem, _ = generate_problem(grid, game)
+    return game.domain, problem
+
+
+SHIPPED = ["aliens", "digger", "keymaze", "rain", "sokoban", "zenpuzzle"]
+
+
+class TestReferenceEquality:
+    """The search sees the same task as with the naive grounding: building
+    only relaxed-reachable actions removes nothing `simplify` would keep."""
+
+    def test_every_shipped_game_is_covered(self):
+        assert available_games() == SHIPPED
+
+    @pytest.mark.parametrize("case", [f"{g}-{i}" for g in SHIPPED for i in (0, 1)]
+                             + sorted(TOY_LEVELS)
+                             + ["push", "push-walls", "open-sokoban-12"])
+    def test_simplified_tasks_equal(self, case):
+        domain, problem = _case(case)
+        task = ground(domain, problem)
+        reference = reference_ground(domain, problem)
+        # the built actions are the relaxed-reachable part of the reference's
+        reachable = relaxed_reachable(domain, problem, static_predicates(domain),
+                                      {a.ident for a in reference.actions})
+        assert {a.ident for a in task.actions} == reachable
+        expected = literal_view(reference_simplify(reference))
+        assert literal_view(simplify(task)) == expected
+        # and are built exactly as the reference builds them, in its order
+        built = literal_view(task)[0]
+        idents = {a[:2] for a in built}
+        assert built == tuple(a for a in literal_view(reference)[0]
+                              if a[:2] in idents)
