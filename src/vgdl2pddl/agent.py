@@ -26,12 +26,13 @@ from .compiler import CompiledGame
 from .engine import AvatarAction, GameStatus, GameState
 from .ground import (
     GroundAction,
+    Literal,
     build_universe,
     ground,
     normalize_ground,
     substitute as substitute_formula,
 )
-from .pddl import Atom
+from .pddl import Atom, Problem
 from .planner import PlanResult, SearchConfig, Status, solve
 from .problems import ConfigFile, emit_config, generate_problem
 from .vgdl import LevelGrid
@@ -89,20 +90,28 @@ def is_avatar_action(action: GroundAction) -> bool:
 
 # -- monitoring ----------------------------------------------------------------------
 
-def violated_literals(facts: frozenset[Atom] | set[Atom],
-                      action: GroundAction) -> tuple[str, ...]:
-    """Which grounded precondition literals of `action` fail against `facts`."""
-    out: list[str] = []
-    for atom, positive in action.pre_literals:
-        holds = atom in facts
-        if holds != positive:
-            out.append(str(atom) if positive else f"(not {atom})")
-    for clause in action.clause_literals:
-        if not any((atom in facts) == positive for atom, positive in clause):
-            rendered = " ".join(
-                str(a) if pos else f"(not {a})" for a, pos in clause)
-            out.append(f"(or {rendered})")
-    return tuple(out)
+def violated_literals(clauses, facts: frozenset[Atom]) -> tuple[str, ...]:
+    """The clauses of a CNF that `facts` falsify, rendered in order: a unit
+    clause as its literal, a longer one as an (or ...)."""
+    violated: list[str] = []
+    for clause in clauses:
+        if any((atom in facts) == positive for atom, positive in clause):
+            continue
+        rendered = [str(a) if pos else f"(not {a})" for a, pos in clause]
+        violated.append(rendered[0] if len(rendered) == 1
+                        else f"(or {' '.join(rendered)})")
+    return tuple(violated)
+
+
+def precondition_cnf(action: GroundAction, game: CompiledGame,
+                     problem: Problem) -> Optional[list[list[Literal]]]:
+    """The schema precondition of `action`, grounded over the objects of
+    `problem`; None if it is statically false."""
+    schema = next(a for a in game.domain.actions if a.name == action.name)
+    substitution = {var: value
+                    for (var, _), value in zip(schema.params, action.args)}
+    formula = substitute_formula(schema.precondition, substitution)
+    return normalize_ground(formula, build_universe(game.domain, problem))
 
 
 def monitor(state: GameState, action: GroundAction, game: CompiledGame,
@@ -118,27 +127,10 @@ def monitor(state: GameState, action: GroundAction, game: CompiledGame,
     """
     problem, _ = generate_problem(state, game, config, binding=binding,
                                   pool=pool)
-    facts = frozenset(problem.init)
-    universe = build_universe(game.domain, problem)
-    schema = next(a for a in game.domain.actions if a.name == action.name)
-    substitution = {var: value
-                    for (var, _), value in zip(schema.params, action.args)}
-    formula = substitute_formula(schema.precondition, substitution)
-    cnf = normalize_ground(formula, universe)
+    cnf = precondition_cnf(action, game, problem)
     if cnf is None:
         return ("(false)",)
-    violated: list[str] = []
-    for clause in cnf:
-        if any((atom in facts) == positive for atom, positive in clause):
-            continue
-        if len(clause) == 1:
-            atom, positive = clause[0]
-            violated.append(str(atom) if positive else f"(not {atom})")
-        else:
-            rendered = " ".join(str(a) if pos else f"(not {a})"
-                                for a, pos in clause)
-            violated.append(f"(or {rendered})")
-    return tuple(violated)
+    return violated_literals(cnf, frozenset(problem.init))
 
 
 # -- episode loop --------------------------------------------------------------------
@@ -169,6 +161,7 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
         result.wall_times.append(time.perf_counter() - t0)
         if plan_result.status is not Status.SOLVED:
             result.outcome = Outcome.PLANNER_FAILED
+            result.turns = state.turn
             write_trace()
             return result
         result.plan_lengths.append(len(plan_result.plan))
@@ -217,13 +210,10 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
         # as the violation and replan from here
         problem, _ = generate_problem(state, game, config, binding=binding,
                                       pool=(ammo, consumed))
-        facts = frozenset(problem.init)
-        unmet = []
-        for atom, positive in task.goal_literals:
-            if (atom in facts) != positive:
-                unmet.append(str(atom) if positive else f"(not {atom})")
+        unmet = violated_literals([(lit,) for lit in task.goal_literals],
+                                  frozenset(problem.init))
         result.violations.append(Violation(
-            state.turn, ("(goal)", ()), tuple(unmet), state.fingerprint()))
+            state.turn, ("(goal)", ()), unmet, state.fingerprint()))
         result.replans += 1
         if state.turn == turn_at_plan:
             # the plan moved nothing yet the model thinks the goal is done:

@@ -118,10 +118,6 @@ class IllegalActionError(Vgdl2PddlError):
     pass
 
 
-class PlannerFailedError(Vgdl2PddlError):
-    pass
-
-
 # -- external planner adapter -------------------------------------------------
 
 class SpawnError(Vgdl2PddlError):

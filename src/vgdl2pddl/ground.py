@@ -22,7 +22,7 @@ and deleting the same atom, reachable or not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -34,6 +34,11 @@ Literal = tuple[Atom, bool]  # (atom, is_positive)
 
 @dataclass(frozen=True)
 class GroundAction:
+    """A grounded action as bit masks over `GroundedTask.facts`: the unit
+    precondition literals split into `pos_pre` and `neg_pre`, each longer
+    CNF clause as a (positive mask, negative mask) pair, and the effects.
+    The masks are the only form of the precondition; render its atoms with
+    `task.state_atoms(mask)`."""
     name: str
     args: tuple[str, ...]
     pos_pre: int
@@ -41,8 +46,6 @@ class GroundAction:
     clauses: tuple[tuple[int, int], ...]  # (positive mask, negative mask)
     add: int
     delete: int
-    pre_literals: tuple[Literal, ...]  # dynamic literals, for monitoring
-    clause_literals: tuple[tuple[Literal, ...], ...]
 
     @property
     def ident(self) -> tuple[str, tuple[str, ...]]:
@@ -63,27 +66,22 @@ class GroundedTask:
     goal_literals: tuple[Literal, ...]
     goal_pos: int
     goal_neg: int
-    objects: dict[str, str]  # name -> type
     static_facts: frozenset[Atom]
     unsolvable_goal: bool  # a positive goal atom can never become true
+
+    def __post_init__(self):
+        self._index = {(a.name.upper(), a.args): a for a in self.actions}
 
     def action(self, name: str, args: tuple[str, ...]) -> Optional[GroundAction]:
         return self._index.get((name.upper(), args))
 
-    def finalize(self) -> "GroundedTask":
-        self._index = {(a.name.upper(), a.args): a for a in self.actions}
-        return self
-
     def state_atoms(self, state: int) -> frozenset[Atom]:
-        return frozenset(f for i, f in enumerate(self.facts) if state >> i & 1)
-
-    def atoms_state(self, atoms: Iterable[Atom]) -> int:
-        state = 0
-        for a in atoms:
-            i = self.fact_id.get(a)
-            if i is not None:
-                state |= 1 << i
-        return state
+        atoms = []
+        while state:
+            low = state & -state
+            atoms.append(self.facts[low.bit_length() - 1])
+            state ^= low
+        return frozenset(atoms)
 
 
 # -- type universe --------------------------------------------------------------
@@ -840,9 +838,6 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
                            mask(a for a, p in cl if not p)) for cl in multi),
             add=mask(adds),
             delete=mask(dels),
-            pre_literals=tuple([(a, True) for a in pos_atoms]
-                               + [(a, False) for a in neg_atoms]),
-            clause_literals=tuple(tuple(cl) for cl in multi),
         ))
 
     goal_pos = 0
@@ -856,7 +851,7 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         else:
             goal_neg |= 1 << i
 
-    task = GroundedTask(
+    return GroundedTask(
         facts=facts,
         fact_id=fact_id,
         actions=tuple(actions),
@@ -864,11 +859,9 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         goal_literals=goal_literals,
         goal_pos=goal_pos,
         goal_neg=goal_neg,
-        objects=types_of,
         static_facts=frozenset(static_facts),
         unsolvable_goal=unsolvable,
     )
-    return task.finalize()
 
 
 def _atoms_in(f: Formula):
@@ -923,8 +916,11 @@ def simplify(task: GroundedTask) -> GroundedTask:
     """Drop actions and clause literals that relaxed reachability rules out.
 
     Sound for search: a pruned action has a positive precondition that can
-    never become true, a pruned clause is permanently satisfied by a negative
-    literal whose atom can never become true.
+    never become true, a dropped clause is permanently satisfied by a
+    negative literal whose atom can never become true, and a positive
+    literal over such an atom is trimmed from its clause.  Works on the
+    masks alone: an action whose clauses are unchanged is kept as it is,
+    a trimmed one is a copy with the new clauses.
 
     `ground` already builds only actions whose top-level positive atoms are
     relaxed-reachable, so on its output this pass is nearly a no-op: it
@@ -954,35 +950,17 @@ def simplify(task: GroundedTask) -> GroundedTask:
         reachable = new_reachable
 
     ever_true = reachable
-    kept = [a for a in task.actions if optimistic(a, ever_true)]
     simplified = []
-    for a in kept:
-        new_clauses = []
-        new_clause_lits = []
-        dead = False
-        for (pos_mask, neg_mask), lits in zip(a.clauses, a.clause_literals):
-            # a negative literal over a never-true fact satisfies the clause
-            if neg_mask & ~ever_true:
-                continue
-            pos_mask &= ever_true
-            if pos_mask == 0 and neg_mask == 0:
-                dead = True
-                break
-            new_clauses.append((pos_mask, neg_mask))
-            new_clause_lits.append(lits)
-        if dead:
+    for a in task.actions:
+        # a kept action has no clause that trimming empties: `optimistic`
+        # rejects a clause of only positives none of which is ever true
+        if not optimistic(a, ever_true):
             continue
-        simplified.append(GroundAction(
-            name=a.name, args=a.args, pos_pre=a.pos_pre, neg_pre=a.neg_pre,
-            clauses=tuple(new_clauses), add=a.add, delete=a.delete,
-            pre_literals=a.pre_literals,
-            clause_literals=tuple(new_clause_lits),
-        ))
-    out = GroundedTask(
-        facts=task.facts, fact_id=task.fact_id, actions=tuple(simplified),
-        init=task.init, goal_literals=task.goal_literals,
-        goal_pos=task.goal_pos, goal_neg=task.goal_neg, objects=task.objects,
-        static_facts=task.static_facts,
-        unsolvable_goal=task.unsolvable_goal or bool(task.goal_pos & ~ever_true),
-    )
-    return out.finalize()
+        clauses = tuple((pos_mask & ever_true, neg_mask)
+                        for pos_mask, neg_mask in a.clauses
+                        if not neg_mask & ~ever_true)
+        simplified.append(a if clauses == a.clauses
+                          else replace(a, clauses=clauses))
+    return replace(
+        task, actions=tuple(simplified),
+        unsolvable_goal=task.unsolvable_goal or bool(task.goal_pos & ~ever_true))

@@ -174,12 +174,6 @@ class _Reader:
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise self._err(f"expected {text!r}, got {tok.text!r}", tok)
-        return tok
-
     def read_sexpr(self):
         """Read one s-expression as nested lists of tokens."""
         tok = self.next()

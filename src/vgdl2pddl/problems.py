@@ -63,12 +63,6 @@ class ConfigFile:
     variables_types: tuple[tuple[str, str], ...]
     goals: tuple[ConfigGoal, ...]
 
-    def schemata_for(self, sprite: str) -> tuple[str, ...]:
-        for name, schemata in self.correspondence:
-            if name == sprite:
-                return schemata
-        raise KeyError(sprite)
-
     def active_goal(self) -> Formula:
         # only priority-1 goals are planned for; the rest are recorded
         for g in self.goals:

@@ -249,9 +249,6 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
                            mask(a for a, p in cl if not p)) for cl in multi),
             add=mask(adds),
             delete=mask(dels),
-            pre_literals=tuple([(a, True) for a in pos_atoms]
-                               + [(a, False) for a in neg_atoms]),
-            clause_literals=tuple(tuple(cl) for cl in multi),
         ))
 
     goal_pos = 0
@@ -265,7 +262,7 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
         else:
             goal_neg |= 1 << i
 
-    task = GroundedTask(
+    return GroundedTask(
         facts=facts,
         fact_id=fact_id,
         actions=tuple(actions),
@@ -273,11 +270,9 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
         goal_literals=goal_literals,
         goal_pos=goal_pos,
         goal_neg=goal_neg,
-        objects=types_of,
         static_facts=frozenset(static_facts),
         unsolvable_goal=unsolvable,
     )
-    return task.finalize()
 
 
 def reference_simplify(task: GroundedTask) -> GroundedTask:
@@ -312,9 +307,8 @@ def reference_simplify(task: GroundedTask) -> GroundedTask:
     simplified = []
     for a in kept:
         new_clauses = []
-        new_clause_lits = []
         dead = False
-        for (pos_mask, neg_mask), lits in zip(a.clauses, a.clause_literals):
+        for pos_mask, neg_mask in a.clauses:
             # a negative literal over a never-true fact satisfies the clause
             if neg_mask & ~ever_true:
                 continue
@@ -323,20 +317,16 @@ def reference_simplify(task: GroundedTask) -> GroundedTask:
                 dead = True
                 break
             new_clauses.append((pos_mask, neg_mask))
-            new_clause_lits.append(lits)
         if dead:
             continue
         simplified.append(GroundAction(
             name=a.name, args=a.args, pos_pre=a.pos_pre, neg_pre=a.neg_pre,
             clauses=tuple(new_clauses), add=a.add, delete=a.delete,
-            pre_literals=a.pre_literals,
-            clause_literals=tuple(new_clause_lits),
         ))
-    out = GroundedTask(
+    return GroundedTask(
         facts=task.facts, fact_id=task.fact_id, actions=tuple(simplified),
         init=task.init, goal_literals=task.goal_literals,
-        goal_pos=task.goal_pos, goal_neg=task.goal_neg, objects=task.objects,
+        goal_pos=task.goal_pos, goal_neg=task.goal_neg,
         static_facts=task.static_facts,
         unsolvable_goal=task.unsolvable_goal or bool(task.goal_pos & ~ever_true),
     )
-    return out.finalize()

@@ -1,12 +1,15 @@
 """Episode-loop tests: deterministic runs, monitoring, seeded replanning."""
+import hashlib
 import random
 
 import pytest
 
+from vgdl2pddl import agent
 from vgdl2pddl.agent import (
     Outcome,
     is_avatar_action,
     monitor,
+    precondition_cnf,
     run_episode,
     violated_literals,
 )
@@ -14,7 +17,7 @@ from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import load
 from vgdl2pddl.games import load_game, load_level
 from vgdl2pddl.ground import ground
-from vgdl2pddl.planner import Mode, SearchConfig, solve
+from vgdl2pddl.planner import Mode, PlanResult, SearchConfig, Status, solve
 from vgdl2pddl.problems import emit_config, generate_problem
 from vgdl2pddl.vgdl import parse_ldf
 
@@ -56,6 +59,29 @@ class TestDeterministicEpisodes:
         result = run_episode(game, grid, CFG, budget=3)
         assert result.outcome is Outcome.TURN_BUDGET_EXHAUSTED
         assert result.turns <= 3
+
+    def test_failed_replan_reports_turns(self, monkeypatch):
+        """A replan that finds no plan still reports the turns played."""
+        calls = []
+
+        def cut_short_then_time_out(task, cfg):
+            calls.append(task)
+            if len(calls) > 1:
+                return PlanResult(Status.TIMEOUT)
+            # keep the plan up to its first avatar action: it runs out after
+            # one turn with the goal unmet, and the loop replans
+            plan = solve(task, cfg).plan
+            first = next(i for i, a in enumerate(plan) if is_avatar_action(a))
+            return PlanResult(Status.SOLVED, plan[:first + 1])
+
+        monkeypatch.setattr(agent, "solve", cut_short_then_time_out)
+        game = compile_game(load_game("sokoban"))
+        grid = load_level("sokoban", 0, game.model)
+        result = run_episode(game, grid, CFG, seed=0)
+        assert len(calls) == 2
+        assert [v.action for v in result.violations] == [("(goal)", ())]
+        assert result.outcome is Outcome.PLANNER_FAILED
+        assert result.turns > 0
 
     def test_trace_written(self, tmp_path):
         game = compile_game(load_game("sokoban"))
@@ -143,22 +169,34 @@ class TestMonitor:
         task = ground(game.domain, problem)
         plan = solve(task, CFG).plan
         action = next(a for a in plan if is_avatar_action(a))
+        cnf = precondition_cnf(action, game, problem)
         base = frozenset(problem.init)
-        assert violated_literals(base, action) == ()
+        assert violated_literals(cnf, base) == ()
+        literals = [(atom, bool(action.pos_pre >> task.fact_id[atom] & 1))
+                    for atom in sorted(task.state_atoms(
+                        action.pos_pre | action.neg_pre), key=str)]
+        assert literals
         rng = random.Random(5)
         for _ in range(50):
             facts = set(base)
             flipped = []
-            for atom, positive in action.pre_literals:
+            for atom, positive in literals:
                 if rng.random() < 0.4:
                     if atom in facts:
                         facts.remove(atom)
                     else:
                         facts.add(atom)
                     flipped.append((atom, positive))
-            violated = violated_literals(frozenset(facts), action)
+            violated = violated_literals(cnf, frozenset(facts))
             expected = {str(a) if pos else f"(not {a})" for a, pos in flipped}
             assert set(violated) == expected
+
+
+# sha256 of repr of the (turn, action, literals) of every logged violation,
+# per seed, of aliens level 0 under seeds 0-9: two monitor violations
+# (seed 5) and two plans that ran out with the goal unmet (seeds 3 and 5)
+ALIENS_VIOLATIONS_SHA256 = \
+    "f9bc76cee4ca654a1ad25467b40dd9f44f2adb9b63728af54e2b4a3d8a797788"
 
 
 class TestStochasticEpisodes:
@@ -166,6 +204,7 @@ class TestStochasticEpisodes:
         game = compile_game(load_game("aliens"))
         grid = load_level("aliens", 0, game.model)
         total_replans = 0
+        logged = []
         for seed in range(10):
             result = run_episode(game, grid, CFG, seed=seed, budget=200)
             assert result.outcome in (Outcome.WIN, Outcome.LOSE,
@@ -177,7 +216,11 @@ class TestStochasticEpisodes:
             for v in result.violations:
                 assert (v.state_fingerprint, v.action) not in issued
             total_replans += result.replans
+            logged.append([(v.turn, v.action, v.literals)
+                           for v in result.violations])
         assert total_replans >= 1
+        digest = hashlib.sha256(repr(logged).encode()).hexdigest()
+        assert digest == ALIENS_VIOLATIONS_SHA256
 
     def test_seeded_episode_reproducible(self):
         game = compile_game(load_game("aliens"))

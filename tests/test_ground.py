@@ -171,8 +171,9 @@ class TestGrounding:
         assert stop is not None
         # two boulders -> two (dead | moved) disjunction pairs
         assert len(stop.clauses) == 2
-        for lits in stop.clause_literals:
-            preds = sorted(a.predicate for a, _ in lits)
+        for pos_mask, neg_mask in stop.clauses:
+            assert neg_mask == 0
+            preds = sorted(a.predicate for a in task.state_atoms(pos_mask))
             assert preds == ["boulder-moved", "dead"]
 
     def test_forall_over_empty_type_is_true(self):
@@ -381,25 +382,16 @@ class TestSimplify:
 
 # -- equality with the naive grounding --------------------------------------------
 
-def _atoms(task, mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(task.facts[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
-
-
 def literal_view(task):
     """A grounded task at the literal level: fact indices differ between
     groundings that keep different fact sets, the atoms behind them do not."""
+    atoms = task.state_atoms
     return (
-        tuple((a.name, a.args, _atoms(task, a.pos_pre), _atoms(task, a.neg_pre),
-               tuple((_atoms(task, p), _atoms(task, n)) for p, n in a.clauses),
-               a.pre_literals, a.clause_literals,
-               _atoms(task, a.add), _atoms(task, a.delete))
+        tuple((a.name, a.args, atoms(a.pos_pre), atoms(a.neg_pre),
+               tuple((atoms(p), atoms(n)) for p, n in a.clauses),
+               atoms(a.add), atoms(a.delete))
               for a in task.actions),
-        task.goal_literals, _atoms(task, task.init), task.unsolvable_goal)
+        task.goal_literals, atoms(task.init), task.unsolvable_goal)
 
 
 TOY_LEVELS = {
