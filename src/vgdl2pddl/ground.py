@@ -10,19 +10,26 @@ Facts over static predicates (never added or deleted by any action, e.g.
 is-wall, next) are evaluated at grounding time: actions with a statically
 false precondition are dropped, literals that are statically true disappear.
 
-Only relaxed-reachable actions are built (the technique of Fast Downward's
-translator, Helmert 2009). A binding's *needs* are its top-level positive
-dynamic atoms; it is built once every need is in init or added by an action
-already built, and its add effects then wake the bindings waiting on them.
-The generated action set is therefore the relaxed-reachable subset of the
-naive cross product filtered by static preconditions, in enumeration order.
-Every binding that survives the static filter is still checked for adding
-and deleting the same atom, reachable or not.
+One relaxed-reachability pass picks both the actions and the atoms of the
+task (the technique of Fast Downward's translator, Helmert 2009). A
+binding's first needs are its top-level positive dynamic atoms; once they
+are in init or added by a kept action it is built, and each all-positive
+clause of the built action becomes one more need, met by any one of its
+atoms. Once every need is met the action is kept and its add effects are
+reached, which meets the needs of other bindings in turn. The kept actions
+are the least fixpoint of that rule, in enumeration order.
+
+The fact table is the reached atoms alone, init and adds, sorted by text.
+An atom outside it is never true, so the masks never name one: a negative
+precondition or delete on it is dropped, a positive clause literal on it is
+dropped from its clause, and a clause with a negative literal on it always
+holds and is dropped. Every binding that survives the static filter is
+still checked for adding and deleting the same atom, reachable or not.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -38,7 +45,8 @@ class GroundAction:
     precondition literals split into `pos_pre` and `neg_pre`, each longer
     CNF clause as a (positive mask, negative mask) pair, and the effects.
     The masks are the only form of the precondition; render its atoms with
-    `task.state_atoms(mask)`."""
+    `task.state_atoms(mask)`. They never name an atom that cannot become
+    true, so a clause may have been trimmed to fewer literals, even one."""
     name: str
     args: tuple[str, ...]
     pos_pre: int
@@ -59,8 +67,12 @@ class GroundAction:
 
 @dataclass
 class GroundedTask:
+    """A grounded task over `facts`, the atoms that can become true (init
+    and the adds of the relaxed-reachable actions) sorted by text; bit `i`
+    of a state is `facts[i]`. `fact_id` and the action index are derived
+    from `facts` and `actions`. A negative goal literal on an atom outside
+    `facts` always holds and is left out of `goal_neg`."""
     facts: tuple[Atom, ...]
-    fact_id: dict[Atom, int]
     actions: tuple[GroundAction, ...]
     init: int
     goal_literals: tuple[Literal, ...]
@@ -70,6 +82,7 @@ class GroundedTask:
     unsolvable_goal: bool  # a positive goal atom can never become true
 
     def __post_init__(self):
+        self.fact_id = {f: i for i, f in enumerate(self.facts)}
         self._index = {(a.name.upper(), a.args): a for a in self.actions}
 
     def action(self, name: str, args: tuple[str, ...]) -> Optional[GroundAction]:
@@ -675,61 +688,77 @@ class _Schema:
 class _Worklist:
     """Counter-based relaxed reachability over enumerated bindings.
 
-    A binding waits on each of its needs not yet reached; when the last one
-    is reached it is built, and the add effects of a built action reach new
-    atoms in turn. Atoms are (predicate, args) keys.
+    A binding waits on its needs, each a list of atoms met by any one of
+    them. Its top-level positive dynamic atoms are one-atom needs; when they
+    are met it is built, and each all-positive clause of the built action is
+    one more need. When every need is met the action is kept and its add
+    effects are reached, which meets needs in turn. Atoms are (predicate,
+    args) keys; a need waits as a one-item list that is emptied when met.
     """
 
     def __init__(self, reached: set[tuple[str, tuple[str, ...]]]):
         self.reached = reached
-        self.waiting: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-        self.pending: dict[int, list] = {}  # index -> [missing, schema, args]
-        self.built: dict[int, tuple] = {}
+        self.waiting: dict[tuple[str, tuple[str, ...]], list[list]] = {}
+        self.kept: dict[int, tuple] = {}
         self.count = 0
 
     def add(self, schema: _Schema, args: tuple[str, ...], needs) -> None:
-        i = self.count
+        # [unmet needs, enumeration index, schema, args, built action]
+        entry = [0, self.count, schema, args, None]
         self.count += 1
-        missing = {k for k in needs if k not in self.reached}
-        if not missing:
-            self._fire(i, schema, args)
-            return
-        self.pending[i] = [len(missing), schema, args]
-        for key in missing:
-            self.waiting.setdefault(key, []).append(i)
+        if not self._wait(entry, [(key,) for key in needs]):
+            self._fire(entry)
 
-    def _fire(self, i: int, schema: _Schema, args: tuple[str, ...]) -> None:
-        stack = [(i, schema, args)]
+    def _wait(self, entry: list, needs) -> bool:
+        """Queue `entry` on each of `needs` not met yet; False if none."""
+        for need in needs:
+            if self.reached.isdisjoint(need):
+                entry[0] += 1
+                cell = [entry]
+                for key in need:
+                    self.waiting.setdefault(key, []).append(cell)
+        return entry[0] > 0
+
+    def _fire(self, entry: list) -> None:
+        stack = [entry]
         while stack:
-            i, schema, args = stack.pop()
-            raw = schema.build(args)
+            entry = stack.pop()
+            raw = entry[4]
             if raw is None:
-                continue
-            self.built[i] = raw
+                raw = entry[4] = entry[2].build(entry[3])
+                if raw is None:
+                    continue  # statically false
+                if self._wait(entry, [
+                        [(atom.predicate, atom.args) for atom, _ in clause]
+                        for clause in raw[2]
+                        if all(positive for _, positive in clause)]):
+                    continue
+            self.kept[entry[1]] = raw
             for atom in raw[3]:
                 key = (atom.predicate, atom.args)
                 if key in self.reached:
                     continue
                 self.reached.add(key)
-                for j in self.waiting.pop(key, ()):
-                    entry = self.pending[j]
-                    entry[0] -= 1
-                    if not entry[0]:
-                        del self.pending[j]
-                        stack.append((j, entry[1], entry[2]))
+                for cell in self.waiting.pop(key, ()):
+                    if cell:  # not met yet through another of its atoms
+                        waiter = cell.pop()
+                        waiter[0] -= 1
+                        if not waiter[0]:
+                            stack.append(waiter)
 
     def actions(self) -> list[tuple]:
-        """The built actions in enumeration order."""
-        return [self.built[i] for i in sorted(self.built)]
+        """The kept actions in enumeration order."""
+        return [self.kept[i] for i in sorted(self.kept)]
 
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
-    """Ground the relaxed-reachable actions of `problem`.
+    """Ground the relaxed-reachable actions of `problem` over its reachable
+    atoms.
 
     Bindings are enumerated schema by schema, joined on the static facts;
-    each is built once its needs are reached (see the module docstring) and
-    the built actions keep enumeration order. The fact table holds the
-    dynamic atoms of init, the goal and the built actions, sorted by text.
+    each is kept once its needs are met (see the module docstring) and the
+    kept actions keep enumeration order. The fact table holds the reached
+    atoms, sorted by text, and the masks are trimmed to it.
     """
     universe = _build_universe(domain, problem)
     parents = dict(domain.types)
@@ -779,43 +808,16 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
                 compiled.build(args)  # raises unless statically false
             worklist.add(compiled, args, compiled.needs_of(ext))
     raw_actions = worklist.actions()
-
-    # fact index over dynamic atoms
-    fact_set: set[Atom] = set(init_dynamic)
-    for _, _, clauses, adds, dels in raw_actions:
-        for clause in clauses:
-            fact_set.update(a for a, _ in clause)
-        fact_set.update(adds)
-        fact_set.update(dels)
-
-    # goal
-    goal_cnf = normalize_ground(problem.goal, universe)
-    if goal_cnf is None:
-        goal_literals: tuple[Literal, ...] = ((Atom("=", ("a", "b")), True),)
-        unsolvable = True
-    else:
-        goal_lits: list[Literal] = []
-        unsolvable = False
-        for clause in goal_cnf:
-            if len(clause) != 1:
-                raise UnsupportedConstructError(
-                    "goal must be a conjunction of literals")
-            goal_lits.append(clause[0])
-        goal_literals = tuple(goal_lits)
-        for atom, positive in goal_literals:
-            if atom.predicate in static_preds:
-                if (atom in static_facts) != positive:
-                    unsolvable = True
-            else:
-                fact_set.update({atom})
-
-    facts = tuple(sorted(fact_set, key=str))
+    facts = tuple(sorted((atoms[key] for key in worklist.reached), key=str))
     fact_id = {f: i for i, f in enumerate(facts)}
 
-    def mask(atoms: Iterable[Atom]) -> int:
+    def mask(members: Iterable[Atom]) -> int:
+        """The bits of those `members` that can become true."""
         m = 0
-        for a in atoms:
-            m |= 1 << fact_id[a]
+        for a in members:
+            i = fact_id.get(a)
+            if i is not None:
+                m |= 1 << i
         return m
 
     actions = []
@@ -827,8 +829,9 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             if len(clause) == 1:
                 atom, positive = clause[0]
                 (pos_atoms if positive else neg_atoms).append(atom)
-            else:
+            elif all(positive or a in fact_id for a, positive in clause):
                 multi.append(clause)
+            # else a negative literal on a never-true atom: always holds
         actions.append(GroundAction(
             name=name,
             args=args,
@@ -840,20 +843,29 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             delete=mask(dels),
         ))
 
+    # goal
+    goal_cnf = normalize_ground(problem.goal, universe)
+    if goal_cnf is None:
+        goal_literals: tuple[Literal, ...] = ((Atom("=", ("a", "b")), True),)
+    elif any(len(clause) != 1 for clause in goal_cnf):
+        raise UnsupportedConstructError("goal must be a conjunction of literals")
+    else:
+        goal_literals = tuple(clause[0] for clause in goal_cnf)
+    unsolvable = goal_cnf is None
     goal_pos = 0
     goal_neg = 0
     for atom, positive in goal_literals:
-        i = fact_id.get(atom)
-        if i is None:
-            continue
-        if positive:
-            goal_pos |= 1 << i
+        if atom.predicate in static_preds:
+            unsolvable |= (atom in static_facts) != positive
+        elif atom not in fact_id:
+            unsolvable |= positive  # never true
+        elif positive:
+            goal_pos |= 1 << fact_id[atom]
         else:
-            goal_neg |= 1 << i
+            goal_neg |= 1 << fact_id[atom]
 
     return GroundedTask(
         facts=facts,
-        fact_id=fact_id,
         actions=tuple(actions),
         init=mask(init_dynamic),
         goal_literals=goal_literals,
@@ -908,59 +920,3 @@ def goal_satisfied(task: GroundedTask, state: int) -> bool:
         return False
     return (state & task.goal_pos == task.goal_pos
             and not state & task.goal_neg)
-
-
-# -- relaxed-reachability simplification (used by the search) ----------------------
-
-def simplify(task: GroundedTask) -> GroundedTask:
-    """Drop actions and clause literals that relaxed reachability rules out.
-
-    Sound for search: a pruned action has a positive precondition that can
-    never become true, a dropped clause is permanently satisfied by a
-    negative literal whose atom can never become true, and a positive
-    literal over such an atom is trimmed from its clause.  Works on the
-    masks alone: an action whose clauses are unchanged is kept as it is,
-    a trimmed one is a copy with the new clauses.
-
-    `ground` already builds only actions whose top-level positive atoms are
-    relaxed-reachable, so on its output this pass is nearly a no-op: it
-    still applies the clauses of only positive literals (a forall over a
-    disjunction of positives), which the grounder does not look at, and
-    trims clause literals over atoms that never become true. On the output
-    of the naive grounding it gives the same task, literal for literal.
-    """
-    def optimistic(a: GroundAction, reachable: int) -> bool:
-        if a.pos_pre & ~reachable:
-            return False
-        for pos_mask, neg_mask in a.clauses:
-            # negative literals are optimistically satisfiable; a clause of
-            # only positives needs at least one reachable atom
-            if neg_mask == 0 and not pos_mask & reachable:
-                return False
-        return True
-
-    reachable = task.init
-    while True:
-        new_reachable = reachable
-        for a in task.actions:
-            if optimistic(a, reachable):
-                new_reachable |= a.add
-        if new_reachable == reachable:
-            break
-        reachable = new_reachable
-
-    ever_true = reachable
-    simplified = []
-    for a in task.actions:
-        # a kept action has no clause that trimming empties: `optimistic`
-        # rejects a clause of only positives none of which is ever true
-        if not optimistic(a, ever_true):
-            continue
-        clauses = tuple((pos_mask & ever_true, neg_mask)
-                        for pos_mask, neg_mask in a.clauses
-                        if not neg_mask & ~ever_true)
-        simplified.append(a if clauses == a.clauses
-                          else replace(a, clauses=clauses))
-    return replace(
-        task, actions=tuple(simplified),
-        unsolvable_goal=task.unsolvable_goal or bool(task.goal_pos & ~ever_true))

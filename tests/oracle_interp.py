@@ -152,27 +152,59 @@ def static_predicates(domain: Domain) -> set[str]:
     return {p.name for p in domain.predicates} - mentioned
 
 
-def relaxed_reachable(domain: Domain, problem: Problem, static_preds: set[str],
-                      actions: set) -> set:
-    """The (name, args) in `actions` that relaxed reachability keeps.
+def holds_optimistically(f, positive: bool, reached: set, static_atoms,
+                         static_preds: set[str], uni) -> bool:
+    """Whether `f` (negated unless `positive`) can hold once `reached` is:
+    a positive dynamic atom holds iff it is reached, a negated dynamic atom
+    always holds, and static atoms, `=`, `or` and `forall` are evaluated as
+    written."""
+    if isinstance(f, Atom):
+        if f.predicate == "=":
+            value = f.args[0] == f.args[1]
+        elif f.predicate in static_preds:
+            value = f in static_atoms
+        else:
+            return f in reached if positive else True
+        return value == positive
+    if isinstance(f, Not):
+        return holds_optimistically(f.body, not positive, reached,
+                                    static_atoms, static_preds, uni)
+    if isinstance(f, Forall):
+        domains = [[(v, o) for o in uni.get(t, [])] for v, t in f.variables]
+        parts = [substitute(f.body, dict(combo))
+                 for combo in itertools.product(*domains)]
+        conjunction = True
+    elif isinstance(f, (And, Or)):
+        parts = f.parts
+        conjunction = isinstance(f, And)
+    else:
+        raise TypeError(f)
+    # a negated conjunction is a disjunction of negations, and vice versa
+    combine = all if conjunction == positive else any
+    return combine(holds_optimistically(p, positive, reached, static_atoms,
+                                        static_preds, uni) for p in parts)
 
-    An action fires once every top-level positive non-static atom of its
-    precondition is in init or added by an action that already fired;
-    negative literals, disjunctions and deletes are ignored. Iterated to a
-    fixpoint by plain rescanning.
+
+def relaxed_reachable(domain: Domain, problem: Problem, static_preds: set[str],
+                      actions: set) -> tuple[set, set]:
+    """(the (name, args) in `actions` that relaxed reachability keeps, the
+    atoms it reaches).
+
+    An action fires once its precondition holds optimistically (see
+    `holds_optimistically`) over init and the adds of the actions that
+    already fired; deletes are ignored. Iterated to a fixpoint by plain
+    rescanning.
     """
     uni = universe_of(domain, problem)
     schemas = {a.name: a for a in domain.actions}
-    needs = {}
+    static_atoms = frozenset(a for a in problem.init
+                             if a.predicate in static_preds)
+    pres = {}
     adds = {}
     for name, args in actions:
         schema = schemas[name]
         binding = {v: obj for (v, _), obj in zip(schema.params, args)}
-        pre = substitute(schema.precondition, binding)
-        parts = pre.parts if isinstance(pre, And) else (pre,)
-        needs[name, args] = {p for p in parts if isinstance(p, Atom)
-                             and p.predicate != "="
-                             and p.predicate not in static_preds}
+        pres[name, args] = substitute(schema.precondition, binding)
         adds[name, args], _ = effects(substitute(schema.effect, binding),
                                       frozenset(), uni)
     reached = {a for a in problem.init if a.predicate not in static_preds}
@@ -181,8 +213,9 @@ def relaxed_reachable(domain: Domain, problem: Problem, static_preds: set[str],
     while changed:
         changed = False
         for act in sorted(actions):
-            if act not in fired and needs[act] <= reached:
+            if act not in fired and holds_optimistically(
+                    pres[act], True, reached, static_atoms, static_preds, uni):
                 fired.add(act)
                 reached |= adds[act]
                 changed = True
-    return fired
+    return fired, reached

@@ -5,9 +5,11 @@ preconditions (the static-filtered cross product, reachable or not) and
 builds each one by substituting and normalizing the whole precondition;
 `reference_simplify` then drops what relaxed reachability rules out. This is
 the grounder and simplifier `vgdl2pddl.ground` had before it grounded only the
-relaxed-reachable actions, copied verbatim apart from the names. The
-production `simplify(ground(x))` must equal `reference_simplify(
-reference_ground(x))` literal for literal.
+relaxed-reachable actions, copied verbatim apart from the names and the
+`GroundedTask` fields it no longer has. The production `ground(x)` must
+equal `reference_simplify(reference_ground(x))` literal for literal, once
+the atoms that never become true are removed from the reference's masks
+(`without_never_true` in `tests/test_ground.py`).
 """
 from __future__ import annotations
 
@@ -264,7 +266,6 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
 
     return GroundedTask(
         facts=facts,
-        fact_id=fact_id,
         actions=tuple(actions),
         init=mask(init_dynamic),
         goal_literals=goal_literals,
@@ -324,7 +325,7 @@ def reference_simplify(task: GroundedTask) -> GroundedTask:
             clauses=tuple(new_clauses), add=a.add, delete=a.delete,
         ))
     return GroundedTask(
-        facts=task.facts, fact_id=task.fact_id, actions=tuple(simplified),
+        facts=task.facts, actions=tuple(simplified),
         init=task.init, goal_literals=task.goal_literals,
         goal_pos=task.goal_pos, goal_neg=task.goal_neg,
         static_facts=task.static_facts,

@@ -26,7 +26,7 @@ from vgdl2pddl.bench import (
 )
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.games import load_game, load_level
-from vgdl2pddl.ground import apply, applicable, ground, simplify
+from vgdl2pddl.ground import apply, applicable, ground
 from vgdl2pddl.pddl import print_domain, print_problem
 from vgdl2pddl.planner import Mode, SearchConfig, Status, solve
 from vgdl2pddl.problems import config_to_text, emit_config, generate_problem
@@ -140,7 +140,6 @@ def _phase_fact_ids(task):
 
 def _exhaust_and_check(task):
     """Exhaustive reachability; assert the phase DFA on every transition."""
-    task = simplify(task)
     ids = _phase_fact_ids(task)
     mover_ids = {k: v for k, v in ids.items() if k.endswith("-move")}
     rank = {"avatar": 0, "interactions": 1}

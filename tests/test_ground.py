@@ -1,5 +1,6 @@
 """Grounding and STRIPS-semantics tests, cross-checked against a naive oracle."""
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,6 @@ from vgdl2pddl.ground import (
     apply,
     goal_satisfied,
     ground,
-    simplify,
 )
 from vgdl2pddl.pddl import Atom, read_domain, read_problem
 from vgdl2pddl.problems import generate_problem
@@ -165,16 +165,25 @@ class TestGrounding:
                 y = a.args[2]
                 assert y in ("n0", "n1")
 
-    def test_stop_expands_to_clause_pairs(self, push_task):
-        _, _, task = push_task
-        stop = task.action("STOP_BOULDER_MOVE", ())
-        assert stop is not None
+    def test_stop_expands_to_clause_pairs(self, push_task,
+                                          reference_push_task):
         # two boulders -> two (dead | moved) disjunction pairs
+        _, _, reference = reference_push_task
+        stop = reference.action("STOP_BOULDER_MOVE", ())
+        assert stop is not None
         assert len(stop.clauses) == 2
         for pos_mask, neg_mask in stop.clauses:
             assert neg_mask == 0
-            preds = sorted(a.predicate for a in task.state_atoms(pos_mask))
+            preds = sorted(a.predicate for a in reference.state_atoms(pos_mask))
             assert preds == ["boulder-moved", "dead"]
+        # only SQUASH adds dead, and it never fires: each clause is trimmed
+        # to its boulder-moved literal and stays a clause
+        _, _, task = push_task
+        stop = task.action("STOP_BOULDER_MOVE", ())
+        assert stop is not None
+        assert [(task.state_atoms(p), n) for p, n in stop.clauses] == [
+            ({Atom("boulder-moved", ("b1",))}, 0),
+            ({Atom("boulder-moved", ("b2",))}, 0)]
 
     def test_forall_over_empty_type_is_true(self):
         domain = read_domain(PUSH_DOMAIN)
@@ -208,8 +217,11 @@ class TestGrounding:
         static_preds = {"next", "is-wall"}
         naive = naive_ground_actions(domain, problem, static_preds,
                                      frozenset(problem.init))
-        expected = relaxed_reachable(domain, problem, static_preds, naive)
+        expected, reached = relaxed_reachable(domain, problem, static_preds,
+                                              naive)
         assert {a.ident for a in task.actions} == expected
+        # oriented-down is static too, though left out of static_preds
+        assert set(task.facts) == reached - task.static_facts
         assert not any(name == "SQUASH" for name, _ in expected)
         assert expected < naive
 
@@ -348,7 +360,7 @@ class TestSokobanAdjacency:
         problem, _ = generate_problem(grid, game)
         # moves out of wall cells are statically possible, but the avatar
         # never reaches a wall cell, so they are not grounded
-        task = simplify(ground(game.domain, problem))
+        task = ground(game.domain, problem)
 
         open_cells = {(x, y) for x, y, c in grid.positions() if c != "w"}
         expected = 0
@@ -362,22 +374,42 @@ class TestSokobanAdjacency:
 
 
 class TestSimplify:
-    def test_simplify_preserves_reachable_behaviour(self, push_task):
+    """What relaxed reachability removes, as `ground` returns it."""
+
+    def test_simplify_preserves_reachable_behaviour(self, push_task,
+                                                    reference_push_task):
         _, _, task = push_task
-        small = simplify(task)
-        assert {a.ident for a in small.actions} <= {a.ident for a in task.actions}
-        # every simplified action behaves identically on the init state
-        for a in small.actions:
-            original = task.action(a.name, a.args)
-            assert applicable(task.init, a) == applicable(task.init, original)
+        _, _, reference = reference_push_task
+        assert {a.ident for a in task.actions} <= {a.ident for a in reference.actions}
+        # every grounded action behaves as the naive one on the init state
+        for a in task.actions:
+            original = reference.action(a.name, a.args)
+            assert (applicable(task.init, a)
+                    == applicable(reference.init, original))
 
     def test_unreachable_goal_flagged(self):
         domain = read_domain(PUSH_DOMAIN)
         # boulders cannot reach (n0, n0): it is a wall
         text = PUSH_PROBLEM.replace("(:goal (and (at n1 n2 b1) (not (dead w1))))",
                                     "(:goal (at n0 n0 b1))")
-        task = simplify(ground(domain, read_problem(text)))
+        task = ground(domain, read_problem(text))
         assert task.unsolvable_goal
+        assert Atom("at", ("n0", "n0", "b1")) not in task.fact_id
+
+    def test_unreached_negative_goal_always_holds(self, push_task):
+        _, _, task = push_task
+        # the goal's (not (dead w1)) is on an atom nothing can add
+        assert Atom("dead", ("w1",)) not in task.fact_id
+        assert task.goal_neg == 0 and not task.unsolvable_goal
+
+    def test_clause_needs_are_met_before_building(self):
+        """digger's boulder at (3, 3) could stop at (3, 4) only on a dirt at
+        (3, 5) that is never there: an all-positive clause is a need."""
+        domain, problem = _case("digger-0")
+        idents = {a.ident for a in ground(domain, problem).actions}
+        stop = ("BOULDER_MOVE_STOP", ("boulder_3_3", "n3", "n4", "n5"))
+        assert stop not in idents
+        assert stop in {a.ident for a in reference_ground(domain, problem).actions}
 
 
 # -- equality with the naive grounding --------------------------------------------
@@ -391,7 +423,27 @@ def literal_view(task):
                tuple((atoms(p), atoms(n)) for p, n in a.clauses),
                atoms(a.add), atoms(a.delete))
               for a in task.actions),
-        task.goal_literals, atoms(task.init), task.unsolvable_goal)
+        task.goal_literals, atoms(task.goal_pos), atoms(task.goal_neg),
+        atoms(task.init), task.unsolvable_goal)
+
+
+def without_never_true(task):
+    """A `reference_simplify` output with its never-true atoms removed from
+    every mask, and the set of its ever-true atoms: init and the adds of its
+    actions. `ground` keeps only those atoms in its fact table; the
+    reference keeps every atom its naive actions mention."""
+    ever_true = task.init
+    for a in task.actions:
+        ever_true |= a.add
+    actions = tuple(
+        replace(a, pos_pre=a.pos_pre & ever_true, neg_pre=a.neg_pre & ever_true,
+                clauses=tuple((p & ever_true, n & ever_true)
+                              for p, n in a.clauses),
+                add=a.add & ever_true, delete=a.delete & ever_true)
+        for a in task.actions)
+    projected = replace(task, actions=actions, goal_pos=task.goal_pos & ever_true,
+                        goal_neg=task.goal_neg & ever_true)
+    return projected, task.state_atoms(ever_true)
 
 
 TOY_LEVELS = {
@@ -452,8 +504,9 @@ SHIPPED = ["aliens", "digger", "keymaze", "rain", "sokoban", "zenpuzzle"]
 
 
 class TestReferenceEquality:
-    """The search sees the same task as with the naive grounding: building
-    only relaxed-reachable actions removes nothing `simplify` would keep."""
+    """The search sees the same task as with the naive grounding: `ground`
+    equals `reference_simplify(reference_ground(x))` over the atoms that can
+    become true, and its fact table is exactly those atoms."""
 
     def test_every_shipped_game_is_covered(self):
         assert available_games() == SHIPPED
@@ -465,14 +518,13 @@ class TestReferenceEquality:
         domain, problem = _case(case)
         task = ground(domain, problem)
         reference = reference_ground(domain, problem)
-        # the built actions are the relaxed-reachable part of the reference's
-        reachable = relaxed_reachable(domain, problem, static_predicates(domain),
-                                      {a.ident for a in reference.actions})
+        # the kept actions are the relaxed-reachable part of the reference's
+        reachable, reached = relaxed_reachable(
+            domain, problem, static_predicates(domain),
+            {a.ident for a in reference.actions})
         assert {a.ident for a in task.actions} == reachable
-        expected = literal_view(reference_simplify(reference))
-        assert literal_view(simplify(task)) == expected
-        # and are built exactly as the reference builds them, in its order
-        built = literal_view(task)[0]
-        idents = {a[:2] for a in built}
-        assert built == tuple(a for a in literal_view(reference)[0]
-                              if a[:2] in idents)
+        # built as the reference builds them, in its order, without the
+        # atoms that never become true
+        expected, ever_true = without_never_true(reference_simplify(reference))
+        assert literal_view(task) == literal_view(expected)
+        assert set(task.facts) == ever_true == reached

@@ -4,10 +4,14 @@ import importlib
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_install_tracer_finds_every_hook(monkeypatch):
+@pytest.fixture()
+def bench(monkeypatch):
+    """(perfbench's run module, its tracer module, the program modules)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     run = importlib.import_module("run")
     tracing = importlib.import_module("tracer")
@@ -15,6 +19,11 @@ def test_install_tracer_finds_every_hook(monkeypatch):
     # benchmark's import_program would reload the package instead
     prog = SimpleNamespace(**{m: importlib.import_module(f"vgdl2pddl.{m}")
                               for m in run.MODULES})
+    return run, tracing, prog
+
+
+def test_install_tracer_finds_every_hook(bench):
+    run, tracing, prog = bench
     before = {m: dict(vars(module)) for m, module in vars(prog).items()}
     tracer = tracing.Tracer()
     try:
@@ -23,3 +32,21 @@ def test_install_tracer_finds_every_hook(monkeypatch):
         tracer.restore()
     for m, module in vars(prog).items():
         assert all(vars(module)[k] is v for k, v in before[m].items()), m
+
+
+def test_solve_calls_the_traced_simplify_hook(bench):
+    """`per_layer` divides by the `ground.simplify` notes, so a traced run
+    must reach `planner.simplify` through `solve`."""
+    run, tracing, prog = bench
+    game = prog.compiler.compile_game(prog.games.load_game("sokoban"))
+    grid = prog.games.load_level("sokoban", 0, game.model)
+    problem, _ = prog.problems.generate_problem(grid, game)
+    tracer = tracing.Tracer()
+    try:
+        run.install_tracer(tracer, prog)
+        tracer.enabled = True
+        result = prog.planner.solve(prog.ground.ground(game.domain, problem))
+    finally:
+        tracer.restore()
+    assert result.plan
+    assert tracer.notes["ground.simplify"]

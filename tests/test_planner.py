@@ -16,7 +16,6 @@ from vgdl2pddl.ground import (
     applicable,
     goal_satisfied,
     ground,
-    simplify,
 )
 from vgdl2pddl.pddl import format_plan, print_domain, print_problem
 from vgdl2pddl import planner
@@ -64,7 +63,6 @@ def sokoban_task():
 
 def exhaustive_optimum(task):
     """Independent optimality oracle: full reachability BFS, no early exit."""
-    task = simplify(task)
     dist = {task.init: 0}
     queue = deque([task.init])
     best = None
@@ -199,7 +197,7 @@ class TestOptimalityOracle:
 
 class TestHAdd:
     def test_zero_exactly_on_goal_states(self):
-        task = simplify(sokoban_task())
+        task = sokoban_task()
         h = _HAdd(task).value
         assert h(task.init) > 0
         result = solve(task, SearchConfig(mode=Mode.BLIND_BFS))
