@@ -148,9 +148,12 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
     result = EpisodeResult(Outcome.TURN_BUDGET_EXHAUSTED, turns=0, replans=0)
     trace_lines: list[str] = []
 
-    def write_trace():
+    def finish(outcome: Outcome) -> EpisodeResult:
+        result.outcome = outcome
+        result.turns = state.turn
         if trace is not None:
             Path(trace).write_text("".join(trace_lines))
+        return result
 
     while True:
         turn_at_plan = state.turn
@@ -160,10 +163,7 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
         plan_result: PlanResult = solve(task, planner_cfg)
         result.wall_times.append(time.perf_counter() - t0)
         if plan_result.status is not Status.SOLVED:
-            result.outcome = Outcome.PLANNER_FAILED
-            result.turns = state.turn
-            write_trace()
-            return result
+            return finish(Outcome.PLANNER_FAILED)
         result.plan_lengths.append(len(plan_result.plan))
         # the running plan's ammunition identities; USE consumes them
         ammo = [n for n, t in problem.objects
@@ -176,10 +176,7 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
             if not is_avatar_action(action):
                 continue  # interaction and bookkeeping actions stay internal
             if state.turn >= budget:
-                result.outcome = Outcome.TURN_BUDGET_EXHAUSTED
-                result.turns = state.turn
-                write_trace()
-                return result
+                return finish(Outcome.TURN_BUDGET_EXHAUSTED)
             violated = monitor(state, action, game, config, binding,
                                pool=(ammo, consumed))
             if violated:
@@ -199,11 +196,8 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
             if on_step is not None:
                 on_step(state)
             if state.status is not GameStatus.ONGOING:
-                result.outcome = (Outcome.WIN if state.status is GameStatus.WIN
-                                  else Outcome.LOSE)
-                result.turns = state.turn
-                write_trace()
-                return result
+                return finish(Outcome.WIN if state.status is GameStatus.WIN
+                              else Outcome.LOSE)
         if replan_needed:
             continue
         # plan exhausted with the game still on: log the unmet goal literals
@@ -218,12 +212,6 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
         if state.turn == turn_at_plan:
             # the plan moved nothing yet the model thinks the goal is done:
             # a modelling gap, not a game loss
-            result.outcome = Outcome.PLANNER_FAILED
-            result.turns = state.turn
-            write_trace()
-            return result
+            return finish(Outcome.PLANNER_FAILED)
         if state.turn >= budget:
-            result.outcome = Outcome.TURN_BUDGET_EXHAUSTED
-            result.turns = state.turn
-            write_trace()
-            return result
+            return finish(Outcome.TURN_BUDGET_EXHAUSTED)

@@ -86,14 +86,11 @@ class CompiledGame:
     goal: Formula
     avatar: SpriteDef
     static_sprites: tuple[str, ...]
-    object_sprites: tuple[str, ...]  # concrete sprites that become objects
     moving_types: tuple[str, ...]
     projectile: Optional[str]
     resources: tuple[str, ...]
-    has_timeout: bool
     timeout_limit: Optional[int]
     kiohm_limits: tuple[tuple[str, int], ...]
-    base_init: tuple[Atom, ...]
     edge_directions: tuple[str, ...]
 
 
@@ -271,7 +268,6 @@ def compile_game(model: GameModel,
     # --- template instantiations -------------------------------------------
     predicates: list[Predicate] = []
     pred_seen: set[str] = set()
-    base_init: list[Atom] = []
 
     def add_predicates(preds):
         for p in preds:
@@ -281,7 +277,6 @@ def compile_game(model: GameModel,
 
     core = kb.instantiate(kb.lookup("turn", "core"), {})
     add_predicates(core.predicates)
-    base_init.extend(core.init_facts)
     eti_core = next(a for a in core.actions if a.name == "END-TURN-INTERACTIONS")
     ets_core = next(a for a in core.actions if a.name == "END-TURN-SPRITES")
 
@@ -350,7 +345,6 @@ def compile_game(model: GameModel,
         if s.vgdl_type is SpriteType.RESOURCE:
             inst = kb.instantiate(kb.lookup("sprite", "Resource"), {"T": s.name})
             add_predicates(inst.predicates)
-            base_init.extend(inst.init_facts)
             continue
         if s.vgdl_type is not SpriteType.MISSILE:
             continue
@@ -395,7 +389,6 @@ def compile_game(model: GameModel,
     if timeout is not None:
         counter = kb.instantiate(kb.lookup("turn", "counter"), {})
         add_predicates(counter.predicates)
-        base_init.extend(counter.init_facts)
 
     # --- phase wiring -------------------------------------------------------
     eti_extra_eff: list[Formula] = []
@@ -446,15 +439,11 @@ def compile_game(model: GameModel,
         goal=goal,
         avatar=avatar,
         static_sprites=statics,
-        object_sprites=tuple(s.name for s in model.concrete_sprites()
-                             if s.name not in statics),
         moving_types=movers,
         projectile=projectile,
         resources=resources,
-        has_timeout=timeout is not None,
         timeout_limit=timeout.limit if timeout is not None else None,
         kiohm_limits=tuple(kiohm_limits),
-        base_init=tuple(base_init),
         edge_directions=tuple(edge_dirs),
     )
 

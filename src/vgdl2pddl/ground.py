@@ -10,6 +10,12 @@ Facts over static predicates (never added or deleted by any action, e.g.
 is-wall, next) are evaluated at grounding time: actions with a statically
 false precondition are dropped, literals that are statically true disappear.
 
+Each schema precondition is normalized once per task, conjunct by conjunct,
+into clause templates that a binding fills in (`_Schema`); a quantified
+single clause is expanded only over the instances the static facts leave
+open (`_SchemaGrounder.forall_clauses`). `normalize_ground` normalizes a
+whole ground formula at once, for the goal and the execution monitor.
+
 One relaxed-reachability pass picks both the actions and the atoms of the
 task (the technique of Fast Downward's translator, Helmert 2009). A
 binding's first needs are its top-level positive dynamic atoms; once they
@@ -177,7 +183,7 @@ def _expand_foralls(f: Formula, universe: dict[str, list[str]]) -> Formula:
 
 
 def _nnf(f: Formula, negate: bool):
-    """Negation normal form; equality atoms must already be evaluated."""
+    """Negation normal form; equality atoms are atoms like any other."""
     if isinstance(f, Atom):
         return Not(f) if negate else f
     if isinstance(f, Not):
@@ -315,22 +321,9 @@ def _check_signature(domain: Domain, atom: Atom, types_of: dict[str, str],
 
 
 def _static_predicates(domain: Domain) -> frozenset[str]:
-    mutable: set[str] = set()
-
-    def walk(g: Formula):
-        if isinstance(g, Atom):
-            mutable.add(g.predicate)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, Forall):
-            walk(g.body)
-
-    for action in domain.actions:
-        walk(action.effect)
-    return frozenset(p.name for p in domain.predicates) - frozenset(mutable)
+    return frozenset(p.name for p in domain.predicates) - {
+        atom.predicate for action in domain.actions
+        for atom in _atoms_in(action.effect)}
 
 
 def _split_conjuncts(f: Formula) -> list[Formula]:
@@ -467,43 +460,50 @@ class _SchemaGrounder:
         return index.get(others, (0, []))
 
     def forall_clauses(self, f: Forall) -> Optional[list[list[Literal]]]:
-        """The CNF of a ground forall whose body is one clause with a negated
-        static atom or a positive equality, or None for any other forall.
+        """The CNF of a forall whose body is one clause with a joinable
+        literal, or None for any other forall.
 
-        Only instances static evaluation cannot satisfy are expanded: they
-        need every negated static atom of the clause to hold and every
-        equality in it to be false, which is a static join, where the full
-        product is mostly satisfied instances. The clauses keep
-        `itertools.product` order; equalities are folded, static literals
-        are left to the caller.
+        A literal is joinable when it is a negated static atom or a positive
+        equality, and each of its arguments is a variable of the forall or a
+        constant. Only instances static evaluation cannot satisfy are
+        expanded: they need every joinable literal to be false, which is a
+        static join, where the full product is mostly satisfied instances.
+        The clauses keep `itertools.product` order and leave the joinable
+        literals out; a negated equality over the forall's variables is
+        folded, and every other literal is kept for the caller (one that
+        mentions a schema parameter is only decided per binding).
         """
-        literals: list[Literal] = []
+        names = [v for v, _ in f.variables]
+        literals: list[tuple[Atom, bool, bool]] = []  # atom, positive, fold
         constraints: list[Formula] = []
         for lit in f.body.parts if isinstance(f.body, Or) else (f.body,):
             atom = lit.body if isinstance(lit, Not) else lit
             if not isinstance(atom, Atom):
                 return None
-            literals.append((atom, lit is atom))
-            if lit is not atom and atom.predicate in self.static_preds:
+            positive = lit is atom
+            decided = all(a in names or not a.startswith("?") for a in atom.args)
+            if decided and not positive and atom.predicate in self.static_preds:
                 constraints.append(atom)
-            elif lit is atom and atom.predicate == "=":
+            elif decided and positive and atom.predicate == "=":
                 constraints.append(Not(atom))
+            else:
+                literals.append((atom, positive,
+                                 decided and atom.predicate == "="))
         if not constraints:
             return None
         rows = self.bindings(f.variables, constraints)
         ranks = [{o: i for i, o in enumerate(self.universe.get(typ, []))}
                  for _, typ in f.variables]
         rows.sort(key=lambda row: tuple(map(dict.__getitem__, ranks, row)))
-        names = [v for v, _ in f.variables]
         clauses = []
         for row in rows:
             binding = dict(zip(names, row))
             clause: list[Literal] = []
-            for atom, positive in literals:
+            for atom, positive, fold in literals:
                 args = tuple([binding.get(a, a) for a in atom.args])
-                if atom.predicate != "=":
+                if not fold:
                     clause.append((Atom(atom.predicate, args), positive))
-                elif (args[0] == args[1]) == positive:
+                elif args[0] != args[1]:
                     break  # the instance holds
             else:
                 clauses.append(clause)
@@ -529,14 +529,6 @@ def _arg_getter(idx: tuple[int, ...]):
     return itemgetter(*idx) if idx else itemgetter(slice(0))
 
 
-def _equalities_top_level(pre: Formula, conjuncts: list[Formula]) -> bool:
-    top = sum(1 for c in conjuncts
-              if (isinstance(c, Not) and isinstance(c.body, Atom)
-                  and c.body.predicate == "=")
-              or (isinstance(c, Atom) and c.predicate == "="))
-    return top == sum(1 for a in _atoms_in(pre) if a.predicate == "=")
-
-
 class _Schema:
     """One action schema, normalized once per task into literal templates.
 
@@ -546,17 +538,21 @@ class _Schema:
     `adds`/`dels` the effects with foralls expanded, and `overlaps` the
     argument equalities under which an add and a delete coincide.
 
-    `clauses` is the precondition CNF, taken once with the foralls expanded;
-    a binding then only substitutes arguments and evaluates static and
-    equality literals. Folding equalities before or after the CNF gives the
-    same clauses when every equality is a top-level conjunct; otherwise
-    `clauses` is None and each binding is normalized on its own.
+    `clauses` is the precondition CNF, taken one conjunct at a time (the CNF
+    of a conjunction is its conjuncts' CNFs in order): a forall whose body
+    is one clause through the static join `forall_clauses`, any other
+    conjunct with its foralls expanded. A conjunct that mentions no
+    parameter is evaluated here, once, into ground clauses (a list each);
+    the others stay templates (a tuple each), and a binding only substitutes
+    their arguments and evaluates their static and equality literals.
+    Equalities are folded after the CNF, so a conjunct with an equality
+    under a conjunction under a disjunction may keep a clause that the
+    conjunct's other clauses imply.
     """
 
     def __init__(self, schema: Action, grounder: _SchemaGrounder,
                  atoms: _AtomTable):
         self.schema = schema
-        self.grounder = grounder
         self.atoms = atoms
         self.params = tuple(v for v, _ in schema.params)
         slot = {v: i for i, v in enumerate(self.params)}
@@ -570,8 +566,16 @@ class _Schema:
             return atom.predicate, tuple(slot[a] for a in atom.args)
 
         static_preds = grounder.static_preds
-        pre = schema.precondition
-        conjuncts = self.conjuncts = _split_conjuncts(pre)
+        static_sets = grounder.static_sets
+
+        def table(pred: str):
+            if pred == "=":
+                return _EQUALITY
+            if pred in static_preds:
+                return static_sets.get(pred, frozenset())
+            return None
+
+        conjuncts = _split_conjuncts(schema.precondition)
         needs = dict.fromkeys(
             index(c) for c in conjuncts if isinstance(c, Atom)
             and c.predicate != "=" and c.predicate not in static_preds)
@@ -596,23 +600,37 @@ class _Schema:
                     overlaps.append(conds)
         self.overlaps = tuple(overlaps)
 
-        self.clauses: Optional[tuple] = None
-        if _equalities_top_level(pre, conjuncts):
-            clauses = []
-            for clause in _cnf(_nnf(_expand_foralls(pre, grounder.universe),
-                                    False)):
-                template = []
+        def template(clause: list[Literal]) -> tuple:
+            out = []
+            for atom, positive in clause:
+                pred, idx = index(atom)
+                out.append((pred, _arg_getter(idx), positive, table(pred)))
+            return tuple(out)
+
+        params = set(self.params)
+        clauses: list = []
+        for conjunct in conjuncts:
+            cnf = (grounder.forall_clauses(conjunct)
+                   if isinstance(conjunct, Forall) else None)
+            if cnf is None:
+                cnf = _cnf(_nnf(_expand_foralls(conjunct, grounder.universe),
+                                False))
+            if any(a in params for atom in _atoms_in(conjunct) for a in atom.args):
+                clauses.extend(map(template, cnf))
+                continue
+            for clause in cnf:
+                kept = []
                 for atom, positive in clause:
-                    pred, idx = index(atom)
-                    if pred == "=":
-                        table = _EQUALITY
-                    elif pred in static_preds:
-                        table = grounder.static_sets.get(pred, frozenset())
-                    else:
-                        table = None
-                    template.append((pred, _arg_getter(idx), positive, table))
-                clauses.append(tuple(template))
-            self.clauses = tuple(clauses)
+                    pred, args = atom.predicate, atom.args
+                    known = table(pred)
+                    if known is None:
+                        kept.append((atoms[pred, args], positive))
+                    elif (args[0] == args[1] if known is _EQUALITY
+                          else args in known) == positive:
+                        break  # statically satisfied
+                else:
+                    clauses.append(kept)  # empty if statically false
+        self.clauses = tuple(clauses)
         self.consts = tuple(consts)
 
     def needs_of(self, ext: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
@@ -627,10 +645,25 @@ class _Schema:
         when its precondition is statically false."""
         ext = args + self.consts
         atoms = self.atoms
-        clauses = (self._normalize(args) if self.clauses is None
-                   else self._instantiate(ext))
-        if clauses is None:
-            return None
+        clauses = []
+        for template in self.clauses:
+            if isinstance(template, list):  # evaluated once per task
+                if not template:
+                    return None
+                clauses.append(template)
+                continue
+            kept = []
+            for pred, get, positive, table in template:
+                values = get(ext)
+                if table is None:
+                    kept.append((atoms[pred, values], positive))
+                elif (values[0] == values[1] if table is _EQUALITY
+                      else values in table) == positive:
+                    break  # statically satisfied
+            else:
+                if not kept:
+                    return None
+                clauses.append(kept)
         adds = {atoms[p, get(ext)] for p, get in self.adds}
         dels = {atoms[p, get(ext)] for p, get in self.dels}
         both = adds & dels
@@ -638,51 +671,6 @@ class _Schema:
             raise TypeMismatchError(
                 f"action {self.schema.name} adds and deletes {sorted(map(str, both))}")
         return self.schema.name, args, clauses, adds, dels
-
-    def _instantiate(self, ext: tuple[str, ...]) -> Optional[list[list[Literal]]]:
-        atoms = self.atoms
-        clauses = []
-        for template in self.clauses:
-            kept = []
-            for pred, get, positive, table in template:
-                args = get(ext)
-                if table is None:
-                    kept.append((atoms[pred, args], positive))
-                elif (args[0] == args[1] if table is _EQUALITY
-                      else args in table) == positive:
-                    break  # statically satisfied
-            else:
-                if not kept:
-                    return None
-                clauses.append(kept)
-        return clauses
-
-    def _normalize(self, args: tuple[str, ...]) -> Optional[list[list[Literal]]]:
-        """Per-binding normalization, one conjunct at a time (the CNF of a
-        conjunction is its conjuncts' CNFs in order)."""
-        grounder = self.grounder
-        binding = dict(zip(self.params, args))
-        clauses = []
-        for conjunct in self.conjuncts:
-            part = _substitute(conjunct, binding)
-            cnf = grounder.forall_clauses(part) if isinstance(part, Forall) else None
-            if cnf is None:
-                cnf = normalize_ground(part, grounder.universe)
-                if cnf is None:
-                    return None
-            for clause in cnf:
-                kept = []
-                for atom, positive in clause:
-                    if atom.predicate not in grounder.static_preds:
-                        kept.append((atom, positive))
-                    elif (atom.args in grounder.static_sets.get(atom.predicate, ())
-                          ) == positive:
-                        break  # statically satisfied
-                else:
-                    if not kept:
-                        return None
-                    clauses.append(kept)
-        return clauses
 
 
 class _Worklist:

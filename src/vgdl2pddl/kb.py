@@ -38,7 +38,7 @@ from .errors import (
 )
 from . import ground as G
 from . import pddl
-from .pddl import Action, Atom, Domain, Predicate, Problem
+from .pddl import Action, Domain, Predicate, Problem
 
 _PLACEHOLDER_RE = re.compile(r"<([A-Z][A-Z0-9_]*)>")
 
@@ -83,12 +83,11 @@ class TemplateSet:
     directions: tuple[str, ...]  # the directions blocks may be instantiated for
     predicates: Section
     actions: Section
-    init_facts: Section
 
     def text(self) -> str:
         """Every fragment, per-direction ones written once."""
         fragments: list[str] = []
-        for item in self.predicates + self.actions + self.init_facts:
+        for item in self.predicates + self.actions:
             fragments.extend((item,) if isinstance(item, str) else item)
         return "\n".join(fragments)
 
@@ -100,7 +99,6 @@ class TemplateSet:
 class Instantiated:
     predicates: tuple[Predicate, ...]
     actions: tuple[Action, ...]
-    init_facts: tuple[Atom, ...]
 
 
 def _split_fragments(body: str) -> list[str]:
@@ -159,10 +157,9 @@ def _parse_template(text: str, source: str) -> TemplateSet:
 
 def _parse_sections(fragments: list[str], source: str,
                     per_direction: bool = False) -> dict[str, list]:
-    """Sort fragments into predicates/actions/init_facts; a per-direction
-    block becomes one nested tuple in each section it contributes to."""
-    sections: dict[str, list] = {"predicates": [], "actions": [],
-                                  "init_facts": []}
+    """Sort fragments into predicates/actions; a per-direction block becomes
+    one nested tuple in each section it contributes to."""
+    sections: dict[str, list] = {"predicates": [], "actions": []}
     for fragment in fragments:
         head = fragment[1:].split(None, 1)[0] if fragment[1:].split() else ""
         inner = fragment[len(head) + 1:-1]
@@ -170,8 +167,6 @@ def _parse_sections(fragments: list[str], source: str,
             sections["predicates"].extend(_split_fragments(inner))
         elif head == ":action":
             sections["actions"].append(fragment)
-        elif head == ":init":
-            sections["init_facts"].extend(_split_fragments(inner))
         elif head == ":per-direction" and not per_direction:
             block = _parse_sections(_split_fragments(inner), source, True)
             for key, items in block.items():
@@ -274,9 +269,7 @@ class KnowledgeBase:
             action = pddl.parse_fragment_action(sub(frag))
             actions.append(Action(action.name.upper(), action.params,
                                   action.precondition, action.effect))
-        init_facts = [pddl.parse_fragment_atom(sub(f))
-                      for f in _expand(ts.init_facts, rows)]
-        return Instantiated(tuple(predicates), tuple(actions), tuple(init_facts))
+        return Instantiated(tuple(predicates), tuple(actions))
 
 
 # -- per-template micro checks ---------------------------------------------------

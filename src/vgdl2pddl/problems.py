@@ -272,10 +272,10 @@ def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
         if inst.sprite in statics:
             by_sprite.setdefault(inst.sprite, []).append(("", inst))
     for sprite_name, schemata in config.correspondence:
+        formulas = [parse_fragment_formula(schema) for schema in schemata]
+        assert all(isinstance(f, Atom) for f in formulas)
         for obj_name, inst in by_sprite.get(sprite_name, []):
-            for schema in schemata:
-                formula = parse_fragment_formula(schema)
-                assert isinstance(formula, Atom)
+            for formula in formulas:
                 args = tuple(
                     f"n{inst.x}" if a == "?x" else
                     f"n{inst.y}" if a == "?y" else
@@ -295,7 +295,7 @@ def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
     for resource in game.resources:
         init.append(Atom(f"got-resource-{resource}",
                          (f"n{resources.get(resource, 0)}",)))
-    if game.has_timeout:
+    if game.timeout_limit is not None:
         init.append(Atom("turn", (f"n{turn}",)))
     init.append(Atom("turn-avatar"))
     for i in range(count - 1):

@@ -1,4 +1,5 @@
 """Grounding and STRIPS-semantics tests, cross-checked against a naive oracle."""
+import itertools
 import random
 from dataclasses import replace
 
@@ -478,6 +479,29 @@ SETTLE = """
 """
 
 
+# a forall joined on is-wall whose equality names the schema parameter: the
+# join must leave (= ?o ?q) to each binding, where it holds for GUARD b2 on
+# the instance ?o = b2 (b2 stands on the wall at (n2, n0))
+GUARD = """
+  (:action GUARD
+    :parameters (?q - boulder)
+    :precondition
+      (forall (?o - Object ?x ?y - num)
+        (or (= ?o ?q) (not (is-wall ?x ?y)) (not (at ?x ?y ?o))))
+    :effect (not (turn-boulder-move))
+  )
+"""
+
+# an equality under a conjunction under a disjunction
+NESTED = """
+  (:action NESTED
+    :parameters (?p ?q - boulder)
+    :precondition (or (and (= ?p ?q) (boulder-moved ?p)) (turn-boulder-move))
+    :effect (not (turn-boulder-move))
+  )
+"""
+
+
 def _case(case):
     """(domain, problem) of a named grounding case."""
     if case == "push":
@@ -486,6 +510,8 @@ def _case(case):
         walls = "(is-wall n2 n1)\n    (is-wall n2 n0)\n    (is-wall n0 n0)"
         return (read_domain(_with_action(SETTLE)),
                 read_problem(PUSH_PROBLEM.replace("(is-wall n0 n0)", walls)))
+    if case == "push-guard":
+        return read_domain(_with_action(GUARD)), _case("push-walls")[1]
     if case == "open-sokoban-12":
         game = compile_game(load_game("sokoban"))
         grid = parse_ldf(_open_sokoban(12), game.model)
@@ -513,7 +539,8 @@ class TestReferenceEquality:
 
     @pytest.mark.parametrize("case", [f"{g}-{i}" for g in SHIPPED for i in (0, 1)]
                              + sorted(TOY_LEVELS)
-                             + ["push", "push-walls", "open-sokoban-12"])
+                             + ["push", "push-walls", "push-guard",
+                                "open-sokoban-12"])
     def test_simplified_tasks_equal(self, case):
         domain, problem = _case(case)
         task = ground(domain, problem)
@@ -528,3 +555,37 @@ class TestReferenceEquality:
         expected, ever_true = without_never_true(reference_simplify(reference))
         assert literal_view(task) == literal_view(expected)
         assert set(task.facts) == ever_true == reached
+
+    def test_nested_equality_keeps_applicability(self):
+        """An equality under a conjunction under a disjunction is folded
+        after the CNF: NESTED b1 b2 keeps the clause (boulder-moved b1) or
+        (turn-boulder-move), which the unit clause (turn-boulder-move)
+        implies and the reference folds away. Both groundings make the same
+        NESTED actions applicable in every state over the atoms they
+        mention."""
+        domain = read_domain(_with_action(NESTED))
+        problem = read_problem(PUSH_PROBLEM)
+        task = ground(domain, problem)
+        reference = reference_simplify(reference_ground(domain, problem))
+        pairs = [(a, reference.action(a.name, a.args))
+                 for a in task.actions if a.name == "NESTED"]
+        assert len(pairs) == 4 and all(ref is not None for _, ref in pairs)
+
+        def mentioned(t, a):
+            mask = a.pos_pre | a.neg_pre
+            for pos_mask, neg_mask in a.clauses:
+                mask |= pos_mask | neg_mask
+            return t.state_atoms(mask)
+
+        atoms = sorted(set().union(*(mentioned(task, a) | mentioned(reference, r)
+                                     for a, r in pairs)), key=str)
+        assert len(atoms) <= 4
+
+        def state(t, true):
+            return sum(1 << t.fact_id[f] for f in true if f in t.fact_id)
+
+        for bits in itertools.product((False, True), repeat=len(atoms)):
+            true = [f for f, b in zip(atoms, bits) if b]
+            for a, ref in pairs:
+                assert (applicable(state(task, true), a)
+                        == applicable(state(reference, true), ref)), (a, true)

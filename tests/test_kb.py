@@ -123,6 +123,15 @@ class TestInstantiate:
         with pytest.raises(TemplateFormatError):
             KnowledgeBase(tmp_path)
 
+    def test_init_block_rejected(self, tmp_path):
+        """Init facts belong to the problem generator, not to templates."""
+        (tmp_path / "bad.tmpl").write_text(
+            "id: sprite_bad\nkind: SpriteBehaviour\nplaceholders: T\n---\n"
+            "(:predicates (got-resource-<T> ?n - num))\n"
+            "(:init (got-resource-<T> n0))\n")
+        with pytest.raises(TemplateFormatError):
+            KnowledgeBase(tmp_path)
+
     def test_no_placeholder_tokens_survive(self, kb):
         for ts in kb.templates.values():
             binding = {p: f"xx{p.lower()}" for p in ts.placeholders}
@@ -130,8 +139,7 @@ class TestInstantiate:
             rendered = " ".join(
                 [format_formula(a.precondition) + format_formula(a.effect)
                  + a.name for a in inst.actions]
-                + [p.name for p in inst.predicates]
-                + [str(f) for f in inst.init_facts])
+                + [p.name for p in inst.predicates])
             assert not re.search(r"<[A-Z][A-Z0-9_]*>", rendered), ts.template_id
 
     def test_instantiation_injective_on_bindings(self, kb):
