@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps program functions by name: every hook it
-names must exist, so a rename or removal fails here, not in a benchmark run."""
+names must exist, so a rename or removal fails here, not in a benchmark run.
+Likewise a workload pass calls the program's API directly, so one checked
+pass runs here."""
 import importlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,3 +52,18 @@ def test_solve_calls_the_traced_simplify_hook(bench):
         tracer.restore()
     assert result.plan
     assert tracer.notes["ground.simplify"]
+
+
+def test_sokoban_ladder_checked_pass(bench, tmp_path):
+    """One checked `sokoban-ladder` pass: `generate_problem` on a grid,
+    `ground`, `solve`, `planner.validate` and the engine replay through
+    `engine.load` and `agent.engine_action` must all still work as the
+    benchmark calls them.  No timing is asserted."""
+    _, _, prog = bench
+    workloads = importlib.import_module("workloads")
+    ladder = workloads.SokobanLadder()
+    ladder.setup(prog, seed=1)
+    result = ladder.run_pass(prog, tmp_path, check=True)
+    assert result.failures == []
+    assert result.attempted == 6
+    assert result.plan_len_sum == 188

@@ -1,11 +1,15 @@
 """Configuration-file and problem-generation tests against the golden
 Sokoban correspondence example."""
+import hashlib
+
 import pytest
 import yaml
 
+from vgdl2pddl.bench import static_reduction
 from vgdl2pddl.compiler import compile_game
-from vgdl2pddl.errors import MultipleAvatarsError, NoAvatarError
-from vgdl2pddl.games import load_game, load_level
+from vgdl2pddl.engine import load
+from vgdl2pddl.errors import GdfError, MultipleAvatarsError, NoAvatarError
+from vgdl2pddl.games import available_games, level_paths, load_game, load_level
 from vgdl2pddl.pddl import Atom, format_formula, print_problem, read_problem
 from vgdl2pddl.problems import (
     config_from_text,
@@ -124,6 +128,17 @@ class TestValidationErrors:
         with pytest.raises(MultipleAvatarsError):
             generate_problem(grid, sokoban)
 
+    def test_abstract_sprite_in_level(self):
+        # `missile` has children, so a level may not place it directly
+        gdf = ALIENS_GDF.replace(
+            "r  <  rock", "r  <  rock\n                m  <  missile")
+        game = compile_game(parse_gdf(gdf, name="aliens"))
+        grid = parse_ldf("a  \n m \n p ", game.model)
+        with pytest.raises(GdfError, match="level instantiates abstract sprite"):
+            generate_problem(grid, game)
+        with pytest.raises(GdfError, match="level instantiates abstract sprite"):
+            load(game.model, grid)
+
 
 class TestSpecialFacts:
     def test_keymaze_geq_facts(self):
@@ -171,3 +186,37 @@ class TestSpecialFacts:
                          game.model)
         with pytest.warns(UserWarning):
             generate_problem(grid, game)
+
+
+# (game, level) -> (sha256 of the printed problem generated from the level
+# file, bench.static_reduction of the level)
+PROBLEM_PINS = {
+    ("aliens", 0): ("985637da589358b0a5a2467d350065144f124f371804406f8e4193bf47067447", 0.0),
+    ("aliens", 1): ("9a2d220795efbf0f50e0094e7deec20b4e8965beabf3d4b229b8a4c78013ee86", 0.0),
+    ("digger", 0): ("618d453a53ed96e1b2ddaa9e0e315f7660be05c9438f82c8b31f664f38d7c99a", 70.58823529411765),
+    ("digger", 1): ("ec05fa98841e90fc51e39a7d227a39e9a88d78a4d3c5b745e171d5d567d1735b", 64.86486486486487),
+    ("keymaze", 0): ("ca4f183ba885b49d1e657df16428cedd4b06b2d402428dfbc161a4176a67aee5", 91.17647058823529),
+    ("keymaze", 1): ("7953e02753f74f6255187a5513ce45c4fae80853a5af4496879a32a93eb92f9a", 88.46153846153847),
+    ("rain", 0): ("a983fc033097fee062fb95087c0c9fd9ca55132e4268f44e008022310a9dbcbf", 75.0),
+    ("rain", 1): ("6af56ee6afda60bd709c6fcb9922040621620bf32c46762c128dfff5ac209608", 69.23076923076923),
+    ("sokoban", 0): ("243aa2eb38d7ffc4dd1661463a1a883f4cdd1e7af036fbd1e5a6e7e8ef39251e", 84.21052631578948),
+    ("sokoban", 1): ("9cfca17ef23bbb25bb81874ba7fe52d08d38cb1cdba4787139b242d9d1a97543", 82.75862068965517),
+    ("zenpuzzle", 0): ("f6dc12182106e010422e382691618a03aec11079fe57d6c9fe26b6f70b573a2c", 61.111111111111114),
+    ("zenpuzzle", 1): ("0041993c99e115818b009dddb77c54da4db741caec5277f4f894f0eb361723f3", 72.0),
+}
+
+
+class TestPrintProblemStability:
+    def test_every_shipped_level_is_pinned(self):
+        assert {(name, index) for name in available_games()
+                for index in range(len(level_paths(name)))} == set(PROBLEM_PINS)
+
+    @pytest.mark.parametrize("name,index", sorted(PROBLEM_PINS))
+    def test_print_problem_unchanged(self, name, index):
+        game = compile_game(load_game(name))
+        grid = load_level(name, index, game.model)
+        problem, _ = generate_problem(grid, game)
+        digest, reduction = PROBLEM_PINS[(name, index)]
+        text = print_problem(problem)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert static_reduction(game, grid) == reduction
