@@ -30,12 +30,13 @@ from typing import Optional
 import yaml
 
 from .compiler import CompiledGame, compile_game
+from .engine import load
 from .games import available_games, level_paths, load_game
 from .ground import ground
 from .pddl import Domain, print_domain, print_problem
 from .planner import Mode, SearchConfig, Status, external_solve, solve
 from .problems import generate_problem
-from .vgdl import SPRITE_TYPE_BY_NAME, parse_ldf
+from .vgdl import SPRITE_TYPE_BY_NAME, LevelGrid, parse_ldf
 
 TIME_CAP = 900.0
 
@@ -250,22 +251,13 @@ def _run_one(spec: PlannerSpec, game: CompiledGame, level_path: Path,
                   elapsed if solved else None, blind=spec.is_blind)
 
 
-def static_reduction(game: CompiledGame, grid) -> float:
+def static_reduction(game: CompiledGame, grid: LevelGrid) -> float:
     """Object-count saving of the is-<T> encoding vs an all-objects one."""
-    static_cells = 0
-    dynamic = 0
-    for x, y, char in grid.positions():
-        if char in (" ", "."):
-            continue
-        for sprite in game.model.level_mapping[char]:
-            if sprite in game.static_sprites:
-                static_cells += 1
-            else:
-                dynamic += 1
-    naive = static_cells + dynamic
-    if naive == 0:
+    placed = load(game.model, grid).live()
+    if not placed:
         return 0.0
-    return 100.0 * static_cells / naive
+    static = sum(1 for i in placed if i.sprite in game.static_sprites)
+    return 100.0 * static / len(placed)
 
 
 def run_suite(suite_dir: Optional[Path] = None,

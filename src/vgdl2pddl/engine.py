@@ -151,6 +151,9 @@ def _blocker_names(model: GameModel, sprite: str) -> frozenset[str]:
 # -- loading ------------------------------------------------------------------------
 
 def load(model: GameModel, grid: LevelGrid, seed: int = 0) -> GameState:
+    """A level's turn-0 state: one instance per sprite each cell's character
+    maps to, in row-major order.  The only reader of a level's cells; the
+    problem generator and `bench.static_reduction` go through it."""
     state = GameState(model, grid.width, grid.height, seed=seed)
     for x, y, char in grid.positions():
         if char in (" ", "."):
@@ -415,8 +418,10 @@ def _termination_phase(state: GameState) -> None:
 
 # -- LDF projection -----------------------------------------------------------------
 
-def to_ldf(state: GameState) -> LevelGrid:
-    """Project the live instances back onto a character grid."""
+def _project(state: GameState, uncovered: Optional[str]) -> list[str]:
+    """Project the live instances onto character rows.  A cell whose sprites
+    no level-mapping character covers becomes `uncovered`, or raises
+    CellConflictError when that is None."""
     by_cell: dict[tuple[int, int], list[str]] = {}
     for inst in state.live():
         by_cell.setdefault((inst.x, inst.y), []).append(inst.sprite)
@@ -425,16 +430,15 @@ def to_ldf(state: GameState) -> LevelGrid:
         row = []
         for x in range(state.width):
             sprites = sorted(by_cell.get((x, y), []))
-            if not sprites:
-                row.append(" ")
-                continue
-            char = _char_for(state.model, sprites)
+            char = _char_for(state.model, sprites) if sprites else " "
             if char is None:
-                raise CellConflictError(
-                    f"no level-mapping character covers {sprites} at ({x}, {y})")
+                if uncovered is None:
+                    raise CellConflictError(f"no level-mapping character "
+                                            f"covers {sprites} at ({x}, {y})")
+                char = uncovered
             row.append(char)
         rows.append("".join(row))
-    return LevelGrid(state.width, state.height, tuple(rows))
+    return rows
 
 
 def _char_for(model: GameModel, sprites: list[str]) -> Optional[str]:
@@ -444,20 +448,11 @@ def _char_for(model: GameModel, sprites: list[str]) -> Optional[str]:
     return None
 
 
+def to_ldf(state: GameState) -> LevelGrid:
+    """Project the live instances back onto a character grid."""
+    return LevelGrid(state.width, state.height, tuple(_project(state, None)))
+
+
 def render_ascii(state: GameState) -> str:
     """Grid snapshot for --render ascii; overlapping cells show '?'."""
-    by_cell: dict[tuple[int, int], list[str]] = {}
-    for inst in state.live():
-        by_cell.setdefault((inst.x, inst.y), []).append(inst.sprite)
-    rows = []
-    for y in range(state.height):
-        row = []
-        for x in range(state.width):
-            sprites = sorted(by_cell.get((x, y), []))
-            if not sprites:
-                row.append(" ")
-            else:
-                char = _char_for(state.model, sprites)
-                row.append(char if char is not None else "?")
-        rows.append("".join(row))
-    return "\n".join(rows)
+    return "\n".join(_project(state, "?"))

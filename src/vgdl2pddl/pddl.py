@@ -11,6 +11,8 @@ case-insensitively (IPC convention, see :func:`parse_plan`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import PddlSyntaxError, UnsupportedConstructError
@@ -206,9 +208,11 @@ def _atom_token(item) -> _Token:
     return item
 
 
-def _parse_typed_list(items) -> tuple[tuple[str, str], ...]:
-    """Parse `a b - t c - u d` style lists; untyped names get type Object."""
-    out: list[tuple[str, str]] = []
+def _parse_typed_list(items, untyped: Optional[str] = ROOT_TYPE
+                      ) -> tuple[tuple[str, Optional[str]], ...]:
+    """Parse `a b - t c - u d` style lists; names in the trailing group
+    without a type (`d`) get `untyped`."""
+    out: list[tuple[str, Optional[str]]] = []
     pending: list[str] = []
     i = 0
     while i < len(items):
@@ -226,7 +230,7 @@ def _parse_typed_list(items) -> tuple[tuple[str, str], ...]:
             pending.append(tok.text)
             i += 1
     for name in pending:
-        out.append((name, ROOT_TYPE))
+        out.append((name, untyped))
     return tuple(out)
 
 
@@ -315,9 +319,7 @@ def read_domain(text: str) -> Domain:
         if head == ":requirements":
             requirements = tuple(_atom_token(t).text for t in section[1:])
         elif head == ":types":
-            typed = _parse_typed_list(section[1:])
-            types = tuple((n, None if t == ROOT_TYPE and _untyped(section[1:], n)
-                           else t) for n, t in typed)
+            types = _parse_typed_list(section[1:], untyped=None)
         elif head == ":constants":
             constants = _parse_typed_list(section[1:])
         elif head == ":predicates":
@@ -331,19 +333,6 @@ def read_domain(text: str) -> Domain:
                                   line=head_tok.line, column=head_tok.column)
     return Domain(name, requirements, types, tuple(predicates), tuple(actions),
                   constants)
-
-
-def _untyped(items, name: str) -> bool:
-    """True if `name` appears in a trailing group with no '- parent'."""
-    # walk the raw token list: names after the last '-'-terminated group
-    last_dash = -1
-    for i, item in enumerate(items):
-        if not isinstance(item, list) and item.text == "-":
-            last_dash = i + 1
-    for item in items[last_dash + 1:]:
-        if not isinstance(item, list) and item.text == name:
-            return True
-    return False
 
 
 def read_problem(text: str) -> Problem:
@@ -425,22 +414,14 @@ def format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _format_typed(pairs: tuple[tuple[str, str], ...]) -> str:
-    """Format a typed list, grouping consecutive entries of the same type."""
-    chunks: list[str] = []
-    group: list[str] = []
-    group_type: Optional[str] = None
-    for name, typ in pairs:
-        if group_type is None or typ == group_type:
-            group.append(name)
-            group_type = typ
-        else:
-            chunks.append(f"{' '.join(group)} - {group_type}")
-            group = [name]
-            group_type = typ
-    if group:
-        chunks.append(f"{' '.join(group)} - {group_type}")
-    return " ".join(chunks)
+def _format_typed(pairs: tuple[tuple[str, Optional[str]], ...],
+                  sep: str = " ") -> str:
+    """Format a typed list, one `a b - t` group per run of consecutive
+    entries of the same type, groups joined by `sep`; a group of type None
+    (a root of `:types`) prints without `- t`."""
+    return sep.join(" ".join(name for name, _ in group)
+                    + ("" if typ is None else f" - {typ}")
+                    for typ, group in groupby(pairs, key=itemgetter(1)))
 
 
 def _format_block(f: Formula, indent: str) -> str:
@@ -457,28 +438,7 @@ def print_domain(domain: Domain) -> str:
         out.append(f"  (:requirements {' '.join(domain.requirements)})")
     if domain.types:
         out.append("  (:types")
-        # group consecutive same-parent entries, keep declaration order
-        group: list[str] = []
-        parent: Optional[str] = None
-        started = False
-
-        def flush():
-            if not group:
-                return
-            if parent is None:
-                out.append(f"    {' '.join(group)}")
-            else:
-                out.append(f"    {' '.join(group)} - {parent}")
-
-        for name, par in domain.types:
-            if started and par == parent:
-                group.append(name)
-            else:
-                flush()
-                group = [name]
-                parent = par
-                started = True
-        flush()
+        out.append("    " + _format_typed(domain.types, sep="\n    "))
         out.append("  )")
     if domain.constants:
         out.append(f"  (:constants {_format_typed(domain.constants)})")
@@ -504,19 +464,8 @@ def print_problem(problem: Problem) -> str:
     out = [f"(define (problem {problem.name})",
            f"  (:domain {problem.domain})"]
     out.append("  (:objects")
-    # one line per consecutive same-type group
-    group: list[str] = []
-    group_type: Optional[str] = None
-    for name, typ in problem.objects:
-        if group_type in (None, typ):
-            group.append(name)
-            group_type = typ
-        else:
-            out.append(f"    {' '.join(group)} - {group_type}")
-            group = [name]
-            group_type = typ
-    if group:
-        out.append(f"    {' '.join(group)} - {group_type}")
+    if problem.objects:
+        out.append("    " + _format_typed(problem.objects, sep="\n    "))
     out.append("  )")
     out.append("  (:init")
     for atom in problem.init:

@@ -19,9 +19,11 @@ indentation format:
     - goalPredicate: (forall (?o - box) (dead ?o))
       priority: 1
 
-Problem generation works from a level grid or from a live simulator state
-(replanning path).  Object naming is <sprite>_<x>_<y> from the cell at
-generation time; the single avatar instance is always named ``avatar``.
+Problem generation translates a live simulator state (replanning path); a
+level grid is first loaded as its turn-0 state with ``engine.load``, so one
+loader decides which sprites a level places where, facing which way.  Object
+naming is <sprite>_<x>_<y> from the cell at generation time; the single
+avatar instance is always named ``avatar``.
 Orientation, resource-counter, turn-counter, order (next), threshold (geq-*)
 and edge facts are owned by the generator, not the correspondence table.
 """
@@ -29,11 +31,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Union
+from functools import cached_property
+from typing import Iterable, Optional, Union
 
 import yaml
 
 from .compiler import CompiledGame, blockers_for
+from .engine import GameState, Instance, load
 from .errors import GdfError, MultipleAvatarsError, NoAvatarError
 from .pddl import (
     Atom,
@@ -43,12 +47,10 @@ from .pddl import (
     format_formula,
     parse_fragment_formula,
 )
-from .vgdl import GameModel, InteractionKind, LevelGrid, SpriteType
+from .vgdl import InteractionKind, LevelGrid, SpriteType
 
 ORIENTATION_PRED = {"UP": "oriented-up", "DOWN": "oriented-down",
                     "LEFT": "oriented-left", "RIGHT": "oriented-right"}
-
-DEFAULT_AVATAR_ORIENTATION = "DOWN"
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,15 @@ class ConfigGoal:
 
 @dataclass(frozen=True)
 class ConfigFile:
+    """The goal and the correspondence schemata are parsed on first use and
+    kept: the monitor generates a problem from one configuration on every
+    executed turn."""
+
     correspondence: tuple[tuple[str, tuple[str, ...]], ...]
     variables_types: tuple[tuple[str, str], ...]
     goals: tuple[ConfigGoal, ...]
 
+    @cached_property
     def active_goal(self) -> Formula:
         # only priority-1 goals are planned for; the rest are recorded
         for g in self.goals:
@@ -70,22 +77,15 @@ class ConfigFile:
                 return parse_fragment_formula(g.goal_predicate)
         raise GdfError("configuration lists no priority-1 goal")
 
-
-class InstanceLike(Protocol):
-    uid: int
-    sprite: str
-    x: int
-    y: int
-    orientation: Optional[str]
-
-
-class StateLike(Protocol):
-    turn: int
-    width: int
-    height: int
-    resources: dict[str, int]
-
-    def live(self) -> Iterable[InstanceLike]: ...
+    @cached_property
+    def schema_atoms(self) -> tuple[tuple[str, tuple[Atom, ...]], ...]:
+        """The correspondence with every schema parsed into an atom."""
+        parsed = tuple((name, tuple(parse_fragment_formula(schema)
+                                    for schema in schemata))
+                       for name, schemata in self.correspondence)
+        if not all(isinstance(f, Atom) for _, atoms in parsed for f in atoms):
+            raise GdfError("a correspondence schema is not an atom")
+        return parsed
 
 
 # -- configuration emission ---------------------------------------------------------
@@ -133,34 +133,7 @@ def config_from_text(text: str) -> ConfigFile:
     return ConfigFile(correspondence, variables, goals)
 
 
-# -- instance collection -------------------------------------------------------------
-
-@dataclass
-class _Inst:
-    sprite: str
-    x: int
-    y: int
-    orientation: Optional[str]
-    uid: Optional[int] = None
-
-
-def _instances_from_grid(grid: LevelGrid, model: GameModel) -> list[_Inst]:
-    out: list[_Inst] = []
-    for x, y, char in grid.positions():
-        if char in (" ", "."):
-            continue
-        for name in model.level_mapping[char]:
-            sprite = model.sprite(name)
-            if sprite.is_abstract:
-                raise GdfError(
-                    f"level instantiates abstract sprite {name!r}")
-            orientation = sprite.params.get("orientation")
-            if orientation is None and sprite.is_avatar:
-                orientation = DEFAULT_AVATAR_ORIENTATION
-            out.append(_Inst(name, x, y,
-                             orientation.upper() if orientation else None))
-    return out
-
+# -- problem generation ---------------------------------------------------------------
 
 def num_count(game: CompiledGame, width: int, height: int) -> int:
     needed = [width, height]
@@ -174,35 +147,28 @@ def num_count(game: CompiledGame, width: int, height: int) -> int:
     return max(needed)
 
 
-# -- problem generation ---------------------------------------------------------------
-
-def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
+def generate_problem(source: Union[LevelGrid, GameState], game: CompiledGame,
                      config: Optional[ConfigFile] = None,
                      binding: Optional[dict[int, str]] = None,
                      pool: Optional[tuple[Iterable[str], Iterable[str]]] = None,
                      ) -> tuple[Problem, dict[int, str]]:
-    """Translate a level grid or a live game state into a PDDL problem.
+    """Translate a live game state, or a level grid, into a PDDL problem.
 
-    Returns the problem and the instance-uid -> object-name binding used
-    (empty for grid input).  Passing a previous binding keeps object names
-    stable across replanning problems for the monitor's benefit.
+    A grid is loaded with ``engine.load`` and translated as that turn-0
+    state.  Returns the problem and the instance-uid -> object-name binding
+    used; for a grid, the uids are those of the loaded state.  Passing a
+    previous binding keeps object names stable across replanning problems
+    for the monitor's benefit.
 
     `pool` pins the projectile reserve to (names, consumed) from an earlier
     problem: the monitor must see the ammunition identities the running plan
     refers to, not a fresh recount.
     """
     config = config or emit_config(game)
-    if isinstance(source, LevelGrid):
-        instances = _instances_from_grid(source, game.model)
-        resources: dict[str, int] = {}
-        turn = 0
-        width, height = source.width, source.height
-    else:
-        instances = [_Inst(i.sprite, i.x, i.y, i.orientation, uid=i.uid)
-                     for i in source.live()]
-        resources = dict(source.resources)
-        turn = source.turn
-        width, height = source.width, source.height
+    state = load(game.model, source) if isinstance(source, LevelGrid) \
+        else source
+    instances = state.live()
+    width, height = state.width, state.height
 
     count = num_count(game, width, height)
     # A chain longer than a grid dimension lets the avatar plan into cells
@@ -225,23 +191,21 @@ def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
     binding = dict(binding) if binding else {}
     used = set(binding.values())
     statics = set(game.static_sprites)
-    names: list[tuple[str, _Inst]] = []
+    names: list[tuple[str, Instance]] = []
     for inst in instances:
         if inst.sprite in statics:
             continue  # statics become is-<T> facts, never objects
-        if inst.uid is not None and inst.uid in binding:
-            names.append((binding[inst.uid], inst))
-            continue
-        if inst.sprite == game.avatar.name:
-            name = "avatar"
-        else:
-            name = f"{inst.sprite}_{inst.x}_{inst.y}"
-            k = 2
-            while name in used:
-                name = f"{inst.sprite}_{inst.x}_{inst.y}_{k}"
-                k += 1
-        used.add(name)
-        if inst.uid is not None:
+        name = binding.get(inst.uid)
+        if name is None:
+            if inst.sprite == game.avatar.name:
+                name = "avatar"
+            else:
+                name = f"{inst.sprite}_{inst.x}_{inst.y}"
+                k = 2
+                while name in used:
+                    name = f"{inst.sprite}_{inst.x}_{inst.y}_{k}"
+                    k += 1
+            used.add(name)
             binding[inst.uid] = name
         names.append((name, inst))
 
@@ -265,15 +229,13 @@ def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
 
     # init facts -----------------------------------------------------------
     init: list[Atom] = []
-    by_sprite: dict[str, list[tuple[str, _Inst]]] = {}
+    by_sprite: dict[str, list[tuple[str, Instance]]] = {}
     for n, i in names:
         by_sprite.setdefault(i.sprite, []).append((n, i))
     for inst in instances:
         if inst.sprite in statics:
             by_sprite.setdefault(inst.sprite, []).append(("", inst))
-    for sprite_name, schemata in config.correspondence:
-        formulas = [parse_fragment_formula(schema) for schema in schemata]
-        assert all(isinstance(f, Atom) for f in formulas)
+    for sprite_name, formulas in config.schema_atoms:
         for obj_name, inst in by_sprite.get(sprite_name, []):
             for formula in formulas:
                 args = tuple(
@@ -294,9 +256,9 @@ def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
             init.append(Atom(ORIENTATION_PRED[orientation.upper()], (ammo,)))
     for resource in game.resources:
         init.append(Atom(f"got-resource-{resource}",
-                         (f"n{resources.get(resource, 0)}",)))
+                         (f"n{state.resources.get(resource, 0)}",)))
     if game.timeout_limit is not None:
-        init.append(Atom("turn", (f"n{turn}",)))
+        init.append(Atom("turn", (f"n{state.turn}",)))
     init.append(Atom("turn-avatar"))
     for i in range(count - 1):
         init.append(Atom("next", (f"n{i}", f"n{i + 1}")))
@@ -315,7 +277,7 @@ def generate_problem(source: Union[LevelGrid, StateLike], game: CompiledGame,
 
     # plans must close their final turn (traces end on END-TURN-SPRITES), so
     # the objective only counts once the avatar phase reopens
-    goal = conj(config.active_goal(), Atom("turn-avatar"))
+    goal = conj(config.active_goal, Atom("turn-avatar"))
     name = game.model.name.capitalize()
     problem = Problem(
         name=f"{name}Problem",
@@ -332,7 +294,7 @@ def _wants_orientation(game: CompiledGame, sprite: str) -> bool:
     return s.is_avatar or s.vgdl_type is SpriteType.MISSILE
 
 
-def _fenced(game: CompiledGame, instances: list[_Inst],
+def _fenced(game: CompiledGame, instances: list[Instance],
             width: int, height: int) -> bool:
     """True when avatar-blocking sprites occupy every border cell."""
     blockers = blockers_for(game.model, game.avatar.name, game.static_sprites)
@@ -349,7 +311,7 @@ def _fenced(game: CompiledGame, instances: list[_Inst],
     return True
 
 
-def _pool_size(game: CompiledGame, instances: list[_Inst]) -> int:
+def _pool_size(game: CompiledGame, instances: list[Instance]) -> int:
     """Reserve as many projectiles as there are live targets they can kill."""
     targets = 0
     for inter in game.model.interactions:

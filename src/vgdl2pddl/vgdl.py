@@ -35,9 +35,6 @@ SECTION_NAMES = ("SpriteSet", "LevelMapping", "InteractionSet", "TerminationSet"
 
 TAB_SIZE = 4
 
-# Parameters that only matter for rendering; parsed and kept, never consulted.
-VISUAL_PARAMS = frozenset({"img", "color", "shrinkfactor", "autotiling", "frameRate"})
-
 
 class SpriteType(Enum):
     IMMOVABLE = "Immovable"
@@ -74,9 +71,6 @@ INTERACTION_KIND_BY_NAME = {k.value: k for k in InteractionKind}
 class TerminationKind(Enum):
     SPRITE_COUNTER = "SpriteCounter"
     TIMEOUT = "Timeout"
-
-
-ORIENTATIONS = ("UP", "DOWN", "LEFT", "RIGHT")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ from vgdl2pddl.engine import (
     step,
     to_ldf,
 )
-from vgdl2pddl.errors import DanglingReferenceError, IllegalActionError
+from vgdl2pddl.errors import (
+    CellConflictError,
+    DanglingReferenceError,
+    IllegalActionError,
+)
 from vgdl2pddl.games import load_game, load_level
 from vgdl2pddl.pddl import print_problem
 from vgdl2pddl.problems import generate_problem
@@ -257,6 +261,15 @@ class TestLdfRoundTrip:
         model, state = make("sokoban", "wwwww\nw Abw\nw h w\nwwwww")
         step(state, AvatarAction.RIGHT)  # avatar onto box; push blocked by wall
         assert "?" not in render_ascii(state)
+
+    def test_uncovered_cell(self):
+        # no level-mapping character stands for an avatar on a box
+        model, state = make("sokoban", "Ab")
+        state.spawn("box", 0, 0, None)
+        assert render_ascii(state) == "?b"
+        with pytest.raises(CellConflictError,
+                           match=r"\['avatar', 'box'\] at \(0, 0\)"):
+            to_ldf(state)
 
 
 class TestStateProblems:

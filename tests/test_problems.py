@@ -65,6 +65,13 @@ class TestConfig:
         assert dict(config.correspondence).keys() == {
             "player", "alien", "bullet", "rock"}
 
+    def test_non_atom_schema_rejected(self, sokoban):
+        text = config_to_text(emit_config(sokoban)).replace(
+            "(is-wall ?x ?y)", "(not (is-wall ?x ?y))")
+        grid = load_level("sokoban", 0, sokoban.model)
+        with pytest.raises(GdfError, match="not an atom"):
+            generate_problem(grid, sokoban, config_from_text(text))
+
 
 class TestSokobanProblem:
     def test_table_facts(self, sokoban_problem):
