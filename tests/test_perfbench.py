@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps program functions by name: every hook it
 names must exist, so a rename or removal fails here, not in a benchmark run.
 Likewise a workload pass calls the program's API directly, so one checked
-pass runs here."""
+pass of the `sokoban-ladder` and the `shipped` workloads runs here."""
 import importlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -67,3 +67,18 @@ def test_sokoban_ladder_checked_pass(bench, tmp_path):
     assert result.failures == []
     assert result.attempted == 6
     assert result.plan_len_sum == 188
+
+
+def test_shipped_checked_pass(bench, tmp_path):
+    """One checked `shipped` pass: `bench.run_suite`, `bench.read_results` and
+    the `bench.generate_problem` hook that the workload patches must still
+    work as the benchmark calls them, and every blind-BFS plan must have its
+    frozen optimal length.  No timing is asserted."""
+    _, _, prog = bench
+    workloads = importlib.import_module("workloads")
+    shipped = workloads.Shipped()
+    shipped.setup(prog, seed=1)
+    result = shipped.run_pass(prog, tmp_path, check=True)
+    assert result.failures == []
+    assert result.attempted == 24
+    assert result.plan_len_sum == 1340

@@ -374,8 +374,10 @@ class TestHAddOracle:
         assert_same_hadd(unreachable, states)
 
 
-# (sha256 of repr(plan.steps), expanded, generated), frozen before h_add
-# gained its early stop: the exact heuristic must not move the search.
+# (sha256 of repr(plan.steps), expanded, generated).  The GBFS and A* entries
+# were frozen before h_add gained its early stop: the exact heuristic must not
+# move the search.  The BlindBFS entries were frozen before successor
+# generation was indexed: the index must not move the oracle's search.
 SEARCH_PINS = {
     ("GBFS_hadd", "aliens", 0): (
         "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
@@ -419,13 +421,51 @@ SEARCH_PINS = {
     ("AStar_hadd", "sokoban", 1): (
         "b23c94279c5b5835d63ad8ad2104db51568c8fe87c335f102acf247353bc5a3b",
         108, 153),
+    ("BlindBFS", "aliens", 0): (
+        "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
+        8924, 8985),
+    ("BlindBFS", "aliens", 1): (
+        "d381a364e8af07194ff5baa8f81dc3af0c640196282877cf07245b2bb65685dd",
+        160646, 161865),
+    ("BlindBFS", "digger", 0): (
+        "d7e0d86dd37da3352907ba56ec615b9782427e9c891c1775a0f661c34481032a",
+        5788, 6117),
+    ("BlindBFS", "digger", 1): (
+        "88263522abd50faf76ec8e8e529affa945f78c59732212f8a55e565680c33016",
+        17011, 18021),
+    ("BlindBFS", "keymaze", 0): (
+        "f92f73fdd0d85ab63caee6e4794246b3642345eb91d18f3bdc5c8b111001afa4",
+        147, 151),
+    ("BlindBFS", "keymaze", 1): (
+        "5a5512becfafffd9b94b055521a131a2f7b4d95401f49c323d086f1301a5d8a4",
+        54, 58),
+    ("BlindBFS", "rain", 0): (
+        "fa5079152be46be9ca0cd4cfb8293e6553a28781df20b03d8a3dcf6fff0910e9",
+        12719, 12848),
+    ("BlindBFS", "rain", 1): (
+        "bf6f585a2431c2a4f4d512ac41feb8aa26e3ed157d85f020a2729ee23cc3f428",
+        30685, 30763),
+    ("BlindBFS", "sokoban", 0): (
+        "fc4692ce9e871164ac766dfd94fc53ad01d4e72dcce6649d14fbb14d9060c08d",
+        140, 162),
+    ("BlindBFS", "sokoban", 1): (
+        "b23c94279c5b5835d63ad8ad2104db51568c8fe87c335f102acf247353bc5a3b",
+        1318, 1563),
+    ("BlindBFS", "zenpuzzle", 0): (
+        "af37161c53ee0a7988d70a8cab7576fbedf20071b7a373367670b648d95b6301",
+        68682, 71739),
+    ("BlindBFS", "zenpuzzle", 1): (
+        "9678d5a1b8119a98a80b4fc9931804eb8a1b809490df68c4717311c72f6df23a",
+        187, 205),
 }
 
 
 class TestSearchStability:
     def test_every_shipped_level_is_pinned(self):
-        assert {(name, i) for name in available_games() for i in (0, 1)} == {
-            (name, i) for mode, name, i in SEARCH_PINS if mode == "GBFS_hadd"}
+        levels = {(name, i) for name in available_games() for i in (0, 1)}
+        for pinned_mode in ("GBFS_hadd", "BlindBFS"):
+            assert levels == {(name, i) for mode, name, i in SEARCH_PINS
+                              if mode == pinned_mode}
 
     @pytest.mark.parametrize("mode,name,index", sorted(SEARCH_PINS))
     def test_plan_and_counts_unchanged(self, mode, name, index):
@@ -435,7 +475,94 @@ class TestSearchStability:
         stats = result.stats
         assert (digest, stats.expanded, stats.generated) == \
             SEARCH_PINS[(mode, name, index)]
-        assert stats.evaluated == stats.generated + 1
+        if mode == "BlindBFS":
+            assert stats.evaluated == 0
+        else:
+            assert stats.evaluated == stats.generated + 1
+
+
+def bfs_states(task, monkeypatch):
+    """(search task, every state blind BFS expands) for one BFS run."""
+    seen = {}
+
+    class Recording(planner._Successors):
+        def __init__(self, search_task):
+            super().__init__(search_task)
+            seen["task"] = search_task
+            seen["states"] = []
+
+        def applicable(self, state):
+            seen["states"].append(state)
+            return super().applicable(state)
+
+    with monkeypatch.context() as m:
+        m.setattr(planner, "_Successors", Recording)
+        result = solve(task, SearchConfig(mode=Mode.BLIND_BFS, time_limit=120))
+    assert result.status is Status.SOLVED
+    assert len(seen["states"]) == result.stats.expanded
+    return seen["task"], seen["states"]
+
+
+def assert_same_successors(task, states):
+    """The successor generator yields exactly the applicable actions, in
+    grounding order.  Grounding order is the generator's order whenever the
+    actions applicable in one state come in gate-bucket order, as they do in
+    a compiled task, where one phase is active at a time."""
+    successors = planner._Successors(task)
+    yielded = 0
+    for state in states:
+        got = list(successors.applicable(state))
+        assert got == [a for a in task.actions if applicable(state, a)]
+        yielded += len(got)
+    return yielded
+
+
+class TestSuccessors:
+    @pytest.mark.parametrize("name,index", [
+        ("sokoban", 0), ("sokoban", 1), ("keymaze", 0), ("keymaze", 1),
+        ("digger", 0), ("rain", 0), ("aliens", 0), ("zenpuzzle", 1),
+    ])
+    def test_equals_applicable_scan_on_bfs_states(self, name, index,
+                                                  monkeypatch):
+        task, states = bfs_states(level_task(name, index), monkeypatch)
+        assert assert_same_successors(task, states) > 0
+
+    def test_task_variants(self, monkeypatch):
+        task, states = bfs_states(level_task("sokoban", 1), monkeypatch)
+        gate = {atom.predicate: 1 << i for atom, i in task.fact_id.items()
+                if not atom.args}
+        names = [a.name for a in task.actions]
+
+        def variant(i, **changes):
+            actions = list(task.actions)
+            actions[i] = dataclasses.replace(actions[i], **changes)
+            return actions
+
+        def yields(actions, action):
+            varied = dataclasses.replace(task, actions=tuple(actions))
+            assert assert_same_successors(varied, states) > 0
+            return any(applicable(s, action) for s in states)
+
+        # an action whose only positive precondition is its gate, between
+        # actions of its bucket that do have other positive preconditions
+        push = names.index("BOX_AVATAR_BOUNCEFORWARD_DOWN")
+        actions = variant(push, pos_pre=gate["turn-interactions"])
+        assert yields(actions, actions[push])
+        # an action with no positive precondition at all; the always-scanned
+        # group comes last, so it is last in grounding order too
+        nil = names.index("AVATAR_ACTION_NIL")
+        actions = variant(nil, pos_pre=0)
+        actions.append(actions.pop(nil))
+        assert yields(actions, actions[-1])
+        # an action with two gate facts, like END-TURN-SPRITES: the first
+        # interaction gains the gate that holds while interactions run
+        first = names.index("BOX_AVATAR_BOUNCEFORWARD_UP")
+        assert not any(a.pos_pre & gate["turn-interactions"]
+                       for a in task.actions[:first])
+        actions = variant(first, pos_pre=task.actions[first].pos_pre
+                          | gate["finished-turn-avatar"])
+        assert (actions[first].pos_pre & sum(gate.values())).bit_count() == 2
+        assert yields(actions, actions[first])
 
 
 class TestValidate:
