@@ -87,10 +87,10 @@ class GameState:
         self.status = GameStatus.ONGOING
         self.seed = seed
         self._uid = 0
-        self._streams = {name: random.Random(f"{seed}:{name}")
-                         for name in ("bomber", "npc")}
-        self._blockers = {s.name: _blocker_names(model, s.name)
-                          for s in model.concrete_sprites()}
+        # built on first use: loading a level for problem generation reads
+        # neither
+        self._streams: dict[str, random.Random] = {}
+        self._blockers: dict[str, frozenset[str]] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -128,8 +128,18 @@ class GameState:
     def blocked(self, sprite: str, x: int, y: int) -> bool:
         if not self.in_bounds(x, y):
             return True
-        blockers = self._blockers.get(sprite, frozenset())
+        blockers = self._blockers.get(sprite)
+        if blockers is None:
+            blockers = self._blockers[sprite] = _blocker_names(self.model,
+                                                               sprite)
         return any(i.sprite in blockers for i in self.live_at(x, y))
+
+    def stream(self, name: str) -> random.Random:
+        """The named random stream, seeded with the episode seed."""
+        rng = self._streams.get(name)
+        if rng is None:
+            rng = self._streams[name] = random.Random(f"{self.seed}:{name}")
+        return rng
 
     def fingerprint(self) -> tuple:
         placed = tuple(sorted((i.sprite, i.x, i.y, i.orientation)
@@ -139,6 +149,8 @@ class GameState:
 
 
 def _blocker_names(model: GameModel, sprite: str) -> frozenset[str]:
+    if model.sprite(sprite).is_abstract:
+        return frozenset()  # an instance of an abstract stype blocks on nothing
     names: set[str] = set()
     for i in model.interactions:
         if i.kind is InteractionKind.STEP_BACK \
@@ -373,7 +385,7 @@ def _move_missile(state: GameState, inst: Instance, events: list[Event]) -> None
 def _bomber_shoot(state: GameState, inst: Instance, events: list[Event]) -> None:
     sprite = state.model.sprite(inst.sprite)
     prob = float(sprite.params.get("prob", DEFAULT_BOMBER_PROB))
-    if state._streams["bomber"].random() >= prob:
+    if state.stream("bomber").random() >= prob:
         return
     stype = sprite.params.get("stype")
     if stype is None or not state.model.has_sprite(stype):
@@ -391,7 +403,7 @@ def _bomber_shoot(state: GameState, inst: Instance, events: list[Event]) -> None
 
 
 def _npc_walk(state: GameState, inst: Instance, events: list[Event]) -> None:
-    direction = state._streams["npc"].choice(("UP", "DOWN", "LEFT", "RIGHT"))
+    direction = state.stream("npc").choice(("UP", "DOWN", "LEFT", "RIGHT"))
     inst.orientation = direction
     dx, dy = DIR_DELTAS[direction]
     nx, ny = inst.x + dx, inst.y + dy

@@ -12,14 +12,20 @@ Search is deterministic given (task, seed): actions are tried in grounding
 order and heap ties break on insertion-order XOR seed.  Compiled tasks gate
 almost every action behind a phase fact (turn-avatar, turn-interactions,
 turn-<T>-move, ...), so successor generation buckets actions by gate and only
-scans the buckets active in the current state.
+looks at the buckets active in the current state.  Inside a bucket it files
+each action under one key fact, the positive precondition (besides the gate)
+that the fewest actions of the bucket share, as in Fast Downward's successor
+generator (Helmert, JAIR 2006): a state's candidates are the actions filed
+under its true facts plus those with no key.  Every candidate gets the full
+applicability test, and candidates are tried in grounding order, so the
+index yields exactly what a scan of the active buckets would.
 """
 from __future__ import annotations
 
 import subprocess
 import tempfile
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -84,11 +90,22 @@ class PlanResult:
 # -- successor generation -----------------------------------------------------------
 
 class _Successors:
-    """Bucket actions by their phase-gate fact for cheap expansion.
+    """Index actions by their phase gate, then by one key fact, so that
+    expansion tests only the actions that might apply.
 
     The gates are the argument-free ``turn-*`` and ``finished-turn-*`` facts;
     an action's gate is the lowest-numbered gate among its positive
-    preconditions, and actions with none are always scanned, last.
+    preconditions, and actions with none form an always-active group, last.
+    Inside a group each action is filed under its key fact: the positive
+    precondition, other than the group's gate, that the fewest actions of
+    the group require, ties to the lowest fact.  An action with no such fact
+    is unkeyed and a candidate whenever its group is active.
+
+    ``applicable`` takes the active groups in gate order; a group's
+    candidates are its unkeyed actions plus those filed under the key facts
+    true in the state, taken in grounding order and fully tested.  So it
+    yields exactly what a scan of every action of the active groups would,
+    in the same order.
     """
 
     def __init__(self, task: GroundedTask):
@@ -97,23 +114,46 @@ class _Successors:
             if not atom.args and atom.predicate.startswith(
                     ("turn-", "finished-turn-")):
                 gate_mask |= 1 << i
-        buckets: dict[int, list[GroundAction]] = {}
-        always: list[GroundAction] = []
-        for action in task.actions:
+        buckets: dict[int, list[int]] = {}
+        for i, action in enumerate(task.actions):
             gates = action.pos_pre & gate_mask
-            if gates:
-                buckets.setdefault(gates & -gates, []).append(action)
+            buckets.setdefault(gates & -gates, []).append(i)
+        self.actions = task.actions
+        # (gate bit, unkeyed, key mask, key bit -> actions) in gate order,
+        # actions as indices into task.actions; 0 marks the always group
+        self.groups = [self._index(bit, buckets[bit])
+                       for bit in sorted(buckets, key=lambda b: (not b, b))]
+
+    def _index(self, bit: int, members: list[int]):
+        facts = [_bits(self.actions[i].pos_pre & ~bit) for i in members]
+        requires = Counter(f for fs in facts for f in fs)
+        unkeyed: list[int] = []
+        keyed: dict[int, list[int]] = {}
+        for i, fs in zip(members, facts):
+            if fs:
+                key = min(fs, key=lambda f: (requires[f], f))
+                keyed.setdefault(1 << key, []).append(i)
             else:
-                always.append(action)
-        # (gate bit, actions) in gate order; 0 marks the always-scanned group
-        self.groups = [(bit, buckets[bit]) for bit in sorted(buckets)]
-        self.groups.append((0, always))
+                unkeyed.append(i)
+        # the keys are distinct single bits, so their sum is their union
+        return bit, unkeyed, sum(keyed), keyed
 
     def applicable(self, state: int):
-        for bit, actions in self.groups:
+        actions = self.actions
+        for bit, unkeyed, key_mask, keyed in self.groups:
             if bit and not state & bit:
                 continue
-            for action in actions:
+            keys = state & key_mask
+            candidates = unkeyed
+            if keys:
+                candidates = unkeyed[:]
+                while keys:
+                    low = keys & -keys
+                    candidates += keyed[low]
+                    keys ^= low
+                candidates.sort()
+            for i in candidates:
+                action = actions[i]
                 pos = action.pos_pre
                 if state & pos != pos or state & action.neg_pre:
                     continue
@@ -261,11 +301,8 @@ class _HAdd:
 
 
 def _goal_count(task: GroundedTask, state: int) -> float:
-    miss = 0
-    g = task.goal_pos & ~state
-    miss += bin(g).count("1")
-    miss += bin(task.goal_neg & state).count("1")
-    return float(miss)
+    return float((task.goal_pos & ~state).bit_count()
+                 + (task.goal_neg & state).bit_count())
 
 
 # -- search -------------------------------------------------------------------------
