@@ -24,15 +24,8 @@ from typing import Optional
 from . import engine
 from .compiler import CompiledGame
 from .engine import AvatarAction, GameStatus, GameState
-from .ground import (
-    GroundAction,
-    Literal,
-    build_universe,
-    ground,
-    normalize_ground,
-    substitute as substitute_formula,
-)
-from .pddl import Atom, Problem
+from .ground import GroundAction, ground, precondition_clauses
+from .pddl import Atom
 from .planner import PlanResult, SearchConfig, Status, solve
 from .problems import ConfigFile, emit_config, generate_problem
 from .vgdl import LevelGrid
@@ -103,34 +96,24 @@ def violated_literals(clauses, facts: frozenset[Atom]) -> tuple[str, ...]:
     return tuple(violated)
 
 
-def precondition_cnf(action: GroundAction, game: CompiledGame,
-                     problem: Problem) -> Optional[list[list[Literal]]]:
-    """The schema precondition of `action`, grounded over the objects of
-    `problem`; None if it is statically false."""
-    schema = next(a for a in game.domain.actions if a.name == action.name)
-    substitution = {var: value
-                    for (var, _), value in zip(schema.params, action.args)}
-    formula = substitute_formula(schema.precondition, substitution)
-    return normalize_ground(formula, build_universe(game.domain, problem))
-
-
 def monitor(state: GameState, action: GroundAction, game: CompiledGame,
             config: ConfigFile, binding: dict[int, str],
             pool=None) -> tuple[str, ...]:
     """Empty tuple means OK; otherwise the violated literal subset.
 
-    The pending action's precondition is re-expanded from its schema over the
-    regenerated problem's object universe: quantified checks must range over
-    objects that did not exist when the plan was grounded (the rock that just
-    dropped into the target cell), and the running plan's ammunition
-    identities are pinned via `pool`.
+    The pending action's precondition is grounded from its schema over the
+    regenerated problem by `precondition_clauses`, the way `ground` grounds
+    it: quantified checks must range over objects that did not exist when
+    the plan was grounded (the rock that just dropped into the target cell),
+    and the running plan's ammunition identities are pinned via `pool`.
     """
     problem, _ = generate_problem(state, game, config, binding=binding,
                                   pool=pool)
-    cnf = precondition_cnf(action, game, problem)
-    if cnf is None:
+    clauses = precondition_clauses(game.domain, problem, action.name,
+                                   action.args)
+    if clauses is None:
         return ("(false)",)
-    return violated_literals(cnf, frozenset(problem.init))
+    return violated_literals(clauses, frozenset(problem.init))
 
 
 # -- episode loop --------------------------------------------------------------------

@@ -10,11 +10,13 @@ Facts over static predicates (never added or deleted by any action, e.g.
 is-wall, next) are evaluated at grounding time: actions with a statically
 false precondition are dropped, literals that are statically true disappear.
 
-Each schema precondition is normalized once per task, conjunct by conjunct,
-into clause templates that a binding fills in (`_Schema`); a quantified
-single clause is expanded only over the instances the static facts leave
-open (`_SchemaGrounder.forall_clauses`). `normalize_ground` normalizes a
-whole ground formula at once, for the goal and the execution monitor.
+`_Schema` is the one path from a formula to ground clauses. It normalizes a
+schema precondition once per task, conjunct by conjunct, into clause
+templates that a binding fills in; a quantified single clause is expanded
+only over the instances the static facts leave open
+(`_SchemaGrounder.forall_clauses`). The goal is grounded as the
+precondition of a parameterless schema, and `precondition_clauses` grounds
+one binding for the execution monitor.
 
 One relaxed-reachability pass picks both the actions and the atoms of the
 task (the technique of Fast Downward's translator, Helmert 2009). A
@@ -139,10 +141,6 @@ def _roots_at_object(parents: dict[str, Optional[str]], typ: str) -> bool:
 
 # -- formula normalization -------------------------------------------------------
 
-_TRUE = object()
-_FALSE = object()
-
-
 def _substitute(f: Formula, binding: dict[str, str]) -> Formula:
     if isinstance(f, Atom):
         return Atom(f.predicate, tuple(binding.get(a, a) for a in f.args))
@@ -225,54 +223,6 @@ def _cnf(f: Formula) -> list[list[Literal]]:
             result = [a + b for a in result for b in rhs]
         return result
     raise TypeError(f"unexpected formula in CNF: {f!r}")
-
-
-def _eval_equalities(f: Formula) -> Formula:
-    """Fold ground (= a b) atoms into true/false and simplify."""
-    if isinstance(f, Atom):
-        if f.predicate == "=":
-            return _TRUE if f.args[0] == f.args[1] else _FALSE  # type: ignore
-        return f
-    if isinstance(f, Not):
-        body = _eval_equalities(f.body)
-        if body is _TRUE:
-            return _FALSE  # type: ignore
-        if body is _FALSE:
-            return _TRUE  # type: ignore
-        return Not(body)  # type: ignore[arg-type]
-    if isinstance(f, And):
-        parts = []
-        for p in f.parts:
-            q = _eval_equalities(p)
-            if q is _FALSE:
-                return _FALSE  # type: ignore
-            if q is _TRUE:
-                continue
-            parts.append(q)
-        return And(tuple(parts))
-    if isinstance(f, Or):
-        parts = []
-        for p in f.parts:
-            q = _eval_equalities(p)
-            if q is _TRUE:
-                return _TRUE  # type: ignore
-            if q is _FALSE:
-                continue
-            parts.append(q)
-        return Or(tuple(parts))
-    raise TypeError(f"unexpected formula: {f!r}")
-
-
-def normalize_ground(f: Formula, universe: dict[str, list[str]]
-                     ) -> Optional[list[list[Literal]]]:
-    """Ground formula -> CNF clause list, or None if statically false."""
-    expanded = _expand_foralls(f, universe)
-    folded = _eval_equalities(expanded)
-    if folded is _TRUE:
-        return []
-    if folded is _FALSE:
-        return None
-    return _cnf(_nnf(folded, False))
 
 
 # -- effects ---------------------------------------------------------------------
@@ -530,7 +480,9 @@ def _arg_getter(idx: tuple[int, ...]):
 
 
 class _Schema:
-    """One action schema, normalized once per task into literal templates.
+    """One action schema, normalized once per task into literal templates;
+    the only code that grounds a formula into clauses (the goal is the
+    precondition of a parameterless schema).
 
     A binding's values followed by the constants the schema mentions form
     its `ext` tuple; each template atom is a predicate and a getter of its
@@ -538,16 +490,14 @@ class _Schema:
     `adds`/`dels` the effects with foralls expanded, and `overlaps` the
     argument equalities under which an add and a delete coincide.
 
-    `clauses` is the precondition CNF, taken one conjunct at a time (the CNF
-    of a conjunction is its conjuncts' CNFs in order): a forall whose body
-    is one clause through the static join `forall_clauses`, any other
-    conjunct with its foralls expanded. A conjunct that mentions no
-    parameter is evaluated here, once, into ground clauses (a list each);
-    the others stay templates (a tuple each), and a binding only substitutes
-    their arguments and evaluates their static and equality literals.
-    Equalities are folded after the CNF, so a conjunct with an equality
-    under a conjunction under a disjunction may keep a clause that the
-    conjunct's other clauses imply.
+    `clauses` is the precondition CNF as clause templates, taken one
+    conjunct at a time (the CNF of a conjunction is its conjuncts' CNFs in
+    order): a forall whose body is one clause through the static join
+    `forall_clauses`, any other conjunct with its foralls expanded. `build`
+    fills them in for one binding: it substitutes their arguments and
+    decides their static and equality literals. Equalities are folded after
+    the CNF, so a conjunct with an equality under a conjunction under a
+    disjunction may keep a clause that the conjunct's other clauses imply.
     """
 
     def __init__(self, schema: Action, grounder: _SchemaGrounder,
@@ -607,29 +557,14 @@ class _Schema:
                 out.append((pred, _arg_getter(idx), positive, table(pred)))
             return tuple(out)
 
-        params = set(self.params)
-        clauses: list = []
+        clauses = []
         for conjunct in conjuncts:
             cnf = (grounder.forall_clauses(conjunct)
                    if isinstance(conjunct, Forall) else None)
             if cnf is None:
                 cnf = _cnf(_nnf(_expand_foralls(conjunct, grounder.universe),
                                 False))
-            if any(a in params for atom in _atoms_in(conjunct) for a in atom.args):
-                clauses.extend(map(template, cnf))
-                continue
-            for clause in cnf:
-                kept = []
-                for atom, positive in clause:
-                    pred, args = atom.predicate, atom.args
-                    known = table(pred)
-                    if known is None:
-                        kept.append((atoms[pred, args], positive))
-                    elif (args[0] == args[1] if known is _EQUALITY
-                          else args in known) == positive:
-                        break  # statically satisfied
-                else:
-                    clauses.append(kept)  # empty if statically false
+            clauses.extend(map(template, cnf))
         self.clauses = tuple(clauses)
         self.consts = tuple(consts)
 
@@ -647,11 +582,6 @@ class _Schema:
         atoms = self.atoms
         clauses = []
         for template in self.clauses:
-            if isinstance(template, list):  # evaluated once per task
-                if not template:
-                    return None
-                clauses.append(template)
-                continue
             kept = []
             for pred, get, positive, table in template:
                 values = get(ext)
@@ -739,6 +669,34 @@ class _Worklist:
         return [self.kept[i] for i in sorted(self.kept)]
 
 
+def _task_grounder(domain: Domain, problem: Problem
+                   ) -> tuple[_SchemaGrounder, set[Atom]]:
+    """The binding enumerator over the objects and the static init facts of
+    `problem`, and its dynamic init facts."""
+    universe = _build_universe(domain, problem)
+    static_preds = _static_predicates(domain)
+    static_table: dict[str, list[tuple[str, ...]]] = {}
+    init_dynamic: set[Atom] = set()
+    for atom in problem.init:
+        if atom.predicate in static_preds:
+            static_table.setdefault(atom.predicate, []).append(atom.args)
+        else:
+            init_dynamic.add(atom)
+    return _SchemaGrounder(static_table, static_preds, universe), init_dynamic
+
+
+def precondition_clauses(domain: Domain, problem: Problem, name: str,
+                         args: tuple[str, ...]
+                         ) -> Optional[list[list[Literal]]]:
+    """The precondition of action `name` bound to `args`, grounded over the
+    objects and static facts of `problem` as `ground` grounds it: CNF
+    clauses over dynamic atoms, or None if it is statically false."""
+    grounder, _ = _task_grounder(domain, problem)
+    schema = next(a for a in domain.actions if a.name == name)
+    built = _Schema(schema, grounder, _AtomTable()).build(args)
+    return None if built is None else built[2]
+
+
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
     """Ground the relaxed-reachable actions of `problem` over its reachable
     atoms.
@@ -748,7 +706,7 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     kept actions keep enumeration order. The fact table holds the reached
     atoms, sorted by text, and the masks are trimmed to it.
     """
-    universe = _build_universe(domain, problem)
+    grounder, init_dynamic = _task_grounder(domain, problem)
     parents = dict(domain.types)
 
     def closure(typ: str) -> set[str]:
@@ -764,21 +722,9 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     types_of = {name: typ for name, typ in
                 tuple(domain.constants) + tuple(problem.objects)}
 
-    static_preds = _static_predicates(domain)
-
-    # init facts, type-checked and split static/dynamic
-    static_table: dict[str, list[tuple[str, ...]]] = {}
-    init_dynamic: set[Atom] = set()
-    static_facts: set[Atom] = set()
     for atom in problem.init:
         _check_signature(domain, atom, types_of, closure)
-        if atom.predicate in static_preds:
-            static_table.setdefault(atom.predicate, []).append(atom.args)
-            static_facts.add(atom)
-        else:
-            init_dynamic.add(atom)
 
-    grounder = _SchemaGrounder(static_table, static_preds, universe)
     atoms = _AtomTable()
     worklist = _Worklist({(a.predicate, a.args) for a in init_dynamic})
     for schema in domain.actions:
@@ -831,21 +777,20 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             delete=mask(dels),
         ))
 
-    # goal
-    goal_cnf = normalize_ground(problem.goal, universe)
-    if goal_cnf is None:
+    # the goal is the precondition of a parameterless schema
+    goal = _Schema(Action("(goal)", (), problem.goal, And(())),
+                   grounder, atoms).build(())
+    if goal is None:
         goal_literals: tuple[Literal, ...] = ((Atom("=", ("a", "b")), True),)
-    elif any(len(clause) != 1 for clause in goal_cnf):
+    elif any(len(clause) != 1 for clause in goal[2]):
         raise UnsupportedConstructError("goal must be a conjunction of literals")
     else:
-        goal_literals = tuple(clause[0] for clause in goal_cnf)
-    unsolvable = goal_cnf is None
+        goal_literals = tuple(clause[0] for clause in goal[2])
+    unsolvable = goal is None
     goal_pos = 0
     goal_neg = 0
     for atom, positive in goal_literals:
-        if atom.predicate in static_preds:
-            unsolvable |= (atom in static_facts) != positive
-        elif atom not in fact_id:
+        if atom not in fact_id:
             unsolvable |= positive  # never true
         elif positive:
             goal_pos |= 1 << fact_id[atom]
@@ -859,7 +804,7 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         goal_literals=goal_literals,
         goal_pos=goal_pos,
         goal_neg=goal_neg,
-        static_facts=frozenset(static_facts),
+        static_facts=frozenset(problem.init).difference(init_dynamic),
         unsolvable_goal=unsolvable,
     )
 
@@ -874,11 +819,6 @@ def _atoms_in(f: Formula):
             yield from _atoms_in(p)
     elif isinstance(f, Forall):
         yield from _atoms_in(f.body)
-
-
-# public names for the pieces the execution monitor reuses
-build_universe = _build_universe
-substitute = _substitute
 
 
 # -- STRIPS semantics -------------------------------------------------------------

@@ -93,7 +93,8 @@ class _Successors:
     """Index actions by their phase gate, then by one key fact, so that
     expansion tests only the actions that might apply.
 
-    The gates are the argument-free ``turn-*`` and ``finished-turn-*`` facts;
+    The gates are the argument-free facts, which in a compiled domain are
+    the turn-phase flags (``turn-avatar``, ``finished-turn-<T>-move``, ...);
     an action's gate is the lowest-numbered gate among its positive
     preconditions, and actions with none form an always-active group, last.
     Inside a group each action is filed under its key fact: the positive
@@ -111,8 +112,7 @@ class _Successors:
     def __init__(self, task: GroundedTask):
         gate_mask = 0
         for atom, i in task.fact_id.items():
-            if not atom.args and atom.predicate.startswith(
-                    ("turn-", "finished-turn-")):
+            if not atom.args:
                 gate_mask |= 1 << i
         buckets: dict[int, list[int]] = {}
         for i, action in enumerate(task.actions):

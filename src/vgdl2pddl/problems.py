@@ -2,9 +2,10 @@
 
 The configuration file records, per game element, which predicates an
 instance contributes to a problem (gameElementsCorrespondence), the PDDL type
-of each schema variable (variablesTypes) and the goal list.  The agent reloads
-it independently of the compiler, so it is persisted in a YAML-compatible
-indentation format:
+of each schema variable (variablesTypes) and the goal list.  `emit_config`
+derives it from the compiled game; `config_to_text` writes it out (the CLI
+saves it next to the PDDL) in a YAML-compatible indentation format that
+`config_from_text` reads back:
 
     gameElementsCorrespondence:
       avatar:
@@ -265,15 +266,10 @@ def generate_problem(source: Union[LevelGrid, GameState], game: CompiledGame,
     for resource, limit in game.kiohm_limits:
         for i in range(limit, count):
             init.append(Atom(f"geq-{resource}-{limit}", (f"n{i}",)))
+    edge = {"UP": 0, "DOWN": height - 1, "LEFT": 0, "RIGHT": width - 1}
     for direction in game.edge_directions:
-        if direction == "UP":
-            init.append(Atom("edge-up", ("n0",)))
-        elif direction == "DOWN":
-            init.append(Atom("edge-down", (f"n{height - 1}",)))
-        elif direction == "LEFT":
-            init.append(Atom("edge-left", ("n0",)))
-        elif direction == "RIGHT":
-            init.append(Atom("edge-right", (f"n{width - 1}",)))
+        init.append(Atom(f"edge-{direction.lower()}",
+                         (f"n{edge[direction]}",)))
 
     # plans must close their final turn (traces end on END-TURN-SPRITES), so
     # the objective only counts once the avatar phase reopens

@@ -6,9 +6,11 @@ builds each one by substituting and normalizing the whole precondition;
 `reference_simplify` then drops what relaxed reachability rules out. This is
 the grounder and simplifier `vgdl2pddl.ground` had before it grounded only the
 relaxed-reachable actions, copied verbatim apart from the names and the
-`GroundedTask` fields it no longer has. The production `ground(x)` must
-equal `reference_simplify(reference_ground(x))` literal for literal, once
-the atoms that never become true are removed from the reference's masks
+`GroundedTask` fields it no longer has, together with the whole-formula
+normalization it used (`normalize_ground`, which folds equalities before
+the CNF). The production `ground(x)` must equal
+`reference_simplify(reference_ground(x))` literal for literal, once the
+atoms that never become true are removed from the reference's masks
 (`without_never_true` in `tests/test_ground.py`).
 """
 from __future__ import annotations
@@ -23,14 +25,67 @@ from vgdl2pddl.ground import (
     _atoms_in,
     _build_universe,
     _check_signature,
+    _cnf,
     _collect_effects,
+    _expand_foralls,
+    _nnf,
     _roots_at_object,
     _split_conjuncts,
     _static_predicates,
     _substitute,
-    normalize_ground,
 )
-from vgdl2pddl.pddl import Atom, Domain, Formula, Not, Problem, ROOT_TYPE
+from vgdl2pddl.pddl import And, Atom, Domain, Formula, Not, Or, Problem, ROOT_TYPE
+
+_TRUE = object()
+_FALSE = object()
+
+
+def _eval_equalities(f: Formula) -> Formula:
+    """Fold ground (= a b) atoms into true/false and simplify."""
+    if isinstance(f, Atom):
+        if f.predicate == "=":
+            return _TRUE if f.args[0] == f.args[1] else _FALSE  # type: ignore
+        return f
+    if isinstance(f, Not):
+        body = _eval_equalities(f.body)
+        if body is _TRUE:
+            return _FALSE  # type: ignore
+        if body is _FALSE:
+            return _TRUE  # type: ignore
+        return Not(body)  # type: ignore[arg-type]
+    if isinstance(f, And):
+        parts = []
+        for p in f.parts:
+            q = _eval_equalities(p)
+            if q is _FALSE:
+                return _FALSE  # type: ignore
+            if q is _TRUE:
+                continue
+            parts.append(q)
+        return And(tuple(parts))
+    if isinstance(f, Or):
+        parts = []
+        for p in f.parts:
+            q = _eval_equalities(p)
+            if q is _TRUE:
+                return _TRUE  # type: ignore
+            if q is _FALSE:
+                continue
+            parts.append(q)
+        return Or(tuple(parts))
+    raise TypeError(f"unexpected formula: {f!r}")
+
+
+def normalize_ground(f: Formula, universe: dict[str, list[str]]
+                     ) -> Optional[list[list[Literal]]]:
+    """Ground formula -> CNF clause list, or None if statically false."""
+    expanded = _expand_foralls(f, universe)
+    folded = _eval_equalities(expanded)
+    if folded is _TRUE:
+        return []
+    if folded is _FALSE:
+        return None
+    return _cnf(_nnf(folded, False))
 
 
 class _SchemaGrounder:

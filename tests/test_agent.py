@@ -9,14 +9,13 @@ from vgdl2pddl.agent import (
     Outcome,
     is_avatar_action,
     monitor,
-    precondition_cnf,
     run_episode,
     violated_literals,
 )
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import load
 from vgdl2pddl.games import load_game, load_level
-from vgdl2pddl.ground import ground
+from vgdl2pddl.ground import ground, precondition_clauses
 from vgdl2pddl.planner import Mode, PlanResult, SearchConfig, Status, solve
 from vgdl2pddl.problems import emit_config, generate_problem
 from vgdl2pddl.vgdl import parse_ldf
@@ -169,7 +168,7 @@ class TestMonitor:
         task = ground(game.domain, problem)
         plan = solve(task, CFG).plan
         action = next(a for a in plan if is_avatar_action(a))
-        cnf = precondition_cnf(action, game, problem)
+        cnf = precondition_clauses(game.domain, problem, action.name, action.args)
         base = frozenset(problem.init)
         assert violated_literals(cnf, base) == ()
         literals = [(atom, bool(action.pos_pre >> task.fact_id[atom] & 1))

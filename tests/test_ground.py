@@ -21,6 +21,7 @@ from vgdl2pddl.ground import (
     apply,
     goal_satisfied,
     ground,
+    precondition_clauses,
 )
 from vgdl2pddl.pddl import Atom, read_domain, read_problem
 from vgdl2pddl.problems import generate_problem
@@ -411,6 +412,43 @@ class TestSimplify:
         stop = ("BOULDER_MOVE_STOP", ("boulder_3_3", "n3", "n4", "n5"))
         assert stop not in idents
         assert stop in {a.ident for a in reference_ground(domain, problem).actions}
+
+
+class TestStaticFolding:
+    """The goal and the monitor's precondition are grounded like any schema
+    precondition: static and equality literals are decided, never listed."""
+
+    GOAL = "(:goal (and (at n1 n2 b1) (not (dead w1))))"
+
+    def _with_goal(self, goal: str):
+        domain = read_domain(PUSH_DOMAIN)
+        return ground(domain, read_problem(PUSH_PROBLEM.replace(self.GOAL, goal)))
+
+    def test_decided_goal_literals_fold_away(self, push_task):
+        _, _, base = push_task
+        task = self._with_goal("(:goal (and (at n1 n2 b1) (next n0 n1)"
+                               " (not (= b1 b2)) (not (dead w1))))")
+        assert (task.goal_pos, task.goal_neg) == (base.goal_pos, base.goal_neg)
+        assert task.goal_literals == base.goal_literals
+        assert not task.unsolvable_goal
+
+    def test_false_static_goal_atom_is_unsolvable(self):
+        task = self._with_goal("(:goal (and (at n1 n2 b1) (next n1 n0)))")
+        assert task.unsolvable_goal
+        assert not goal_satisfied(task, task.init)
+
+    def test_failed_inequality_is_statically_false(self):
+        game = compile_game(load_game("sokoban"))
+        problem, _ = generate_problem(load_level("sokoban", 0, game.model), game)
+        task = ground(game.domain, problem)
+        bounce = next(a for a in task.actions
+                      if a.name.startswith("BOX_AVATAR_BOUNCEFORWARD_"))
+        box, avatar, *cells = bounce.args
+        assert precondition_clauses(game.domain, problem, bounce.name,
+                                    bounce.args)
+        # ?o1 = ?o2 fails the interaction's (not (= ?o1 ?o2))
+        assert precondition_clauses(game.domain, problem, bounce.name,
+                                    (avatar, avatar, *cells)) is None
 
 
 # -- equality with the naive grounding --------------------------------------------
