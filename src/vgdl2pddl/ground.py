@@ -42,7 +42,8 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import NotApplicableError, TypeMismatchError, UnsupportedConstructError
-from .pddl import Action, And, Atom, Domain, Forall, Formula, Not, Or, Problem, ROOT_TYPE
+from .pddl import (Action, And, Atom, Domain, Forall, Formula, Not, Or, Problem,
+                   ROOT_TYPE, atoms_in)
 
 Literal = tuple[Atom, bool]  # (atom, is_positive)
 
@@ -268,12 +269,6 @@ def _check_signature(domain: Domain, atom: Atom, types_of: dict[str, str],
         if declared not in parents_closure(actual):
             raise TypeMismatchError(
                 f"{atom.predicate}: {arg} has type {actual}, needs {declared}")
-
-
-def _static_predicates(domain: Domain) -> frozenset[str]:
-    return frozenset(p.name for p in domain.predicates) - {
-        atom.predicate for action in domain.actions
-        for atom in _atoms_in(action.effect)}
 
 
 def _split_conjuncts(f: Formula) -> list[Formula]:
@@ -674,7 +669,7 @@ def _task_grounder(domain: Domain, problem: Problem
     """The binding enumerator over the objects and the static init facts of
     `problem`, and its dynamic init facts."""
     universe = _build_universe(domain, problem)
-    static_preds = _static_predicates(domain)
+    static_preds = domain.static_predicates
     static_table: dict[str, list[tuple[str, ...]]] = {}
     init_dynamic: set[Atom] = set()
     for atom in problem.init:
@@ -729,9 +724,9 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     worklist = _Worklist({(a.predicate, a.args) for a in init_dynamic})
     for schema in domain.actions:
         conjuncts = _split_conjuncts(schema.precondition)
-        for atom in _atoms_in(schema.precondition):
+        for atom in atoms_in(schema.precondition):
             _check_signature(domain, atom, dict(schema.params) | types_of, closure)
-        for atom in _atoms_in(schema.effect):
+        for atom in atoms_in(schema.effect):
             _check_signature(domain, atom, dict(schema.params) | types_of, closure)
         compiled: Optional[_Schema] = None  # normalized at the first binding
         for args in grounder.bindings(schema.params, conjuncts):
@@ -807,18 +802,6 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         static_facts=frozenset(problem.init).difference(init_dynamic),
         unsolvable_goal=unsolvable,
     )
-
-
-def _atoms_in(f: Formula):
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, Not):
-        yield from _atoms_in(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _atoms_in(p)
-    elif isinstance(f, Forall):
-        yield from _atoms_in(f.body)
 
 
 # -- STRIPS semantics -------------------------------------------------------------

@@ -11,6 +11,7 @@ case-insensitively (IPC convention, see :func:`parse_plan`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Union
@@ -62,6 +63,19 @@ class Forall:
 Formula = Union[Atom, Not, And, Or, Forall]
 
 
+def atoms_in(f: Formula):
+    """Every atom of `f`, in order, with repeats."""
+    if isinstance(f, Atom):
+        yield f
+    elif isinstance(f, Not):
+        yield from atoms_in(f.body)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from atoms_in(p)
+    elif isinstance(f, Forall):
+        yield from atoms_in(f.body)
+
+
 def conj(*parts: Formula) -> And:
     """Flattened conjunction."""
     flat: list[Formula] = []
@@ -97,6 +111,13 @@ class Domain:
     predicates: tuple[Predicate, ...]
     actions: tuple[Action, ...]
     constants: tuple[tuple[str, str], ...] = ()  # (name, type)
+
+    @cached_property
+    def static_predicates(self) -> frozenset[str]:
+        """The predicates no action's effect mentions, computed once."""
+        return frozenset(p.name for p in self.predicates) - {
+            atom.predicate for action in self.actions
+            for atom in atoms_in(action.effect)}
 
     def predicate(self, name: str) -> Predicate:
         for p in self.predicates:

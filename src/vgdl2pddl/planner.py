@@ -18,7 +18,11 @@ that the fewest actions of the bucket share, as in Fast Downward's successor
 generator (Helmert, JAIR 2006): a state's candidates are the actions filed
 under its true facts plus those with no key.  Every candidate gets the full
 applicability test, and candidates are tried in grounding order, so the
-index yields exactly what a scan of the active buckets would.
+index yields exactly what a scan of the active buckets would.  Each search
+memoises that answer on the state's projection onto the group gates and the
+facts the active buckets' actions read: the states a search expands repeat
+few projections (aliens lvl1 blind BFS: 160,646 expansions, 17,915
+projections), and the answer depends on nothing else.
 """
 from __future__ import annotations
 
@@ -60,7 +64,9 @@ class Status(Enum):
 class SearchConfig:
     mode: Mode = Mode.GBFS_HADD
     time_limit: float = 60.0
-    memory_limit: int = 2 * 10 ** 9  # approximate bytes for visited states
+    # approximate bytes for visited states, guessed at 64 per state; the
+    # successor memo is not counted (at most one entry per expanded state)
+    memory_limit: int = 2 * 10 ** 9
     seed: int = 0
 
     def __post_init__(self):
@@ -102,11 +108,22 @@ class _Successors:
     the group require, ties to the lowest fact.  An action with no such fact
     is unkeyed and a candidate whenever its group is active.
 
-    ``applicable`` takes the active groups in gate order; a group's
-    candidates are its unkeyed actions plus those filed under the key facts
-    true in the state, taken in grounding order and fully tested.  So it
-    yields exactly what a scan of every action of the active groups would,
-    in the same order.
+    ``_scan`` takes the active groups in gate order; a group's candidates
+    are its unkeyed actions plus those filed under the key facts true in
+    the state, taken in grounding order and fully tested.  So it yields
+    exactly what a scan of every action of the active groups would, in the
+    same order.
+
+    ``applicable`` memoises ``_scan`` as a tuple, keyed by ``state & mask``:
+    ``mask`` holds every group gate and each active group's ``reads``, the
+    facts its actions' positive and negative preconditions and clauses
+    mention, and is cached per combination of true gates.  The key is exact:
+    an action's applicability reads only its own masks, every action of an
+    active group is covered by ``mask``, and an inactive group's gate is in
+    ``mask`` and false, so two states with one key have the same applicable
+    actions in the same order.  The memo lives as long as the generator, one
+    search, and gains at most one entry per expanded state; equal tuples are
+    stored once.
     """
 
     def __init__(self, task: GroundedTask):
@@ -121,8 +138,23 @@ class _Successors:
         self.actions = task.actions
         # (gate bit, unkeyed, key mask, key bit -> actions) in gate order,
         # actions as indices into task.actions; 0 marks the always group
-        self.groups = [self._index(bit, buckets[bit])
-                       for bit in sorted(buckets, key=lambda b: (not b, b))]
+        order = sorted(buckets, key=lambda b: (not b, b))
+        self.groups = [self._index(bit, buckets[bit]) for bit in order]
+        # gate bit -> every fact its group's applicability tests read
+        self.reads: dict[int, int] = {}
+        for bit in order:
+            reads = 0
+            for i in buckets[bit]:
+                action = self.actions[i]
+                reads |= action.pos_pre | action.neg_pre
+                for pos_mask, neg_mask in action.clauses:
+                    reads |= pos_mask | neg_mask
+            self.reads[bit] = reads
+        # the group gates are distinct single bits, so their sum is their union
+        self.gate_mask = sum(order)
+        self._masks: dict[int, int] = {}  # active gates -> projection mask
+        self._memo: dict[int, tuple[GroundAction, ...]] = {}  # key -> answer
+        self._interned: dict[tuple, tuple] = {}  # answer -> its one copy
 
     def _index(self, bit: int, members: list[int]):
         facts = [_bits(self.actions[i].pos_pre & ~bit) for i in members]
@@ -138,7 +170,24 @@ class _Successors:
         # the keys are distinct single bits, so their sum is their union
         return bit, unkeyed, sum(keyed), keyed
 
-    def applicable(self, state: int):
+    def applicable(self, state: int) -> tuple[GroundAction, ...]:
+        gates = state & self.gate_mask
+        mask = self._masks.get(gates)
+        if mask is None:
+            mask = self.gate_mask
+            for bit, reads in self.reads.items():
+                if not bit or gates & bit:
+                    mask |= reads
+            self._masks[gates] = mask
+        key = state & mask
+        found = self._memo.get(key)
+        if found is None:
+            found = tuple(self._scan(state))
+            found = self._interned.setdefault(found, found)
+            self._memo[key] = found
+        return found
+
+    def _scan(self, state: int):
         actions = self.actions
         for bit, unkeyed, key_mask, keyed in self.groups:
             if bit and not state & bit:
@@ -353,6 +402,7 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
     parents = {task.init: None}
     queue = deque([task.init])
     deadline = start + cfg.time_limit
+    goal_pos, goal_neg = task.goal_pos, task.goal_neg
     while queue:
         if stats.expanded % 512 == 0 and time.perf_counter() > deadline:
             return PlanResult(Status.TIMEOUT, None, stats)
@@ -364,7 +414,7 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
                 continue
             parents[succ] = (state, action)
             stats.generated += 1
-            if goal_satisfied(task, succ):
+            if succ & goal_pos == goal_pos and not succ & goal_neg:
                 return PlanResult(Status.SOLVED, _extract(parents, succ), stats)
             if len(parents) > max_states:
                 return PlanResult(Status.OUT_OF_MEMORY, None, stats)

@@ -22,7 +22,6 @@ from vgdl2pddl.ground import (
     GroundAction,
     GroundedTask,
     Literal,
-    _atoms_in,
     _build_universe,
     _check_signature,
     _cnf,
@@ -31,10 +30,10 @@ from vgdl2pddl.ground import (
     _nnf,
     _roots_at_object,
     _split_conjuncts,
-    _static_predicates,
     _substitute,
 )
-from vgdl2pddl.pddl import And, Atom, Domain, Formula, Not, Or, Problem, ROOT_TYPE
+from vgdl2pddl.pddl import (And, Atom, Domain, Formula, Not, Or, Problem, ROOT_TYPE,
+                            atoms_in)
 
 _TRUE = object()
 _FALSE = object()
@@ -186,7 +185,7 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
     types_of = {name: typ for name, typ in
                 tuple(domain.constants) + tuple(problem.objects)}
 
-    static_preds = _static_predicates(domain)
+    static_preds = domain.static_predicates
 
     # init facts, type-checked and split static/dynamic
     static_table: dict[str, list[tuple[str, ...]]] = {}
@@ -206,9 +205,9 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
                             set[Atom], set[Atom]]] = []
     for schema in domain.actions:
         conjuncts = _split_conjuncts(schema.precondition)
-        for atom in _atoms_in(schema.precondition):
+        for atom in atoms_in(schema.precondition):
             _check_signature(domain, atom, dict(schema.params) | types_of, closure)
-        for atom in _atoms_in(schema.effect):
+        for atom in atoms_in(schema.effect):
             _check_signature(domain, atom, dict(schema.params) | types_of, closure)
         for binding in grounder.bindings(schema.params, universe, conjuncts):
             pre = _substitute(schema.precondition, binding)

@@ -99,6 +99,13 @@ class TestReader:
         guard = action.precondition.parts[1]
         assert guard == Not(Atom("=", ("?o1", "?o2")))
 
+    def test_static_predicates_computed_once(self):
+        domain = read_domain(MINI_DOMAIN)
+        # the effect mentions at, dead and got-resource-shoes
+        assert domain.static_predicates == {"next", "turn-interactions"}
+        assert domain.static_predicates is domain.static_predicates
+        assert domain == read_domain(MINI_DOMAIN)
+
     def test_types_distinguish_roots(self):
         domain = read_domain(MINI_DOMAIN)
         types = dict(domain.types)

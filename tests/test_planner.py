@@ -2,8 +2,10 @@
 import dataclasses
 import hashlib
 import heapq
+import operator
 import random
 from collections import deque
+from functools import reduce
 
 import pytest
 
@@ -481,15 +483,15 @@ class TestSearchStability:
             assert stats.evaluated == stats.generated + 1
 
 
-def bfs_states(task, monkeypatch):
-    """(search task, every state blind BFS expands) for one BFS run."""
+def expanded_states(task, mode, monkeypatch):
+    """(search task, every state the search asks successors of, the
+    generator it built, the result) for one search in `mode`."""
     seen = {}
 
     class Recording(planner._Successors):
         def __init__(self, search_task):
             super().__init__(search_task)
-            seen["task"] = search_task
-            seen["states"] = []
+            seen.update(task=search_task, states=[], successors=self)
 
         def applicable(self, state):
             seen["states"].append(state)
@@ -497,10 +499,18 @@ def bfs_states(task, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(planner, "_Successors", Recording)
-        result = solve(task, SearchConfig(mode=Mode.BLIND_BFS, time_limit=120))
+        result = solve(task, SearchConfig(mode=mode, time_limit=120))
     assert result.status is Status.SOLVED
-    assert len(seen["states"]) == result.stats.expanded
-    return seen["task"], seen["states"]
+    # best-first search tests the goal on the state it pops, so the last
+    # state it expands is never asked for successors
+    assert len(seen["states"]) == result.stats.expanded - (
+        mode is not Mode.BLIND_BFS)
+    return seen["task"], seen["states"], seen["successors"], result
+
+
+def bfs_states(task, monkeypatch):
+    """(search task, every state blind BFS expands) for one BFS run."""
+    return expanded_states(task, Mode.BLIND_BFS, monkeypatch)[:2]
 
 
 def assert_same_successors(task, states):
@@ -563,6 +573,115 @@ class TestSuccessors:
                           | gate["finished-turn-avatar"])
         assert (actions[first].pos_pre & sum(gate.values())).bit_count() == 2
         assert yields(actions, actions[first])
+
+
+def group_reads(task):
+    """gate bit -> every fact the actions of that gate's group read, for
+    the groups `_Successors` documents: an action's gate is the lowest
+    argument-free fact among its positive preconditions, 0 if there is
+    none."""
+    gates = sum(1 << i for atom, i in task.fact_id.items() if not atom.args)
+    reads = {}
+    for a in task.actions:
+        bit = a.pos_pre & gates & -(a.pos_pre & gates)
+        mask = a.pos_pre | a.neg_pre
+        for pos_mask, neg_mask in a.clauses:
+            mask |= pos_mask | neg_mask
+        reads[bit] = reads.get(bit, 0) | mask
+    return reads
+
+
+def projection(reads, state):
+    """`state` on the group gates and on what its active groups read."""
+    mask = sum(reads)
+    for bit, read in reads.items():
+        if not bit or state & bit:
+            mask |= read
+    return state & mask
+
+
+class TestSuccessorMemo:
+    def scan(self, task, state):
+        return [a for a in task.actions if applicable(state, a)]
+
+    def test_equal_projections_share_one_entry(self, monkeypatch):
+        task, states, _, _ = expanded_states(
+            level_task("sokoban", 1), Mode.BLIND_BFS, monkeypatch)
+        reads = group_reads(task)
+        by_projection = {}
+        for state in states:
+            by_projection.setdefault(projection(reads, state), []).append(state)
+        pairs = [group[:2] for group in by_projection.values()
+                 if len(group) > 1]
+        assert pairs
+        successors = planner._Successors(task)
+        for first, second in pairs:
+            assert first != second
+            got = successors.applicable(first)
+            assert successors.applicable(second) is got
+            assert list(got) == self.scan(task, first) == self.scan(task, second)
+
+    def test_states_with_different_gates_never_share_an_entry(self,
+                                                              monkeypatch):
+        task, states, _, _ = expanded_states(
+            level_task("sokoban", 1), Mode.BLIND_BFS, monkeypatch)
+        gate_mask = sum(group_reads(task))
+        by_gates = {}
+        for state in states:
+            by_gates.setdefault(state & gate_mask, []).append(state)
+        assert len(by_gates) > 1
+        together = planner._Successors(task)
+        apart = 0
+        for group in by_gates.values():
+            alone = planner._Successors(task)
+            for state in group:
+                assert list(together.applicable(state)) == \
+                    list(alone.applicable(state)) == self.scan(task, state)
+            apart += len(alone._memo)
+        assert len(together._memo) == apart
+
+    def test_task_variants_reading_an_unshared_fact(self, monkeypatch):
+        task, states, _, _ = expanded_states(
+            level_task("sokoban", 1), Mode.BLIND_BFS, monkeypatch)
+        reads = group_reads(task)
+        # an avatar move, and a fact that none of the avatar group's
+        # actions reads but that differs between the states it applies in
+        gates = sum(reads)
+        move = next(i for i, a in enumerate(task.actions)
+                    if a.name.startswith("AVATAR_ACTION_MOVE")
+                    and sum(applicable(s, a) for s in states) > 1)
+        action = task.actions[move]
+        bit = action.pos_pre & gates & -(action.pos_pre & gates)
+        where = [s for s in states if applicable(s, action)]
+        varies = (reduce(operator.or_, where) & ~reduce(operator.and_, where)
+                  & ~reads[bit])
+        assert varies
+        fact = varies & -varies
+        for changes in ({"neg_pre": action.neg_pre | fact},
+                        {"clauses": action.clauses + ((fact, 0),)},
+                        {"clauses": action.clauses + ((0, fact),)}):
+            actions = list(task.actions)
+            actions[move] = dataclasses.replace(action, **changes)
+            varied = dataclasses.replace(task, actions=tuple(actions))
+            # the variant applies in some of the states the original does
+            # and not in others
+            assert len({applicable(s, actions[move]) for s in where}) == 2
+            assert assert_same_successors(varied, states) > 0
+
+    @pytest.mark.parametrize("name,index", [("rain", 1), ("aliens", 1)])
+    def test_equals_applicable_scan_on_gbfs_states(self, name, index,
+                                                   monkeypatch):
+        task, states, _, _ = expanded_states(
+            level_task(name, index), Mode.GBFS_HADD, monkeypatch)
+        assert any(a.clauses for a in task.actions)
+        assert assert_same_successors(task, states) > 0
+
+    @pytest.mark.parametrize("mode", [Mode.BLIND_BFS, Mode.GBFS_HADD])
+    def test_at_most_one_entry_per_expanded_state(self, mode, monkeypatch):
+        _, states, successors, result = expanded_states(
+            level_task("aliens", 0), mode, monkeypatch)
+        assert 0 < len(successors._memo) <= result.stats.expanded
+        assert len(successors._memo) < len(set(states))
 
 
 class TestValidate:
