@@ -149,9 +149,7 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
             return finish(Outcome.PLANNER_FAILED)
         result.plan_lengths.append(len(plan_result.plan))
         # the running plan's ammunition identities; USE consumes them
-        ammo = [n for n, t in problem.objects
-                if game.projectile is not None and t == game.projectile
-                and "_ammo_" in n]
+        ammo = [a.args[0] for a in problem.init if a.predicate == "in-reserve"]
         consumed: set[str] = set()
 
         replan_needed = False

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -276,27 +275,27 @@ def run_suite(suite_dir: Optional[Path] = None,
     compiled: dict[str, CompiledGame] = {
         name: compile_game(load_game(name, suite_dir)) for name in games}
 
+    work_dir = out_dir / "pddl"
+    work_dir.mkdir(exist_ok=True)
     jobs_list = []
     for name in games:
         for level_index, level_path in enumerate(level_paths(name, suite_dir)):
             for spec in planners:
                 if (spec.name, name, level_index) in done:
                     continue
-                jobs_list.append((spec, compiled[name], level_path, level_index))
-
-    work_dir = out_dir / "pddl"
-    work_dir.mkdir(exist_ok=True)
-
-    def runner(job):
-        spec, game, level_path, level_index = job
-        return _run_one(spec, game, level_path, level_index, time_limit,
-                        work_dir)
+                jobs_list.append((spec, compiled[name], level_path, level_index,
+                                  time_limit, work_dir))
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            new_rows = list(pool.map(runner, jobs_list))
+        # CPU-bound Python jobs run in spawned worker processes; the pool's
+        # modules load only here, so a serial run does not pay their import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            new_rows = list(pool.map(_run_one, *zip(*jobs_list)))
     else:
-        new_rows = [runner(job) for job in jobs_list]
+        new_rows = [_run_one(*job) for job in jobs_list]
     for row in new_rows:
         append_result(results_path, row)
         rows.append(row)

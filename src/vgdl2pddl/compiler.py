@@ -312,7 +312,7 @@ def compile_game(model: GameModel,
             kb.lookup("interaction", inter.kind.value), binding)
         add_predicates(inst.predicates)
         for action in inst.actions:
-            if "_BOUNCEFORWARD_" in action.name:
+            if inter.kind is InteractionKind.BOUNCE_FORWARD:
                 receiver_blockers = blockers_for(model, inter.receiver, statics)
                 action = _with_pre(action, _blocker_conjuncts(
                     receiver_blockers, _dest_cell(action)))

@@ -14,9 +14,10 @@ false precondition are dropped, literals that are statically true disappear.
 schema precondition once per task, conjunct by conjunct, into clause
 templates that a binding fills in; a quantified single clause is expanded
 only over the instances the static facts leave open
-(`_SchemaGrounder.forall_clauses`). The goal is grounded as the
-precondition of a parameterless schema, and `precondition_clauses` grounds
-one binding for the execution monitor.
+(`_SchemaGrounder.forall_clauses`, the one grounding context of a call).
+The goal is grounded as the precondition of a parameterless schema, and
+`precondition_clauses` grounds one binding for the execution monitor;
+neither expands effects, which only `ground`'s `_ActionSchema`s do.
 
 One relaxed-reachability pass picks both the actions and the atoms of the
 task (the technique of Fast Downward's translator, Helmert 2009). A
@@ -104,40 +105,6 @@ class GroundedTask:
             atoms.append(self.facts[low.bit_length() - 1])
             state ^= low
         return frozenset(atoms)
-
-
-# -- type universe --------------------------------------------------------------
-
-def _build_universe(domain: Domain, problem: Problem) -> dict[str, list[str]]:
-    parents = dict(domain.types)
-    known = set(parents) | {ROOT_TYPE}
-    for name, parent in domain.types:
-        if parent is not None and parent not in known:
-            raise TypeMismatchError(f"type {name!r} has undeclared parent {parent!r}")
-    universe: dict[str, list[str]] = {t: [] for t in known}
-    for obj, typ in tuple(domain.constants) + tuple(problem.objects):
-        if typ not in known:
-            raise TypeMismatchError(f"object {obj!r} has undeclared type {typ!r}")
-        cur: Optional[str] = typ
-        seen: set[str] = set()
-        while cur is not None:
-            if cur in seen:
-                raise TypeMismatchError(f"type cycle at {cur!r}")
-            seen.add(cur)
-            universe[cur].append(obj)
-            if cur == ROOT_TYPE:
-                break
-            cur = parents.get(cur)
-    return universe
-
-
-def _roots_at_object(parents: dict[str, Optional[str]], typ: str) -> bool:
-    cur: Optional[str] = typ
-    while cur is not None:
-        if cur == ROOT_TYPE:
-            return True
-        cur = parents.get(cur)
-    return False
 
 
 # -- formula normalization -------------------------------------------------------
@@ -252,7 +219,7 @@ def _collect_effects(f: Formula, universe: dict[str, list[str]],
 # -- schema grounding --------------------------------------------------------------
 
 def _check_signature(domain: Domain, atom: Atom, types_of: dict[str, str],
-                     parents_closure) -> None:
+                     supertypes: dict[str, tuple[str, ...]]) -> None:
     if atom.predicate == "=":
         return
     try:
@@ -266,7 +233,7 @@ def _check_signature(domain: Domain, atom: Atom, types_of: dict[str, str],
         actual = types_of.get(arg)
         if actual is None:
             continue  # unbound variable or unknown constant checked elsewhere
-        if declared not in parents_closure(actual):
+        if declared not in supertypes.get(actual, (actual,)):
             raise TypeMismatchError(
                 f"{atom.predicate}: {arg} has type {actual}, needs {declared}")
 
@@ -280,21 +247,60 @@ def _split_conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
+class _AtomTable(dict):
+    """Ground atoms interned by (predicate, args)."""
+
+    def __missing__(self, key: tuple[str, tuple[str, ...]]) -> Atom:
+        atom = self[key] = Atom(*key)
+        return atom
+
+
 class _SchemaGrounder:
-    """Backtracking enumeration of bindings over one task's static facts,
-    for action schemas and for the instances of statically joined foralls.
+    """One task's grounding context, built once per call, and backtracking
+    enumeration of bindings over its static facts, for action schemas and
+    for the instances of statically joined foralls. Each declared type's
+    parent chain is walked once, a cycle rejected, into `supertypes`; the
+    `universe`, `types_of`, the split of init and `atoms` build on it.
 
     Static positive atoms both filter candidates (when one argument is left
     unbound, the static fact table supplies its candidates) and reject
     partial bindings early.
     """
 
-    def __init__(self, task_statics: dict[str, list[tuple[str, ...]]],
-                 static_preds: frozenset[str], universe: dict[str, list[str]]):
-        self.static_table = task_statics
-        self.static_sets = {p: set(rows) for p, rows in task_statics.items()}
-        self.static_preds = static_preds
-        self.universe = universe
+    def __init__(self, domain: Domain, problem: Problem):
+        parents = dict(domain.types)
+        for name, parent in domain.types:
+            if parent is not None and parent not in parents and parent != ROOT_TYPE:
+                raise TypeMismatchError(f"type {name!r} has undeclared parent {parent!r}")
+        self.supertypes: dict[str, tuple[str, ...]] = {}
+        for typ in dict.fromkeys((*parents, ROOT_TYPE)):
+            chain: list[str] = []
+            cur: Optional[str] = typ
+            while cur is not None:
+                if cur in chain:
+                    raise TypeMismatchError(f"type cycle at {cur!r}")
+                chain.append(cur)
+                cur = None if cur == ROOT_TYPE else parents.get(cur)
+            self.supertypes[typ] = tuple(chain)
+        self.universe: dict[str, list[str]] = {t: [] for t in self.supertypes}
+        self.types_of: dict[str, str] = {}
+        for obj, typ in tuple(domain.constants) + tuple(problem.objects):
+            if typ not in self.supertypes:
+                raise TypeMismatchError(f"object {obj!r} has undeclared type {typ!r}")
+            self.types_of[obj] = typ
+            for t in self.supertypes[typ]:
+                self.universe[t].append(obj)
+
+        self.static_preds = domain.static_predicates
+        self.static_table: dict[str, list[tuple[str, ...]]] = {}
+        self.init_dynamic: set[Atom] = set()
+        for atom in problem.init:
+            if atom.predicate in self.static_preds:
+                self.static_table.setdefault(atom.predicate, []).append(atom.args)
+            else:
+                self.init_dynamic.add(atom)
+        self.static_sets = {p: set(rows) for p, rows in self.static_table.items()}
+        self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
                           dict[tuple[str, ...], tuple[int, list[str]]]] = {}
 
@@ -455,14 +461,6 @@ class _SchemaGrounder:
         return clauses
 
 
-class _AtomTable(dict):
-    """Ground atoms interned by (predicate, args)."""
-
-    def __missing__(self, key: tuple[str, tuple[str, ...]]) -> Atom:
-        atom = self[key] = Atom(*key)
-        return atom
-
-
 _EQUALITY = object()  # the "table" of an equality literal in a template
 
 
@@ -475,41 +473,32 @@ def _arg_getter(idx: tuple[int, ...]):
 
 
 class _Schema:
-    """One action schema, normalized once per task into literal templates;
-    the only code that grounds a formula into clauses (the goal is the
-    precondition of a parameterless schema).
+    """A schema precondition, normalized once per task into clause
+    templates: the only code that grounds a formula into clauses. The goal
+    (the precondition of a parameterless schema) and the monitor's check
+    build this alone; `_ActionSchema` adds what `ground` reads of an action.
 
     A binding's values followed by the constants the schema mentions form
     its `ext` tuple; each template atom is a predicate and a getter of its
-    arguments from `ext`. `needs` are the top-level positive dynamic atoms,
-    `adds`/`dels` the effects with foralls expanded, and `overlaps` the
-    argument equalities under which an add and a delete coincide.
+    arguments from `ext`.
 
     `clauses` is the precondition CNF as clause templates, taken one
     conjunct at a time (the CNF of a conjunction is its conjuncts' CNFs in
     order): a forall whose body is one clause through the static join
-    `forall_clauses`, any other conjunct with its foralls expanded. `build`
-    fills them in for one binding: it substitutes their arguments and
-    decides their static and equality literals. Equalities are folded after
-    the CNF, so a conjunct with an equality under a conjunction under a
-    disjunction may keep a clause that the conjunct's other clauses imply.
+    `forall_clauses`, any other conjunct with its foralls expanded.
+    `clauses_for` fills them in for one binding: it substitutes their
+    arguments and decides their static and equality literals. Equalities
+    are folded after the CNF, so a conjunct with an equality under a
+    conjunction under a disjunction may keep a clause that the conjunct's
+    other clauses imply.
     """
 
-    def __init__(self, schema: Action, grounder: _SchemaGrounder,
-                 atoms: _AtomTable):
-        self.schema = schema
-        self.atoms = atoms
-        self.params = tuple(v for v, _ in schema.params)
-        slot = {v: i for i, v in enumerate(self.params)}
-        consts: list[str] = []
-
-        def index(atom: Atom) -> tuple[str, tuple[int, ...]]:
-            for a in atom.args:
-                if a not in slot:
-                    slot[a] = len(slot)
-                    consts.append(a)
-            return atom.predicate, tuple(slot[a] for a in atom.args)
-
+    def __init__(self, params: tuple[tuple[str, str], ...],
+                 precondition: Formula, grounder: _SchemaGrounder):
+        self.atoms = grounder.atoms
+        self.params = tuple(v for v, _ in params)
+        self._slot = {v: i for i, v in enumerate(self.params)}
+        self._consts: list[str] = []
         static_preds = grounder.static_preds
         static_sets = grounder.static_sets
 
@@ -520,40 +509,16 @@ class _Schema:
                 return static_sets.get(pred, frozenset())
             return None
 
-        conjuncts = _split_conjuncts(schema.precondition)
-        needs = dict.fromkeys(
-            index(c) for c in conjuncts if isinstance(c, Atom)
-            and c.predicate != "=" and c.predicate not in static_preds)
-        self.needs = tuple((p, _arg_getter(idx)) for p, idx in needs)
-
-        adds: set[Atom] = set()
-        dels: set[Atom] = set()
-        _collect_effects(schema.effect, grounder.universe, adds, dels)
-        add_idx = [index(a) for a in adds]
-        del_idx = [index(a) for a in dels]
-        self.adds = tuple((p, _arg_getter(idx)) for p, idx in add_idx)
-        self.dels = tuple((p, _arg_getter(idx)) for p, idx in del_idx)
-        n = len(self.params)
-        overlaps = []
-        for p, ia in add_idx:
-            for q, idl in del_idx:
-                if p != q or len(ia) != len(idl):
-                    continue
-                conds = tuple((i, j) for i, j in zip(ia, idl) if i != j)
-                # two distinct constants at one position never coincide
-                if not any(i >= n and j >= n for i, j in conds):
-                    overlaps.append(conds)
-        self.overlaps = tuple(overlaps)
-
         def template(clause: list[Literal]) -> tuple:
             out = []
             for atom, positive in clause:
-                pred, idx = index(atom)
+                pred, idx = self._index(atom)
                 out.append((pred, _arg_getter(idx), positive, table(pred)))
             return tuple(out)
 
+        self.conjuncts = _split_conjuncts(precondition)
         clauses = []
-        for conjunct in conjuncts:
+        for conjunct in self.conjuncts:
             cnf = (grounder.forall_clauses(conjunct)
                    if isinstance(conjunct, Forall) else None)
             if cnf is None:
@@ -561,18 +526,21 @@ class _Schema:
                                 False))
             clauses.extend(map(template, cnf))
         self.clauses = tuple(clauses)
-        self.consts = tuple(consts)
+        self.consts = tuple(self._consts)
 
-    def needs_of(self, ext: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
-        return [(p, get(ext)) for p, get in self.needs]
+    def _index(self, atom: Atom) -> tuple[str, tuple[int, ...]]:
+        """The predicate of `atom` and the `ext` positions of its arguments."""
+        slot = self._slot
+        for a in atom.args:
+            if a not in slot:
+                slot[a] = len(slot)
+                self._consts.append(a)
+        return atom.predicate, tuple(slot[a] for a in atom.args)
 
-    def may_overlap(self, ext: tuple[str, ...]) -> bool:
-        return any(all(ext[i] == ext[j] for i, j in conds)
-                   for conds in self.overlaps)
-
-    def build(self, args: tuple[str, ...]):
-        """The grounded action as (name, args, clauses, adds, dels), or None
-        when its precondition is statically false."""
+    def clauses_for(self, args: tuple[str, ...]
+                    ) -> Optional[list[list[Literal]]]:
+        """The precondition bound to `args` as CNF clauses over dynamic
+        atoms, or None when it is statically false."""
         ext = args + self.consts
         atoms = self.atoms
         clauses = []
@@ -589,13 +557,65 @@ class _Schema:
                 if not kept:
                     return None
                 clauses.append(kept)
+        return clauses
+
+
+class _ActionSchema(_Schema):
+    """An action schema as `ground` reads it: the precondition templates,
+    `needs` (the top-level positive dynamic atoms), `adds`/`dels` (the
+    effects with foralls expanded) and `overlaps` (the argument equalities
+    under which an add and a delete coincide)."""
+
+    def __init__(self, schema: Action, grounder: _SchemaGrounder):
+        super().__init__(schema.params, schema.precondition, grounder)
+        self.name = schema.name
+        needs = dict.fromkeys(
+            self._index(c) for c in self.conjuncts if isinstance(c, Atom)
+            and c.predicate != "=" and c.predicate not in grounder.static_preds)
+        self.needs = tuple((p, _arg_getter(idx)) for p, idx in needs)
+
+        adds: set[Atom] = set()
+        dels: set[Atom] = set()
+        _collect_effects(schema.effect, grounder.universe, adds, dels)
+        add_idx = [self._index(a) for a in adds]
+        del_idx = [self._index(a) for a in dels]
+        self.adds = tuple((p, _arg_getter(idx)) for p, idx in add_idx)
+        self.dels = tuple((p, _arg_getter(idx)) for p, idx in del_idx)
+        n = len(self.params)
+        overlaps = []
+        for p, ia in add_idx:
+            for q, idl in del_idx:
+                if p != q or len(ia) != len(idl):
+                    continue
+                conds = tuple((i, j) for i, j in zip(ia, idl) if i != j)
+                # two distinct constants at one position never coincide
+                if not any(i >= n and j >= n for i, j in conds):
+                    overlaps.append(conds)
+        self.overlaps = tuple(overlaps)
+        self.consts = tuple(self._consts)
+
+    def needs_of(self, ext: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
+        return [(p, get(ext)) for p, get in self.needs]
+
+    def may_overlap(self, ext: tuple[str, ...]) -> bool:
+        return any(all(ext[i] == ext[j] for i, j in conds)
+                   for conds in self.overlaps)
+
+    def build(self, args: tuple[str, ...]):
+        """The grounded action as (name, args, clauses, adds, dels), or None
+        when its precondition is statically false."""
+        clauses = self.clauses_for(args)
+        if clauses is None:
+            return None
+        ext = args + self.consts
+        atoms = self.atoms
         adds = {atoms[p, get(ext)] for p, get in self.adds}
         dels = {atoms[p, get(ext)] for p, get in self.dels}
         both = adds & dels
         if both:
             raise TypeMismatchError(
-                f"action {self.schema.name} adds and deletes {sorted(map(str, both))}")
-        return self.schema.name, args, clauses, adds, dels
+                f"action {self.name} adds and deletes {sorted(map(str, both))}")
+        return self.name, args, clauses, adds, dels
 
 
 class _Worklist:
@@ -664,32 +684,16 @@ class _Worklist:
         return [self.kept[i] for i in sorted(self.kept)]
 
 
-def _task_grounder(domain: Domain, problem: Problem
-                   ) -> tuple[_SchemaGrounder, set[Atom]]:
-    """The binding enumerator over the objects and the static init facts of
-    `problem`, and its dynamic init facts."""
-    universe = _build_universe(domain, problem)
-    static_preds = domain.static_predicates
-    static_table: dict[str, list[tuple[str, ...]]] = {}
-    init_dynamic: set[Atom] = set()
-    for atom in problem.init:
-        if atom.predicate in static_preds:
-            static_table.setdefault(atom.predicate, []).append(atom.args)
-        else:
-            init_dynamic.add(atom)
-    return _SchemaGrounder(static_table, static_preds, universe), init_dynamic
-
-
 def precondition_clauses(domain: Domain, problem: Problem, name: str,
                          args: tuple[str, ...]
                          ) -> Optional[list[list[Literal]]]:
     """The precondition of action `name` bound to `args`, grounded over the
     objects and static facts of `problem` as `ground` grounds it: CNF
-    clauses over dynamic atoms, or None if it is statically false."""
-    grounder, _ = _task_grounder(domain, problem)
+    clauses over dynamic atoms, or None if it is statically false. Only
+    the precondition is normalized; the effects are never expanded."""
     schema = next(a for a in domain.actions if a.name == name)
-    built = _Schema(schema, grounder, _AtomTable()).build(args)
-    return None if built is None else built[2]
+    grounder = _SchemaGrounder(domain, problem)
+    return _Schema(schema.params, schema.precondition, grounder).clauses_for(args)
 
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
@@ -701,37 +705,24 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     kept actions keep enumeration order. The fact table holds the reached
     atoms, sorted by text, and the masks are trimmed to it.
     """
-    grounder, init_dynamic = _task_grounder(domain, problem)
-    parents = dict(domain.types)
-
-    def closure(typ: str) -> set[str]:
-        out = {typ}
-        cur: Optional[str] = typ
-        while cur in parents and parents[cur] is not None:
-            cur = parents[cur]
-            out.add(cur)
-        if _roots_at_object(parents, typ):
-            out.add(ROOT_TYPE)
-        return out
-
-    types_of = {name: typ for name, typ in
-                tuple(domain.constants) + tuple(problem.objects)}
-
+    grounder = _SchemaGrounder(domain, problem)
+    supertypes = grounder.supertypes
     for atom in problem.init:
-        _check_signature(domain, atom, types_of, closure)
+        _check_signature(domain, atom, grounder.types_of, supertypes)
 
-    atoms = _AtomTable()
+    atoms = grounder.atoms
+    init_dynamic = grounder.init_dynamic
     worklist = _Worklist({(a.predicate, a.args) for a in init_dynamic})
     for schema in domain.actions:
-        conjuncts = _split_conjuncts(schema.precondition)
-        for atom in atoms_in(schema.precondition):
-            _check_signature(domain, atom, dict(schema.params) | types_of, closure)
-        for atom in atoms_in(schema.effect):
-            _check_signature(domain, atom, dict(schema.params) | types_of, closure)
-        compiled: Optional[_Schema] = None  # normalized at the first binding
-        for args in grounder.bindings(schema.params, conjuncts):
+        types_of = dict(schema.params) | grounder.types_of
+        for atom in itertools.chain(atoms_in(schema.precondition),
+                                    atoms_in(schema.effect)):
+            _check_signature(domain, atom, types_of, supertypes)
+        compiled: Optional[_ActionSchema] = None  # normalized at the first binding
+        for args in grounder.bindings(schema.params,
+                                      _split_conjuncts(schema.precondition)):
             if compiled is None:
-                compiled = _Schema(schema, grounder, atoms)
+                compiled = _ActionSchema(schema, grounder)
             ext = args + compiled.consts
             if compiled.may_overlap(ext):
                 compiled.build(args)  # raises unless statically false
@@ -773,14 +764,13 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         ))
 
     # the goal is the precondition of a parameterless schema
-    goal = _Schema(Action("(goal)", (), problem.goal, And(())),
-                   grounder, atoms).build(())
+    goal = _Schema((), problem.goal, grounder).clauses_for(())
     if goal is None:
         goal_literals: tuple[Literal, ...] = ((Atom("=", ("a", "b")), True),)
-    elif any(len(clause) != 1 for clause in goal[2]):
+    elif any(len(clause) != 1 for clause in goal):
         raise UnsupportedConstructError("goal must be a conjunction of literals")
     else:
-        goal_literals = tuple(clause[0] for clause in goal[2])
+        goal_literals = tuple(clause[0] for clause in goal)
     unsolvable = goal is None
     goal_pos = 0
     goal_neg = 0

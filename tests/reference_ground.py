@@ -22,18 +22,68 @@ from vgdl2pddl.ground import (
     GroundAction,
     GroundedTask,
     Literal,
-    _build_universe,
-    _check_signature,
     _cnf,
     _collect_effects,
     _expand_foralls,
     _nnf,
-    _roots_at_object,
     _split_conjuncts,
     _substitute,
 )
 from vgdl2pddl.pddl import (And, Atom, Domain, Formula, Not, Or, Problem, ROOT_TYPE,
                             atoms_in)
+
+
+def _build_universe(domain: Domain, problem: Problem) -> dict[str, list[str]]:
+    parents = dict(domain.types)
+    known = set(parents) | {ROOT_TYPE}
+    for name, parent in domain.types:
+        if parent is not None and parent not in known:
+            raise TypeMismatchError(f"type {name!r} has undeclared parent {parent!r}")
+    universe: dict[str, list[str]] = {t: [] for t in known}
+    for obj, typ in tuple(domain.constants) + tuple(problem.objects):
+        if typ not in known:
+            raise TypeMismatchError(f"object {obj!r} has undeclared type {typ!r}")
+        cur: Optional[str] = typ
+        seen: set[str] = set()
+        while cur is not None:
+            if cur in seen:
+                raise TypeMismatchError(f"type cycle at {cur!r}")
+            seen.add(cur)
+            universe[cur].append(obj)
+            if cur == ROOT_TYPE:
+                break
+            cur = parents.get(cur)
+    return universe
+
+
+def _roots_at_object(parents: dict[str, Optional[str]], typ: str) -> bool:
+    cur: Optional[str] = typ
+    while cur is not None:
+        if cur == ROOT_TYPE:
+            return True
+        cur = parents.get(cur)
+    return False
+
+
+def _check_signature(domain: Domain, atom: Atom, types_of: dict[str, str],
+                     parents_closure) -> None:
+    if atom.predicate == "=":
+        return
+    try:
+        pred = domain.predicate(atom.predicate)
+    except KeyError:
+        raise TypeMismatchError(f"undeclared predicate {atom.predicate!r}")
+    if len(pred.params) != len(atom.args):
+        raise TypeMismatchError(
+            f"{atom.predicate} expects {len(pred.params)} args, got {len(atom.args)}")
+    for arg, (_, declared) in zip(atom.args, pred.params):
+        actual = types_of.get(arg)
+        if actual is None:
+            continue  # unbound variable or unknown constant checked elsewhere
+        if declared not in parents_closure(actual):
+            raise TypeMismatchError(
+                f"{atom.predicate}: {arg} has type {actual}, needs {declared}")
+
 
 _TRUE = object()
 _FALSE = object()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from vgdl2pddl import agent
+from vgdl2pddl import ground as ground_module
 from vgdl2pddl.agent import (
     Outcome,
     is_avatar_action,
@@ -15,7 +16,7 @@ from vgdl2pddl.agent import (
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import load
 from vgdl2pddl.games import load_game, load_level
-from vgdl2pddl.ground import ground, precondition_clauses
+from vgdl2pddl.ground import apply, applicable, ground, precondition_clauses
 from vgdl2pddl.planner import Mode, PlanResult, SearchConfig, Status, solve
 from vgdl2pddl.problems import emit_config, generate_problem
 from vgdl2pddl.vgdl import parse_ldf
@@ -127,6 +128,35 @@ class TestShootAvatarEpisode:
         assert result.outcome is Outcome.WIN
         assert result.replans == 0
 
+    def test_pool_is_the_reserve_not_projectiles_in_flight(self, monkeypatch):
+        """A projectile sprite named like the pool (x_ammo) with one shot
+        in flight: the running plan's pool is the plan problem's reserve,
+        so no monitor problem lists the live shot twice or reserves it."""
+        from vgdl2pddl.vgdl import parse_gdf
+
+        model = parse_gdf(HUNTER_GDF.replace("bolt", "x_ammo").replace(
+            "x_ammo > Missile", "x_ammo > Missile orientation=UP").replace(
+            "    s > slime\n", "    s > slime\n    b > x_ammo\n"), name="hunter")
+        game = compile_game(model)
+        grid = parse_ldf("  s  \n     \ns A  \n     \n   b ", model)
+        problems = []
+
+        def recording(*args, **kwargs):
+            out = generate_problem(*args, **kwargs)
+            problems.append(out[0])
+            return out
+
+        monkeypatch.setattr(agent, "generate_problem", recording)
+        run_episode(game, grid, CFG, seed=0)
+        assert any(("x_ammo_3_4", "x_ammo") in p.objects for p in problems[1:])
+        for problem in problems:
+            names = [n for n, _ in problem.objects]
+            assert len(names) == len(set(names))
+            placed = {a.args[-1] for a in problem.init if a.predicate == "at"}
+            reserved = {a.args[0] for a in problem.init
+                        if a.predicate == "in-reserve"}
+            assert not placed & reserved
+
 
 class TestMonitor:
     def test_untouched_state_is_ok(self):
@@ -189,6 +219,40 @@ class TestMonitor:
             violated = violated_literals(cnf, frozenset(facts))
             expected = {str(a) if pos else f"(not {a})" for a, pos in flipped}
             assert set(violated) == expected
+
+    def test_check_expands_no_effects(self, monkeypatch):
+        game = compile_game(load_game("aliens"))
+        problem, _ = generate_problem(load_level("aliens", 1, game.model), game)
+        task = ground(game.domain, problem)
+        moves = [a for a in task.actions if is_avatar_action(a)]
+        expected = [precondition_clauses(game.domain, problem, a.name, a.args)
+                    for a in moves]
+
+        def refuse(*args):
+            raise AssertionError("the monitor expanded an effect")
+
+        monkeypatch.setattr(ground_module, "_collect_effects", refuse)
+        assert [precondition_clauses(game.domain, problem, a.name, a.args)
+                for a in moves] == expected
+
+    @pytest.mark.parametrize("name,level", [("sokoban", 0), ("aliens", 1)])
+    def test_monitor_agrees_with_the_planner(self, name, level):
+        """Along the GBFS plan, the monitor's check of every avatar action
+        holds exactly where the grounded action is applicable."""
+        game = compile_game(load_game(name))
+        problem, _ = generate_problem(load_level(name, level, game.model), game)
+        task = ground(game.domain, problem)
+        checks = [(a, precondition_clauses(game.domain, problem, a.name, a.args))
+                  for a in task.actions if is_avatar_action(a)]
+        assert checks and all(cnf is not None for _, cnf in checks)
+        state = task.init
+        for step in [None, *solve(task, CFG).plan]:
+            if step is not None:
+                state = apply(state, step)
+            facts = task.state_atoms(state)
+            for action, cnf in checks:
+                assert applicable(state, action) == \
+                    (violated_literals(cnf, facts) == ()), action
 
 
 # sha256 of repr of the (turn, action, literals) of every logged violation,

@@ -14,7 +14,8 @@ from vgdl2pddl.compiler import (
 )
 from vgdl2pddl.errors import UnsupportedGoalError
 from vgdl2pddl.games import available_games, load_game
-from vgdl2pddl.pddl import format_formula, print_domain, read_domain
+from vgdl2pddl.pddl import (And, Atom, Forall, Not, Or, format_formula,
+                            print_domain, read_domain)
 from vgdl2pddl.vgdl import (
     SPRITE_TYPE_BY_NAME,
     TerminationDef,
@@ -259,11 +260,12 @@ class TestPrintDomainStability:
 
 
 # a missile whose own name contains a fragment of the template's action
-# names (_EXIT_, _MOVE_STOP, a STOP_ prefix) must compile like any other
+# names (_EXIT_, _MOVE_STOP, a STOP_ prefix, _BOUNCEFORWARD_) must compile
+# like any other
 WALLED_TOY_TWO_MOVERS = TOY_TWO_MOVERS.replace(
     "    avatar wall > stepBack\n",
     "    avatar wall > stepBack\n    blob wall > stepBack\n")
-MISSILE_NAMES = ["fire_exit", "stop_blob", "a_move_stop"]
+MISSILE_NAMES = ["fire_exit", "stop_blob", "a_move_stop", "lava_bounceforward"]
 
 
 class TestMissileNames:
@@ -296,3 +298,45 @@ class TestMissileNames:
         for suffix in ("MOVE_RIGHT", "MOVE_STOP", "EXIT_RIGHT"):
             assert "turn-drip-move" not in format_formula(
                 actions[f"{t}_{suffix}"].effect)
+
+
+# an avatar that dies on a sprite named like an interaction kind: the kill
+# action's name contains _BOUNCEFORWARD_, but it pushes nothing
+BOUNCEFORWARD_NAMED_TOY = TOY_ONE_MOVER.replace(
+    "    pit > Immovable\n", "    lava_bounceforward > Immovable\n").replace(
+    "    p > pit\n", "    l > lava_bounceforward\n").replace(
+    "    blob pit > killSprite\n",
+    "    blob lava_bounceforward > killSprite\n"
+    "    avatar lava_bounceforward > killSprite\n")
+
+
+def _free_variables(f, bound):
+    """The variables of `f` that neither `bound` nor an enclosing forall
+    binds."""
+    if isinstance(f, Atom):
+        return {a for a in f.args if a.startswith("?") and a not in bound}
+    if isinstance(f, Not):
+        return _free_variables(f.body, bound)
+    if isinstance(f, (And, Or)):
+        return set().union(*(_free_variables(p, bound) for p in f.parts))
+    assert isinstance(f, Forall), f
+    return _free_variables(f.body, bound | {v for v, _ in f.variables})
+
+
+def _variable_model(name):
+    if name in available_games():
+        return load_game(name)
+    if name == "bounceforward_named":
+        return parse_gdf(BOUNCEFORWARD_NAMED_TOY, name="toy")
+    return parse_gdf(WALLED_TOY_TWO_MOVERS.replace("blob", name), name="toy")
+
+
+class TestActionVariables:
+    @pytest.mark.parametrize(
+        "name", [*available_games(), "bounceforward_named", *MISSILE_NAMES])
+    def test_every_variable_is_a_parameter_or_quantified(self, name):
+        for action in compile_domain(_variable_model(name)).actions:
+            params = {v for v, _ in action.params}
+            free = (_free_variables(action.precondition, params)
+                    | _free_variables(action.effect, params))
+            assert not free, f"{action.name}: free {sorted(free)}"

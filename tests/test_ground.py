@@ -1,6 +1,7 @@
 """Grounding and STRIPS-semantics tests, cross-checked against a naive oracle."""
 import itertools
 import random
+import signal
 from dataclasses import replace
 
 import pytest
@@ -232,6 +233,80 @@ class TestGrounding:
         bad = PUSH_PROBLEM.replace("(at n0 n2 w1)", "(at n0 w1 n2)")
         with pytest.raises(TypeMismatchError):
             ground(domain, read_problem(bad))
+
+
+LOOP_DOMAIN = """\
+(define (domain loop)
+  (:requirements :strips :typing)
+  (:types {types})
+  (:predicates (p ?x - a) (q ?x - c))
+  (:action TOUCH
+    :parameters (?x - a)
+    :precondition (p ?x)
+    :effect (not (p ?x))
+  )
+)
+"""
+
+LOOP_PROBLEM = """\
+(define (problem loop1)
+  (:domain loop)
+  (:objects o - {typ})
+  (:init)
+  (:goal (q o))
+)
+"""
+
+
+def _within(seconds: int, call):
+    """`call()`, failing with TimeoutError if it runs `seconds` or more."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTypeChecks:
+    def _ground(self, types: str, typ: str):
+        domain = read_domain(LOOP_DOMAIN.format(types=types))
+        problem = read_problem(LOOP_PROBLEM.format(typ=typ))
+        return _within(5, lambda: ground(domain, problem))
+
+    def test_acyclic_types_ground(self):
+        task = self._ground("a - b b c", "c")
+        assert task.actions == ()
+
+    def test_undeclared_parent(self):
+        with pytest.raises(TypeMismatchError, match="undeclared parent 'd'"):
+            self._ground("a - d c", "c")
+
+    def test_undeclared_object_type(self):
+        with pytest.raises(TypeMismatchError,
+                           match="object 'o' has undeclared type 'e'"):
+            self._ground("a c", "e")
+
+    def test_cycle_through_an_object_type(self):
+        with pytest.raises(TypeMismatchError, match="type cycle"):
+            self._ground("a - b b - a c", "a")
+
+    def test_cycle_through_a_parameter_type_only(self):
+        # no object has a type on the cycle: only the signature check of
+        # TOUCH's (p ?x) walks it
+        with pytest.raises(TypeMismatchError, match="type cycle"):
+            self._ground("a - b b - a c", "c")
+
+    def test_monitor_rejects_a_cycle(self):
+        domain = read_domain(LOOP_DOMAIN.format(types="a - b b - a c"))
+        problem = read_problem(LOOP_PROBLEM.format(typ="c"))
+        with pytest.raises(TypeMismatchError, match="type cycle"):
+            _within(5, lambda: precondition_clauses(domain, problem,
+                                                    "TOUCH", ("o",)))
 
 
 def _with_action(action_text: str) -> str:
