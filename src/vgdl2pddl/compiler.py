@@ -17,10 +17,14 @@ Compilation decisions that fall outside templates:
     dies, mirroring the simulator;
   * avatar projectiles are pooled: problems carry reserve objects that a USE
     action places on the grid;
+  * an avatar class template holds only what the class adds to MovingAvatar
+    (a ShootAvatar's or FlakAvatar's USE): the avatar's actions are
+    MovingAvatar's moves, the class's own actions, then MovingAvatar's NIL;
   * directional templates are written once per construct; the compiler picks
     the directions the KB instantiates them for: a missile's orientation, all
-    four for a ShootAvatar projectile (each USE re-orients it), and the
-    template's own ``directions:`` header otherwise.
+    four for a ShootAvatar projectile (each USE re-orients it), the avatar
+    class template's ``directions:`` header for MovingAvatar's moves, and the
+    template's own header otherwise.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DuplicateActionNameError, GdfError, UnsupportedGoalError
-from .kb import DIRECTIONS, KnowledgeBase
+from .kb import DIRECTIONS, Instantiated, KnowledgeBase
 from .pddl import (
     Action,
     And,
@@ -52,12 +56,6 @@ from .vgdl import (
 
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":equality",
                 ":universal-preconditions", ":conditional-effects")
-
-_AVATAR_TEMPLATE = {
-    SpriteType.MOVING_AVATAR: "MovingAvatar",
-    SpriteType.SHOOT_AVATAR: "ShootAvatar",
-    SpriteType.FLAK_AVATAR: "FlakAvatar",
-}
 
 _COLLISION_KINDS = {
     InteractionKind.KILL_SPRITE,
@@ -285,11 +283,16 @@ def compile_game(model: GameModel,
     avatar_binding = {"A": avatar.name}
     if projectile is not None:
         avatar_binding["P"] = projectile
-    avatar_inst = kb.instantiate(
-        kb.lookup("avatar", _AVATAR_TEMPLATE[avatar.vgdl_type]), avatar_binding)
-    add_predicates(avatar_inst.predicates)
+    moving_template = kb.lookup("avatar", SpriteType.MOVING_AVATAR.value)
+    class_template = kb.lookup("avatar", avatar.vgdl_type.value)
+    moving = kb.instantiate(moving_template, avatar_binding,
+                            class_template.directions)
+    own = (kb.instantiate(class_template, avatar_binding)
+           if class_template is not moving_template else Instantiated((), ()))
+    add_predicates(moving.predicates + own.predicates)
+    *moves, nil = moving.actions
     avatar_actions: list[Action] = []
-    for action in avatar_inst.actions:
+    for action in (*moves, *own.actions, nil):
         if action.name.startswith("AVATAR_ACTION_MOVE_"):
             action = _with_pre(action, _blocker_conjuncts(
                 avatar_blockers, _dest_cell(action)))
@@ -463,19 +466,3 @@ def compile_domain(model: GameModel,
                    kb: Optional[KnowledgeBase] = None) -> Domain:
     return compile_game(model, kb).domain
 
-
-def emit_turn_structure(model: GameModel,
-                        kb: Optional[KnowledgeBase] = None
-                        ) -> tuple[tuple[Predicate, ...], tuple[Action, ...]]:
-    """The phase-control slice of the compiled domain."""
-    game = compile_game(model, kb)
-    phase_names = {"turn-avatar", "finished-turn-avatar", "avatar-moved",
-                   "turn-interactions", "finished-turn-interactions", "turn"}
-    for m in game.moving_types:
-        phase_names.update({f"turn-{m}-move", f"finished-turn-{m}-move",
-                            f"{m}-moved"})
-    preds = tuple(p for p in game.domain.predicates if p.name in phase_names)
-    action_names = {"END-TURN-INTERACTIONS", "END-TURN-SPRITES"}
-    action_names.update(_stop_name(m) for m in game.moving_types)
-    actions = tuple(a for a in game.domain.actions if a.name in action_names)
-    return preds, actions

@@ -1,7 +1,7 @@
 """Knowledge base of game-independent PDDL templates.
 
-Templates live as data files (one per template) so new constructs can be added
-without touching the compiler.  A file has three header lines and a body of
+Templates live as data files (one per template): the PDDL of a construct is
+edited there, not in the compiler.  A file has three header lines and a body of
 PDDL fragments (a fourth, optional ``directions:`` line is described below):
 
     id: interaction_killsprite

@@ -136,8 +136,11 @@ def config_from_text(text: str) -> ConfigFile:
 
 # -- problem generation ---------------------------------------------------------------
 
-def num_count(game: CompiledGame, width: int, height: int) -> int:
-    needed = [width, height]
+def num_count(game: CompiledGame, state: GameState) -> int:
+    """Length of the n0 < n1 < ... chain: every coordinate, counter value
+    and threshold the problem can reach, including a resource counter that
+    collects every live instance on top of what is already held."""
+    needed = [state.width, state.height]
     needed.extend(limit + 1 for _, limit in game.kiohm_limits)
     if game.timeout_limit is not None:
         needed.append(game.timeout_limit + 1)
@@ -145,6 +148,7 @@ def num_count(game: CompiledGame, width: int, height: int) -> int:
         limit = game.model.sprite(name).params.get("limit")
         if limit is not None:
             needed.append(int(limit) + 1)
+        needed.append(state.resources.get(name, 0) + state.count(name) + 1)
     return max(needed)
 
 
@@ -171,7 +175,7 @@ def generate_problem(source: Union[LevelGrid, GameState], game: CompiledGame,
     instances = state.live()
     width, height = state.width, state.height
 
-    count = num_count(game, width, height)
+    count = num_count(game, state)
     # A chain longer than a grid dimension lets the avatar plan into cells
     # beyond the grid unless walls fence it (self-movers carry edge guards).
     horizontal_only = game.avatar.vgdl_type is SpriteType.FLAK_AVATAR

@@ -151,17 +151,6 @@ class GameModel:
                 return s
         raise KeyError("no avatar sprite")
 
-    def interactions_for(self, receiver: Optional[str] = None,
-                         kind: Optional[InteractionKind] = None):
-        out = []
-        for i in self.interactions:
-            if receiver is not None and i.receiver != receiver:
-                continue
-            if kind is not None and i.kind != kind:
-                continue
-            out.append(i)
-        return out
-
 
 @dataclass(frozen=True)
 class LevelGrid:
@@ -170,9 +159,6 @@ class LevelGrid:
     width: int
     height: int
     cells: tuple[str, ...]  # rows, each of length width
-
-    def at(self, x: int, y: int) -> str:
-        return self.cells[y][x]
 
     def positions(self):
         for y in range(self.height):

@@ -8,8 +8,8 @@ from test_agent import HUNTER_GDF
 from test_vgdl import ALIENS_GDF, SOKOBAN_GDF
 from vgdl2pddl.compiler import (
     compile_domain,
+    compile_game,
     deduce_goal,
-    emit_turn_structure,
     static_sprites,
 )
 from vgdl2pddl.errors import UnsupportedGoalError
@@ -133,8 +133,9 @@ class TestActions:
 class TestTurnStructure:
     def test_degenerate_game_has_no_sprite_phase(self):
         model = load_game("sokoban")  # no self-movers
-        preds, actions = emit_turn_structure(model)
-        names = {a.name for a in actions}
+        actions = compile_game(model).domain.actions
+        names = {a.name for a in actions
+                 if a.name.startswith(("END-TURN-", "STOP_"))}
         assert names == {"END-TURN-INTERACTIONS", "END-TURN-SPRITES"}
         eti = next(a for a in actions if a.name == "END-TURN-INTERACTIONS")
         assert "turn-" not in "".join(
@@ -143,7 +144,7 @@ class TestTurnStructure:
 
     def test_two_mover_chain(self):
         model = parse_gdf(ALIENS_GDF, name="aliens")
-        _, actions = emit_turn_structure(model)
+        actions = compile_game(model).domain.actions
         eti = next(a for a in actions if a.name == "END-TURN-INTERACTIONS")
         assert "(turn-bullet-move)" in format_formula(eti.effect)
         stop_bullet = next(a for a in actions if a.name == "STOP_BULLET_MOVE")

@@ -8,7 +8,8 @@ from vgdl2pddl.errors import (
     UnboundPlaceholderError,
     UnknownTemplateError,
 )
-from vgdl2pddl.kb import DIRECTION_TABLE, KnowledgeBase, validate_kb
+from vgdl2pddl.kb import (DIRECTION_TABLE, KIND_AVATAR, KnowledgeBase,
+                          validate_kb)
 from vgdl2pddl.pddl import And, Atom, Not, format_formula
 
 
@@ -111,7 +112,9 @@ class TestInstantiate:
     def test_directions_header_limits_instantiation(self, kb):
         ts = kb.lookup("avatar", "FlakAvatar")
         assert ts.directions == ("LEFT", "RIGHT")
-        names = [a.name for a in kb.instantiate(ts, {"A": "a", "P": "p"}).actions]
+        moving = kb.lookup("avatar", "MovingAvatar")
+        names = [a.name for a in kb.instantiate(
+            moving, {"A": "a"}, ts.directions).actions]
         assert names[:2] == ["AVATAR_ACTION_MOVE_LEFT", "AVATAR_ACTION_MOVE_RIGHT"]
         with pytest.raises(UnboundPlaceholderError):
             kb.instantiate(ts, {"A": "a", "P": "p"}, ["UP"])
@@ -141,6 +144,18 @@ class TestInstantiate:
                  + a.name for a in inst.actions]
                 + [p.name for p in inst.predicates])
             assert not re.search(r"<[A-Z][A-Z0-9_]*>", rendered), ts.template_id
+
+    def test_avatar_templates_define_disjoint_actions(self, kb):
+        """A class template adds to MovingAvatar's moves and NIL; it never
+        repeats them."""
+        defined_by: dict[str, str] = {}
+        for ts in kb.templates.values():
+            if ts.kind != KIND_AVATAR:
+                continue
+            binding = {p: f"xx{p.lower()}" for p in ts.placeholders}
+            for action in kb.instantiate(ts, binding).actions:
+                owner = defined_by.setdefault(action.name, ts.template_id)
+                assert owner == ts.template_id, (action.name, owner)
 
     def test_instantiation_injective_on_bindings(self, kb):
         ts = kb.lookup("interaction", "killSprite")

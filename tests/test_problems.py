@@ -5,12 +5,16 @@ import hashlib
 import pytest
 import yaml
 
+from vgdl2pddl import engine as E
+from vgdl2pddl.agent import Outcome, engine_action, is_avatar_action, run_episode
 from vgdl2pddl.bench import static_reduction
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import load
 from vgdl2pddl.errors import GdfError, MultipleAvatarsError, NoAvatarError
 from vgdl2pddl.games import available_games, level_paths, load_game, load_level
+from vgdl2pddl.ground import ground
 from vgdl2pddl.pddl import Atom, format_formula, print_problem, read_problem
+from vgdl2pddl.planner import Mode, SearchConfig, Status, solve
 from vgdl2pddl.problems import (
     config_from_text,
     config_to_text,
@@ -193,6 +197,42 @@ class TestSpecialFacts:
                          game.model)
         with pytest.warns(UserWarning):
             generate_problem(grid, game)
+
+
+# nine keys on the only path from the avatar to the exit, more than the
+# grid is wide
+NINE_KEYS = "wwwwwww\nwAkkkkw\nwwwwwkw\nwekkkkw\nwwwwwww"
+
+
+class TestResourceChain:
+    """The num chain reaches every resource count a level can produce."""
+
+    @pytest.fixture(scope="class")
+    def keymaze(self):
+        game = compile_game(load_game("keymaze"))
+        return game, parse_ldf(NINE_KEYS, game.model)
+
+    def test_chain_counts_every_key(self, keymaze):
+        game, grid = keymaze
+        problem, _ = generate_problem(grid, game)
+        assert Atom("next", ("n8", "n9")) in set(problem.init)
+
+    @pytest.mark.parametrize("mode", [Mode.BLIND_BFS, Mode.GBFS_HADD])
+    def test_plan_collects_nine_keys_and_wins(self, keymaze, mode):
+        game, grid = keymaze
+        problem, _ = generate_problem(grid, game)
+        result = solve(ground(game.domain, problem), SearchConfig(mode=mode))
+        assert result.status is Status.SOLVED
+        sim = load(game.model, grid)
+        for action in result.plan:
+            if is_avatar_action(action):
+                E.step(sim, engine_action(action.name))
+        assert sim.status is E.GameStatus.WIN
+        assert sim.resources["key"] == 9
+
+    def test_episode_wins(self, keymaze):
+        game, grid = keymaze
+        assert run_episode(game, grid).outcome is Outcome.WIN
 
 
 # (game, level) -> (sha256 of the printed problem generated from the level

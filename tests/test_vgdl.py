@@ -152,8 +152,8 @@ class TestParseGdf:
         )
         with pytest.warns(UserWarning):
             model = parse_gdf(text)
-        assert len(model.interactions_for(receiver="box",
-                                          kind=InteractionKind.KILL_SPRITE)) == 1
+        assert len([i for i in model.interactions if i.receiver == "box"
+                    and i.kind is InteractionKind.KILL_SPRITE]) == 1
 
     def test_same_pair_different_kinds_coexist(self):
         text = SOKOBAN_GDF.replace(
@@ -161,8 +161,8 @@ class TestParseGdf:
             "    box hole > killSprite\n    box hole > stepBack\n",
         )
         model = parse_gdf(text)
-        kinds = {i.kind for i in model.interactions_for(receiver="box")
-                 if i.producer == "hole"}
+        kinds = {i.kind for i in model.interactions
+                 if i.receiver == "box" and i.producer == "hole"}
         assert kinds == {InteractionKind.KILL_SPRITE, InteractionKind.STEP_BACK}
 
     def test_receiver_equals_producer_rejected(self):
@@ -247,9 +247,9 @@ class TestParseLdf:
         model = parse_gdf(SOKOBAN_GDF)
         grid = parse_ldf(SOKOBAN_LDF, model)
         assert (grid.width, grid.height) == (5, 5)
-        assert grid.at(2, 2) == "b"
-        assert grid.at(2, 3) == "A"
-        assert grid.at(1, 1) == "h"
+        assert grid.cells[2][2] == "b"
+        assert grid.cells[3][2] == "A"
+        assert grid.cells[1][1] == "h"
         assert sum(c == "w" for _, _, c in grid.positions()) == 16
 
     def test_empty_string_is_ragged(self):
