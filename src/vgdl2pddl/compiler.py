@@ -15,6 +15,9 @@ Compilation decisions that fall outside templates:
   * a blocked self-mover performs <T>_MOVE_STOP (stay in place) so the STOP
     closer's all-moved check stays satisfiable; at the grid edge it exits and
     dies, mirroring the simulator;
+  * END-TURN-INTERACTIONS needs each interaction action's guard "no binding
+    applies", derived from its template; bounceForward's guard instead bans
+    any overlap, so a failed push is a dead end (the simulator reverts it);
   * avatar projectiles are pooled: problems carry reserve objects that a USE
     action places on the grid;
   * an avatar class template holds only what the class adds to MovingAvatar
@@ -44,6 +47,7 @@ from .pddl import (
     Or,
     Predicate,
     conj,
+    parse_fragment_formula,
 )
 from .vgdl import (
     GameModel,
@@ -56,15 +60,6 @@ from .vgdl import (
 
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":equality",
                 ":universal-preconditions", ":conditional-effects")
-
-_COLLISION_KINDS = {
-    InteractionKind.KILL_SPRITE,
-    InteractionKind.KILL_BOTH,
-    InteractionKind.COLLECT_RESOURCE,
-    InteractionKind.KILL_IF_OTHER_HAS_MORE,
-    InteractionKind.BOUNCE_FORWARD,
-}
-
 
 @dataclass(frozen=True)
 class Blockers:
@@ -83,8 +78,8 @@ class CompiledGame:
     domain: Domain
     goal: Formula
     avatar: SpriteDef
+    avatar_directions: tuple[str, ...]  # the directions the avatar moves in
     static_sprites: tuple[str, ...]
-    moving_types: tuple[str, ...]
     projectile: Optional[str]
     resources: tuple[str, ...]
     timeout_limit: Optional[int]
@@ -150,11 +145,6 @@ def projectile_of(model: GameModel) -> Optional[str]:
     return None
 
 
-def moving_types(model: GameModel) -> tuple[str, ...]:
-    return tuple(s.name for s in model.concrete_sprites()
-                 if s.vgdl_type is SpriteType.MISSILE)
-
-
 # -- goal deduction -----------------------------------------------------------------
 
 def deduce_goal(terminations: tuple[TerminationDef, ...]) -> Formula:
@@ -186,6 +176,14 @@ def _with_eff(action: Action, extra: list[Formula]) -> Action:
         return action
     return Action(action.name, action.params, action.precondition,
                   conj(action.effect, *extra))
+
+
+def _never_applies(action: Action, asserted: Formula) -> Forall:
+    """No binding of `action` applies, given that `asserted` holds."""
+    return Forall(action.params, Or(tuple(
+        c.body if isinstance(c, Not) else Not(c)
+        for c in conj(action.precondition).parts
+        if c not in conj(asserted).parts)))
 
 
 def _dest_cell(action: Action) -> tuple[str, str]:
@@ -232,7 +230,8 @@ def compile_game(model: GameModel,
     kb = kb or KnowledgeBase()
     avatar = model.avatar()
     statics = static_sprites(model)
-    movers = moving_types(model)
+    movers = tuple(s.name for s in model.concrete_sprites()
+                   if s.vgdl_type is SpriteType.MISSILE)
     projectile = projectile_of(model)
     resources = tuple(s.name for s in model.concrete_sprites()
                       if s.vgdl_type is SpriteType.RESOURCE)
@@ -300,7 +299,7 @@ def compile_game(model: GameModel,
 
     # interactions, in declaration order
     interaction_actions: list[Action] = []
-    no_collision: list[Formula] = []
+    guards: list[Formula] = []
     kiohm_limits: list[tuple[str, int]] = []
     for inter in model.interactions:
         if inter.kind is InteractionKind.STEP_BACK:
@@ -314,28 +313,21 @@ def compile_game(model: GameModel,
         inst = kb.instantiate(
             kb.lookup("interaction", inter.kind.value), binding)
         add_predicates(inst.predicates)
-        for action in inst.actions:
-            if inter.kind is InteractionKind.BOUNCE_FORWARD:
-                receiver_blockers = blockers_for(model, inter.receiver, statics)
-                action = _with_pre(action, _blocker_conjuncts(
-                    receiver_blockers, _dest_cell(action)))
-            interaction_actions.append(action)
-        if inter.kind in _COLLISION_KINDS:
-            no_collision.append(Forall(
-                (("?o1", inter.receiver), ("?o2", inter.producer),
-                 ("?x", "num"), ("?y", "num")),
-                Or((Atom("=", ("?o1", "?o2")),
-                    Not(Atom("at", ("?x", "?y", "?o1"))),
-                    Not(Atom("at", ("?x", "?y", "?o2")))))))
-        elif inter.kind is InteractionKind.KILL_IF_FROM_ABOVE:
-            no_collision.append(Forall(
-                (("?o1", inter.receiver), ("?o2", inter.producer),
-                 ("?x", "num"), ("?ya", "num"), ("?y", "num")),
-                Or((Atom("=", ("?o1", "?o2")),
-                    Not(Atom("at", ("?x", "?y", "?o1"))),
-                    Not(Atom("at", ("?x", "?ya", "?o2"))),
-                    Not(Atom("next", ("?ya", "?y"))),
-                    Not(Atom("oriented-down", ("?o2",)))))))
+        actions = inst.actions
+        if inter.kind is InteractionKind.BOUNCE_FORWARD:
+            blockers = blockers_for(model, inter.receiver, statics)
+            actions = tuple(_with_pre(a, _blocker_conjuncts(
+                blockers, _dest_cell(a))) for a in actions)
+            # a failed push leaves the receiver on the pusher: no overlap may
+            # close the turn, so the model dead-ends where the engine reverts
+            guards.append(parse_fragment_formula(
+                f"(forall (?o1 - {inter.receiver} ?o2 - {inter.producer} ?x ?y"
+                " - num) (or (= ?o1 ?o2) (not (at ?x ?y ?o1))"
+                " (not (at ?x ?y ?o2))))"))
+        else:
+            guards.extend(_never_applies(a, eti_core.precondition)
+                          for a in actions)
+        interaction_actions.extend(actions)
 
     # sprite behaviour: resources, statics, self-movers (declaration order)
     mover_actions: dict[str, list[Action]] = {}
@@ -394,10 +386,9 @@ def compile_game(model: GameModel,
         add_predicates(counter.predicates)
 
     # --- phase wiring -------------------------------------------------------
-    eti_extra_eff: list[Formula] = []
-    if movers:
-        eti_extra_eff.append(Atom(f"turn-{movers[0]}-move"))
-    eti = _with_eff(_with_pre(eti_core, no_collision), eti_extra_eff)
+    # END-TURN-INTERACTIONS opens the first mover's phase, if there is one
+    eti = _with_eff(_with_pre(eti_core, guards),
+                    [Atom(f"turn-{m}-move") for m in movers[:1]])
 
     sprite_phase_actions: list[Action] = []
     for idx, mover in enumerate(movers):
@@ -441,8 +432,8 @@ def compile_game(model: GameModel,
         domain=domain,
         goal=goal,
         avatar=avatar,
+        avatar_directions=class_template.directions,
         static_sprites=statics,
-        moving_types=movers,
         projectile=projectile,
         resources=resources,
         timeout_limit=timeout.limit if timeout is not None else None,
@@ -460,9 +451,3 @@ def _blocked_disjunction(blockers: Blockers, cell: tuple[str, str]) -> Formula:
         options.append(Not(Forall((("?blk", type_name),),
                                   Not(Atom("at", (dx, dy, "?blk"))))))
     return options[0] if len(options) == 1 else Or(tuple(options))
-
-
-def compile_domain(model: GameModel,
-                   kb: Optional[KnowledgeBase] = None) -> Domain:
-    return compile_game(model, kb).domain
-

@@ -4,7 +4,7 @@ States are integer bit masks over an indexed set of dynamic ground atoms.
 Grounded preconditions are a set of signed literals plus a (usually empty)
 list of CNF clauses; clauses arise from universally quantified formulas such
 as the STOP_<T>_MOVE closer, (forall (?o - b) (or (dead ?o) (b-moved ?o))),
-and from the no-collision-left checks on END-TURN-INTERACTIONS.
+and from the no-interaction-applies guards on END-TURN-INTERACTIONS.
 
 Facts over static predicates (never added or deleted by any action, e.g.
 is-wall, next) are evaluated at grounding time: actions with a statically
@@ -44,7 +44,7 @@ from typing import Iterable, Optional
 
 from .errors import NotApplicableError, TypeMismatchError, UnsupportedConstructError
 from .pddl import (Action, And, Atom, Domain, Forall, Formula, Not, Or, Problem,
-                   ROOT_TYPE, atoms_in)
+                   ROOT_TYPE, atoms_in, effect_literals)
 
 Literal = tuple[Atom, bool]  # (atom, is_positive)
 
@@ -197,23 +197,8 @@ def _cnf(f: Formula) -> list[list[Literal]]:
 
 def _collect_effects(f: Formula, universe: dict[str, list[str]],
                      adds: set[Atom], dels: set[Atom]) -> None:
-    expanded = _expand_foralls(f, universe)
-
-    def walk(g: Formula):
-        if isinstance(g, Atom):
-            adds.add(g)
-        elif isinstance(g, Not):
-            if not isinstance(g.body, Atom):
-                raise UnsupportedConstructError("effects must be literals")
-            dels.add(g.body)
-        elif isinstance(g, And):
-            for p in g.parts:
-                walk(p)
-        else:
-            raise UnsupportedConstructError(
-                f"unsupported effect construct {type(g).__name__}")
-
-    walk(expanded)
+    for atom, positive, _ in effect_literals(_expand_foralls(f, universe), {}):
+        (adds if positive else dels).add(atom)
 
 
 # -- schema grounding --------------------------------------------------------------
@@ -292,6 +277,7 @@ class _SchemaGrounder:
                 self.universe[t].append(obj)
 
         self.static_preds = domain.static_predicates
+        self.added_args = domain.added_args
         self.static_table: dict[str, list[tuple[str, ...]]] = {}
         self.init_dynamic: set[Atom] = set()
         for atom in problem.init:
@@ -421,11 +407,12 @@ class _SchemaGrounder:
         static join, where the full product is mostly satisfied instances.
         The clauses keep `itertools.product` order and leave the joinable
         literals out; a negated equality over the forall's variables is
-        folded, and every other literal is kept for the caller (one that
-        mentions a schema parameter is only decided per binding).
+        folded, an instance negating a `_never_true` atom is skipped, and
+        every other literal is kept for the caller (one that mentions a
+        schema parameter is only decided per binding).
         """
         names = [v for v, _ in f.variables]
-        literals: list[tuple[Atom, bool, bool]] = []  # atom, positive, fold
+        literals: list[tuple[Atom, bool, bool]] = []  # atom, positive, decided
         constraints: list[Formula] = []
         for lit in f.body.parts if isinstance(f.body, Or) else (f.body,):
             atom = lit.body if isinstance(lit, Not) else lit
@@ -438,8 +425,7 @@ class _SchemaGrounder:
             elif decided and positive and atom.predicate == "=":
                 constraints.append(Not(atom))
             else:
-                literals.append((atom, positive,
-                                 decided and atom.predicate == "="))
+                literals.append((atom, positive, decided))
         if not constraints:
             return None
         rows = self.bindings(f.variables, constraints)
@@ -450,15 +436,25 @@ class _SchemaGrounder:
         for row in rows:
             binding = dict(zip(names, row))
             clause: list[Literal] = []
-            for atom, positive, fold in literals:
+            for atom, positive, decided in literals:
                 args = tuple([binding.get(a, a) for a in atom.args])
-                if not fold:
-                    clause.append((Atom(atom.predicate, args), positive))
-                elif args[0] != args[1]:
+                if decided and not positive and (
+                        args[0] != args[1] if atom.predicate == "="
+                        else self._never_true(atom.predicate, args)):
                     break  # the instance holds
+                if not decided or atom.predicate != "=":
+                    clause.append((Atom(atom.predicate, args), positive))
             else:
                 clauses.append(clause)
         return clauses
+
+    def _never_true(self, pred: str, args: tuple[str, ...]) -> bool:
+        """The dynamic atom is not in init, and no add effect puts the type
+        or the constant of one of its arguments there (`added_args`)."""
+        return Atom(pred, args) not in self.init_dynamic and any(
+            self.added_args.get((pred, i), set()).isdisjoint(
+                (arg, *self.supertypes.get(self.types_of.get(arg), ())))
+            for i, arg in enumerate(args))
 
 
 _EQUALITY = object()  # the "table" of an equality literal in a template

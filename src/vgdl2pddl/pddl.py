@@ -76,6 +76,22 @@ def atoms_in(f: Formula):
         yield from atoms_in(f.body)
 
 
+def effect_literals(f: Formula, types: dict[str, str]):
+    """(atom, positive, variable types in scope) per literal of effect `f`."""
+    if isinstance(f, And):
+        for p in f.parts:
+            yield from effect_literals(p, types)
+    elif isinstance(f, Forall):
+        yield from effect_literals(f.body, types | dict(f.variables))
+    elif isinstance(f, Atom):
+        yield f, True, types
+    elif isinstance(f, Not) and isinstance(f.body, Atom):
+        yield f.body, False, types
+    else:
+        raise UnsupportedConstructError(
+            f"unsupported effect construct {format_formula(f)}")
+
+
 def conj(*parts: Formula) -> And:
     """Flattened conjunction."""
     flat: list[Formula] = []
@@ -118,6 +134,19 @@ class Domain:
         return frozenset(p.name for p in self.predicates) - {
             atom.predicate for action in self.actions
             for atom in atoms_in(action.effect)}
+
+    @cached_property
+    def added_args(self) -> dict[tuple[str, int], set[str]]:
+        """(predicate, argument position) -> the declared types and constants
+        that some add effect puts there, computed once."""
+        slots: dict[tuple[str, int], set[str]] = {}
+        for action in self.actions:
+            for atom, positive, types in effect_literals(
+                    action.effect, dict(action.params)):
+                for i, arg in enumerate(atom.args if positive else ()):
+                    slots.setdefault((atom.predicate, i), set()).add(
+                        types.get(arg, arg))
+        return slots
 
     def predicate(self, name: str) -> Predicate:
         for p in self.predicates:

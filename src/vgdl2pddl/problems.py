@@ -176,10 +176,11 @@ def generate_problem(source: Union[LevelGrid, GameState], game: CompiledGame,
     width, height = state.width, state.height
 
     count = num_count(game, state)
-    # A chain longer than a grid dimension lets the avatar plan into cells
-    # beyond the grid unless walls fence it (self-movers carry edge guards).
-    horizontal_only = game.avatar.vgdl_type is SpriteType.FLAK_AVATAR
-    risky = count > width or (not horizontal_only and count > height)
+    # A chain longer than the grid along a direction the avatar moves in lets
+    # it plan into cells beyond the grid unless walls fence it (self-movers
+    # carry edge guards).
+    risky = any(count > (width if d in ("LEFT", "RIGHT") else height)
+                for d in game.avatar_directions)
     if risky and not _fenced(game, instances, width, height):
         warnings.warn(
             f"num chain length {count} exceeds a grid dimension "

@@ -27,8 +27,8 @@ from vgdl2pddl.bench import (
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.games import load_game, load_level
 from vgdl2pddl.ground import apply, applicable, ground
-from vgdl2pddl.pddl import print_domain, print_problem
-from vgdl2pddl.planner import Mode, SearchConfig, Status, solve
+from vgdl2pddl.pddl import Atom, print_domain, print_problem
+from vgdl2pddl.planner import Mode, SearchConfig, Status, _Successors, solve
 from vgdl2pddl.problems import config_to_text, emit_config, generate_problem
 from vgdl2pddl.vgdl import parse_gdf, parse_ldf
 
@@ -258,6 +258,88 @@ def test_c4_bisimulation():
     report("criterion 4",
            f"10 episodes win with state equality at {checked_boundaries} "
            f"turn boundaries in {elapsed:.1f}s")
+
+
+def _turn_ends(successors, state, gate):
+    """Every state with the `gate` fact (turn-avatar) that the model's phase
+    actions reach from `state`, just after an avatar action."""
+    ends, seen, stack = set(), {state}, [state]
+    while stack:
+        s = stack.pop()
+        if s & gate:
+            ends.add(s)
+            continue
+        for action in successors.applicable(s):
+            nxt = apply(s, action)
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return ends
+
+
+@pytest.mark.parametrize("name", ["sokoban", "zenpuzzle", "keymaze",
+                                  "digger", "rain"])
+def test_c4_random_walks(name):
+    """Off the plan path: seeded walks of random avatar actions the model
+    allows. After each turn some model completion of the turn projects to
+    the engine's regenerated state, or the avatar died in both. The one
+    allowed dead end is the documented failed push: the model cannot close
+    the turn, and the engine put the avatar back (the walk re-grounds)."""
+    started = time.perf_counter()
+    game = compile_game(load_game(name))
+    config = emit_config(game)
+
+    def grounded(problem):
+        task = ground(game.domain, problem)
+        return task, _Successors(task), 1 << task.fact_id[Atom("turn-avatar")]
+
+    checks = failed_pushes = 0
+    for level in (0, 1):
+        grid = load_level(name, level, game.model)
+        start, start_binding = generate_problem(grid, game, config)
+        level_task = grounded(start)  # every walk of the level starts here
+        for seed in range(24):
+            rng = random.Random(seed)
+            sim = E.load(game.model, grid)
+            binding = start_binding
+            task, successors, gate = level_task
+            state = task.init
+            for _ in range(60):
+                if sim.status is not E.GameStatus.ONGOING:
+                    break
+                moves = [a for a in successors.applicable(state)
+                         if is_avatar_action(a)]
+                assert moves, (name, level, seed, sim.turn)
+                action = rng.choice(moves)
+                ends = _turn_ends(successors, apply(state, action), gate)
+                avatar = sim.avatar()
+                before = (avatar.x, avatar.y)
+                E.step(sim, engine_action(action.name))
+                where = (name, level, seed, sim.turn, str(action))
+                checks += 1
+                avatar = sim.avatar()
+                if avatar is None:
+                    assert any(Atom("dead", ("avatar",))
+                               in task.state_atoms(s) for s in ends), where
+                    break
+                observed, binding = generate_problem(sim, game, config,
+                                                     binding)
+                init = set(observed.init)
+                match = [s for s in ends if _project(task, s) == init]
+                if match:
+                    state = match[0]
+                    continue
+                # a failed push: only sokoban pushes (bounceForward)
+                assert name == "sokoban" and not ends, where
+                assert (avatar.x, avatar.y) == before, where
+                failed_pushes += 1
+                task, successors, gate = grounded(observed)
+                state = task.init
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0, f"took {elapsed:.2f}s"
+    report("criterion 4",
+           f"{name}: {checks} random turns match the engine, "
+           f"{failed_pushes} failed pushes ({elapsed:.1f}s)")
 
 
 # -- criterion 5: optimality oracle ---------------------------------------------------

@@ -13,7 +13,7 @@ from vgdl2pddl.bench import (
     score_coverage,
     score_satisficing,
 )
-from vgdl2pddl.compiler import compile_domain
+from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.games import load_game
 from vgdl2pddl.pddl import Domain
 from vgdl2pddl.planner import Mode
@@ -59,9 +59,9 @@ class TestCoverage:
 
 class TestDomainStats:
     def test_sokoban_and_zenpuzzle_rows(self):
-        s = domain_stats(compile_domain(load_game("sokoban")))
+        s = domain_stats(compile_game(load_game("sokoban")).domain)
         assert (s.types, s.supertypes, s.predicates, s.actions) == (4, 3, 13, 12)
-        z = domain_stats(compile_domain(load_game("zenpuzzle")))
+        z = domain_stats(compile_game(load_game("zenpuzzle")).domain)
         assert (z.types, z.supertypes, z.predicates, z.actions) == (5, 2, 15, 8)
 
     def test_empty_domain(self):

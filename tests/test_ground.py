@@ -18,6 +18,8 @@ from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
 from vgdl2pddl.games import available_games, load_game, load_level
 from vgdl2pddl.ground import (
+    _Schema,
+    _SchemaGrounder,
     applicable,
     apply,
     goal_satisfied,
@@ -524,6 +526,30 @@ class TestStaticFolding:
         # ?o1 = ?o2 fails the interaction's (not (= ?o1 ?o2))
         assert precondition_clauses(game.domain, problem, bounce.name,
                                     (avatar, avatar, *cells)) is None
+
+
+class TestNeverTrueInstances:
+    """A forall instance with a negative literal on an atom that is not in
+    init and that no add effect can produce always holds: no clause is built
+    for it. `TestReferenceEquality` shows the grounded tasks stay the same."""
+
+    def test_added_args_are_types_per_argument(self):
+        domain = compile_game(load_game("digger")).domain
+        # the avatar and the boulders move; dirt, gems and the exit never do
+        assert [domain.added_args["at", i] for i in range(3)] == [
+            {"num"}, {"num"}, {"avatar", "boulder"}]
+        assert ("is-wall", 0) not in domain.added_args
+
+    def test_guard_builds_few_templates(self):
+        domain, problem = _case("digger-1")
+        eti = next(a for a in domain.actions
+                   if a.name == "END-TURN-INTERACTIONS")
+        schema = _Schema(eti.params, eti.precondition,
+                         _SchemaGrounder(domain, problem))
+        # one template per instance of every guard's forall would be 1,268
+        assert len(schema.clauses) <= 70
+        kept = ground(domain, problem).action("END-TURN-INTERACTIONS", ())
+        assert 0 < len(kept.clauses) <= len(schema.clauses)
 
 
 # -- equality with the naive grounding --------------------------------------------

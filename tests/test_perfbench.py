@@ -81,4 +81,4 @@ def test_shipped_checked_pass(bench, tmp_path):
     result = shipped.run_pass(prog, tmp_path, check=True)
     assert result.failures == []
     assert result.attempted == 24
-    assert result.plan_len_sum == 1340
+    assert result.plan_len_sum == 1339

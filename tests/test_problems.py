@@ -1,6 +1,7 @@
 """Configuration-file and problem-generation tests against the golden
 Sokoban correspondence example."""
 import hashlib
+import warnings
 
 import pytest
 import yaml
@@ -13,6 +14,7 @@ from vgdl2pddl.engine import load
 from vgdl2pddl.errors import GdfError, MultipleAvatarsError, NoAvatarError
 from vgdl2pddl.games import available_games, level_paths, load_game, load_level
 from vgdl2pddl.ground import ground
+from vgdl2pddl.kb import KnowledgeBase
 from vgdl2pddl.pddl import Atom, format_formula, print_problem, read_problem
 from vgdl2pddl.planner import Mode, SearchConfig, Status, solve
 from vgdl2pddl.problems import (
@@ -197,6 +199,24 @@ class TestSpecialFacts:
                          game.model)
         with pytest.warns(UserWarning):
             generate_problem(grid, game)
+
+    def test_chain_check_follows_avatar_directions(self, tmp_path):
+        # a level wider than tall: the chain outruns the height only, which
+        # matters once the FlakAvatar template's header lets it move up
+        level = "a   a    \n         \n    p    "
+        model = parse_gdf(ALIENS_GDF, name="aliens")
+        game = compile_game(model)
+        assert game.avatar_directions == ("LEFT", "RIGHT")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_problem(parse_ldf(level, model), game)
+        for path in KnowledgeBase().directory.glob("*.tmpl"):
+            (tmp_path / path.name).write_text(path.read_text().replace(
+                "directions: LEFT RIGHT", "directions: UP DOWN LEFT RIGHT"))
+        game = compile_game(model, KnowledgeBase(tmp_path))
+        assert game.avatar_directions == ("UP", "DOWN", "LEFT", "RIGHT")
+        with pytest.warns(UserWarning, match="exceeds a grid dimension"):
+            generate_problem(parse_ldf(level, model), game)
 
 
 # nine keys on the only path from the avatar to the exit, more than the
