@@ -2,10 +2,12 @@
 import dataclasses
 import hashlib
 import heapq
+import importlib
 import operator
 import random
 from collections import deque
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -13,13 +15,14 @@ from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import PlanParseError, ValidationFailedError
 from vgdl2pddl.games import available_games, load_game, load_level
 from vgdl2pddl.ground import (
+    GroundAction,
     GroundedTask,
     apply,
     applicable,
     goal_satisfied,
     ground,
 )
-from vgdl2pddl.pddl import format_plan, print_domain, print_problem
+from vgdl2pddl.pddl import Atom, format_plan, print_domain, print_problem
 from vgdl2pddl import planner
 from vgdl2pddl.planner import (
     INF,
@@ -383,7 +386,12 @@ class TestHAddOracle:
 # digger and keymaze entries that differ from those were re-pinned when each
 # END-TURN-INTERACTIONS guard became "no binding of the interaction applies":
 # the turn now closes on an exit below the resource limit, so the searches
-# see more states (the BlindBFS plans are unchanged).
+# see more states (the BlindBFS plans are unchanged).  The rain GBFS entries
+# were re-pinned when best-first search began to expand only the actions of a
+# strong stubborn set: rain's drops move in any order within a turn, and the
+# set keeps one drop's move at a time (lvl1: 3409 -> 289 expansions; the plans
+# keep their lengths, 71 and 86).  No other best-first entry moved: on every
+# other level each stubborn set holds every applicable action.
 SEARCH_PINS = {
     ("GBFS_hadd", "aliens", 0): (
         "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
@@ -404,11 +412,11 @@ SEARCH_PINS = {
         "5a5512becfafffd9b94b055521a131a2f7b4d95401f49c323d086f1301a5d8a4",
         15, 21),
     ("GBFS_hadd", "rain", 0): (
-        "fa5079152be46be9ca0cd4cfb8293e6553a28781df20b03d8a3dcf6fff0910e9",
-        697, 731),
+        "15d175a2d3da1636f8d8e3135159ff2a90fcadd9addb0c560822ff900589a6d0",
+        177, 205),
     ("GBFS_hadd", "rain", 1): (
-        "bf6f585a2431c2a4f4d512ac41feb8aa26e3ed157d85f020a2729ee23cc3f428",
-        3409, 3444),
+        "42b4ad9d6a74fd12d31fb4a97f9031a7cc4382205c903df8ae89387ab8302b23",
+        289, 314),
     ("GBFS_hadd", "sokoban", 0): (
         "fc4692ce9e871164ac766dfd94fc53ad01d4e72dcce6649d14fbb14d9060c08d",
         30, 38),
@@ -686,6 +694,352 @@ class TestSuccessorMemo:
             level_task("aliens", 0), mode, monkeypatch)
         assert 0 < len(successors._memo) <= result.stats.expanded
         assert len(successors._memo) < len(set(states))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name, monkeypatch):
+    """A module of the benchmark (`inputs`, `workloads`), for its inputs and
+    frozen references."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def interfere(a, b):
+    """Reference interference test, pair by pair: one action deletes a fact
+    the other reads positively, adds a fact the other reads negatively, or
+    adds a fact the other deletes."""
+    def reads(x):
+        pos, neg = x.pos_pre, x.neg_pre
+        for pos_mask, neg_mask in x.clauses:
+            pos, neg = pos | pos_mask, neg | neg_mask
+        return pos, neg
+    (a_pos, a_neg), (b_pos, b_neg) = reads(a), reads(b)
+    return bool(a.delete & (b_pos | b.add) or b.delete & (a_pos | a.add)
+                or a.add & b_neg or b.add & a_neg)
+
+
+class ReferenceStubborn:
+    """The strong stubborn sets `planner._StubbornSets` documents, built
+    from the definition: achievers and interference found by scanning every
+    action with `interfere`, the closure a plain worklist over indices."""
+
+    def __init__(self, task):
+        self.task = task
+        self.gates = sum(1 << i for atom, i in task.fact_id.items()
+                         if not atom.args)
+        self.index = {id(a): i for i, a in enumerate(task.actions)}
+        self._achievers = {}
+        self._interferes = {}
+
+    def achievers(self, fact, positive):
+        if (fact, positive) not in self._achievers:
+            self._achievers[fact, positive] = {
+                j for j, b in enumerate(self.task.actions)
+                if (b.add if positive else b.delete) >> fact & 1}
+        return self._achievers[fact, positive]
+
+    def choose(self, state, missing, present, clauses):
+        """Achievers of the first unmet gate literal, else of the first
+        unmet literal or false clause with the fewest achievers."""
+        unmet = ([(f, True) for f in planner._bits(missing)]
+                 + [(f, False) for f in planner._bits(present)])
+        for f, positive in sorted(unmet):
+            if self.gates >> f & 1:
+                return self.achievers(f, positive)
+        options = [self.achievers(f, positive) for f, positive in unmet]
+        for pos_mask, neg_mask in clauses:
+            if not state & pos_mask and not neg_mask & ~state:
+                options.append(set().union(
+                    *(self.achievers(f, True)
+                      for f in planner._bits(pos_mask)),
+                    *(self.achievers(f, False)
+                      for f in planner._bits(neg_mask))))
+        return min(options, key=len) if options else set()
+
+    def interferes(self, i):
+        if i not in self._interferes:
+            a = self.task.actions[i]
+            self._interferes[i] = {j for j, b in enumerate(self.task.actions)
+                                   if interfere(a, b)}
+        return self._interferes[i]
+
+    def kept(self, state, answer):
+        """What `keep` must return: the whole answer when every two of its
+        actions interfere or the set holds all of them, else the answer's
+        actions in the set."""
+        task = self.task
+        stubborn = set(self.choose(state, task.goal_pos & ~state,
+                                   task.goal_neg & state, ()))
+        queue = list(stubborn)
+        while queue:
+            i = queue.pop()
+            a = task.actions[i]
+            if applicable(state, a):
+                new = self.interferes(i)
+            else:
+                new = self.choose(state, a.pos_pre & ~state,
+                                  a.neg_pre & state, a.clauses)
+            queue += new - stubborn
+            stubborn |= new
+        ids = [self.index[id(a)] for a in answer]
+        if set(ids) <= stubborn or all(
+                interfere(a, b) for k, b in enumerate(answer)
+                for a in answer[:k]):
+            return answer
+        return tuple(a for a, i in zip(answer, ids) if i in stubborn)
+
+
+def gbfs_kept(task, monkeypatch):
+    """([(state, applicable, kept)] for every state GBFS expands, the
+    result) for one GBFS run."""
+    seen = []
+
+    class Recording(planner._StubbornSets):
+        def keep(self, state, answer):
+            kept = super().keep(state, answer)
+            seen.append((state, answer, kept))
+            return kept
+
+    with monkeypatch.context() as m:
+        m.setattr(planner, "_StubbornSets", Recording)
+        result = solve(task, SearchConfig(mode=Mode.GBFS_HADD, time_limit=120))
+    assert result.status is Status.SOLVED
+    return seen, result
+
+
+def stubborn_bfs(task):
+    """(plan length or None, expansions, actions pruned) of breadth-first
+    search that expands only the actions the stubborn sets keep."""
+    successors = planner._Successors(task)
+    stubborn = planner._StubbornSets(task)
+    depth = {task.init: 0}
+    queue = deque([task.init])
+    expanded = pruned = 0
+    while queue:
+        state = queue.popleft()
+        expanded += 1
+        answer = successors.applicable(state)
+        kept = stubborn.keep(state, answer)
+        pruned += len(answer) - len(kept)
+        for action in kept:
+            succ = apply(state, action)
+            if succ in depth:
+                continue
+            depth[succ] = depth[state] + 1
+            if goal_satisfied(task, succ):
+                return depth[succ], expanded, pruned
+            queue.append(succ)
+    return None, expanded, pruned
+
+
+def interleaving_task():
+    """A task whose only plan the "expand only the first of pairwise
+    independent movers" shortcut loses.  A and B both apply at the start and
+    are independent: A deletes `intact`, B adds `enabled`, and neither reads
+    what the other touches.  C reaches the goal and needs both `enabled` and
+    `intact`, so the only plan is B, C; A first strands the search."""
+    facts = tuple(Atom(p, ("x",)) for p in
+                  ("done-a", "done-b", "enabled", "goal", "intact"))
+    bit = {atom.predicate: 1 << i for i, atom in enumerate(facts)}
+    a = GroundAction("A", (), 0, bit["done-a"], (), bit["done-a"],
+                     bit["intact"])
+    b = GroundAction("B", (), 0, bit["done-b"], (),
+                     bit["done-b"] | bit["enabled"], 0)
+    c = GroundAction("C", (), bit["enabled"] | bit["intact"], 0, (),
+                     bit["goal"], 0)
+    return GroundedTask(facts, (a, b, c), bit["intact"], (), bit["goal"], 0,
+                        frozenset(), False)
+
+
+def random_task(rng):
+    """A small random task: ten sparse actions over eight facts, two of them
+    argument-free (gates to `_Successors` and to the stubborn sets' choice
+    rule), with negative preconditions, clauses and negative goal literals."""
+    facts = tuple(Atom(f"f{i}", () if i < 2 else ("x",)) for i in range(8))
+
+    def mask(p):
+        return sum(1 << i for i in range(len(facts)) if rng.random() < p)
+
+    actions = []
+    for k in range(10):
+        pos = mask(0.15)
+        clauses = tuple(c for c in [(mask(0.2), mask(0.15))]
+                        if any(c) and rng.random() < 0.4)
+        actions.append(GroundAction(f"a{k}", (), pos, mask(0.1) & ~pos,
+                                    clauses, mask(0.15), mask(0.1)))
+    goal_pos = mask(0.3)
+    return GroundedTask(facts, tuple(actions), mask(0.4), (), goal_pos,
+                        mask(0.1) & ~goal_pos, frozenset(), False)
+
+
+class TestStubbornSets:
+    def test_pruned_counts_dropped_actions(self):
+        for index in (0, 1):
+            stats = solve(level_task("rain", index)).stats
+            assert stats.pruned > 0
+            bfs = solve(level_task("rain", index),
+                        SearchConfig(mode=Mode.BLIND_BFS)).stats
+            assert bfs.pruned == 0
+        assert solve(level_task("sokoban", 1)).stats.pruned == 0
+
+    def test_nothing_pruned_on_the_ladder(self, monkeypatch):
+        inputs = perfbench_module("inputs", monkeypatch)
+        game = compile_game(load_game("sokoban"))
+        for _, text in inputs.ladder_levels(1):
+            problem, _ = generate_problem(parse_ldf(text, game.model), game)
+            result = solve(ground(game.domain, problem))
+            assert result.status is Status.SOLVED
+            assert result.stats.pruned == 0
+
+    @pytest.mark.parametrize("name,index", [
+        ("rain", 0), ("rain", 1), ("aliens", 0), ("aliens", 1),
+        ("digger", 1), ("sokoban", 1),
+    ])
+    def test_kept_actions_on_gbfs_states(self, name, index, monkeypatch):
+        task = level_task(name, index)
+        seen, result = gbfs_kept(task, monkeypatch)
+        reference = ReferenceStubborn(task)
+        kept_at = {}
+        strict = 0
+        for state, answer, kept in seen:
+            # an ordered sublist of the applicable actions
+            rest = iter(answer)
+            assert all(action in rest for action in kept)
+            if all(interfere(a, b) for i, b in enumerate(answer)
+                   for a in answer[:i]):
+                assert kept == answer
+            assert kept == reference.kept(state, answer)
+            strict += len(kept) < len(answer)
+            kept_at[state] = kept
+        assert (strict > 0) == (name == "rain")
+        # every state of the plan was expanded and kept its plan action
+        state = task.init
+        for action in result.plan:
+            assert action in kept_at[state]
+            state = apply(state, action)
+        assert goal_satisfied(task, state)
+
+    def test_interference_tables_match_pairwise_test(self, monkeypatch):
+        task = level_task("rain", 1)
+        seen, _ = gbfs_kept(task, monkeypatch)
+        stubborn = planner._StubbornSets(task)
+        stubborn._build()
+        index = {id(a): i for i, a in enumerate(task.actions)}
+        movers = {index[id(a)] for _, answer, _ in seen for a in answer}
+        assert len(movers) > 10
+        for i in movers:
+            a = task.actions[i]
+            assert stubborn._interference(i) == sum(
+                1 << j for j, b in enumerate(task.actions) if interfere(a, b))
+
+    @pytest.mark.parametrize("name,index", [
+        ("rain", 0), ("rain", 1), ("sokoban", 0), ("sokoban", 1),
+        ("keymaze", 0), ("keymaze", 1), ("zenpuzzle", 1),
+    ])
+    def test_bfs_through_the_filter_stays_optimal(self, name, index,
+                                                  monkeypatch):
+        workloads = perfbench_module("workloads", monkeypatch)
+        length, expanded, _ = stubborn_bfs(level_task(name, index))
+        assert length == workloads.OPTIMAL_LENGTHS[(name, index)]
+        if (name, index) == ("rain", 1):
+            # plain blind BFS expands 30,685 states (SEARCH_PINS)
+            assert expanded * 5 <= SEARCH_PINS[("BlindBFS", "rain", 1)][1]
+
+    def test_random_tasks_keep_their_optimum(self):
+        rng = random.Random(15)
+        solvable = pruned = 0
+        for _ in range(2000):
+            task = random_task(rng)
+            if goal_satisfied(task, task.init):
+                continue
+            optimum = exhaustive_optimum(task)
+            length, _, bfs_pruned = stubborn_bfs(task)
+            assert length == optimum
+            result = solve(task, SearchConfig(mode=Mode.GBFS_HADD))
+            if optimum is None:
+                assert result.status is Status.UNSOLVABLE
+                continue
+            solvable += 1
+            assert result.status is Status.SOLVED
+            assert validate(task, result.plan) == (True, None)
+            pruned += bfs_pruned > 0
+        assert solvable >= 400 and pruned >= 150
+
+    def test_random_tasks_keep_the_reference_sets(self):
+        rng = random.Random(16)
+        strict = 0
+        for _ in range(300):
+            task = random_task(rng)
+            successors = planner._Successors(task)
+            stubborn = planner._StubbornSets(task)
+            reference = ReferenceStubborn(task)
+            seen, queue = {task.init}, deque([task.init])
+            while queue:
+                state = queue.popleft()
+                if goal_satisfied(task, state):
+                    continue
+                answer = successors.applicable(state)
+                kept = stubborn.keep(state, answer)
+                assert kept == reference.kept(state, answer)
+                strict += len(kept) < len(answer)
+                for action in answer:
+                    succ = apply(state, action)
+                    if succ not in seen:
+                        seen.add(succ)
+                        queue.append(succ)
+        assert strict >= 100
+
+    def test_a_disabling_mover_stays_in_the_set(self):
+        """B deletes what A needs, so A must come first; D is independent
+        of both, so the closure runs and drops D alone."""
+        facts = tuple(Atom(p, ("x",)) for p in
+                      ("goal-b", "goal-a", "ready", "done-d"))
+        bit = {atom.predicate: 1 << i for i, atom in enumerate(facts)}
+        a = GroundAction("A", (), bit["ready"], 0, (), bit["goal-a"], 0)
+        b = GroundAction("B", (), 0, 0, (), bit["goal-b"], bit["ready"])
+        d = GroundAction("D", (), 0, bit["done-d"], (), bit["done-d"], 0)
+        task = GroundedTask(facts, (a, b, d), bit["ready"], (),
+                            bit["goal-a"] | bit["goal-b"], 0, frozenset(),
+                            False)
+        assert interfere(a, b)
+        assert not interfere(a, d) and not interfere(b, d)
+        assert planner._StubbornSets(task).keep(task.init, (a, b, d)) == (a, b)
+        result = solve(task, SearchConfig(mode=Mode.GBFS_HADD))
+        assert result.status is Status.SOLVED and result.plan == (a, b)
+        assert stubborn_bfs(task)[0] == 2
+
+    def test_shortcut_loses_a_plan_the_stubborn_sets_keep(self):
+        task = interleaving_task()
+        a, b, c = task.actions
+        assert [x for x in task.actions if applicable(task.init, x)] == [a, b]
+        assert not interfere(a, b) and interfere(a, c)
+
+        def shortcut_bfs():
+            successors = planner._Successors(task)
+            seen, queue = {task.init}, deque([task.init])
+            while queue:
+                state = queue.popleft()
+                answer = successors.applicable(state)
+                if not any(interfere(x, y) for i, y in enumerate(answer)
+                           for x in answer[:i]):
+                    answer = answer[:1]
+                for action in answer:
+                    succ = apply(state, action)
+                    if goal_satisfied(task, succ):
+                        return True
+                    if succ not in seen:
+                        seen.add(succ)
+                        queue.append(succ)
+            return False
+
+        assert not shortcut_bfs()
+        result = solve(task, SearchConfig(mode=Mode.GBFS_HADD))
+        assert result.status is Status.SOLVED
+        assert result.plan == (b, c)
+        assert result.stats.pruned == 1
+        assert stubborn_bfs(task) == (2, 2, 1)
 
 
 class TestValidate:
