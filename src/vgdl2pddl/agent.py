@@ -9,13 +9,14 @@ fresh problem is generated from the current state.  Because the new problem's
 init is exactly the state that falsified the action, the planner cannot open
 the new plan with the same move.
 
-A plan can also run dry while the game is still going (e.g. a stray rock
-intercepted a bullet without ever touching an avatar precondition); the
-unmet goal literals are then logged as the violation and the loop replans.
+The goal is the plan's last step, `ground.GOAL`, checked by the same monitor
+over the observed problem.  A plan that runs out with the game still going
+(e.g. a stray rock intercepted a bullet without ever touching an avatar
+precondition) logs the goal literals the observed state falsifies as its
+violation, and the loop replans.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -24,9 +25,9 @@ from typing import Optional
 from . import engine
 from .compiler import CompiledGame
 from .engine import AvatarAction, GameStatus, GameState
-from .ground import GroundAction, ground, precondition_clauses
+from .ground import GOAL, GroundAction, ground, precondition_clauses
 from .pddl import Atom
-from .planner import PlanResult, SearchConfig, Status, solve
+from .planner import SearchConfig, Status, solve
 from .problems import ConfigFile, emit_config, generate_problem
 from .vgdl import LevelGrid
 
@@ -96,21 +97,22 @@ def violated_literals(clauses, facts: frozenset[Atom]) -> tuple[str, ...]:
     return tuple(violated)
 
 
-def monitor(state: GameState, action: GroundAction, game: CompiledGame,
-            config: ConfigFile, binding: dict[int, str],
+def monitor(state: GameState, step: tuple[str, tuple[str, ...]],
+            game: CompiledGame, config: ConfigFile, binding: dict[int, str],
             pool=None) -> tuple[str, ...]:
     """Empty tuple means OK; otherwise the violated literal subset.
 
-    The pending action's precondition is grounded from its schema over the
-    regenerated problem by `precondition_clauses`, the way `ground` grounds
-    it: quantified checks must range over objects that did not exist when
-    the plan was grounded (the rock that just dropped into the target cell),
-    and the running plan's ammunition identities are pinned via `pool`.
+    The pending plan step, an avatar action's `(name, args)` or `(GOAL, ())`,
+    is grounded from its schema over the regenerated problem by
+    `precondition_clauses`, the way `ground` grounds it: quantified checks
+    must range over objects that did not exist when the plan was grounded
+    (the rock that just dropped into the target cell), the goal is the
+    observed problem's own (a sprite killed since planning is no object of
+    it), and the running plan's ammunition identities are pinned via `pool`.
     """
     problem, _ = generate_problem(state, game, config, binding=binding,
                                   pool=pool)
-    clauses = precondition_clauses(game.domain, problem, action.name,
-                                   action.args)
+    clauses = precondition_clauses(game.domain, problem, *step)
     if clauses is None:
         return ("(false)",)
     return violated_literals(clauses, frozenset(problem.init))
@@ -141,10 +143,8 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
     while True:
         turn_at_plan = state.turn
         problem, binding = generate_problem(state, game, config)
-        task = ground(game.domain, problem)
-        t0 = time.perf_counter()
-        plan_result: PlanResult = solve(task, planner_cfg)
-        result.wall_times.append(time.perf_counter() - t0)
+        plan_result = solve(ground(game.domain, problem), planner_cfg)
+        result.wall_times.append(plan_result.stats.wall_time)
         if plan_result.status is not Status.SOLVED:
             return finish(Outcome.PLANNER_FAILED)
         result.plan_lengths.append(len(plan_result.plan))
@@ -152,24 +152,24 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
         ammo = [a.args[0] for a in problem.init if a.predicate == "in-reserve"]
         consumed: set[str] = set()
 
-        replan_needed = False
-        for action in plan_result.plan:
-            if not is_avatar_action(action):
-                continue  # interaction and bookkeeping actions stay internal
+        # interaction and bookkeeping actions stay internal; the goal is
+        # checked once the avatar actions have run out, and a plan that gets
+        # there with the game still on is replanned like a violated action
+        steps = [a.ident for a in plan_result.plan if is_avatar_action(a)]
+        for name, args in (*steps, (GOAL, ())):
             if state.turn >= budget:
                 return finish(Outcome.TURN_BUDGET_EXHAUSTED)
-            violated = monitor(state, action, game, config, binding,
+            violated = monitor(state, (name, args), game, config, binding,
                                pool=(ammo, consumed))
-            if violated:
+            if violated or name == GOAL:
                 result.violations.append(Violation(
-                    state.turn, action.ident, violated, state.fingerprint()))
+                    state.turn, (name, args), violated, state.fingerprint()))
                 result.replans += 1
-                replan_needed = True
                 break
-            result.issued.append((state.fingerprint(), action.ident))
-            if action.name.startswith("AVATAR_ACTION_USE"):
-                consumed.add(action.args[1])
-            events = engine.step(state, engine_action(action.name))
+            result.issued.append((state.fingerprint(), (name, args)))
+            if name.startswith("AVATAR_ACTION_USE"):
+                consumed.add(args[1])
+            events = engine.step(state, engine_action(name))
             for event in events:
                 trace_lines.append(
                     f"{state.turn - 1}:{event.marker}:{event.name}"
@@ -179,20 +179,7 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
             if state.status is not GameStatus.ONGOING:
                 return finish(Outcome.WIN if state.status is GameStatus.WIN
                               else Outcome.LOSE)
-        if replan_needed:
-            continue
-        # plan exhausted with the game still on: log the unmet goal literals
-        # as the violation and replan from here
-        problem, _ = generate_problem(state, game, config, binding=binding,
-                                      pool=(ammo, consumed))
-        unmet = violated_literals([(lit,) for lit in task.goal_literals],
-                                  frozenset(problem.init))
-        result.violations.append(Violation(
-            state.turn, ("(goal)", ()), unmet, state.fingerprint()))
-        result.replans += 1
         if state.turn == turn_at_plan:
-            # the plan moved nothing yet the model thinks the goal is done:
-            # a modelling gap, not a game loss
+            # the plan moved nothing, so a replan from this same state would
+            # find it again: a modelling gap, not a game loss
             return finish(Outcome.PLANNER_FAILED)
-        if state.turn >= budget:
-            return finish(Outcome.TURN_BUDGET_EXHAUSTED)

@@ -22,7 +22,9 @@ from __future__ import annotations
 import csv
 import math
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Optional
 
@@ -286,19 +288,23 @@ def run_suite(suite_dir: Optional[Path] = None,
                 jobs_list.append((spec, compiled[name], level_path, level_index,
                                   time_limit, work_dir))
 
-    if jobs > 1:
-        # CPU-bound Python jobs run in spawned worker processes; the pool's
-        # modules load only here, so a serial run does not pay their import
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            new_rows = list(pool.map(_run_one, *zip(*jobs_list)))
-    else:
-        new_rows = [_run_one(*job) for job in jobs_list]
-    for row in new_rows:
-        append_result(results_path, row)
-        rows.append(row)
+    with ExitStack() as stack:
+        if jobs > 1:
+            # CPU-bound Python jobs run in spawned worker processes; the
+            # pool's modules load only here, so a serial run does not pay
+            # their import
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")))
+            new_rows = pool.map(_run_one, *zip(*jobs_list))
+        else:
+            new_rows = starmap(_run_one, jobs_list)
+        # each row is saved as its job returns, so a failing job loses none
+        # of the rows before it and a rerun resumes after them
+        for row in new_rows:
+            append_result(results_path, row)
+            rows.append(row)
 
     board = ScoreBoard(rows)
     stats = {name: domain_stats(compiled[name].domain) for name in games}

@@ -15,9 +15,10 @@ schema precondition once per task, conjunct by conjunct, into clause
 templates that a binding fills in; a quantified single clause is expanded
 only over the instances the static facts leave open
 (`_SchemaGrounder.forall_clauses`, the one grounding context of a call).
-The goal is grounded as the precondition of a parameterless schema, and
-`precondition_clauses` grounds one binding for the execution monitor;
-neither expands effects, which only `ground`'s `_ActionSchema`s do.
+The goal is grounded as the precondition of a parameterless schema, the
+plan step `GOAL`, and `precondition_clauses` grounds one plan step, the goal
+included, for the execution monitor; neither expands effects, which only
+`ground`'s `_ActionSchema`s do.
 
 One relaxed-reachability pass picks both the actions and the atoms of the
 task (the technique of Fast Downward's translator, Helmert 2009). A
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -47,6 +49,8 @@ from .pddl import (Action, And, Atom, Domain, Forall, Formula, Not, Or, Problem,
                    ROOT_TYPE, atoms_in, effect_literals)
 
 Literal = tuple[Atom, bool]  # (atom, is_positive)
+
+GOAL = "(goal)"  # the plan step that is the goal, checked after the last action
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class GroundedTask:
     facts: tuple[Atom, ...]
     actions: tuple[GroundAction, ...]
     init: int
-    goal_literals: tuple[Literal, ...]
     goal_pos: int
     goal_neg: int
     static_facts: frozenset[Atom]
@@ -93,10 +96,14 @@ class GroundedTask:
 
     def __post_init__(self):
         self.fact_id = {f: i for i, f in enumerate(self.facts)}
-        self._index = {(a.name.upper(), a.args): a for a in self.actions}
+
+    @cached_property
+    def _index(self) -> dict[tuple[str, tuple[str, ...]], GroundAction]:
+        return {_step_key(a.name, a.args): a for a in self.actions}
 
     def action(self, name: str, args: tuple[str, ...]) -> Optional[GroundAction]:
-        return self._index.get((name.upper(), args))
+        """The action a plan step names, matched case-insensitively."""
+        return self._index.get(_step_key(name, args))
 
     def state_atoms(self, state: int) -> frozenset[Atom]:
         atoms = []
@@ -105,6 +112,10 @@ class GroundedTask:
             atoms.append(self.facts[low.bit_length() - 1])
             state ^= low
         return frozenset(atoms)
+
+
+def _step_key(name: str, args: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    return name.upper(), tuple(a.lower() for a in args)
 
 
 # -- formula normalization -------------------------------------------------------
@@ -680,16 +691,26 @@ class _Worklist:
         return [self.kept[i] for i in sorted(self.kept)]
 
 
+def _step_schema(domain: Domain, problem: Problem, name: str,
+                 grounder: _SchemaGrounder) -> _Schema:
+    """The precondition of plan step `name`; the step `GOAL` is the goal of
+    `problem`, a parameterless schema."""
+    if name == GOAL:
+        return _Schema((), problem.goal, grounder)
+    schema = next(a for a in domain.actions if a.name == name)
+    return _Schema(schema.params, schema.precondition, grounder)
+
+
 def precondition_clauses(domain: Domain, problem: Problem, name: str,
                          args: tuple[str, ...]
                          ) -> Optional[list[list[Literal]]]:
-    """The precondition of action `name` bound to `args`, grounded over the
-    objects and static facts of `problem` as `ground` grounds it: CNF
-    clauses over dynamic atoms, or None if it is statically false. Only
-    the precondition is normalized; the effects are never expanded."""
-    schema = next(a for a in domain.actions if a.name == name)
+    """The precondition of plan step `name` bound to `args` (`(GOAL, ())`
+    for the goal), grounded over the objects and static facts of `problem`
+    as `ground` grounds it: CNF clauses over dynamic atoms, or None if it
+    is statically false. Only the precondition is normalized; the effects
+    are never expanded."""
     grounder = _SchemaGrounder(domain, problem)
-    return _Schema(schema.params, schema.precondition, grounder).clauses_for(args)
+    return _step_schema(domain, problem, name, grounder).clauses_for(args)
 
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
@@ -759,18 +780,13 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             delete=mask(dels),
         ))
 
-    # the goal is the precondition of a parameterless schema
-    goal = _Schema((), problem.goal, grounder).clauses_for(())
-    if goal is None:
-        goal_literals: tuple[Literal, ...] = ((Atom("=", ("a", "b")), True),)
-    elif any(len(clause) != 1 for clause in goal):
+    goal = _step_schema(domain, problem, GOAL, grounder).clauses_for(())
+    if goal is not None and any(len(clause) != 1 for clause in goal):
         raise UnsupportedConstructError("goal must be a conjunction of literals")
-    else:
-        goal_literals = tuple(clause[0] for clause in goal)
-    unsolvable = goal is None
+    unsolvable = goal is None  # statically false
     goal_pos = 0
     goal_neg = 0
-    for atom, positive in goal_literals:
+    for [(atom, positive)] in goal or ():
         if atom not in fact_id:
             unsolvable |= positive  # never true
         elif positive:
@@ -782,7 +798,6 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         facts=facts,
         actions=tuple(actions),
         init=mask(init_dynamic),
-        goal_literals=goal_literals,
         goal_pos=goal_pos,
         goal_neg=goal_neg,
         static_facts=frozenset(problem.init).difference(init_dynamic),

@@ -350,11 +350,10 @@ def run_check(kb: KnowledgeBase, check: dict) -> CheckResult:
     return CheckResult(template_id, "pass")
 
 
-def validate_kb(kb: KnowledgeBase,
-                checks_dir: Optional[Path] = None) -> list[CheckResult]:
+def validate_kb(kb: KnowledgeBase) -> list[CheckResult]:
     """Run every template's micro check; templates without behaviour and
     without a check file report vacuous passes."""
-    checks_dir = Path(checks_dir) if checks_dir else kb.directory / "checks"
+    checks_dir = kb.directory / "checks"
     results: list[CheckResult] = []
     checked: set[str] = set()
     if checks_dir.is_dir():

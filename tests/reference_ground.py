@@ -372,7 +372,6 @@ def reference_ground(domain: Domain, problem: Problem) -> GroundedTask:
         facts=facts,
         actions=tuple(actions),
         init=mask(init_dynamic),
-        goal_literals=goal_literals,
         goal_pos=goal_pos,
         goal_neg=goal_neg,
         static_facts=frozenset(static_facts),
@@ -430,8 +429,7 @@ def reference_simplify(task: GroundedTask) -> GroundedTask:
         ))
     return GroundedTask(
         facts=task.facts, actions=tuple(simplified),
-        init=task.init, goal_literals=task.goal_literals,
-        goal_pos=task.goal_pos, goal_neg=task.goal_neg,
+        init=task.init, goal_pos=task.goal_pos, goal_neg=task.goal_neg,
         static_facts=task.static_facts,
         unsolvable_goal=task.unsolvable_goal or bool(task.goal_pos & ~ever_true),
     )

@@ -16,7 +16,8 @@ from vgdl2pddl.agent import (
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import load
 from vgdl2pddl.games import load_game, load_level
-from vgdl2pddl.ground import apply, applicable, ground, precondition_clauses
+from vgdl2pddl.ground import (GOAL, apply, applicable, goal_satisfied, ground,
+                              precondition_clauses)
 from vgdl2pddl.planner import Mode, PlanResult, SearchConfig, Status, solve
 from vgdl2pddl.problems import emit_config, generate_problem
 from vgdl2pddl.vgdl import parse_ldf
@@ -168,7 +169,7 @@ class TestMonitor:
         task = ground(game.domain, problem)
         plan = solve(task, CFG).plan
         first = next(a for a in plan if is_avatar_action(a))
-        assert monitor(state, first, game, config, binding) == ()
+        assert monitor(state, first.ident, game, config, binding) == ()
 
     def test_rock_in_target_cell_flags_occupancy(self):
         game = compile_game(load_game("aliens"))
@@ -182,10 +183,10 @@ class TestMonitor:
                            ("avatar", f"n{avatar.x}", f"n{avatar.y}",
                             f"n{avatar.x - 1}"))
         assert move is not None
-        assert monitor(state, move, game, config, binding) == ()
+        assert monitor(state, move.ident, game, config, binding) == ()
         # a rock drops into the target cell
         state.spawn("rock", avatar.x - 1, avatar.y, "DOWN")
-        violated = monitor(state, move, game, config, binding)
+        violated = monitor(state, move.ident, game, config, binding)
         assert violated
         assert any("rock" in lit for lit in violated)
 
@@ -238,13 +239,16 @@ class TestMonitor:
     @pytest.mark.parametrize("name,level", [("sokoban", 0), ("aliens", 1)])
     def test_monitor_agrees_with_the_planner(self, name, level):
         """Along the GBFS plan, the monitor's check of every avatar action
-        holds exactly where the grounded action is applicable."""
+        holds exactly where the grounded action is applicable, and its check
+        of the goal step exactly where the grounded goal is satisfied."""
         game = compile_game(load_game(name))
         problem, _ = generate_problem(load_level(name, level, game.model), game)
         task = ground(game.domain, problem)
         checks = [(a, precondition_clauses(game.domain, problem, a.name, a.args))
                   for a in task.actions if is_avatar_action(a)]
         assert checks and all(cnf is not None for _, cnf in checks)
+        goal = precondition_clauses(game.domain, problem, GOAL, ())
+        assert goal
         state = task.init
         for step in [None, *solve(task, CFG).plan]:
             if step is not None:
@@ -253,13 +257,46 @@ class TestMonitor:
             for action, cnf in checks:
                 assert applicable(state, action) == \
                     (violated_literals(cnf, facts) == ()), action
+            assert goal_satisfied(task, state) == \
+                (violated_literals(goal, facts) == ())
+        assert goal_satisfied(task, state)
+
+
+class TestPlanEnd:
+    def test_goal_violation_names_only_live_sprites(self, monkeypatch):
+        """A plan that runs out is judged by the goal of the observed
+        problem: a sprite the engine killed since planning is no object of
+        it, so no logged goal literal names it (aliens lvl0, seed 3: two
+        aliens were left to kill at planning, one is left at the plan's
+        end)."""
+        objects_at = {}  # turn -> object names of the latest problem
+        generate = agent.generate_problem
+
+        def record(state, *args, **kwargs):
+            problem, binding = generate(state, *args, **kwargs)
+            objects_at[state.turn] = {name for name, _ in problem.objects}
+            return problem, binding
+
+        monkeypatch.setattr(agent, "generate_problem", record)
+        game = compile_game(load_game("aliens"))
+        grid = load_level("aliens", 0, game.model)
+        result = run_episode(game, grid, CFG, seed=3, budget=200)
+        ends = [v for v in result.violations if v.action == (GOAL, ())]
+        assert ends
+        for v in ends:
+            assert v.literals
+            for literal in v.literals:
+                assert literal.startswith("(dead "), literal
+                name = literal.removeprefix("(dead ").removesuffix(")")
+                assert name in objects_at[v.turn], literal
 
 
 # sha256 of repr of the (turn, action, literals) of every logged violation,
 # per seed, of aliens level 0 under seeds 0-9: two monitor violations
-# (seed 5) and two plans that ran out with the goal unmet (seeds 3 and 5)
+# (seed 5) and two plans that ran out with the goal of the observed problem
+# unmet (seeds 3 and 5)
 ALIENS_VIOLATIONS_SHA256 = \
-    "f9bc76cee4ca654a1ad25467b40dd9f44f2adb9b63728af54e2b4a3d8a797788"
+    "0c73b926e159e3107d088b01a59e460528a1f6ea3cf2612f2e15da7c067a421b"
 
 
 class TestStochasticEpisodes:

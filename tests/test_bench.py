@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from vgdl2pddl import bench as bench_module
 from vgdl2pddl.bench import (
     PlannerSpec,
     RunRow,
     ScoreBoard,
     domain_stats,
+    read_results,
     run_suite,
     score_agile,
     score_coverage,
@@ -162,6 +164,26 @@ class TestHarness:
             seq.board.coverage("gbfs-hadd", "sokoban")
         assert par.board.satisficing("gbfs-hadd", "sokoban") == \
             pytest.approx(seq.board.satisficing("gbfs-hadd", "sokoban"))
+
+    def test_rows_saved_before_a_failing_job(self, tmp_path, monkeypatch):
+        """A job that raises loses none of the rows finished before it, so a
+        rerun resumes after them."""
+        run_one = bench_module._run_one
+        calls = []
+
+        def fail_second(*job):
+            calls.append(job)
+            if len(calls) == 2:
+                raise RuntimeError("job failed")
+            return run_one(*job)
+
+        monkeypatch.setattr(bench_module, "_run_one", fail_second)
+        planners = (PlannerSpec("gbfs-hadd", mode=Mode.GBFS_HADD),)
+        with pytest.raises(RuntimeError, match="job failed"):
+            run_suite(planners=planners, games=["sokoban"], time_limit=60,
+                      out_dir=tmp_path)
+        rows = read_results(tmp_path / "results.csv")
+        assert [(r.game, r.level) for r in rows] == [("sokoban", 0)]
 
     def test_stub_external_planner_scored(self, tmp_path):
         # external adapter wired through the harness with a canned plan

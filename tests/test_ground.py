@@ -18,6 +18,7 @@ from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
 from vgdl2pddl.games import available_games, load_game, load_level
 from vgdl2pddl.ground import (
+    GOAL,
     _Schema,
     _SchemaGrounder,
     applicable,
@@ -495,19 +496,24 @@ class TestStaticFolding:
     """The goal and the monitor's precondition are grounded like any schema
     precondition: static and equality literals are decided, never listed."""
 
-    GOAL = "(:goal (and (at n1 n2 b1) (not (dead w1))))"
+    PUSH_GOAL = "(:goal (and (at n1 n2 b1) (not (dead w1))))"
 
     def _with_goal(self, goal: str):
         domain = read_domain(PUSH_DOMAIN)
-        return ground(domain, read_problem(PUSH_PROBLEM.replace(self.GOAL, goal)))
+        return ground(domain, read_problem(PUSH_PROBLEM.replace(self.PUSH_GOAL, goal)))
 
     def test_decided_goal_literals_fold_away(self, push_task):
-        _, _, base = push_task
-        task = self._with_goal("(:goal (and (at n1 n2 b1) (next n0 n1)"
-                               " (not (= b1 b2)) (not (dead w1))))")
+        domain, problem, base = push_task
+        goal = ("(:goal (and (at n1 n2 b1) (next n0 n1)"
+                " (not (= b1 b2)) (not (dead w1))))")
+        task = self._with_goal(goal)
         assert (task.goal_pos, task.goal_neg) == (base.goal_pos, base.goal_neg)
-        assert task.goal_literals == base.goal_literals
         assert not task.unsolvable_goal
+        decided = read_problem(PUSH_PROBLEM.replace(self.PUSH_GOAL, goal))
+        assert precondition_clauses(domain, decided, GOAL, ()) == \
+            precondition_clauses(domain, problem, GOAL, ()) == \
+            [[(Atom("at", ("n1", "n2", "b1")), True)],
+             [(Atom("dead", ("w1",)), False)]]
 
     def test_false_static_goal_atom_is_unsolvable(self):
         task = self._with_goal("(:goal (and (at n1 n2 b1) (next n1 n0)))")
@@ -563,7 +569,7 @@ def literal_view(task):
                tuple((atoms(p), atoms(n)) for p, n in a.clauses),
                atoms(a.add), atoms(a.delete))
               for a in task.actions),
-        task.goal_literals, atoms(task.goal_pos), atoms(task.goal_neg),
+        atoms(task.goal_pos), atoms(task.goal_neg),
         atoms(task.init), task.unsolvable_goal)
 
 

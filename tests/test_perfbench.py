@@ -1,7 +1,7 @@
 """The benchmark's tracer wraps program functions by name: every hook it
 names must exist, so a rename or removal fails here, not in a benchmark run.
 Likewise a workload pass calls the program's API directly, so one checked
-pass of the `sokoban-ladder` and the `shipped` workloads runs here."""
+pass of each workload runs here."""
 import importlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,3 +82,18 @@ def test_shipped_checked_pass(bench, tmp_path):
     assert result.failures == []
     assert result.attempted == 24
     assert result.plan_len_sum == 1339
+
+
+def test_episodes_checked_pass(bench, tmp_path):
+    """One checked `episodes` pass: `agent.run_episode` on the deterministic
+    levels and the seeded aliens episodes must still run as the benchmark
+    calls it, with no deterministic level lost, no planner failure and the
+    frozen plan lengths.  No timing is asserted."""
+    _, _, prog = bench
+    workloads = importlib.import_module("workloads")
+    episodes = workloads.Episodes()
+    episodes.setup(prog, seed=1)
+    result = episodes.run_pass(prog, tmp_path, check=True)
+    assert result.failures == []
+    assert result.attempted == 30
+    assert result.plan_len_sum == 2651

@@ -13,7 +13,7 @@ import pytest
 
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import PlanParseError, ValidationFailedError
-from vgdl2pddl.games import available_games, load_game, load_level
+from vgdl2pddl.games import available_games, games_dir, load_game, load_level
 from vgdl2pddl.ground import (
     GroundAction,
     GroundedTask,
@@ -22,7 +22,8 @@ from vgdl2pddl.ground import (
     goal_satisfied,
     ground,
 )
-from vgdl2pddl.pddl import Atom, format_plan, print_domain, print_problem
+from vgdl2pddl.pddl import (Atom, format_plan, parse_plan, print_domain,
+                            print_problem)
 from vgdl2pddl import planner
 from vgdl2pddl.planner import (
     INF,
@@ -36,7 +37,7 @@ from vgdl2pddl.planner import (
     validate,
 )
 from vgdl2pddl.problems import generate_problem
-from vgdl2pddl.vgdl import parse_ldf
+from vgdl2pddl.vgdl import parse_gdf, parse_ldf
 
 # Hand-checked push-box-into-hole trace on the golden 5x5 level, written
 # out turn by turn with the interaction and bookkeeping actions.
@@ -849,7 +850,7 @@ def interleaving_task():
                      bit["done-b"] | bit["enabled"], 0)
     c = GroundAction("C", (), bit["enabled"] | bit["intact"], 0, (),
                      bit["goal"], 0)
-    return GroundedTask(facts, (a, b, c), bit["intact"], (), bit["goal"], 0,
+    return GroundedTask(facts, (a, b, c), bit["intact"], bit["goal"], 0,
                         frozenset(), False)
 
 
@@ -870,7 +871,7 @@ def random_task(rng):
         actions.append(GroundAction(f"a{k}", (), pos, mask(0.1) & ~pos,
                                     clauses, mask(0.15), mask(0.1)))
     goal_pos = mask(0.3)
-    return GroundedTask(facts, tuple(actions), mask(0.4), (), goal_pos,
+    return GroundedTask(facts, tuple(actions), mask(0.4), goal_pos,
                         mask(0.1) & ~goal_pos, frozenset(), False)
 
 
@@ -1000,7 +1001,7 @@ class TestStubbornSets:
         a = GroundAction("A", (), bit["ready"], 0, (), bit["goal-a"], 0)
         b = GroundAction("B", (), 0, 0, (), bit["goal-b"], bit["ready"])
         d = GroundAction("D", (), 0, bit["done-d"], (), bit["done-d"], 0)
-        task = GroundedTask(facts, (a, b, d), bit["ready"], (),
+        task = GroundedTask(facts, (a, b, d), bit["ready"],
                             bit["goal-a"] | bit["goal-b"], 0, frozenset(),
                             False)
         assert interfere(a, b)
@@ -1042,6 +1043,20 @@ class TestStubbornSets:
         assert stubborn_bfs(task) == (2, 2, 1)
 
 
+# sokoban with its box type written in capitals: objects are named `Box_2_2`,
+# while a plan file read back by `parse_plan` has its arguments lower-cased
+CAPITAL_BOX_GDF = (games_dir() / "sokoban" / "sokoban.txt").read_text() \
+    .replace("box", "Box")
+
+
+def capital_box_problem():
+    game = compile_game(parse_gdf(CAPITAL_BOX_GDF, name="sokoban"))
+    grid = parse_ldf("wwwww\nwh  w\nw b w\nw A w\nwwwww", game.model)
+    problem, _ = generate_problem(grid, game)
+    assert ("Box_2_2", "Box") in problem.objects
+    return game, problem
+
+
 class TestValidate:
     def test_hand_checked_trace(self):
         task = sokoban_task()
@@ -1055,6 +1070,15 @@ class TestValidate:
         task = ground(game.domain, problem)
         ok, index = validate(task, [])
         assert ok and index is None
+
+    def test_plan_steps_match_arguments_case_insensitively(self):
+        game, problem = capital_box_problem()
+        task = ground(game.domain, problem)
+        plan = solve(task, SearchConfig(mode=Mode.GBFS_HADD)).plan
+        steps = parse_plan(format_plan((a.name, a.args) for a in plan))
+        assert any(args != a.args for (_, args), a in zip(steps, plan))
+        assert [task.action(name, args) for name, args in steps] == list(plan)
+        assert validate(task, steps) == (True, None)
 
     def test_incomplete_plan_fails_at_end(self):
         task = sokoban_task()
@@ -1085,6 +1109,21 @@ class TestValidate:
 
 
 class TestExternalAdapter:
+    def test_plan_with_capitalised_objects_accepted(self, tmp_path):
+        game, problem = capital_box_problem()
+        plan = solve(ground(game.domain, problem),
+                     SearchConfig(mode=Mode.GBFS_HADD)).plan
+        domain_file = tmp_path / "domain.pddl"
+        problem_file = tmp_path / "problem.pddl"
+        domain_file.write_text(print_domain(game.domain))
+        problem_file.write_text(print_problem(problem))
+        canned = tmp_path / "canned.txt"
+        canned.write_text(format_plan((a.name, a.args) for a in plan))
+        result = external_solve(domain_file, problem_file,
+                                f"cp {canned} {{plan}}", time_limit=30)
+        assert result.status is Status.SOLVED
+        assert result.plan == plan
+
     @pytest.fixture()
     def artifacts(self, tmp_path):
         game = compile_game(load_game("sokoban"))
