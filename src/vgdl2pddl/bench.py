@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -288,15 +289,19 @@ def run_suite(suite_dir: Optional[Path] = None,
                 jobs_list.append((spec, compiled[name], level_path, level_index,
                                   time_limit, work_dir))
 
+    # a worker per job left to run, at most one per core; a single worker
+    # is the serial loop, and a finished suite opens no pool at all
+    workers = min(jobs, len(jobs_list), os.cpu_count() or 1)
     with ExitStack() as stack:
-        if jobs > 1:
+        if workers > 1:
             # CPU-bound Python jobs run in spawned worker processes; the
             # pool's modules load only here, so a serial run does not pay
             # their import
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")))
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")))
             new_rows = pool.map(_run_one, *zip(*jobs_list))
         else:
             new_rows = starmap(_run_one, jobs_list)

@@ -55,6 +55,8 @@ from . import pddl
 from .ground import GroundAction, GroundedTask, applicable, goal_satisfied, ground
 
 INF = float("inf")
+# the cost of a node h_add has not reached; above any cost it can reach
+_UNREACHED = 1 << 62
 # a currently-false negative goal literal is heavily discouraged but not
 # pruned; keeps greedy search complete while h==0 still characterizes goals
 NEG_GOAL_PENALTY = 10 ** 6
@@ -463,116 +465,191 @@ class _HAdd:
     positive goal facts' costs, plus NEG_GOAL_PENALTY for each negative goal
     literal that is currently false.
 
-    ``value`` runs Dijkstra from the state's facts over tables built once per
-    task, and stops as soon as every positive goal fact has been popped.  The
-    stop is sound: an action costs more than any one of its requirements, so
-    whatever a popped fact enables costs more than the fact itself, popped
-    costs never decrease and a popped cost is final.  Once the goal facts are
-    popped, their sum cannot change.
+    ``value`` runs Dijkstra from the state's facts over a relaxed graph built
+    once per task.  Every reduction below keeps each goal fact's cost, so h
+    is the same number it is on the task's own actions (Fast Downward
+    simplifies its relaxed task the same way; Helmert, JAIR 2006):
+
+    * one relaxed action per requirement set (the positive preconditions and
+      the multiset of all-positive clauses), adding the union of the adds of
+      the actions that share it: on a 12x12 open Sokoban the four moves from
+      a cell share {turn-avatar, at X}, and 724 actions become 464;
+    * an add is dropped where another relaxed action adds the same fact from
+      a sub-multiset of the requirements, which costs no more (1,386 add
+      entries -> 1,086 there), and where the action requires the fact;
+    * what the goal cannot need is dropped: a relaxed action is kept only
+      while it adds a goal fact or a requirement of a kept action, and keeps
+      only such adds;
+    * an all-positive clause is one node, shared by every action that
+      requires it, and costs its first popped member.
+
+    A relaxed action waits on one requirement at a time: first on the one
+    the fewest relaxed actions share (``at X`` rather than a phase fact), and
+    on popping it, on the first requirement that is not yet final, if any.
+    So a phase fact that hundreds of actions require does not touch each of
+    them when it pops.  Costs are integers (unit action costs), so the queue
+    is a list of buckets indexed by cost (Dial, CACM 1969); the list grows to
+    the largest cost pushed.  ``value`` stops as soon as every positive goal
+    fact has been popped.  The stop is sound: an action costs more than any
+    one of its requirements, so whatever a popped node enables costs more
+    than the node itself, popped costs never decrease and a popped cost is
+    final.  Once the goal facts are popped, their sum cannot change.
     """
 
     def __init__(self, task: GroundedTask):
         n = len(task.facts)
-        # fact -> actions with it as a positive precondition
-        self.pre_watch: list[list[int]] = [[] for _ in range(n)]
-        # fact -> flat indices of the all-positive clauses containing it
-        self.clause_watch: list[list[int]] = [[] for _ in range(n)]
-        self.clause_action: list[int] = []  # flat clause index -> action
-        self.remaining0: list[int] = []  # requirements per action
+        merged: dict[tuple[int, tuple[int, ...]], int] = {}
+        for a in task.actions:
+            clauses = ()
+            if a.clauses:
+                clauses = tuple(sorted(p for p, neg in a.clauses if not neg))
+            key = (a.pos_pre, clauses)
+            merged[key] = merged.get(key, 0) | a.add & ~a.pos_pre
+        keys = list(merged)
+        adds = list(merged.values())
+        size = [pos.bit_count() + len(clauses) for pos, clauses in keys]
+        # fact -> its adders, fewest requirements first
+        adders: list[list[int]] = [[] for _ in range(n)]
+        for r in sorted(range(len(keys)), key=size.__getitem__):
+            for f in _bits(adds[r]):
+                adders[f].append(r)
+        for f, rs in enumerate(adders):
+            for r in rs:
+                pos, clauses = keys[r]
+                for q in rs:
+                    if size[q] >= size[r]:
+                        break
+                    q_pos, q_clauses = keys[q]
+                    if not q_pos & ~pos and _submultiset(q_clauses, clauses):
+                        adds[r] &= ~(1 << f)
+                        break
+        # backwards from the goal: the facts a kept relaxed action can need
+        needed = task.goal_pos
+        used = bytearray(len(keys))
+        work = _bits(needed)
+        while work:
+            f = work.pop()
+            for r in adders[f]:
+                if used[r] or not adds[r] >> f & 1:
+                    continue
+                used[r] = 1
+                pos, clauses = keys[r]
+                for c in clauses:
+                    pos |= c
+                if pos & ~needed:
+                    work += _bits(pos & ~needed)
+                    needed |= pos
+        self.needed = needed
+        # nodes: the facts, then one per all-positive clause
+        clause_node: dict[int, int] = {}
+        self.reqs: list[list[int]] = []
         self.adds: list[list[int]] = []
-        free = 0  # facts added by actions with no requirement
-        for ai, a in enumerate(task.actions):
-            need = 0
-            for f in _bits(a.pos_pre):
-                self.pre_watch[f].append(ai)
-                need += 1
-            for pos_mask, neg_mask in a.clauses:
-                if neg_mask:
-                    continue  # optimistically satisfiable for free
-                for f in _bits(pos_mask):
-                    self.clause_watch[f].append(len(self.clause_action))
-                self.clause_action.append(ai)
-                need += 1
-            self.remaining0.append(need)
-            self.adds.append(_bits(a.add))
-            if not need:
-                free |= a.add
+        free = 0
+        for r in range(len(keys)):
+            add = adds[r] & needed
+            if not used[r] or not add:
+                continue
+            pos, clauses = keys[r]
+            req = _bits(pos) + [clause_node.setdefault(c, n + len(clause_node))
+                                for c in clauses]
+            if req:
+                self.reqs.append(req)
+                self.adds.append(_bits(add))
+            else:
+                free |= add
         self.free_adds = _bits(free)
-        self.n = n
+        self.nodes = n + len(clause_node)
+        self.clauses_of: list[list[int]] = [[] for _ in range(self.nodes)]
+        for c, k in clause_node.items():
+            for f in _bits(c):
+                self.clauses_of[f].append(k)
+        shared = [0] * self.nodes
+        for req in self.reqs:
+            for x in req:
+                shared[x] += 1
+        self.watch: list[list[int]] = [[] for _ in range(self.nodes)]
+        for ri, req in enumerate(self.reqs):
+            req.sort(key=shared.__getitem__)
+            self.watch[req[0]].append(ri)
         self.goal_mask = task.goal_pos
         self.goal_pos = _bits(task.goal_pos)
-        self.is_goal = bytearray(n)
+        self.is_goal = bytearray(self.nodes)
         for f in self.goal_pos:
             self.is_goal[f] = 1
         self.goal_neg = task.goal_neg
 
     def value(self, state: int) -> float:
-        total = 0.0
+        penalty = (self.goal_neg & state).bit_count() * NEG_GOAL_PENALTY
         # positive goal facts still to be popped; those in the state cost 0
         left = (self.goal_mask & ~state).bit_count()
-        if left:
-            cost: list[float] = [INF] * self.n
-            heap = []
-            m = state
-            while m:
-                low = m & -m
-                f = low.bit_length() - 1
-                cost[f] = 0
-                heap.append((0, f))  # ascending, so already a heap
-                m ^= low
-            for f in self.free_adds:
-                if cost[f] > 1:
-                    cost[f] = 1
-                    heappush(heap, (1, f))
-            pre_watch = self.pre_watch
-            clause_watch = self.clause_watch
-            clause_action = self.clause_action
-            adds = self.adds
-            is_goal = self.is_goal
-            remaining = self.remaining0[:]
-            acc = [0] * len(remaining)
-            done = bytearray(len(clause_action))
-            while heap:
-                c, f = heappop(heap)
-                if c > cost[f]:
-                    continue  # superseded by a cheaper push
+        if not left:
+            return float(penalty)
+        cost = [_UNREACHED] * self.nodes
+        zero = []
+        m = state & self.needed
+        while m:
+            low = m & -m
+            f = low.bit_length() - 1
+            cost[f] = 0
+            zero.append(f)
+            m ^= low
+        one = []
+        for f in self.free_adds:
+            if cost[f]:
+                cost[f] = 1
+                one.append(f)
+        buckets = [zero, one]
+        watch = self.watch
+        reqs = self.reqs
+        adds = self.adds
+        clauses_of = self.clauses_of
+        is_goal = self.is_goal
+        waiting: dict[int, list[int]] = {}  # node -> relaxed actions
+        c = 0
+        while c < len(buckets):
+            bucket = buckets[c]
+            for f in bucket:  # a clause node joins the bucket it is popped in
+                if cost[f] < c:
+                    continue  # popped already, at a lower cost
                 if c and is_goal[f]:
                     left -= 1
                     if not left:
-                        break
-                for ai in pre_watch[f]:
-                    r = remaining[ai] - 1
-                    remaining[ai] = r
-                    if r:
-                        acc[ai] += c
+                        total = 0
+                        for g in self.goal_pos:
+                            total += cost[g]
+                        return float(total + penalty)
+                for k in clauses_of[f]:
+                    if cost[k] > c:
+                        cost[k] = c
+                        bucket.append(k)
+                woken = watch[f]
+                if f in waiting:
+                    woken = woken + waiting.pop(f)
+                for ri in woken:
+                    new_cost = 1
+                    for x in reqs[ri]:
+                        if cost[x] > c:  # not final yet: wait on it
+                            if x in waiting:
+                                waiting[x].append(ri)
+                            else:
+                                waiting[x] = [ri]
+                            break
+                        new_cost += cost[x]
                     else:
-                        new_cost = acc[ai] + c + 1
-                        for g in adds[ai]:
+                        for g in adds[ri]:
                             if new_cost < cost[g]:
                                 cost[g] = new_cost
-                                heappush(heap, (new_cost, g))
-                # the same update as above, inlined: a call per requirement
-                # would cost more than the update itself
-                for k in clause_watch[f]:
-                    if done[k]:
-                        continue
-                    done[k] = 1
-                    ai = clause_action[k]
-                    r = remaining[ai] - 1
-                    remaining[ai] = r
-                    if r:
-                        acc[ai] += c
-                    else:
-                        new_cost = acc[ai] + c + 1
-                        for g in adds[ai]:
-                            if new_cost < cost[g]:
-                                cost[g] = new_cost
-                                heappush(heap, (new_cost, g))
-            for f in self.goal_pos:
-                if cost[f] == INF:
-                    return INF
-                total += cost[f]
-        return total + (self.goal_neg & state).bit_count() * NEG_GOAL_PENALTY
+                                while len(buckets) <= new_cost:
+                                    buckets.append([])
+                                buckets[new_cost].append(g)
+            c += 1
+        return INF
+
+
+def _submultiset(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    """Whether sorted ``small`` is a sub-multiset of sorted ``big``."""
+    rest = iter(big)
+    return all(any(x == y for y in rest) for x in small)
 
 
 def _goal_count(task: GroundedTask, state: int) -> float:

@@ -195,7 +195,8 @@ def generate_problem(source: Union[LevelGrid, GameState], game: CompiledGame,
             f"level contains {len(avatars)} avatar instances")
 
     binding = dict(binding) if binding else {}
-    used = set(binding.values())
+    # a new instance may take the name of one that has died since
+    used = {binding[i.uid] for i in instances if i.uid in binding}
     statics = set(game.static_sprites)
     names: list[tuple[str, Instance]] = []
     for inst in instances:

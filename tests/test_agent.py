@@ -291,6 +291,31 @@ class TestPlanEnd:
                 assert name in objects_at[v.turn], literal
 
 
+class TestMonitorNames:
+    def test_new_instance_takes_a_dead_instances_name(self, monkeypatch):
+        # aliens lvl0, engine seed 5: the rock planned as rock_6_4 is gone by
+        # turn 10, and the new rock on (6,4) takes its name, as in a fresh
+        # problem (it was rock_6_4_2 while the dead rock's name stayed taken)
+        game = compile_game(load_game("aliens"))
+        grid = load_level("aliens", 0, game.model)
+        rocks = {}
+        original = agent.generate_problem
+
+        def recording(state, game, config=None, binding=None, pool=None):
+            problem, used = original(state, game, config, binding=binding,
+                                     pool=pool)
+            if binding is not None and state.turn == 10:
+                fresh, _ = original(state, game, config)
+                rocks["monitor"], rocks["fresh"] = (
+                    [n for n, t in p.objects if t == "rock"]
+                    for p in (problem, fresh))
+            return problem, used
+
+        monkeypatch.setattr(agent, "generate_problem", recording)
+        run_episode(game, grid, CFG, seed=5, budget=200)
+        assert rocks["monitor"] == rocks["fresh"] == ["rock_6_4"]
+
+
 # sha256 of repr of the (turn, action, literals) of every logged violation,
 # per seed, of aliens level 0 under seeds 0-9: two monitor violations
 # (seed 5) and two plans that ran out with the goal of the observed problem

@@ -165,6 +165,41 @@ class TestHarness:
         assert par.board.satisficing("gbfs-hadd", "sokoban") == \
             pytest.approx(seq.board.satisficing("gbfs-hadd", "sokoban"))
 
+    def test_finished_suite_spawns_no_worker(self, suite, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was opened")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out, report = suite
+        planners = (PlannerSpec("gbfs-hadd", mode=Mode.GBFS_HADD),)
+        again = run_suite(planners=planners, games=["sokoban", "keymaze"],
+                          time_limit=60, jobs=2, out_dir=out)
+        assert len(again.board.rows) == len(report.board.rows)
+
+    def test_workers_capped_by_jobs_left_and_cores(self, tmp_path,
+                                                   monkeypatch):
+        import concurrent.futures
+        opened = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            opened.append(max_workers)
+            return pool(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            recording)
+        monkeypatch.setattr(bench_module.os, "cpu_count", lambda: 8)
+        planners = (PlannerSpec("gbfs-hadd", mode=Mode.GBFS_HADD),)
+        run_suite(planners=planners, games=["sokoban"], time_limit=60,
+                  jobs=16, out_dir=tmp_path)
+        assert opened == [2]  # two sokoban levels left to run
+        monkeypatch.setattr(bench_module.os, "cpu_count", lambda: 1)
+        run_suite(planners=planners, games=["keymaze"], time_limit=60,
+                  jobs=16, out_dir=tmp_path)
+        assert opened == [2]  # one core: the serial loop
+
     def test_rows_saved_before_a_failing_job(self, tmp_path, monkeypatch):
         """A job that raises loses none of the rows finished before it, so a
         rerun resumes after them."""

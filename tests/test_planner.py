@@ -341,6 +341,37 @@ def assert_same_hadd(task, states):
         assert new(state) == ref(state)
 
 
+# An open 10x10 Sokoban: one box three cells from its hole.
+OPEN_SOKOBAN = """\
+wwwwwwwwww
+w        w
+w        w
+w  b  h  w
+w   A    w
+w        w
+w        w
+w        w
+w        w
+wwwwwwwwww
+"""
+
+F = [1 << i for i in range(8)]
+
+
+def hadd_task(n, actions, goal):
+    """A task over argument-free facts f0..f{n-1} whose ``actions`` are
+    (positive precondition, clauses, add) masks."""
+    facts = tuple(Atom(f"f{i}") for i in range(n))
+    return GroundedTask(
+        facts, tuple(GroundAction(f"a{k}", (), pos, 0, clauses, add, 0)
+                     for k, (pos, clauses, add) in enumerate(actions)),
+        0, goal, 0, frozenset(), False)
+
+
+def every_state(task):
+    return range(1 << len(task.facts))
+
+
 class TestHAddOracle:
     @pytest.mark.parametrize("name,index", [
         ("sokoban", 1),
@@ -378,6 +409,80 @@ class TestHAddOracle:
                                 if a.name != "BOX_HOLE_KILLSPRITE"))
         assert _HAdd(unreachable).value(task.init) == INF
         assert_same_hadd(unreachable, states)
+
+    def test_open_sokoban_gbfs_states(self, monkeypatch):
+        game = compile_game(load_game("sokoban"))
+        problem, _ = generate_problem(parse_ldf(OPEN_SOKOBAN, game.model),
+                                      game)
+        task, states = gbfs_states(ground(game.domain, problem), monkeypatch)
+        assert len(states) > 100
+        assert_same_hadd(task, states)
+
+    def test_identical_requirements_share_one_relaxed_action(self):
+        # a0 and a1 both require f0 alone
+        task = hadd_task(3, [(F[0], (), F[1]), (F[0], (), F[2])],
+                         goal=F[1] | F[2])
+        assert len(_HAdd(task).reqs) == 1
+        assert _HAdd(task).value(F[0]) == 2
+        assert_same_hadd(task, every_state(task))
+
+    def test_add_dominated_by_a_sub_multiset(self):
+        # a1 adds f2 from {f0, f1}; a0 adds it from {f0} alone, for less
+        task = hadd_task(4, [(F[0], (), F[2]), (F[0] | F[1], (), F[2] | F[3])],
+                         goal=F[2] | F[3])
+        h = _HAdd(task)
+        assert sorted(map(len, h.adds)) == [1, 1]  # a1 keeps f3 alone
+        assert h.value(F[0] | F[1]) == 1 + 1
+        assert h.value(F[0]) == INF
+        assert_same_hadd(task, every_state(task))
+
+    def test_clause_shared_by_two_actions(self):
+        clause = ((F[0] | F[1], 0),)
+        task = hadd_task(5, [(0, clause, F[2]), (F[3], clause, F[4])],
+                         goal=F[2] | F[4])
+        assert _HAdd(task).nodes == 5 + 1
+        assert _HAdd(task).value(F[3]) == INF
+        assert _HAdd(task).value(F[1] | F[3]) == 2
+        assert_same_hadd(task, every_state(task))
+
+    def test_clause_with_a_member_in_the_state(self):
+        # the clause costs its member in the state (0), not the other (1)
+        task = hadd_task(4, [(0, ((F[0] | F[1], 0),), F[2]),
+                             (F[3], (), F[1])],
+                         goal=F[2])
+        assert _HAdd(task).value(F[0]) == 1
+        assert _HAdd(task).value(F[3]) == 2
+        assert_same_hadd(task, every_state(task))
+
+    def test_action_whose_only_requirement_is_a_clause(self):
+        task = hadd_task(3, [(0, ((F[0] | F[1], 0),), F[2])], goal=F[2])
+        assert _HAdd(task).value(F[1]) == 1
+        assert _HAdd(task).value(0) == INF
+        assert_same_hadd(task, every_state(task))
+
+    def test_repeated_and_empty_clauses(self):
+        # a repeated clause is paid twice; an empty clause never holds
+        twice = ((F[0] | F[1], 0), (F[0] | F[1], 0))
+        task = hadd_task(4, [(F[3], (), F[0]), (0, twice, F[2]),
+                             (0, ((0, 0),), F[2])],
+                         goal=F[2])
+        assert _HAdd(task).value(F[3]) == 1 + 2 * 1
+        assert_same_hadd(task, every_state(task))
+
+    def test_adds_the_goal_cannot_need(self):
+        # a1 adds only f3, which nothing reads; a2 re-adds its own requirement
+        task = hadd_task(4, [(F[0], (), F[1]), (F[0], (), F[3]),
+                             (F[1], (), F[1] | F[2])],
+                         goal=F[2])
+        assert len(_HAdd(task).reqs) == 2
+        assert _HAdd(task).value(F[0]) == 2
+        assert_same_hadd(task, every_state(task))
+
+    def test_random_tasks(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            task = random_task(rng)
+            assert_same_hadd(task, every_state(task))
 
 
 # (sha256 of repr(plan.steps), expanded, generated).  The GBFS and A* entries
