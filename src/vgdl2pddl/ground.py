@@ -13,28 +13,38 @@ false precondition are dropped, literals that are statically true disappear.
 `_Schema` is the one path from a formula to ground clauses. It normalizes a
 schema precondition once per task, conjunct by conjunct, into clause
 templates that a binding fills in; a quantified single clause is expanded
-only over the instances the static facts leave open
-(`_SchemaGrounder.forall_clauses`, the one grounding context of a call).
-The goal is grounded as the precondition of a parameterless schema, the
-plan step `GOAL`, and `precondition_clauses` grounds one plan step, the goal
-included, for the execution monitor; neither expands effects, which only
-`ground`'s `_ActionSchema`s do.
+only over the instances that the join `_SchemaGrounder.forall_clauses`
+leaves open. The goal is grounded as the precondition of a parameterless
+schema, the plan step `GOAL`, and `precondition_clauses` grounds one plan
+step, the goal included, for the execution monitor; neither expands
+effects, which only `ground`'s `_ActionSchema`s do.
 
-One relaxed-reachability pass picks both the actions and the atoms of the
-task (the technique of Fast Downward's translator, Helmert 2009). A
-binding's first needs are its top-level positive dynamic atoms; once they
-are in init or added by a kept action it is built, and each all-positive
-clause of the built action becomes one more need, met by any one of its
-atoms. Once every need is met the action is kept and its add effects are
-reached, which meets the needs of other bindings in turn. The kept actions
-are the least fixpoint of that rule, in enumeration order.
+Grounding is one semi-naive join over the static facts and the reached
+atoms: relaxed reachability evaluated as Datalog, as Fast Downward's
+translator does (Helmert 2009), firing each rule only on newly reached
+atoms (Bancilhon & Ramakrishnan 1986). A schema's needs are its top-level
+positive dynamic atoms. When an atom is reached, init first, it is unified
+with every need of its predicate, and the rest of the binding is joined on
+the static table, the inequalities and the atoms reached so far (`_Join`),
+so a binding is built once, when its last need arrives. Each all-positive
+clause of a built action is one more need, met by any one of its atoms.
+Once every need is met the action is kept and its add effects are reached,
+which fires the join again. The kept actions are the least fixpoint of
+that rule, listed schema by schema, each schema's in the order of its plain
+enumeration over the static facts.
+
+A guard forall, one with a negated dynamic atom over its own variables
+(every END-TURN-INTERACTIONS guard), is never a need and never statically
+false, and its instances whose atom never becomes true always hold. It is
+expanded once the fixpoint ends, joined on the final reached atoms; the
+monitor joins it on the observed state's atoms instead.
 
 The fact table is the reached atoms alone, init and adds, sorted by text.
 An atom outside it is never true, so the masks never name one: a negative
 precondition or delete on it is dropped, a positive clause literal on it is
 dropped from its clause, and a clause with a negative literal on it always
-holds and is dropped. Every binding that survives the static filter is
-still checked for adding and deleting the same atom, reachable or not.
+holds and is dropped. Every binding that the static facts allow is still
+checked for adding and deleting the same atom, reachable or not.
 """
 from __future__ import annotations
 
@@ -42,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotApplicableError, TypeMismatchError, UnsupportedConstructError
 from .pddl import (Action, And, Atom, Domain, Forall, Formula, Not, Or, Problem,
@@ -208,7 +218,7 @@ def _cnf(f: Formula) -> list[list[Literal]]:
 
 def _collect_effects(f: Formula, universe: dict[str, list[str]],
                      adds: set[Atom], dels: set[Atom]) -> None:
-    for atom, positive, _ in effect_literals(_expand_foralls(f, universe), {}):
+    for atom, positive in effect_literals(_expand_foralls(f, universe)):
         (adds if positive else dels).add(atom)
 
 
@@ -251,16 +261,30 @@ class _AtomTable(dict):
         return atom
 
 
-class _SchemaGrounder:
-    """One task's grounding context, built once per call, and backtracking
-    enumeration of bindings over its static facts, for action schemas and
-    for the instances of statically joined foralls. Each declared type's
-    parent chain is walked once, a cycle rejected, into `supertypes`; the
-    `universe`, `types_of`, the split of init and `atoms` build on it.
+def _clause_literals(f: Forall) -> Optional[list[tuple[Atom, bool]]]:
+    """The literals of a forall whose body is one clause, else None."""
+    out = []
+    for lit in f.body.parts if isinstance(f.body, Or) else (f.body,):
+        atom = lit.body if isinstance(lit, Not) else lit
+        if not isinstance(atom, Atom):
+            return None
+        out.append((atom, lit is atom))
+    return out
 
-    Static positive atoms both filter candidates (when one argument is left
-    unbound, the static fact table supplies its candidates) and reject
-    partial bindings early.
+
+def _decided(atom: Atom, names) -> bool:
+    """Every argument of `atom` is one of `names` or a constant."""
+    return all(a in names or not a.startswith("?") for a in atom.args)
+
+
+class _SchemaGrounder:
+    """One task's grounding context, built once per call. Each declared
+    type's parent chain is walked once, a cycle rejected, into `supertypes`;
+    the typed `universe`, `types_of`, the split of init into the static
+    table and the dynamic init, and `atoms` build on it. The joins read the
+    rest: `_options` indexes the static table by argument position, `typed`
+    and `position` give a type's objects as a set and by universe order,
+    and `reached` holds the atoms that can become true.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -287,8 +311,8 @@ class _SchemaGrounder:
             for t in self.supertypes[typ]:
                 self.universe[t].append(obj)
 
+        self.domain = domain
         self.static_preds = domain.static_predicates
-        self.added_args = domain.added_args
         self.static_table: dict[str, list[tuple[str, ...]]] = {}
         self.init_dynamic: set[Atom] = set()
         for atom in problem.init:
@@ -300,96 +324,36 @@ class _SchemaGrounder:
         self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
                           dict[tuple[str, ...], tuple[int, list[str]]]] = {}
+        self._typed: dict[str, frozenset[str]] = {}
+        self._positions: dict[str, dict[str, int]] = {}
 
-    def bindings(self, params: tuple[tuple[str, str], ...],
-                 conjuncts: list[Formula]) -> list[tuple[str, ...]]:
-        """Bindings of `params` that satisfy the static atoms and the
-        inequalities among `conjuncts`, as value tuples in parameter order.
+    @cached_property
+    def reached(self) -> _Reached:
+        """The atoms that can become true: the dynamic init and the adds of
+        the relaxed-reachable actions, found on first use unless `ground`
+        has set them."""
+        return _Worklist(self).reached
 
-        Parameters are bound in order. Each constraint is checked once, when
-        its last parameter is bound (never, if it mentions a variable that
-        is not a parameter). A static atom whose only open argument is the
-        parameter being bound supplies that parameter's candidates.
-        """
-        static_atoms: list[Atom] = []
-        neq: list[tuple[str, str]] = []
-        for c in conjuncts:
-            if isinstance(c, Atom) and c.predicate in self.static_preds:
-                static_atoms.append(c)
-            elif (isinstance(c, Not) and isinstance(c.body, Atom)
-                  and c.body.predicate == "="):
-                neq.append((c.body.args[0], c.body.args[1]))
+    @cached_property
+    def observed(self) -> _Reached:
+        """The dynamic init as reached atoms: all that is true in the
+        problem's own state, the only state the monitor checks."""
+        return _Reached((a.predicate, a.args) for a in self.init_dynamic)
 
-        order = [v for v, _ in params]
-        types = dict(params)
-        depth = {v: i for i, v in enumerate(order)}
+    def typed(self, typ: str) -> frozenset[str]:
+        """The objects of type `typ`, as a set."""
+        objs = self._typed.get(typ)
+        if objs is None:
+            objs = self._typed[typ] = frozenset(self.universe.get(typ, ()))
+        return objs
 
-        def bound_at(args: tuple[str, ...]) -> Optional[int]:
-            level = 0
-            for a in args:
-                if a in depth:
-                    level = max(level, depth[a])
-                elif a.startswith("?"):
-                    return None
-            return level
-
-        # without parameters the one empty binding is never checked
-        neq_at: list[list[tuple[str, str]]] = [[] for _ in order]
-        for pair in neq:
-            level = bound_at(pair)
-            if level is not None and order:
-                neq_at[level].append(pair)
-        static_at: list[list[Atom]] = [[] for _ in order]
-        options_at: list[list[tuple[str, int, tuple[str, ...]]]] = [[] for _ in order]
-        for atom in static_atoms:
-            level = bound_at(atom.args)
-            if level is not None and order:
-                static_at[level].append(atom)
-            for i, var in enumerate(order):
-                open_args = [a for a in atom.args if a.startswith("?")
-                             and depth.get(a, i) >= i]
-                if open_args == [var]:
-                    pos = atom.args.index(var)
-                    options_at[i].append((atom.predicate, pos,
-                                          atom.args[:pos] + atom.args[pos + 1:]))
-
-        binding: dict[str, str] = {}
-        out: list[tuple[str, ...]] = []
-
-        def consistent(i: int) -> bool:
-            for a, b in neq_at[i]:
-                if binding.get(a, a) == binding.get(b, b):
-                    return False
-            for atom in static_at[i]:
-                args = tuple([binding.get(a, a) for a in atom.args])
-                if args not in self.static_sets.get(atom.predicate, ()):
-                    return False
-            return True
-
-        def candidates(i: int) -> list[str]:
-            typ = types[order[i]]
-            best: Optional[list[str]] = None
-            best_rows = 0
-            for pred, pos, others in options_at[i]:
-                rows, opts = self._options(
-                    pred, pos, typ, tuple([binding.get(a, a) for a in others]))
-                if best is None or rows < best_rows:
-                    best, best_rows = opts, rows
-            return self.universe.get(typ, []) if best is None else best
-
-        def search(i: int):
-            if i == len(order):
-                out.append(tuple(map(binding.__getitem__, order)))
-                return
-            var = order[i]
-            for value in candidates(i):
-                binding[var] = value
-                if consistent(i):
-                    search(i + 1)
-                del binding[var]
-
-        search(0)
-        return out
+    def position(self, typ: str) -> dict[str, int]:
+        """Each object of type `typ` -> its place in the universe."""
+        ranks = self._positions.get(typ)
+        if ranks is None:
+            ranks = self._positions[typ] = {
+                o: i for i, o in enumerate(self.universe.get(typ, []))}
+        return ranks
 
     def _options(self, pred: str, pos: int, typ: str, others: tuple[str, ...]
                  ) -> tuple[int, list[str]]:
@@ -401,89 +365,315 @@ class _SchemaGrounder:
             matches: dict[tuple[str, ...], list[str]] = {}
             for row in self.static_table.get(pred, ()):
                 matches.setdefault(row[:pos] + row[pos + 1:], []).append(row[pos])
-            allowed = set(self.universe.get(typ, []))
+            allowed = self.typed(typ)
             index = self._index[pred, pos, typ] = {
                 key: (len(values), [o for o in dict.fromkeys(values) if o in allowed])
                 for key, values in matches.items()}
         return index.get(others, (0, []))
 
-    def forall_clauses(self, f: Forall) -> Optional[list[list[Literal]]]:
+    def is_guard(self, f: Forall) -> bool:
+        """The forall's body is one clause with a decided negated dynamic
+        atom, as in every END-TURN-INTERACTIONS guard. No instance of it is
+        ever all-positive or statically false, and an instance whose atom
+        never becomes true always holds."""
+        names = {v for v, _ in f.variables}
+        return any(not positive and atom.predicate != "="
+                   and atom.predicate not in self.static_preds
+                   and _decided(atom, names)
+                   for atom, positive in _clause_literals(f) or ())
+
+    def forall_clauses(self, f: Forall, reached: Optional[_Reached] = None
+                       ) -> Optional[list[list[Literal]]]:
         """The CNF of a forall whose body is one clause with a joinable
         literal, or None for any other forall.
 
-        A literal is joinable when it is a negated static atom or a positive
-        equality, and each of its arguments is a variable of the forall or a
-        constant. Only instances static evaluation cannot satisfy are
-        expanded: they need every joinable literal to be false, which is a
-        static join, where the full product is mostly satisfied instances.
-        The clauses keep `itertools.product` order and leave the joinable
+        A literal is decided when each of its arguments is a variable of the
+        forall or a constant. Decided negated static atoms and decided
+        positive equalities are joinable, and so are a guard's decided
+        negated dynamic atoms, joined on the atoms of `reached`. Only
+        instances that no joinable literal satisfies are expanded: each
+        negated static atom holds, each negated dynamic atom is reached and
+        each equality fails; the full product is mostly satisfied instances. The clauses keep
+        `itertools.product` order and leave the static and equality
         literals out; a negated equality over the forall's variables is
-        folded, an instance negating a `_never_true` atom is skipped, and
-        every other literal is kept for the caller (one that mentions a
-        schema parameter is only decided per binding).
+        folded, and every other literal is kept for the caller (one that
+        mentions a schema parameter is only decided per binding).
         """
-        names = [v for v, _ in f.variables]
-        literals: list[tuple[Atom, bool, bool]] = []  # atom, positive, decided
-        constraints: list[Formula] = []
-        for lit in f.body.parts if isinstance(f.body, Or) else (f.body,):
-            atom = lit.body if isinstance(lit, Not) else lit
-            if not isinstance(atom, Atom):
-                return None
-            positive = lit is atom
-            decided = all(a in names or not a.startswith("?") for a in atom.args)
-            if decided and not positive and atom.predicate in self.static_preds:
-                constraints.append(atom)
-            elif decided and positive and atom.predicate == "=":
-                constraints.append(Not(atom))
-            else:
-                literals.append((atom, positive, decided))
-        if not constraints:
+        literals = _clause_literals(f)
+        if literals is None:
             return None
-        rows = self.bindings(f.variables, constraints)
-        ranks = [{o: i for i, o in enumerate(self.universe.get(typ, []))}
-                 for _, typ in f.variables]
+        names = [v for v, _ in f.variables]
+        joined: list[tuple[list, Atom]] = []  # (the constraints it joins, atom)
+        static, dynamic, neqs = [], [], []
+        kept: list[tuple[Atom, bool, bool]] = []  # atom, positive, decided
+        for atom, positive in literals:
+            decided = _decided(atom, names)
+            if decided and not positive and atom.predicate in self.static_preds:
+                joined.append((static, atom))
+            elif decided and positive and atom.predicate == "=":
+                joined.append((neqs, atom))
+            else:
+                if decided and not positive and atom.predicate != "=":
+                    joined.append((dynamic, atom))
+                kept.append((atom, positive, decided))
+        if not joined:
+            return None
+        slot = {v: i for i, v in enumerate(names)}
+        consts: list[str] = []
+        for constraints, atom in joined:
+            for a in atom.args:
+                if a not in slot:
+                    slot[a] = len(slot)
+                    consts.append(a)
+            idx = tuple(slot[a] for a in atom.args)
+            constraints.append(idx if constraints is neqs else (atom.predicate, idx))
+        types = {i: typ for i, (_, typ) in enumerate(f.variables)}
+        rows = _Join(self, len(names), consts, types, static, dynamic, neqs,
+                     reached).run()
+        ranks = [self.position(typ) for _, typ in f.variables]
         rows.sort(key=lambda row: tuple(map(dict.__getitem__, ranks, row)))
         clauses = []
         for row in rows:
             binding = dict(zip(names, row))
             clause: list[Literal] = []
-            for atom, positive, decided in literals:
+            for atom, positive, decided in kept:
                 args = tuple([binding.get(a, a) for a in atom.args])
-                if decided and not positive and (
-                        args[0] != args[1] if atom.predicate == "="
-                        else self._never_true(atom.predicate, args)):
-                    break  # the instance holds
-                if not decided or atom.predicate != "=":
+                if decided and atom.predicate == "=":  # a negated equality
+                    if args[0] != args[1]:
+                        break  # the instance holds
+                else:
                     clause.append((Atom(atom.predicate, args), positive))
             else:
                 clauses.append(clause)
         return clauses
 
-    def _never_true(self, pred: str, args: tuple[str, ...]) -> bool:
-        """The dynamic atom is not in init, and no add effect puts the type
-        or the constant of one of its arguments there (`added_args`)."""
-        return Atom(pred, args) not in self.init_dynamic and any(
-            self.added_args.get((pred, i), set()).isdisjoint(
-                (arg, *self.supertypes.get(self.types_of.get(arg), ())))
-            for i, arg in enumerate(args))
+
+class _Reached:
+    """Reached dynamic atoms as (predicate, args) keys, and indexes of them:
+    an index on some argument positions of a predicate maps the values at
+    those positions to the args of every reached atom that has them. An
+    index is built on first use and kept up to date by `add`."""
+
+    def __init__(self, keys: Iterable[tuple[str, tuple[str, ...]]] = ()):
+        self.keys: set[tuple[str, tuple[str, ...]]] = set()
+        self._indexes: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
+        for key in keys:
+            self.add(key)
+
+    def add(self, key: tuple[str, tuple[str, ...]]) -> bool:
+        """Reach `key`; False if it was reached already."""
+        if key in self.keys:
+            return False
+        self.keys.add(key)
+        pred, args = key
+        for positions, index in self._indexes.get(pred, ()):
+            index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+        return True
+
+    def index(self, pred: str, positions: tuple[int, ...]
+              ) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
+        indexes = self._indexes.setdefault(pred, [])
+        for known, index in indexes:
+            if known == positions:
+                return index
+        index = {}
+        for p, args in self.keys:
+            if p == pred:
+                index.setdefault(tuple([args[i] for i in positions]), []).append(args)
+        indexes.append((positions, index))
+        return index
+
+
+def _getter(idx) -> Callable[[Sequence[str]], tuple[str, ...]]:
+    """Map `ext` to the tuple of its items at `idx` (itemgetter returns a
+    bare item for one index and fails for none)."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda ext: (ext[i],)
+    return itemgetter(*idx) if idx else lambda ext: ()
+
+
+_ROW, _VAR = "row", "var"  # the kinds of a join level
+
+
+class _Join:
+    """A backtracking join over the slots of an `ext` list (`width`
+    variable slots, then `consts`), compiled once and run many times.
+
+    `types` maps the variable slots to bind to their types, in binding
+    order; every other slot is known when the join runs. Each `static`
+    atom must be in the static table, each `dynamic` atom reached, and the
+    two slots of each of `neqs` must differ; every constraint is checked at
+    the level that binds its last slot. A dynamic atom with open slots binds
+    them all at once from an index of `reached`, the atom with the most
+    known arguments first. A variable left over takes its candidates from
+    the static atom whose only open slot it is (the one with fewest rows),
+    else from its type; without dynamic atoms that is the plain enumeration
+    in binding order, which `rank` replays.
+
+    With `first`, level 0 unifies that dynamic atom with one atom given to
+    `run` instead (a trigger), and a binding for which one of `skips` gives
+    that same atom is left out.
+    """
+
+    def __init__(self, grounder: _SchemaGrounder, width: int, consts,
+                 types: dict[int, str], static=(), dynamic=(), neqs=(),
+                 reached: Optional[_Reached] = None, first=None, skips=()):
+        self.grounder = grounder
+        self.width = width
+        self.ext = [None] * width + list(consts)
+        self.keys = reached.keys if reached is not None else None
+        level: dict[int, int] = {}  # variable slot -> the level that binds it
+
+        def known(s: int) -> bool:
+            return s not in types or s in level
+
+        def unify(idx, positions, at: int):
+            """Bind the open slots at `positions` of `idx`; check the rest."""
+            binds, eqs = [], []
+            for k in positions:
+                if known(idx[k]):
+                    eqs.append((k, idx[k]))
+                else:
+                    binds.append((k, idx[k], grounder.typed(types[idx[k]])))
+                    level[idx[k]] = at
+            return tuple(binds), tuple(eqs)
+
+        dynamic = list(dynamic)
+        steps: list[tuple] = []
+        if first is not None:
+            steps.append((_ROW, None, None, *unify(first[1], range(len(first[1])), 0)))
+        while len(level) < len(types):
+            at = len(steps)
+            open_atoms = [a for a in dynamic if not all(map(known, a[1]))]
+            if open_atoms:
+                pred, idx = max(open_atoms, key=lambda a: sum(map(known, a[1])))
+                dynamic.remove((pred, idx))
+                positions = tuple(k for k, s in enumerate(idx) if known(s))
+                steps.append((_ROW, reached.index(pred, positions),
+                              _getter([idx[k] for k in positions]), *unify(
+                                  idx, [k for k in range(len(idx))
+                                        if k not in positions], at)))
+                continue
+            slot = next(s for s in types if s not in level)
+            options = []
+            for pred, idx in static:
+                open_at = [k for k, s in enumerate(idx) if not known(s)]
+                if len(open_at) == 1 and idx[open_at[0]] == slot:
+                    k = open_at[0]
+                    options.append((pred, k, _getter(idx[:k] + idx[k + 1:])))
+            level[slot] = at
+            steps.append((_VAR, slot, types[slot], tuple(options)))
+        # the types a trigger's atom must have, by argument position
+        self.first_types = tuple((k, types[s]) for k, s, _ in steps[0][3]
+                                 ) if first is not None else ()
+
+        # every constraint is checked at the level that binds its last slot
+        checks = [([], [], [], []) for _ in range(len(steps) + 1)]
+
+        def after(slots) -> tuple:
+            return checks[1 + max((level.get(s, -1) for s in slots), default=-1)]
+
+        for pred, idx in static:
+            after(idx)[0].append((grounder.static_sets.get(pred, frozenset()),
+                                  _getter(idx)))
+        for pred, idx in dynamic:
+            after(idx)[1].append((pred, _getter(idx)))
+        for pair in neqs:
+            after(pair)[2].append(tuple(pair))
+        for idx in skips:
+            after(idx)[3].append(_getter(idx))
+        checks = [c if any(c) else None for c in checks]
+        self.pre = checks[0]
+        self.steps = tuple((*step, c) for step, c in zip(steps, checks[1:]))
+
+    def run(self, first: Optional[tuple[str, ...]] = None
+            ) -> list[tuple[str, ...]]:
+        """The bindings, as tuples of the first `width` slots (a slot that
+        is neither bound nor known reads None)."""
+        out: list[tuple[str, ...]] = []
+        ext = self.ext.copy()
+        if self._holds(self.pre, ext, first):
+            self._search(0, ext, first, out)
+        return out
+
+    def rank(self, args: tuple[str, ...]) -> tuple[int, ...]:
+        """Where each value of `args` stands among its level's candidates:
+        sorting by rank gives the order of `run` on a join without dynamic
+        atoms."""
+        ext = list(args) + self.ext[self.width:]
+        out = []
+        for _, slot, typ, options, _ in self.steps:
+            values = self._candidates(typ, options, ext)
+            out.append(self.grounder.position(typ)[ext[slot]] if values is None
+                       else values.index(ext[slot]))
+        return tuple(out)
+
+    def _candidates(self, typ: str, options, ext: list) -> Optional[list[str]]:
+        """The values of the static option with fewest rows, or None to
+        take the whole type."""
+        best: Optional[list[str]] = None
+        best_rows = 0
+        for pred, pos, get in options:
+            rows, values = self.grounder._options(pred, pos, typ, get(ext))
+            if best is None or rows < best_rows:
+                best, best_rows = values, rows
+        return best
+
+    def _holds(self, checks, ext: list, first) -> bool:
+        if checks is None:
+            return True
+        static, dynamic, neqs, skips = checks
+        for i, j in neqs:
+            if ext[i] == ext[j]:
+                return False
+        for table, get in static:
+            if get(ext) not in table:
+                return False
+        for pred, get in dynamic:
+            if (pred, get(ext)) not in self.keys:
+                return False
+        for get in skips:
+            if get(ext) == first:
+                return False
+        return True
+
+    def _search(self, level: int, ext: list, first, out: list) -> None:
+        if level == len(self.steps):
+            out.append(tuple(ext[:self.width]))
+            return
+        step = self.steps[level]
+        if step[0] is _ROW:
+            _, index, key, binds, eqs, checks = step
+            for row in (first,) if index is None else index.get(key(ext), ()):
+                for k, s, allowed in binds:
+                    value = row[k]
+                    if value not in allowed:
+                        break
+                    ext[s] = value
+                else:
+                    if all(row[k] == ext[s] for k, s in eqs) and (
+                            checks is None or self._holds(checks, ext, first)):
+                        self._search(level + 1, ext, first, out)
+        else:
+            _, slot, typ, options, checks = step
+            values = self._candidates(typ, options, ext)
+            if values is None:
+                values = self.grounder.universe.get(typ, [])
+            for value in values:
+                ext[slot] = value
+                if checks is None or self._holds(checks, ext, first):
+                    self._search(level + 1, ext, first, out)
 
 
 _EQUALITY = object()  # the "table" of an equality literal in a template
 
 
-def _arg_getter(idx: tuple[int, ...]):
-    """Map `ext` to the tuple of its items at `idx` (itemgetter returns a
-    bare item for one index and fails for none; slices keep tuples)."""
-    if len(idx) == 1:
-        return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx) if idx else itemgetter(slice(0))
-
-
 class _Schema:
-    """A schema precondition, normalized once per task into clause
-    templates: the only code that grounds a formula into clauses. The goal
-    (the precondition of a parameterless schema) and the monitor's check
-    build this alone; `_ActionSchema` adds what `ground` reads of an action.
+    """A schema precondition, normalized into clause templates: the only
+    code that grounds a formula into clauses. The goal (the precondition of
+    a parameterless schema) and the monitor's check build this alone;
+    `_ActionSchema` adds what `ground` reads of an action.
 
     A binding's values followed by the constants the schema mentions form
     its `ext` tuple; each template atom is a predicate and a getter of its
@@ -491,49 +681,77 @@ class _Schema:
 
     `clauses` is the precondition CNF as clause templates, taken one
     conjunct at a time (the CNF of a conjunction is its conjuncts' CNFs in
-    order): a forall whose body is one clause through the static join
-    `forall_clauses`, any other conjunct with its foralls expanded.
-    `clauses_for` fills them in for one binding: it substitutes their
-    arguments and decides their static and equality literals. Equalities
-    are folded after the CNF, so a conjunct with an equality under a
-    conjunction under a disjunction may keep a clause that the conjunct's
-    other clauses imply.
+    order): a forall whose body is one clause through the join
+    `forall_clauses`, any other conjunct with its foralls expanded. A guard
+    forall (`is_guard`) is joined on the atoms that can be true where the
+    clauses are checked: the task's relaxed-reachable atoms, or with
+    `observed` the problem's own dynamic init. `clauses_for` fills the
+    templates in for one binding: it substitutes their arguments and decides
+    their static and equality literals. Equalities are folded after the
+    CNF, so a conjunct with an equality under a conjunction under a
+    disjunction may keep a clause that the conjunct's other clauses imply.
     """
 
     def __init__(self, params: tuple[tuple[str, str], ...],
-                 precondition: Formula, grounder: _SchemaGrounder):
+                 precondition: Formula, grounder: _SchemaGrounder,
+                 observed: bool = False):
+        self._setup(params, precondition, grounder)
+        reached = None
+        if any(isinstance(part, Forall) for part in self._parts):
+            reached = grounder.observed if observed else grounder.reached
+        self.clauses = self._templates(reached)
+
+    def _setup(self, params, precondition: Formula,
+               grounder: _SchemaGrounder) -> None:
+        self.grounder = grounder
         self.atoms = grounder.atoms
         self.params = tuple(v for v, _ in params)
         self._slot = {v: i for i, v in enumerate(self.params)}
         self._consts: list[str] = []
-        static_preds = grounder.static_preds
-        static_sets = grounder.static_sets
-
-        def table(pred: str):
-            if pred == "=":
-                return _EQUALITY
-            if pred in static_preds:
-                return static_sets.get(pred, frozenset())
-            return None
-
-        def template(clause: list[Literal]) -> tuple:
-            out = []
-            for atom, positive in clause:
-                pred, idx = self._index(atom)
-                out.append((pred, _arg_getter(idx), positive, table(pred)))
-            return tuple(out)
-
+        self.consts: tuple[str, ...] = ()
         self.conjuncts = _split_conjuncts(precondition)
-        clauses = []
+
+    @cached_property
+    def _parts(self) -> list:
+        """Per conjunct, its clause templates, or the forall of a guard."""
+        grounder = self.grounder
+        parts = []
         for conjunct in self.conjuncts:
-            cnf = (grounder.forall_clauses(conjunct)
-                   if isinstance(conjunct, Forall) else None)
+            cnf = None
+            if isinstance(conjunct, Forall):
+                if grounder.is_guard(conjunct):
+                    parts.append(conjunct)
+                    continue
+                cnf = grounder.forall_clauses(conjunct)
             if cnf is None:
                 cnf = _cnf(_nnf(_expand_foralls(conjunct, grounder.universe),
                                 False))
-            clauses.extend(map(template, cnf))
-        self.clauses = tuple(clauses)
+            parts.append(tuple(map(self._template, cnf)))
+        return parts
+
+    def _templates(self, reached: Optional[_Reached]) -> tuple:
+        """The clause templates in conjunct order, each guard joined on
+        `reached` (left out without it)."""
+        clauses = []
+        for part in self._parts:
+            if not isinstance(part, Forall):
+                clauses.extend(part)
+            elif reached is not None:
+                clauses.extend(map(self._template,
+                                   self.grounder.forall_clauses(part, reached)))
         self.consts = tuple(self._consts)
+        return tuple(clauses)
+
+    def _template(self, clause: list[Literal]) -> tuple:
+        static_preds = self.grounder.static_preds
+        out = []
+        for atom, positive in clause:
+            pred, idx = self._index(atom)
+            table = (_EQUALITY if pred == "=" else
+                     self.grounder.static_sets.get(pred, frozenset())
+                     if pred in static_preds else None)
+            out.append((pred, _getter(idx), positive, table))
+        return tuple(out)
 
     def _index(self, atom: Atom) -> tuple[str, tuple[int, ...]]:
         """The predicate of `atom` and the `ext` positions of its arguments."""
@@ -569,25 +787,43 @@ class _Schema:
 
 class _ActionSchema(_Schema):
     """An action schema as `ground` reads it: the precondition templates,
-    `needs` (the top-level positive dynamic atoms), `adds`/`dels` (the
-    effects with foralls expanded) and `overlaps` (the argument equalities
-    under which an add and a delete coincide)."""
+    built at the first `build` with the guards left out until `with_guards`;
+    `triggers`, a `_Join` per need (a top-level positive dynamic atom);
+    `order`, the plain enumeration of its bindings over the static facts;
+    `adds`/`dels` (the effects with foralls expanded) and `overlaps` (the
+    argument equalities under which an add and a delete coincide)."""
 
-    def __init__(self, schema: Action, grounder: _SchemaGrounder):
-        super().__init__(schema.params, schema.precondition, grounder)
+    def __init__(self, schema: Action, grounder: _SchemaGrounder,
+                 reached: _Reached):
+        self._setup(schema.params, schema.precondition, grounder)
         self.name = schema.name
-        needs = dict.fromkeys(
-            self._index(c) for c in self.conjuncts if isinstance(c, Atom)
-            and c.predicate != "=" and c.predicate not in grounder.static_preds)
-        self.needs = tuple((p, _arg_getter(idx)) for p, idx in needs)
+        self.clauses = None
+        static_preds = grounder.static_preds
+        params = set(self.params)
+        needs: list[tuple[str, tuple[int, ...]]] = []
+        self._static: list[tuple[str, tuple[int, ...]]] = []
+        self._neqs: list[tuple[int, ...]] = []
+        for c in self.conjuncts:
+            atom = c.body if isinstance(c, Not) else c
+            if not isinstance(atom, Atom):
+                continue
+            if c is atom and atom.predicate not in static_preds:
+                if atom.predicate != "=" and self._index(atom) not in needs:
+                    needs.append(self._index(atom))
+            elif not _decided(atom, params):
+                continue  # a variable that is not a parameter: never checked
+            elif c is atom:
+                self._static.append(self._index(atom))
+            elif atom.predicate == "=":
+                self._neqs.append(self._index(atom)[1])
 
         adds: set[Atom] = set()
         dels: set[Atom] = set()
         _collect_effects(schema.effect, grounder.universe, adds, dels)
         add_idx = [self._index(a) for a in adds]
         del_idx = [self._index(a) for a in dels]
-        self.adds = tuple((p, _arg_getter(idx)) for p, idx in add_idx)
-        self.dels = tuple((p, _arg_getter(idx)) for p, idx in del_idx)
+        self.adds = tuple((p, _getter(idx)) for p, idx in add_idx)
+        self.dels = tuple((p, _getter(idx)) for p, idx in del_idx)
         n = len(self.params)
         overlaps = []
         for p, ia in add_idx:
@@ -599,18 +835,66 @@ class _ActionSchema(_Schema):
                 if not any(i >= n and j >= n for i, j in conds):
                     overlaps.append(conds)
         self.overlaps = tuple(overlaps)
-        self.consts = tuple(self._consts)
 
-    def needs_of(self, ext: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
-        return [(p, get(ext)) for p, get in self.needs]
+        self._types = {i: typ for i, (_, typ) in enumerate(schema.params)}
+        consts = self.consts = tuple(self._consts)
+        self.triggers = tuple(
+            (pred, _Join(grounder, n, consts, self._types, self._static,
+                         needs[:i] + needs[i + 1:], self._neqs, reached,
+                         first=(pred, idx),
+                         skips=[other for q, other in needs[:i]
+                                if q == pred and len(other) == len(idx)]))
+            for i, (pred, idx) in enumerate(needs))
 
-    def may_overlap(self, ext: tuple[str, ...]) -> bool:
-        return any(all(ext[i] == ext[j] for i, j in conds)
-                   for conds in self.overlaps)
+    @cached_property
+    def order(self) -> _Join:
+        """The plain enumeration of the schema's bindings over the static
+        facts: `run` lists them, `rank` places one."""
+        return _Join(self.grounder, len(self.params), self.consts, self._types,
+                     self._static, (), self._neqs)
+
+    def check_overlaps(self) -> None:
+        """Raise if a binding the static facts allow adds and deletes one
+        atom, reachable or not. Only the bindings that meet an overlap's
+        equalities are enumerated: each equality is substituted, keeping the
+        constant or the earlier parameter."""
+        n = len(self.params)
+        consts = self.consts
+        for conds in self.overlaps:
+            rep = list(range(n + len(consts)))
+
+            def find(s: int) -> int:
+                while rep[s] != s:
+                    s = rep[s]
+                return s
+
+            for i, j in conds:
+                a, b = sorted((find(i), find(j)))
+                if a == b:
+                    continue
+                if a >= n:
+                    break  # two distinct constants never coincide
+                if b >= n:
+                    rep[a] = b
+                else:
+                    rep[b] = a
+            else:
+                types = {s: t for s, t in self._types.items() if find(s) == s}
+                join = _Join(self.grounder, n, consts, types,
+                             [(p, tuple(map(find, idx))) for p, idx in self._static],
+                             (), [tuple(map(find, pair)) for pair in self._neqs])
+                for row in join.run():
+                    ext = row + consts
+                    args = tuple(ext[find(s)] for s in range(n))
+                    if all(args[s] in self.grounder.typed(t)
+                           for s, t in self._types.items()):
+                        self.build(args)  # raises unless statically false
 
     def build(self, args: tuple[str, ...]):
         """The grounded action as (name, args, clauses, adds, dels), or None
         when its precondition is statically false."""
+        if self.clauses is None:
+            self.clauses = self._templates(None)
         clauses = self.clauses_for(args)
         if clauses is None:
             return None
@@ -624,48 +908,106 @@ class _ActionSchema(_Schema):
                 f"action {self.name} adds and deletes {sorted(map(str, both))}")
         return self.name, args, clauses, adds, dels
 
+    def with_guards(self, raws: list[tuple], reached: _Reached) -> list[tuple]:
+        """The built actions `raws` with the guard foralls' clauses spliced
+        in, joined on the final `reached` atoms."""
+        if not any(isinstance(part, Forall) for part in self._parts):
+            return raws
+        self.clauses = self._templates(reached)
+        return [(name, args, self.clauses_for(args), adds, dels)
+                for name, args, _, adds, dels in raws]
+
 
 class _Worklist:
-    """Counter-based relaxed reachability over enumerated bindings.
+    """Semi-naive relaxed reachability: the least fixpoint of the actions
+    and atoms of a task.
 
-    A binding waits on its needs, each a list of atoms met by any one of
-    them. Its top-level positive dynamic atoms are one-atom needs; when they
-    are met it is built, and each all-positive clause of the built action is
-    one more need. When every need is met the action is kept and its add
-    effects are reached, which meets needs in turn. Atoms are (predicate,
-    args) keys; a need waits as a one-item list that is emptied when met.
+    A schema's needs are its top-level positive dynamic atoms, and each need
+    is a trigger: when an atom is reached it is unified with every need of
+    its predicate, and the rest of the binding is joined on the static
+    facts, the inequalities and the atoms reached so far (`_Join`). So a
+    binding is found once, when the last of its needs is reached (by the
+    earliest need that gives that atom). A schema without needs enumerates
+    its static bindings once. A found binding is built, and each
+    all-positive clause of the built action is one more need, met by any one
+    of its atoms; the action waits here on those (as a one-item list per
+    need, emptied when met). Once every need is met the action is kept and
+    its add effects are reached, which fires triggers and meets waiting
+    needs in turn. The dynamic init is reached atom by atom the same way.
+    Atoms are (predicate, args) keys.
     """
 
-    def __init__(self, reached: set[tuple[str, tuple[str, ...]]]):
-        self.reached = reached
+    def __init__(self, grounder: _SchemaGrounder):
+        self.reached = _Reached()
         self.waiting: dict[tuple[str, tuple[str, ...]], list[list]] = {}
-        self.kept: dict[int, tuple] = {}
-        self.count = 0
+        self.schemas: list[_ActionSchema] = []
+        self.kept: list[list[tuple]] = []  # per schema, its kept actions
+        self._triggers: dict[str, list[tuple[int, _Join]]] = {}
+        self._stack: list[list] = []  # [unmet needs, schema, args, built]
+        self._dispatch: dict[tuple, list[tuple[int, _Join]]] = {}
+        self._types_of = grounder.types_of
+        self._supertypes = grounder.supertypes
+        domain = grounder.domain
+        for schema in domain.actions:
+            types_of = dict(schema.params) | grounder.types_of
+            for atom in itertools.chain(atoms_in(schema.precondition),
+                                        atoms_in(schema.effect)):
+                _check_signature(domain, atom, types_of, grounder.supertypes)
+            compiled = _ActionSchema(schema, grounder, self.reached)
+            compiled.check_overlaps()
+            k = len(self.schemas)
+            self.schemas.append(compiled)
+            self.kept.append([])
+            for pred, join in compiled.triggers:
+                self._triggers.setdefault(pred, []).append((k, join))
+            if not compiled.triggers:
+                self._stack.extend([0, k, args, None]
+                                   for args in compiled.order.run())
+        for atom in grounder.init_dynamic:
+            self._reach((atom.predicate, atom.args))
+        self._run()
 
-    def add(self, schema: _Schema, args: tuple[str, ...], needs) -> None:
-        # [unmet needs, enumeration index, schema, args, built action]
-        entry = [0, self.count, schema, args, None]
-        self.count += 1
-        if not self._wait(entry, [(key,) for key in needs]):
-            self._fire(entry)
+    def _reach(self, key: tuple[str, tuple[str, ...]]) -> None:
+        if not self.reached.add(key):
+            return
+        for cell in self.waiting.pop(key, ()):
+            if cell:  # not met yet through another of its atoms
+                waiter = cell.pop()
+                waiter[0] -= 1
+                if not waiter[0]:
+                    self._stack.append(waiter)
+        for k, join in self._fired(key):
+            self._stack.extend([0, k, args, None] for args in join.run(key[1]))
+
+    def _fired(self, key: tuple[str, tuple[str, ...]]) -> list[tuple[int, _Join]]:
+        """The triggers an atom of these argument types can fire."""
+        sig = (key[0], tuple(map(self._types_of.get, key[1])))
+        fired = self._dispatch.get(sig)
+        if fired is None:
+            supertypes = self._supertypes
+            fired = self._dispatch[sig] = [
+                (k, join) for k, join in self._triggers.get(key[0], ())
+                if all(typ in supertypes.get(sig[1][pos], ())
+                       for pos, typ in join.first_types)]
+        return fired
 
     def _wait(self, entry: list, needs) -> bool:
         """Queue `entry` on each of `needs` not met yet; False if none."""
         for need in needs:
-            if self.reached.isdisjoint(need):
+            if self.reached.keys.isdisjoint(need):
                 entry[0] += 1
                 cell = [entry]
                 for key in need:
                     self.waiting.setdefault(key, []).append(cell)
         return entry[0] > 0
 
-    def _fire(self, entry: list) -> None:
-        stack = [entry]
+    def _run(self) -> None:
+        stack = self._stack
         while stack:
             entry = stack.pop()
-            raw = entry[4]
+            raw = entry[3]
             if raw is None:
-                raw = entry[4] = entry[2].build(entry[3])
+                raw = entry[3] = self.schemas[entry[1]].build(entry[2])
                 if raw is None:
                     continue  # statically false
                 if self._wait(entry, [
@@ -673,32 +1015,29 @@ class _Worklist:
                         for clause in raw[2]
                         if all(positive for _, positive in clause)]):
                     continue
-            self.kept[entry[1]] = raw
+            self.kept[entry[1]].append(raw)
             for atom in raw[3]:
-                key = (atom.predicate, atom.args)
-                if key in self.reached:
-                    continue
-                self.reached.add(key)
-                for cell in self.waiting.pop(key, ()):
-                    if cell:  # not met yet through another of its atoms
-                        waiter = cell.pop()
-                        waiter[0] -= 1
-                        if not waiter[0]:
-                            stack.append(waiter)
+                self._reach((atom.predicate, atom.args))
 
     def actions(self) -> list[tuple]:
-        """The kept actions in enumeration order."""
-        return [self.kept[i] for i in sorted(self.kept)]
+        """The kept actions, schema by schema, each schema's in the order of
+        its plain enumeration (`order.rank`), with their guard clauses."""
+        out = []
+        for schema, kept in zip(self.schemas, self.kept):
+            if kept:
+                kept.sort(key=lambda raw: schema.order.rank(raw[1]))
+                out.extend(schema.with_guards(kept, self.reached))
+        return out
 
 
 def _step_schema(domain: Domain, problem: Problem, name: str,
-                 grounder: _SchemaGrounder) -> _Schema:
+                 grounder: _SchemaGrounder, observed: bool = False) -> _Schema:
     """The precondition of plan step `name`; the step `GOAL` is the goal of
     `problem`, a parameterless schema."""
     if name == GOAL:
-        return _Schema((), problem.goal, grounder)
+        return _Schema((), problem.goal, grounder, observed)
     schema = next(a for a in domain.actions if a.name == name)
-    return _Schema(schema.params, schema.precondition, grounder)
+    return _Schema(schema.params, schema.precondition, grounder, observed)
 
 
 def precondition_clauses(domain: Domain, problem: Problem, name: str,
@@ -708,19 +1047,23 @@ def precondition_clauses(domain: Domain, problem: Problem, name: str,
     for the goal), grounded over the objects and static facts of `problem`
     as `ground` grounds it: CNF clauses over dynamic atoms, or None if it
     is statically false. Only the precondition is normalized; the effects
-    are never expanded."""
+    are never expanded. The step is checked in the problem's own state, so
+    a guard forall is joined on its dynamic init."""
     grounder = _SchemaGrounder(domain, problem)
-    return _step_schema(domain, problem, name, grounder).clauses_for(args)
+    return _step_schema(domain, problem, name, grounder,
+                        observed=True).clauses_for(args)
 
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
     """Ground the relaxed-reachable actions of `problem` over its reachable
     atoms.
 
-    Bindings are enumerated schema by schema, joined on the static facts;
-    each is kept once its needs are met (see the module docstring) and the
-    kept actions keep enumeration order. The fact table holds the reached
-    atoms, sorted by text, and the masks are trimmed to it.
+    One semi-naive join over the static facts and the reached atoms finds
+    the bindings as their needs are reached (`_Worklist`, see the module
+    docstring); the kept actions are listed schema by schema, each in the
+    order of its plain static enumeration, and guard foralls are joined on
+    the final reached atoms. The fact table holds the reached atoms, sorted
+    by text, and the masks are trimmed to it.
     """
     grounder = _SchemaGrounder(domain, problem)
     supertypes = grounder.supertypes
@@ -729,23 +1072,13 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
 
     atoms = grounder.atoms
     init_dynamic = grounder.init_dynamic
-    worklist = _Worklist({(a.predicate, a.args) for a in init_dynamic})
-    for schema in domain.actions:
-        types_of = dict(schema.params) | grounder.types_of
-        for atom in itertools.chain(atoms_in(schema.precondition),
-                                    atoms_in(schema.effect)):
-            _check_signature(domain, atom, types_of, supertypes)
-        compiled: Optional[_ActionSchema] = None  # normalized at the first binding
-        for args in grounder.bindings(schema.params,
-                                      _split_conjuncts(schema.precondition)):
-            if compiled is None:
-                compiled = _ActionSchema(schema, grounder)
-            ext = args + compiled.consts
-            if compiled.may_overlap(ext):
-                compiled.build(args)  # raises unless statically false
-            worklist.add(compiled, args, compiled.needs_of(ext))
+    worklist = _Worklist(grounder)
+    # the goal's guard foralls join on these. Only the atoms stay on the
+    # grounder: the worklist's schemas refer to it, and a reference back
+    # would keep every call's joins alive until a cyclic collection
+    grounder.reached = worklist.reached
     raw_actions = worklist.actions()
-    facts = tuple(sorted((atoms[key] for key in worklist.reached), key=str))
+    facts = tuple(sorted((atoms[key] for key in worklist.reached.keys), key=str))
     fact_id = {f: i for i, f in enumerate(facts)}
 
     def mask(members: Iterable[Atom]) -> int:

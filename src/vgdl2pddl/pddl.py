@@ -76,17 +76,17 @@ def atoms_in(f: Formula):
         yield from atoms_in(f.body)
 
 
-def effect_literals(f: Formula, types: dict[str, str]):
-    """(atom, positive, variable types in scope) per literal of effect `f`."""
+def effect_literals(f: Formula):
+    """(atom, positive) per literal of effect `f`."""
     if isinstance(f, And):
         for p in f.parts:
-            yield from effect_literals(p, types)
+            yield from effect_literals(p)
     elif isinstance(f, Forall):
-        yield from effect_literals(f.body, types | dict(f.variables))
+        yield from effect_literals(f.body)
     elif isinstance(f, Atom):
-        yield f, True, types
+        yield f, True
     elif isinstance(f, Not) and isinstance(f.body, Atom):
-        yield f.body, False, types
+        yield f.body, False
     else:
         raise UnsupportedConstructError(
             f"unsupported effect construct {format_formula(f)}")
@@ -134,19 +134,6 @@ class Domain:
         return frozenset(p.name for p in self.predicates) - {
             atom.predicate for action in self.actions
             for atom in atoms_in(action.effect)}
-
-    @cached_property
-    def added_args(self) -> dict[tuple[str, int], set[str]]:
-        """(predicate, argument position) -> the declared types and constants
-        that some add effect puts there, computed once."""
-        slots: dict[tuple[str, int], set[str]] = {}
-        for action in self.actions:
-            for atom, positive, types in effect_literals(
-                    action.effect, dict(action.params)):
-                for i, arg in enumerate(atom.args if positive else ()):
-                    slots.setdefault((atom.predicate, i), set()).add(
-                        types.get(arg, arg))
-        return slots
 
     def predicate(self, name: str) -> Predicate:
         for p in self.predicates:

@@ -506,12 +506,17 @@ class _HAdd:
             key = (a.pos_pre, clauses)
             merged[key] = merged.get(key, 0) | a.add & ~a.pos_pre
         keys = list(merged)
-        adds = list(merged.values())
-        size = [pos.bit_count() + len(clauses) for pos, clauses in keys]
+        merged_adds = list(merged.values())
+        adds = merged_adds.copy()
+        # each relaxed action's bit lists, walked once for every pass below
+        pos_bits = [_bits(pos) for pos, _ in keys]
+        add_bits = [_bits(add) for add in adds]
+        size = [len(bits) + len(clauses)
+                for bits, (_, clauses) in zip(pos_bits, keys)]
         # fact -> its adders, fewest requirements first
         adders: list[list[int]] = [[] for _ in range(n)]
         for r in sorted(range(len(keys)), key=size.__getitem__):
-            for f in _bits(adds[r]):
+            for f in add_bits[r]:
                 adders[f].append(r)
         for f, rs in enumerate(adders):
             for r in rs:
@@ -549,12 +554,12 @@ class _HAdd:
             add = adds[r] & needed
             if not used[r] or not add:
                 continue
-            pos, clauses = keys[r]
-            req = _bits(pos) + [clause_node.setdefault(c, n + len(clause_node))
-                                for c in clauses]
+            req = pos_bits[r] + [clause_node.setdefault(c, n + len(clause_node))
+                                 for c in keys[r][1]]
             if req:
                 self.reqs.append(req)
-                self.adds.append(_bits(add))
+                self.adds.append(add_bits[r] if add == merged_adds[r] else
+                                 [f for f in add_bits[r] if add >> f & 1])
             else:
                 free |= add
         self.free_adds = _bits(free)

@@ -14,7 +14,9 @@ from oracle_interp import (
 )
 from reference_ground import reference_ground, reference_simplify
 from test_compiler import _stability_model
+from vgdl2pddl import engine
 from vgdl2pddl.compiler import compile_game
+from vgdl2pddl.engine import AvatarAction
 from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
 from vgdl2pddl.games import available_games, load_game, load_level
 from vgdl2pddl.ground import (
@@ -539,12 +541,29 @@ class TestNeverTrueInstances:
     init and that no add effect can produce always holds: no clause is built
     for it. `TestReferenceEquality` shows the grounded tasks stay the same."""
 
-    def test_added_args_are_types_per_argument(self):
-        domain = compile_game(load_game("digger")).domain
-        # the avatar and the boulders move; dirt, gems and the exit never do
-        assert [domain.added_args["at", i] for i in range(3)] == [
-            {"num"}, {"num"}, {"avatar", "boulder"}]
-        assert ("is-wall", 0) not in domain.added_args
+    def test_guards_join_on_the_atoms_that_can_be_true(self):
+        """END-TURN-INTERACTIONS' guard foralls are expanded only where each
+        negated dynamic atom can be true: on the reached atoms for `ground`,
+        so the fact table trims none of their clauses, and on the observed
+        state's atoms for the monitor."""
+        domain, problem = _case("digger-1")
+        task = ground(domain, problem)
+        eti = next(a for a in domain.actions
+                   if a.name == "END-TURN-INTERACTIONS")
+        joined = _Schema(eti.params, eti.precondition,
+                         _SchemaGrounder(domain, problem)).clauses_for(())
+        guards = [clause for clause in joined if len(clause) > 1]
+        assert guards and all(not positive and atom in task.fact_id
+                              for clause in guards for atom, positive in clause)
+        kept = task.action("END-TURN-INTERACTIONS", ())
+        assert [task.state_atoms(neg) for pos, neg in kept.clauses] == [
+            {atom for atom, _ in clause} for clause in guards]
+        observed = precondition_clauses(domain, problem,
+                                        "END-TURN-INTERACTIONS", ())
+        init = set(problem.init)
+        assert all(atom in init for clause in observed if len(clause) > 1
+                   for atom, _ in clause)
+        assert len(observed) < len(joined)
 
     def test_guard_builds_few_templates(self):
         domain, problem = _case("digger-1")
@@ -647,10 +666,85 @@ NESTED = """
 """
 
 
+# the walls are listed out of object order and a wall of ?x = n2 holds w1,
+# so (n2 n1 w1) comes before (n2 n0 b2), as the is-wall rows list them;
+# ?o - Object also meets the atoms of its subtypes walker and boulder
+CRUSH = """
+  (:action CRUSH
+    :parameters (?x ?y - num ?o - Object)
+    :precondition (and (is-wall ?x ?y) (at ?x ?y ?o))
+    :effect (dead ?o)
+  )
+"""
+
+# a need with a constant argument
+ROW_ONE = """
+  (:action ROW_ONE
+    :parameters (?y - num ?o - boulder)
+    :precondition (and (at n1 ?y ?o) (turn-boulder-move))
+    :effect (dead ?o)
+  )
+"""
+
+# two needs that give the same atom when ?o = ?p
+TWIN = """
+  (:action TWIN
+    :parameters (?o ?p - boulder ?x ?y - num)
+    :precondition (and (at ?x ?y ?o) (at ?x ?y ?p))
+    :effect (dead ?o)
+  )
+"""
+
+# no positive dynamic precondition, so no need
+REST = """
+  (:action REST
+    :parameters (?o - boulder ?x ?y - num)
+    :precondition (and (is-wall ?x ?y) (not (dead ?o)))
+    :effect (boulder-moved ?o)
+  )
+"""
+
+# a guard whose negated atom, (at n1 n2 b1), is reached only after b1 has
+# moved twice, a STOP_BOULDER_MOVE in between
+LATE = """
+  (:action LATE
+    :parameters ()
+    :precondition (and
+      (turn-boulder-move)
+      (forall (?o - boulder) (or (not (at n1 n2 ?o)) (boulder-moved ?o)))
+    )
+    :effect (not (turn-boulder-move))
+  )
+"""
+
+TOY_ACTIONS = {"push-crush": CRUSH, "push-row-one": ROW_ONE, "push-twin": TWIN,
+               "push-rest": REST, "push-late-guard": LATE}
+
+# a few seeded engine turns into aliens, with a live bullet and falling
+# rocks (the aliens' bombs): the problems an episode grounds at a replan
+MID_EPISODE = {"aliens-0-turn-4": (0, 4), "aliens-1-turn-4": (1, 4)}
+OPENING = (AvatarAction.USE, AvatarAction.LEFT, AvatarAction.NIL,
+           AvatarAction.USE)
+
+
 def _case(case):
     """(domain, problem) of a named grounding case."""
     if case == "push":
         return read_domain(PUSH_DOMAIN), read_problem(PUSH_PROBLEM)
+    if case in TOY_ACTIONS:
+        problem = _case("push-walls")[1]
+        if case == "push-crush":
+            problem = replace(problem, init=tuple(
+                Atom("at", ("n2", "n1", "w1")) if atom.args == ("n0", "n2", "w1")
+                else atom for atom in problem.init))
+        return read_domain(_with_action(TOY_ACTIONS[case])), problem
+    if case in MID_EPISODE:
+        level, turns = MID_EPISODE[case]
+        game = compile_game(load_game("aliens"))
+        state = engine.load(game.model, load_level("aliens", level, game.model))
+        for action in OPENING[:turns]:
+            engine.step(state, action)
+        return game.domain, generate_problem(state, game)[0]
     if case == "push-walls":
         walls = "(is-wall n2 n1)\n    (is-wall n2 n0)\n    (is-wall n0 n0)"
         return (read_domain(_with_action(SETTLE)),
@@ -685,7 +779,8 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("case", [f"{g}-{i}" for g in SHIPPED for i in (0, 1)]
                              + sorted(TOY_LEVELS)
                              + ["push", "push-walls", "push-guard",
-                                "open-sokoban-12"])
+                                "open-sokoban-12"]
+                             + sorted(TOY_ACTIONS) + sorted(MID_EPISODE))
     def test_simplified_tasks_equal(self, case):
         domain, problem = _case(case)
         task = ground(domain, problem)
