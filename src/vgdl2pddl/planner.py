@@ -40,6 +40,8 @@ takes 3.7 s instead of 0.49 s, zenpuzzle lvl0 0.36 s instead of 0.24 s.
 """
 from __future__ import annotations
 
+import os
+import signal
 import subprocess
 import tempfile
 import time
@@ -47,6 +49,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -81,7 +84,8 @@ class SearchConfig:
     mode: Mode = Mode.GBFS_HADD
     time_limit: float = 60.0
     # approximate bytes for visited states, guessed at 64 per state; the
-    # successor memo is not counted (at most one entry per expanded state)
+    # successor and h_add memos are not counted (at most one entry per
+    # expanded and per evaluated state)
     memory_limit: int = 2 * 10 ** 9
     seed: int = 0
 
@@ -447,9 +451,10 @@ def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        f = mask.bit_length() - 1
+        out.append(f)
+        mask ^= 1 << f
+    out.reverse()
     return out
 
 
@@ -494,40 +499,50 @@ class _HAdd:
     one of its requirements, so whatever a popped node enables costs more
     than the node itself, popped costs never decrease and a popped cost is
     final.  Once the goal facts are popped, their sum cannot change.
+
+    ``value`` remembers h for the task's life, keyed on ``state & (needed |
+    goal_neg)``.  The key is exact: Dijkstra reads the state only as its
+    zero-cost facts ``state & needed``, the goal facts still to pop (of
+    ``goal_pos``, which is within ``needed``) and the penalty's ``goal_neg``
+    facts.  ``goal_neg`` must be in the key: rain's ``(dead avatar)`` is a
+    negative goal fact that no relaxed action needs.
     """
 
     def __init__(self, task: GroundedTask):
         n = len(task.facts)
         merged: dict[tuple[int, tuple[int, ...]], int] = {}
+        get = merged.get
         for a in task.actions:
             clauses = ()
             if a.clauses:
                 clauses = tuple(sorted(p for p, neg in a.clauses if not neg))
             key = (a.pos_pre, clauses)
-            merged[key] = merged.get(key, 0) | a.add & ~a.pos_pre
+            merged[key] = get(key, 0) | a.add & ~a.pos_pre
         keys = list(merged)
         merged_adds = list(merged.values())
         adds = merged_adds.copy()
-        # each relaxed action's bit lists, walked once for every pass below
-        pos_bits = [_bits(pos) for pos, _ in keys]
         add_bits = [_bits(add) for add in adds]
-        size = [len(bits) + len(clauses)
-                for bits, (_, clauses) in zip(pos_bits, keys)]
+        size = [pos.bit_count() + len(clauses) for pos, clauses in keys]
         # fact -> its adders, fewest requirements first
         adders: list[list[int]] = [[] for _ in range(n)]
         for r in sorted(range(len(keys)), key=size.__getitem__):
             for f in add_bits[r]:
                 adders[f].append(r)
         for f, rs in enumerate(adders):
+            if not rs or size[rs[0]] == size[rs[-1]]:
+                continue  # no adder has fewer requirements than another
+            kept = []
             for r in rs:
                 pos, clauses = keys[r]
                 for q in rs:
                     if size[q] >= size[r]:
+                        kept.append(r)
                         break
                     q_pos, q_clauses = keys[q]
                     if not q_pos & ~pos and _submultiset(q_clauses, clauses):
                         adds[r] &= ~(1 << f)
                         break
+            adders[f] = kept
         # backwards from the goal: the facts a kept relaxed action can need
         needed = task.goal_pos
         used = bytearray(len(keys))
@@ -535,7 +550,7 @@ class _HAdd:
         while work:
             f = work.pop()
             for r in adders[f]:
-                if used[r] or not adds[r] >> f & 1:
+                if used[r]:
                     continue
                 used[r] = 1
                 pos, clauses = keys[r]
@@ -547,19 +562,21 @@ class _HAdd:
         self.needed = needed
         # nodes: the facts, then one per all-positive clause
         clause_node: dict[int, int] = {}
-        self.reqs: list[list[int]] = []
-        self.adds: list[list[int]] = []
+        self.reqs = reqs = []
+        self.adds = req_adds = []
         free = 0
-        for r in range(len(keys)):
-            add = adds[r] & needed
-            if not used[r] or not add:
+        for (pos, clauses), add, merged_add, bits, u in zip(
+                keys, adds, merged_adds, add_bits, used):
+            add &= needed
+            if not u or not add:
                 continue
-            req = pos_bits[r] + [clause_node.setdefault(c, n + len(clause_node))
-                                 for c in keys[r][1]]
+            req = _bits(pos)
+            for c in clauses:
+                req.append(clause_node.setdefault(c, n + len(clause_node)))
             if req:
-                self.reqs.append(req)
-                self.adds.append(add_bits[r] if add == merged_adds[r] else
-                                 [f for f in add_bits[r] if add >> f & 1])
+                reqs.append(req)
+                req_adds.append(bits if add == merged_add else
+                                [f for f in bits if add >> f & 1])
             else:
                 free |= add
         self.free_adds = _bits(free)
@@ -568,22 +585,29 @@ class _HAdd:
         for c, k in clause_node.items():
             for f in _bits(c):
                 self.clauses_of[f].append(k)
-        shared = [0] * self.nodes
-        for req in self.reqs:
-            for x in req:
-                shared[x] += 1
-        self.watch: list[list[int]] = [[] for _ in range(self.nodes)]
-        for ri, req in enumerate(self.reqs):
-            req.sort(key=shared.__getitem__)
-            self.watch[req[0]].append(ri)
+        shared = Counter(chain.from_iterable(reqs)).__getitem__
+        self.watch = watch = [[] for _ in range(self.nodes)]
+        for ri, req in enumerate(reqs):
+            if len(req) > 1:
+                req.sort(key=shared)
+            watch[req[0]].append(ri)
         self.goal_mask = task.goal_pos
         self.goal_pos = _bits(task.goal_pos)
         self.is_goal = bytearray(self.nodes)
         for f in self.goal_pos:
             self.is_goal[f] = 1
         self.goal_neg = task.goal_neg
+        self.key_mask = needed | task.goal_neg
+        self._memo: dict[int, float] = {}  # state & key_mask -> h
 
     def value(self, state: int) -> float:
+        key = state & self.key_mask
+        h = self._memo.get(key)
+        if h is None:
+            h = self._memo[key] = self._dijkstra(key)
+        return h
+
+    def _dijkstra(self, state: int) -> float:
         penalty = (self.goal_neg & state).bit_count() * NEG_GOAL_PENALTY
         # positive goal facts still to be popped; those in the state cost 0
         left = (self.goal_mask & ~state).bit_count()
@@ -707,27 +731,50 @@ def _extract(parents, state) -> tuple[GroundAction, ...]:
 
 
 def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
+    """Breadth-first search.  ``parents`` maps each state found to the state
+    it was first found from, ints only, so the cyclic GC has nothing to walk
+    there (Fast Downward keeps a parent id per state; Helmert, JAIR 2006).
+    At the goal each step is rebuilt as the first action, in successor order,
+    that leads from the parent to the child: exactly the action BFS found
+    the child by, since it keeps the first such action and skips the rest
+    as duplicates."""
     parents = {task.init: None}
     queue = deque([task.init])
     deadline = start + cfg.time_limit
     goal_pos, goal_neg = task.goal_pos, task.goal_neg
-    while queue:
-        if stats.expanded % 512 == 0 and time.perf_counter() > deadline:
-            return PlanResult(Status.TIMEOUT, None, stats)
-        state = queue.popleft()
-        stats.expanded += 1
-        for action in successors.applicable(state):
-            succ = (state & ~action.delete) | action.add
-            if succ in parents:
-                continue
-            parents[succ] = (state, action)
-            stats.generated += 1
-            if succ & goal_pos == goal_pos and not succ & goal_neg:
-                return PlanResult(Status.SOLVED, _extract(parents, succ), stats)
-            if len(parents) > max_states:
-                return PlanResult(Status.OUT_OF_MEMORY, None, stats)
-            queue.append(succ)
-    return PlanResult(Status.UNSOLVABLE, None, stats)
+    applicable = successors.applicable
+    expanded = generated = 0
+    try:
+        while queue:
+            if expanded % 512 == 0 and time.perf_counter() > deadline:
+                return PlanResult(Status.TIMEOUT, None, stats)
+            state = queue.popleft()
+            expanded += 1
+            for action in applicable(state):
+                succ = (state & ~action.delete) | action.add
+                if succ in parents:
+                    continue
+                parents[succ] = state
+                generated += 1
+                if succ & goal_pos == goal_pos and not succ & goal_neg:
+                    return PlanResult(Status.SOLVED,
+                                      _rebuild(parents, successors, succ), stats)
+                if len(parents) > max_states:
+                    return PlanResult(Status.OUT_OF_MEMORY, None, stats)
+                queue.append(succ)
+        return PlanResult(Status.UNSOLVABLE, None, stats)
+    finally:
+        stats.expanded, stats.generated = expanded, generated
+
+
+def _rebuild(parents, successors, state) -> tuple[GroundAction, ...]:
+    plan = []
+    while (parent := parents[state]) is not None:
+        plan.append(next(a for a in successors._scan(parent)
+                         if (parent & ~a.delete) | a.add == state))
+        state = parent
+    plan.reverse()
+    return tuple(plan)
 
 
 def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
@@ -818,7 +865,8 @@ def external_solve(domain_file: str | Path, problem_file: str | Path,
     """Run an external planner via a command template.
 
     The template's {domain}, {problem} and {plan} placeholders are
-    substituted; the child is killed at the wall-clock limit.  The produced
+    substituted; the child runs in a session of its own, and at the
+    wall-clock limit its whole process group is killed.  The produced
     plan file is parsed with the IPC convention and validated before the
     result is reported Solved.
     """
@@ -832,18 +880,26 @@ def external_solve(domain_file: str | Path, problem_file: str | Path,
                                   problem=str(problem_file),
                                   plan=str(plan_path))
         try:
-            proc = subprocess.run(cmd, shell=True, capture_output=True,
-                                  timeout=time_limit)
-        except subprocess.TimeoutExpired:
-            stats.wall_time = time.perf_counter() - start
-            return PlanResult(Status.TIMEOUT, None, stats)
+            proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE,
+                                    start_new_session=True)
         except OSError as exc:
             raise SpawnError(f"failed to spawn {cmd!r}: {exc}") from exc
+        with proc:
+            try:
+                _, stderr = proc.communicate(timeout=time_limit)
+            except subprocess.TimeoutExpired:
+                # the shell leads its own process group, which holds every
+                # process it started: kill them all, not the shell alone
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                stats.wall_time = time.perf_counter() - start
+                return PlanResult(Status.TIMEOUT, None, stats)
         stats.wall_time = time.perf_counter() - start
         if not plan_path.exists():
             raise PlanParseError(
                 f"planner produced no plan file (exit {proc.returncode}): "
-                f"{proc.stderr.decode(errors='replace')[:500]}")
+                f"{stderr.decode(errors='replace')[:500]}")
         try:
             steps = pddl.parse_plan(plan_path.read_text())
         except Exception as exc:

@@ -5,6 +5,7 @@ import heapq
 import importlib
 import operator
 import random
+import time
 from collections import deque
 from functools import reduce
 from pathlib import Path
@@ -158,6 +159,33 @@ class TestSolve:
         result = solve(task, SearchConfig(mode=Mode.BLIND_BFS,
                                           time_limit=0.05))
         assert result.status in (Status.TIMEOUT, Status.SOLVED)
+
+    def test_limits_report_the_search_so_far(self, monkeypatch):
+        task = level_task("zenpuzzle", 0)
+        # a clock one second later on every read: BFS reads it at the
+        # start and every 512 expansions, so it stops after 1,024
+        clock = iter(range(10 ** 6)).__next__
+        monkeypatch.setattr(planner, "time",
+                            type("Clock", (), {"perf_counter": clock}))
+        timeout = solve(task, SearchConfig(mode=Mode.BLIND_BFS,
+                                           time_limit=2.5)).stats
+        monkeypatch.undo()
+        assert timeout.expanded == 1024 and timeout.generated > 0
+        oom = solve(task, SearchConfig(mode=Mode.BLIND_BFS,
+                                       memory_limit=1)).stats
+        assert oom.expanded > 0 and oom.generated == 1000
+
+    def test_bfs_plan_takes_the_first_action_in_successor_order(self):
+        # a0 and a1 lead from the initial state to one child; a1's gate f0
+        # comes before a0's gate f1, so the generator yields a1 first
+        facts = tuple(Atom(f"f{i}") for i in range(4))
+        actions = tuple(GroundAction(f"a{k}", (), pos, 0, (), add, 0)
+                        for k, (pos, add) in enumerate(
+                            [(F[1], F[2]), (F[0], F[2]), (F[2], F[3])]))
+        task = GroundedTask(facts, actions, F[0] | F[1], F[3], 0,
+                            frozenset(), False)
+        result = solve(task, SearchConfig(mode=Mode.BLIND_BFS))
+        assert [a.name for a in result.plan] == ["a1", "a2"]
 
     def test_out_of_memory_status(self):
         game = compile_game(load_game("zenpuzzle"))
@@ -483,6 +511,32 @@ class TestHAddOracle:
         for _ in range(200):
             task = random_task(rng)
             assert_same_hadd(task, every_state(task))
+
+
+class TestHAddMemo:
+    def test_states_equal_on_the_key_share_one_entry(self, monkeypatch):
+        # f3 is neither read nor a goal literal, so it is outside the key
+        task = hadd_task(4, [(F[0], (), F[1]), (F[1], (), F[2])], goal=F[2])
+        h = _HAdd(task)
+        assert not h.key_mask & F[3]
+        runs = []
+        dijkstra = h._dijkstra
+        monkeypatch.setattr(h, "_dijkstra",
+                            lambda key: runs.append(key) or dijkstra(key))
+        assert h.value(F[0]) == h.value(F[0] | F[3]) == 2
+        assert runs == [F[0]] and len(h._memo) == 1
+
+    def test_negative_goal_facts_are_in_the_key(self, monkeypatch):
+        # rain lvl1: (dead avatar) is a negative goal fact no action needs,
+        # so a key without the negative goal would give both states one h
+        task, states = gbfs_states(level_task("rain", 1), monkeypatch)
+        dead = 1 << task.fact_id[Atom("dead", ("avatar",))]
+        h, ref = _HAdd(task), _ReferenceHAdd(task)
+        assert task.goal_neg & dead and not h.needed & dead
+        alive = states[len(states) // 2] & ~dead
+        values = [h.value(alive), h.value(alive | dead)]
+        assert values == [ref.value(alive), ref.value(alive | dead)]
+        assert values[1] == values[0] + NEG_GOAL_PENALTY
 
 
 # (sha256 of repr(plan.steps), expanded, generated).  The GBFS and A* entries
@@ -1255,6 +1309,19 @@ class TestExternalAdapter:
                                 "sleep 30", time_limit=0.5)
         assert result.status is Status.TIMEOUT
         assert result.stats.wall_time < 5
+
+    def test_timeout_kills_every_process_the_planner_started(
+            self, artifacts, tmp_path):
+        # the shell forks the inner sh (it has a command after it), so
+        # killing the shell alone would leave the inner one to touch
+        domain_file, problem_file = artifacts
+        marker = tmp_path / "marker"
+        result = external_solve(
+            domain_file, problem_file,
+            f"sh -c 'sleep 0.5; touch {marker}'; true", time_limit=0.2)
+        assert result.status is Status.TIMEOUT
+        time.sleep(1.0)
+        assert not marker.exists()
 
     def test_corrupted_plan_never_solved(self, artifacts, tmp_path):
         domain_file, problem_file = artifacts
