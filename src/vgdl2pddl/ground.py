@@ -36,8 +36,9 @@ enumeration over the static facts.
 A guard forall, one with a negated dynamic atom over its own variables
 (every END-TURN-INTERACTIONS guard), is never a need and never statically
 false, and its instances whose atom never becomes true always hold. It is
-expanded once the fixpoint ends, joined on the final reached atoms; the
-monitor joins it on the observed state's atoms instead.
+joined on the reachable atoms that the caller building the schema passes,
+never on atoms computed on demand: `ground` expands it once the fixpoint
+ends, on the final reached atoms, and the monitor on the observed state's.
 
 The fact table is the reached atoms alone, init and adds, sorted by text.
 An atom outside it is never true, so the masks never name one: a negative
@@ -282,9 +283,9 @@ class _SchemaGrounder:
     type's parent chain is walked once, a cycle rejected, into `supertypes`;
     the typed `universe`, `types_of`, the split of init into the static
     table and the dynamic init, and `atoms` build on it. The joins read the
-    rest: `_options` indexes the static table by argument position, `typed`
-    and `position` give a type's objects as a set and by universe order,
-    and `reached` holds the atoms that can become true.
+    rest: `_options` indexes the static table by argument position, and
+    `typed` and `position` give a type's objects as a set and by universe
+    order. It computes no reachable atoms: a join on them is given them.
     """
 
     def __init__(self, domain: Domain, problem: Problem):
@@ -326,19 +327,6 @@ class _SchemaGrounder:
                           dict[tuple[str, ...], tuple[int, list[str]]]] = {}
         self._typed: dict[str, frozenset[str]] = {}
         self._positions: dict[str, dict[str, int]] = {}
-
-    @cached_property
-    def reached(self) -> _Reached:
-        """The atoms that can become true: the dynamic init and the adds of
-        the relaxed-reachable actions, found on first use unless `ground`
-        has set them."""
-        return _Worklist(self).reached
-
-    @cached_property
-    def observed(self) -> _Reached:
-        """The dynamic init as reached atoms: all that is true in the
-        problem's own state, the only state the monitor checks."""
-        return _Reached((a.predicate, a.args) for a in self.init_dynamic)
 
     def typed(self, typ: str) -> frozenset[str]:
         """The objects of type `typ`, as a set."""
@@ -455,10 +443,8 @@ class _Reached:
     index is built on first use and kept up to date by `add`."""
 
     def __init__(self, keys: Iterable[tuple[str, tuple[str, ...]]] = ()):
-        self.keys: set[tuple[str, tuple[str, ...]]] = set()
+        self.keys: set[tuple[str, tuple[str, ...]]] = set(keys)
         self._indexes: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
-        for key in keys:
-            self.add(key)
 
     def add(self, key: tuple[str, tuple[str, ...]]) -> bool:
         """Reach `key`; False if it was reached already."""
@@ -683,9 +669,10 @@ class _Schema:
     conjunct at a time (the CNF of a conjunction is its conjuncts' CNFs in
     order): a forall whose body is one clause through the join
     `forall_clauses`, any other conjunct with its foralls expanded. A guard
-    forall (`is_guard`) is joined on the atoms that can be true where the
-    clauses are checked: the task's relaxed-reachable atoms, or with
-    `observed` the problem's own dynamic init. `clauses_for` fills the
+    forall (`is_guard`) is joined on `reached`, the atoms the caller says
+    can be true where the clauses are checked (`ground` passes the task's
+    relaxed-reachable atoms, the monitor the problem's own dynamic init),
+    and left out when `reached` is None. `clauses_for` fills the
     templates in for one binding: it substitutes their arguments and decides
     their static and equality literals. Equalities are folded after the
     CNF, so a conjunct with an equality under a conjunction under a
@@ -694,40 +681,27 @@ class _Schema:
 
     def __init__(self, params: tuple[tuple[str, str], ...],
                  precondition: Formula, grounder: _SchemaGrounder,
-                 observed: bool = False):
-        self._setup(params, precondition, grounder)
-        reached = None
-        if any(isinstance(part, Forall) for part in self._parts):
-            reached = grounder.observed if observed else grounder.reached
-        self.clauses = self._templates(reached)
-
-    def _setup(self, params, precondition: Formula,
-               grounder: _SchemaGrounder) -> None:
+                 reached: Optional[_Reached]):
         self.grounder = grounder
         self.atoms = grounder.atoms
         self.params = tuple(v for v, _ in params)
         self._slot = {v: i for i, v in enumerate(self.params)}
         self._consts: list[str] = []
-        self.consts: tuple[str, ...] = ()
         self.conjuncts = _split_conjuncts(precondition)
-
-    @cached_property
-    def _parts(self) -> list:
-        """Per conjunct, its clause templates, or the forall of a guard."""
-        grounder = self.grounder
-        parts = []
+        # per conjunct, its clause templates, or the forall of a guard
+        self._parts: list = []
         for conjunct in self.conjuncts:
             cnf = None
             if isinstance(conjunct, Forall):
                 if grounder.is_guard(conjunct):
-                    parts.append(conjunct)
+                    self._parts.append(conjunct)
                     continue
                 cnf = grounder.forall_clauses(conjunct)
             if cnf is None:
                 cnf = _cnf(_nnf(_expand_foralls(conjunct, grounder.universe),
                                 False))
-            parts.append(tuple(map(self._template, cnf)))
-        return parts
+            self._parts.append(tuple(map(self._template, cnf)))
+        self.clauses = self._templates(reached)
 
     def _templates(self, reached: Optional[_Reached]) -> tuple:
         """The clause templates in conjunct order, each guard joined on
@@ -787,17 +761,16 @@ class _Schema:
 
 class _ActionSchema(_Schema):
     """An action schema as `ground` reads it: the precondition templates,
-    built at the first `build` with the guards left out until `with_guards`;
-    `triggers`, a `_Join` per need (a top-level positive dynamic atom);
-    `order`, the plain enumeration of its bindings over the static facts;
-    `adds`/`dels` (the effects with foralls expanded) and `overlaps` (the
-    argument equalities under which an add and a delete coincide)."""
+    guards left out until `with_guards`; `triggers`, a `_Join` per need (a
+    top-level positive dynamic atom); `order`, the plain enumeration of its
+    bindings over the static facts; `adds`/`dels` (the effects with foralls
+    expanded) and `overlaps` (the argument equalities under which an add
+    and a delete coincide)."""
 
     def __init__(self, schema: Action, grounder: _SchemaGrounder,
                  reached: _Reached):
-        self._setup(schema.params, schema.precondition, grounder)
+        super().__init__(schema.params, schema.precondition, grounder, None)
         self.name = schema.name
-        self.clauses = None
         static_preds = grounder.static_preds
         params = set(self.params)
         needs: list[tuple[str, tuple[int, ...]]] = []
@@ -893,8 +866,6 @@ class _ActionSchema(_Schema):
     def build(self, args: tuple[str, ...]):
         """The grounded action as (name, args, clauses, adds, dels), or None
         when its precondition is statically false."""
-        if self.clauses is None:
-            self.clauses = self._templates(None)
         clauses = self.clauses_for(args)
         if clauses is None:
             return None
@@ -1031,13 +1002,13 @@ class _Worklist:
 
 
 def _step_schema(domain: Domain, problem: Problem, name: str,
-                 grounder: _SchemaGrounder, observed: bool = False) -> _Schema:
-    """The precondition of plan step `name`; the step `GOAL` is the goal of
-    `problem`, a parameterless schema."""
+                 grounder: _SchemaGrounder, reached: _Reached) -> _Schema:
+    """The precondition of plan step `name`, its guards joined on `reached`;
+    the step `GOAL` is the goal of `problem`, a parameterless schema."""
     if name == GOAL:
-        return _Schema((), problem.goal, grounder, observed)
+        return _Schema((), problem.goal, grounder, reached)
     schema = next(a for a in domain.actions if a.name == name)
-    return _Schema(schema.params, schema.precondition, grounder, observed)
+    return _Schema(schema.params, schema.precondition, grounder, reached)
 
 
 def precondition_clauses(domain: Domain, problem: Problem, name: str,
@@ -1050,8 +1021,9 @@ def precondition_clauses(domain: Domain, problem: Problem, name: str,
     are never expanded. The step is checked in the problem's own state, so
     a guard forall is joined on its dynamic init."""
     grounder = _SchemaGrounder(domain, problem)
+    observed = _Reached((a.predicate, a.args) for a in grounder.init_dynamic)
     return _step_schema(domain, problem, name, grounder,
-                        observed=True).clauses_for(args)
+                        observed).clauses_for(args)
 
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
@@ -1073,10 +1045,6 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     atoms = grounder.atoms
     init_dynamic = grounder.init_dynamic
     worklist = _Worklist(grounder)
-    # the goal's guard foralls join on these. Only the atoms stay on the
-    # grounder: the worklist's schemas refer to it, and a reference back
-    # would keep every call's joins alive until a cyclic collection
-    grounder.reached = worklist.reached
     raw_actions = worklist.actions()
     facts = tuple(sorted((atoms[key] for key in worklist.reached.keys), key=str))
     fact_id = {f: i for i, f in enumerate(facts)}
@@ -1113,7 +1081,8 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             delete=mask(dels),
         ))
 
-    goal = _step_schema(domain, problem, GOAL, grounder).clauses_for(())
+    goal = _step_schema(domain, problem, GOAL, grounder,
+                        worklist.reached).clauses_for(())
     if goal is not None and any(len(clause) != 1 for clause in goal):
         raise UnsupportedConstructError("goal must be a conjunction of literals")
     unsolvable = goal is None  # statically false

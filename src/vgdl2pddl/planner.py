@@ -718,26 +718,16 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
     return result
 
 
-def _extract(parents, state) -> tuple[GroundAction, ...]:
-    plan = []
-    while True:
-        prev = parents[state]
-        if prev is None:
-            break
-        state, action = prev
-        plan.append(action)
-    plan.reverse()
-    return tuple(plan)
-
-
 def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
     """Breadth-first search.  ``parents`` maps each state found to the state
-    it was first found from, ints only, so the cyclic GC has nothing to walk
+    it was reached from, ints only, so the cyclic GC has nothing to walk
     there (Fast Downward keeps a parent id per state; Helmert, JAIR 2006).
-    At the goal each step is rebuilt as the first action, in successor order,
-    that leads from the parent to the child: exactly the action BFS found
-    the child by, since it keeps the first such action and skips the rest
-    as duplicates."""
+    Best-first search keeps the same map, re-pointing a state it reaches at
+    a lower g.  ``_rebuild`` takes each step as the first action of
+    ``expand(parent)`` that leads to the child, where ``expand`` lists the
+    actions in the order the search tried them (successor order for BFS,
+    stubborn-kept order for best-first search): the search kept that one
+    and skipped the rest as duplicates or as no cheaper."""
     parents = {task.init: None}
     queue = deque([task.init])
     deadline = start + cfg.time_limit
@@ -757,8 +747,8 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
                 parents[succ] = state
                 generated += 1
                 if succ & goal_pos == goal_pos and not succ & goal_neg:
-                    return PlanResult(Status.SOLVED,
-                                      _rebuild(parents, successors, succ), stats)
+                    return PlanResult(Status.SOLVED, _rebuild(
+                        parents, successors._scan, succ), stats)
                 if len(parents) > max_states:
                     return PlanResult(Status.OUT_OF_MEMORY, None, stats)
                 queue.append(succ)
@@ -767,10 +757,10 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
         stats.expanded, stats.generated = expanded, generated
 
 
-def _rebuild(parents, successors, state) -> tuple[GroundAction, ...]:
+def _rebuild(parents, expand, state) -> tuple[GroundAction, ...]:
     plan = []
     while (parent := parents[state]) is not None:
-        plan.append(next(a for a in successors._scan(parent)
+        plan.append(next(a for a in expand(parent)
                          if (parent & ~a.delete) | a.add == state))
         state = parent
     plan.reverse()
@@ -805,7 +795,9 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
         closed.add(state)
         stats.expanded += 1
         if goal_satisfied(task, state):
-            return PlanResult(Status.SOLVED, _extract(parents, state), stats)
+            return PlanResult(Status.SOLVED, _rebuild(
+                parents, lambda s: stubborn.keep(s, tuple(successors._scan(s))),
+                state), stats)
         g = g_cost[state]
         applicable = successors.applicable(state)
         kept = stubborn.keep(state, applicable)
@@ -819,7 +811,7 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
             if old is not None and old <= new_g:
                 continue
             g_cost[succ] = new_g
-            parents[succ] = (state, action)
+            parents[succ] = state
             stats.generated += 1
             if len(g_cost) > max_states:
                 return PlanResult(Status.OUT_OF_MEMORY, None, stats)

@@ -15,6 +15,7 @@ from oracle_interp import (
 from reference_ground import reference_ground, reference_simplify
 from test_compiler import _stability_model
 from vgdl2pddl import engine
+from vgdl2pddl import ground as ground_module
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import AvatarAction
 from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
@@ -23,6 +24,7 @@ from vgdl2pddl.ground import (
     GOAL,
     _Schema,
     _SchemaGrounder,
+    _Worklist,
     applicable,
     apply,
     goal_satisfied,
@@ -550,8 +552,9 @@ class TestNeverTrueInstances:
         task = ground(domain, problem)
         eti = next(a for a in domain.actions
                    if a.name == "END-TURN-INTERACTIONS")
-        joined = _Schema(eti.params, eti.precondition,
-                         _SchemaGrounder(domain, problem)).clauses_for(())
+        grounder = _SchemaGrounder(domain, problem)
+        joined = _Schema(eti.params, eti.precondition, grounder,
+                         _Worklist(grounder).reached).clauses_for(())
         guards = [clause for clause in joined if len(clause) > 1]
         assert guards and all(not positive and atom in task.fact_id
                               for clause in guards for atom, positive in clause)
@@ -569,12 +572,32 @@ class TestNeverTrueInstances:
         domain, problem = _case("digger-1")
         eti = next(a for a in domain.actions
                    if a.name == "END-TURN-INTERACTIONS")
-        schema = _Schema(eti.params, eti.precondition,
-                         _SchemaGrounder(domain, problem))
+        grounder = _SchemaGrounder(domain, problem)
+        schema = _Schema(eti.params, eti.precondition, grounder,
+                         _Worklist(grounder).reached)
         # one template per instance of every guard's forall would be 1,268
         assert len(schema.clauses) <= 70
         kept = ground(domain, problem).action("END-TURN-INTERACTIONS", ())
         assert 0 < len(kept.clauses) <= len(schema.clauses)
+
+    def test_reached_atoms_are_computed_once_by_ground_only(self, monkeypatch):
+        """The relaxed-reachable atoms come from the one fixpoint `ground`
+        runs; the monitor joins guards on the observed atoms and runs
+        none."""
+        domain, problem = _case("digger-1")
+        built = []
+
+        class Counting(_Worklist):
+            def __init__(self, grounder):
+                built.append(grounder)
+                super().__init__(grounder)
+
+        monkeypatch.setattr(ground_module, "_Worklist", Counting)
+        ground(domain, problem)
+        assert len(built) == 1
+        for step in ("END-TURN-INTERACTIONS", GOAL):
+            assert precondition_clauses(domain, problem, step, ()) is not None
+        assert len(built) == 1
 
 
 # -- equality with the naive grounding --------------------------------------------

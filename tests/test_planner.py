@@ -655,6 +655,68 @@ class TestSearchStability:
             assert stats.evaluated == stats.generated + 1
 
 
+# (mode, game, level) -> (sha256 of the plan steps' repr, expanded,
+# generated) for A* and GoalCount, which rebuild their plans from the same
+# parent map as GBFS. On zenpuzzle lvl0 A* finds five states again at a
+# lower g and re-parents them.
+BEST_FIRST_PINS = {
+    ("AStar_hadd", "aliens", 1): (
+        "8393976e130fd8ba2cf3b0ae836706459d24f6aa022f42324366e508c11bb854",
+        706, 973),
+    ("AStar_hadd", "digger", 1): (
+        "bca7130d454b3bd7f37eb28aefb23dd7b358a53b58fc45836ec367568891e767",
+        1872, 2105),
+    ("AStar_hadd", "zenpuzzle", 0): (
+        "45531d74828c4184466f8d4d8d5f850cbc1e3660ba763016b554176f9e8da410",
+        208, 308),
+    ("GoalCount", "aliens", 1): (
+        "ab1eeb6fba019fc732799b99285f913faa03f27f0a3d27b8c320c71fa34d1c6a",
+        11566, 12849),
+    ("GoalCount", "digger", 1): (
+        "88263522abd50faf76ec8e8e529affa945f78c59732212f8a55e565680c33016",
+        14694, 15753),
+    ("GoalCount", "zenpuzzle", 0): (
+        "bfa57e676b2c7bdce782ca6f2b8c9a3de47b6f16f90079856f44359717f762e4",
+        81, 114),
+}
+
+
+class TestBestFirstPlans:
+    @pytest.mark.parametrize("mode,name,index", sorted(BEST_FIRST_PINS))
+    def test_plan_and_counts_unchanged(self, mode, name, index):
+        task = level_task(name, index)
+        result = solve(task, SearchConfig(mode=Mode(mode), time_limit=120))
+        assert validate(task, result.plan) == (True, None)
+        digest = hashlib.sha256(repr(result.steps).encode()).hexdigest()
+        stats = result.stats
+        assert (digest, stats.expanded, stats.generated) == \
+            BEST_FIRST_PINS[(mode, name, index)]
+        assert stats.evaluated == stats.generated + 1
+
+    def test_astar_plan_follows_the_latest_parents(self, monkeypatch):
+        """A* re-parents a state it finds again at a lower g, so its plan is
+        as long as the g it popped the goal at (f - h of that heap entry)."""
+        popped = []
+
+        def recording_heappop(heap):
+            popped.append(heapq.heappop(heap))
+            return popped[-1]
+
+        monkeypatch.setattr(planner, "heappop", recording_heappop)
+        rng = random.Random(17)
+        solved = 0
+        for _ in range(3000):
+            task = random_task(rng)
+            popped.clear()
+            result = solve(task, SearchConfig(mode=Mode.ASTAR_HADD))
+            if result.status is Status.SOLVED and popped:
+                solved += 1
+                f, h = popped[-1][:2]
+                assert len(result.plan) == f - h
+                assert validate(task, result.plan) == (True, None)
+        assert solved >= 500
+
+
 def expanded_states(task, mode, monkeypatch):
     """(search task, every state the search asks successors of, the
     generator it built, the result) for one search in `mode`."""
