@@ -359,30 +359,24 @@ class _SchemaGrounder:
                 for key, values in matches.items()}
         return index.get(others, (0, []))
 
-    def is_guard(self, f: Forall) -> bool:
-        """The forall's body is one clause with a decided negated dynamic
-        atom, as in every END-TURN-INTERACTIONS guard. No instance of it is
-        ever all-positive or statically false, and an instance whose atom
-        never becomes true always holds."""
-        names = {v for v, _ in f.variables}
-        return any(not positive and atom.predicate != "="
-                   and atom.predicate not in self.static_preds
-                   and _decided(atom, names)
-                   for atom, positive in _clause_literals(f) or ())
-
     def forall_clauses(self, f: Forall, reached: Optional[_Reached] = None
-                       ) -> Optional[list[list[Literal]]]:
-        """The CNF of a forall whose body is one clause with a joinable
-        literal, or None for any other forall.
+                       ) -> Optional[list[list[Literal]] | Forall]:
+        """The CNF of a forall whose body is one clause, the forall itself
+        for a guard when no `reached` atoms are passed, or None for any
+        other forall.
 
         A literal is decided when each of its arguments is a variable of the
         forall or a constant. Decided negated static atoms and decided
         positive equalities are joinable, and so are a guard's decided
-        negated dynamic atoms, joined on the atoms of `reached`. Only
+        negated dynamic atoms, joined on the atoms of `reached`. The forall
+        is joined on its joinable literals and its variables' types, so only
         instances that no joinable literal satisfies are expanded: each
         negated static atom holds, each negated dynamic atom is reached and
-        each equality fails; the full product is mostly satisfied instances. The clauses keep
-        `itertools.product` order and leave the static and equality
+        each equality fails. With nothing joinable that is the plain product.
+        A guard (a decided negated dynamic atom, as in every
+        END-TURN-INTERACTIONS guard) has no all-positive or statically false
+        instance, and an instance whose atom never becomes true always holds.
+        The clauses keep `itertools.product` order and leave the joined
         literals out; a negated equality over the forall's variables is
         folded, and every other literal is kept for the caller (one that
         mentions a schema parameter is only decided per binding).
@@ -402,10 +396,10 @@ class _SchemaGrounder:
                 joined.append((neqs, atom))
             else:
                 if decided and not positive and atom.predicate != "=":
+                    if reached is None:
+                        return f  # a guard, joined once atoms are passed
                     joined.append((dynamic, atom))
                 kept.append((atom, positive, decided))
-        if not joined:
-            return None
         slot = {v: i for i, v in enumerate(names)}
         consts: list[str] = []
         for constraints, atom in joined:
@@ -669,14 +663,15 @@ class _Schema:
     conjunct at a time (the CNF of a conjunction is its conjuncts' CNFs in
     order): a forall whose body is one clause through the join
     `forall_clauses`, any other conjunct with its foralls expanded. A guard
-    forall (`is_guard`) is joined on `reached`, the atoms the caller says
-    can be true where the clauses are checked (`ground` passes the task's
-    relaxed-reachable atoms, the monitor the problem's own dynamic init),
-    and left out when `reached` is None. `clauses_for` fills the
-    templates in for one binding: it substitutes their arguments and decides
-    their static and equality literals. Equalities are folded after the
-    CNF, so a conjunct with an equality under a conjunction under a
-    disjunction may keep a clause that the conjunct's other clauses imply.
+    forall, which `forall_clauses` passed no atoms returns as itself, is
+    joined on `reached`, the atoms the caller says can be true where the
+    clauses are checked (`ground` passes the task's relaxed-reachable atoms,
+    the monitor the problem's own dynamic init), and left out when
+    `reached` is None. `clauses_for` fills the templates in for one
+    binding: it substitutes their arguments and decides their static and
+    equality literals. Equalities are folded after the CNF, so a conjunct
+    with an equality under a conjunction under a disjunction may keep a
+    clause that the conjunct's other clauses imply.
     """
 
     def __init__(self, params: tuple[tuple[str, str], ...],
@@ -691,16 +686,13 @@ class _Schema:
         # per conjunct, its clause templates, or the forall of a guard
         self._parts: list = []
         for conjunct in self.conjuncts:
-            cnf = None
-            if isinstance(conjunct, Forall):
-                if grounder.is_guard(conjunct):
-                    self._parts.append(conjunct)
-                    continue
-                cnf = grounder.forall_clauses(conjunct)
+            cnf = (grounder.forall_clauses(conjunct)
+                   if isinstance(conjunct, Forall) else None)
             if cnf is None:
                 cnf = _cnf(_nnf(_expand_foralls(conjunct, grounder.universe),
                                 False))
-            self._parts.append(tuple(map(self._template, cnf)))
+            self._parts.append(cnf if cnf is conjunct
+                               else tuple(map(self._template, cnf)))
         self.clauses = self._templates(reached)
 
     def _templates(self, reached: Optional[_Reached]) -> tuple:
@@ -1038,15 +1030,13 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     by text, and the masks are trimmed to it.
     """
     grounder = _SchemaGrounder(domain, problem)
-    supertypes = grounder.supertypes
     for atom in problem.init:
-        _check_signature(domain, atom, grounder.types_of, supertypes)
+        _check_signature(domain, atom, grounder.types_of, grounder.supertypes)
 
-    atoms = grounder.atoms
     init_dynamic = grounder.init_dynamic
     worklist = _Worklist(grounder)
-    raw_actions = worklist.actions()
-    facts = tuple(sorted((atoms[key] for key in worklist.reached.keys), key=str))
+    facts = tuple(sorted((grounder.atoms[key] for key in worklist.reached.keys),
+                         key=str))
     fact_id = {f: i for i, f in enumerate(facts)}
 
     def mask(members: Iterable[Atom]) -> int:
@@ -1058,23 +1048,28 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
                 m |= 1 << i
         return m
 
-    actions = []
-    for name, args, clauses, adds, dels in raw_actions:
-        pos_atoms: list[Atom] = []
-        neg_atoms: list[Atom] = []
+    def split(clauses: Iterable[list[Literal]]):
+        """The positive units, the negative units and the longer clauses,
+        less those a negative literal on a never-true atom satisfies."""
+        pos: list[Atom] = []
+        neg: list[Atom] = []
         multi: list[list[Literal]] = []
         for clause in clauses:
             if len(clause) == 1:
                 atom, positive = clause[0]
-                (pos_atoms if positive else neg_atoms).append(atom)
+                (pos if positive else neg).append(atom)
             elif all(positive or a in fact_id for a, positive in clause):
                 multi.append(clause)
-            # else a negative literal on a never-true atom: always holds
+        return pos, neg, multi
+
+    actions = []
+    for name, args, clauses, adds, dels in worklist.actions():
+        pos, neg, multi = split(clauses)
         actions.append(GroundAction(
             name=name,
             args=args,
-            pos_pre=mask(pos_atoms),
-            neg_pre=mask(neg_atoms),
+            pos_pre=mask(pos),
+            neg_pre=mask(neg),
             clauses=tuple((mask(a for a, p in cl if p),
                            mask(a for a, p in cl if not p)) for cl in multi),
             add=mask(adds),
@@ -1083,27 +1078,19 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
 
     goal = _step_schema(domain, problem, GOAL, grounder,
                         worklist.reached).clauses_for(())
-    if goal is not None and any(len(clause) != 1 for clause in goal):
+    goal_pos, goal_neg, multi = split(goal or ())
+    if multi:
         raise UnsupportedConstructError("goal must be a conjunction of literals")
-    unsolvable = goal is None  # statically false
-    goal_pos = 0
-    goal_neg = 0
-    for [(atom, positive)] in goal or ():
-        if atom not in fact_id:
-            unsolvable |= positive  # never true
-        elif positive:
-            goal_pos |= 1 << fact_id[atom]
-        else:
-            goal_neg |= 1 << fact_id[atom]
 
     return GroundedTask(
         facts=facts,
         actions=tuple(actions),
         init=mask(init_dynamic),
-        goal_pos=goal_pos,
-        goal_neg=goal_neg,
+        goal_pos=mask(goal_pos),
+        goal_neg=mask(goal_neg),
         static_facts=frozenset(problem.init).difference(init_dynamic),
-        unsolvable_goal=unsolvable,
+        # statically false, or a positive goal atom is never true
+        unsolvable_goal=goal is None or any(a not in fact_id for a in goal_pos),
     )
 
 

@@ -698,24 +698,17 @@ def simplify(task: GroundedTask) -> GroundedTask:
 def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
     start = time.perf_counter()
     stats = SearchStats()
-    search_task = simplify(task)
-    if search_task.unsolvable_goal:
+    try:
+        search_task = simplify(task)
+        if search_task.unsolvable_goal:
+            return PlanResult(Status.UNSOLVABLE, None, stats)
+        if goal_satisfied(search_task, search_task.init):
+            return PlanResult(Status.SOLVED, (), stats)
+        search = _bfs if cfg.mode is Mode.BLIND_BFS else _best_first
+        return search(search_task, _Successors(search_task), cfg, stats, start,
+                      max(1000, cfg.memory_limit // 64))
+    finally:
         stats.wall_time = time.perf_counter() - start
-        return PlanResult(Status.UNSOLVABLE, None, stats)
-    if goal_satisfied(search_task, search_task.init):
-        stats.wall_time = time.perf_counter() - start
-        return PlanResult(Status.SOLVED, (), stats)
-
-    successors = _Successors(search_task)
-    max_states = max(1000, cfg.memory_limit // 64)
-
-    if cfg.mode is Mode.BLIND_BFS:
-        result = _bfs(search_task, successors, cfg, stats, start, max_states)
-    else:
-        result = _best_first(search_task, successors, cfg, stats, start,
-                             max_states)
-    stats.wall_time = time.perf_counter() - start
-    return result
 
 
 def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
@@ -724,10 +717,11 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
     there (Fast Downward keeps a parent id per state; Helmert, JAIR 2006).
     Best-first search keeps the same map, re-pointing a state it reaches at
     a lower g.  ``_rebuild`` takes each step as the first action of
-    ``expand(parent)`` that leads to the child, where ``expand`` lists the
-    actions in the order the search tried them (successor order for BFS,
-    stubborn-kept order for best-first search): the search kept that one
-    and skipped the rest as duplicates or as no cheaper."""
+    ``expand(parent)`` that leads to the child, where ``expand`` is the
+    expansion the search made: ``_Successors.applicable`` for BFS, its
+    stubborn-kept actions for best-first search, both answered from the
+    memo the search filled.  The search kept that action and skipped the
+    rest as duplicates or as no cheaper."""
     parents = {task.init: None}
     queue = deque([task.init])
     deadline = start + cfg.time_limit
@@ -748,7 +742,7 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
                 generated += 1
                 if succ & goal_pos == goal_pos and not succ & goal_neg:
                     return PlanResult(Status.SOLVED, _rebuild(
-                        parents, successors._scan, succ), stats)
+                        parents, applicable, succ), stats)
                 if len(parents) > max_states:
                     return PlanResult(Status.OUT_OF_MEMORY, None, stats)
                 queue.append(succ)
@@ -796,7 +790,7 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
         stats.expanded += 1
         if goal_satisfied(task, state):
             return PlanResult(Status.SOLVED, _rebuild(
-                parents, lambda s: stubborn.keep(s, tuple(successors._scan(s))),
+                parents, lambda s: stubborn.keep(s, successors.applicable(s)),
                 state), stats)
         g = g_cost[state]
         applicable = successors.applicable(state)

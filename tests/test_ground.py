@@ -25,13 +25,17 @@ from vgdl2pddl.ground import (
     _Schema,
     _SchemaGrounder,
     _Worklist,
+    _cnf,
+    _expand_foralls,
+    _nnf,
+    _split_conjuncts,
     applicable,
     apply,
     goal_satisfied,
     ground,
     precondition_clauses,
 )
-from vgdl2pddl.pddl import Atom, read_domain, read_problem
+from vgdl2pddl.pddl import Atom, Forall, read_domain, read_problem
 from vgdl2pddl.problems import generate_problem
 from vgdl2pddl.vgdl import parse_ldf
 
@@ -598,6 +602,34 @@ class TestNeverTrueInstances:
         for step in ("END-TURN-INTERACTIONS", GOAL):
             assert precondition_clauses(domain, problem, step, ()) is not None
         assert len(built) == 1
+
+
+class TestForallClauses:
+    """`_SchemaGrounder.forall_clauses` grounds every forall whose body is
+    one clause; a guard is joined only once the atoms it joins on are
+    passed."""
+
+    @staticmethod
+    def foralls(name):
+        domain, problem = _case("rain-1")
+        schema = next(a for a in domain.actions if a.name == name)
+        return _SchemaGrounder(domain, problem), [
+            c for c in _split_conjuncts(schema.precondition)
+            if isinstance(c, Forall)]
+
+    def test_nothing_joinable_is_the_plain_expansion(self):
+        grounder, [forall] = self.foralls("STOP_DROP_MOVE")
+        expanded = _cnf(_nnf(_expand_foralls(forall, grounder.universe), False))
+        assert len(expanded) > 1
+        assert grounder.forall_clauses(forall) == expanded
+
+    def test_guard_passed_no_atoms_is_returned_as_itself(self):
+        grounder, guards = self.foralls("END-TURN-INTERACTIONS")
+        assert guards
+        reached = _Worklist(grounder).reached
+        for guard in guards:
+            assert grounder.forall_clauses(guard) is guard
+            assert isinstance(grounder.forall_clauses(guard, reached), list)
 
 
 # -- equality with the naive grounding --------------------------------------------

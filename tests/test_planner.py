@@ -718,8 +718,9 @@ class TestBestFirstPlans:
 
 
 def expanded_states(task, mode, monkeypatch):
-    """(search task, every state the search asks successors of, the
-    generator it built, the result) for one search in `mode`."""
+    """(search task, every state the search asks successors of before it
+    rebuilds the plan, the generator it built, the result) for one search
+    in `mode`."""
     seen = {}
 
     class Recording(planner._Successors):
@@ -736,10 +737,11 @@ def expanded_states(task, mode, monkeypatch):
         result = solve(task, SearchConfig(mode=mode, time_limit=120))
     assert result.status is Status.SOLVED
     # best-first search tests the goal on the state it pops, so the last
-    # state it expands is never asked for successors
-    assert len(seen["states"]) == result.stats.expanded - (
-        mode is not Mode.BLIND_BFS)
-    return seen["task"], seen["states"], seen["successors"], result
+    # state it expands is never asked for successors; rebuilding the plan
+    # then asks once more per step
+    expanded = result.stats.expanded - (mode is not Mode.BLIND_BFS)
+    assert len(seen["states"]) == expanded + len(result.plan)
+    return seen["task"], seen["states"][:expanded], seen["successors"], result
 
 
 def bfs_states(task, monkeypatch):
@@ -1142,6 +1144,30 @@ class TestStubbornSets:
             assert action in kept_at[state]
             state = apply(state, action)
         assert goal_satisfied(task, state)
+
+    def test_keep_sees_only_interned_answers(self, monkeypatch):
+        """The plan is rebuilt from the successor memo, so every answer the
+        stubborn sets cache is the one copy `_Successors` interned."""
+        made = {}
+
+        class Successors(planner._Successors):
+            def __init__(self, task):
+                super().__init__(task)
+                made["successors"] = self
+
+        class Stubborn(planner._StubbornSets):
+            def __init__(self, task):
+                super().__init__(task)
+                made["stubborn"] = self
+
+        with monkeypatch.context() as m:
+            m.setattr(planner, "_Successors", Successors)
+            m.setattr(planner, "_StubbornSets", Stubborn)
+            result = solve(level_task("rain", 1))
+        assert result.status is Status.SOLVED and result.plan
+        interned = made["successors"]._interned
+        answers = [entry[0] for entry in made["stubborn"]._answers.values()]
+        assert answers and all(interned.get(a) is a for a in answers)
 
     def test_interference_tables_match_pairwise_test(self, monkeypatch):
         task = level_task("rain", 1)
