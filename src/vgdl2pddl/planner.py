@@ -9,34 +9,41 @@ Modes:
   * GoalCount   -- greedy on the number of unsatisfied goal literals.
 
 Search is deterministic given (task, seed): actions are tried in grounding
-order and heap ties break on insertion-order XOR seed.  Compiled tasks gate
-almost every action behind a phase fact (turn-avatar, turn-interactions,
-turn-<T>-move, ...), so successor generation buckets actions by gate and only
-looks at the buckets active in the current state.  Inside a bucket it files
-each action under one key fact, the positive precondition (besides the gate)
-that the fewest actions of the bucket share, as in Fast Downward's successor
-generator (Helmert, JAIR 2006): a state's candidates are the actions filed
-under its true facts plus those with no key.  Every candidate gets the full
-applicability test, and candidates are tried in grounding order, so the
-index yields exactly what a scan of the active buckets would.  Each search
-memoises that answer on the state's projection onto the group gates and the
-facts the active buckets' actions read: the states a search expands repeat
-few projections (aliens lvl1 blind BFS: 160,646 expansions, 17,915
-projections), and the answer depends on nothing else.
+order and heap ties break on insertion-order XOR seed.  Every mode searches
+``simplify(task)``, the task projected onto the facts that a precondition,
+a clause or the goal reads, so states that differ only in unread facts are
+one state (aliens lvl1 blind BFS: 160,646 -> 126,792 expansions, same plan).
+
+Compiled tasks gate almost every action behind a phase fact (turn-avatar,
+turn-interactions, turn-<T>-move, ...), so successor generation buckets
+actions by gate and only looks at the buckets active in the current state.
+Inside a bucket it files each action under one key fact, the positive
+precondition (besides the gate) that the fewest actions of the bucket
+share, as in Fast Downward's successor generator (Helmert, JAIR 2006): a
+state's candidates are the actions filed under its true facts plus those
+with no key.  Every candidate gets the full applicability test, and
+candidates are tried in grounding order, so the index yields exactly what
+a scan of the active buckets would.  Each search memoises that answer on
+the state's projection onto the group gates and the facts the active
+buckets' actions read: the states a search expands repeat few projections
+(aliens lvl1 blind BFS: 126,792 expansions, 17,915 projections), and the
+answer depends on nothing else.
 
 Best-first search (GBFS, A*, GoalCount) prunes with strong stubborn sets
 (``_StubbornSets``): it expands only those applicable actions, in the
 generator's order.  Where the movers of one phase commute, every order of
 their moves reaches the same states, and the set keeps one mover at a time
-(rain lvl1 GBFS: 3,445 h_add calls -> 315, same plan length).  The set's
+(rain lvl1 GBFS: 3,178 h_add calls -> 288, same plan length).  The set's
 choice rule tries an unmet phase gate before any other literal; the literal
-with the fewest achievers alone barely prunes there (3,344 calls).  On the
-other shipped levels and on open Sokoban every set holds every applicable
-action, so those searches are unchanged.  Blind BFS is not pruned: a BFS
+with the fewest achievers alone barely prunes there (3,077 calls).  On the
+other shipped levels and on open Sokoban every set of GBFS and A* holds
+every applicable action, so those searches are unchanged; goal-count search
+prunes on aliens too (lvl1: 1,440 actions).  Blind BFS is not pruned: a BFS
 expansion costs a few microseconds, about what a set costs.  Through the
-set (2-core host), rain lvl1 BFS expands 2,951 states instead of 30,685
-with its optimal length kept, yet takes as long (0.08 s), and aliens lvl1
-takes 3.7 s instead of 0.49 s, zenpuzzle lvl0 0.36 s instead of 0.24 s.
+set (2-core host), rain lvl1 BFS expands 1,369 states instead of 14,373
+with its optimal length kept, yet takes as long (0.02-0.03 s), and aliens
+lvl1 takes 2.0 s instead of 0.21 s, zenpuzzle lvl0 0.13 s instead of
+0.09 s.
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ import subprocess
 import tempfile
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import chain
@@ -689,13 +696,42 @@ def _goal_count(task: GroundedTask, state: int) -> float:
 # -- search -------------------------------------------------------------------------
 
 def simplify(task: GroundedTask) -> GroundedTask:
-    """The task the search runs on: `task` itself, since `ground` keeps only
-    relaxed-reachable actions and atoms. `solve` still calls it, so that
-    `perfbench/run.py` can trace it as the `ground.simplify` layer."""
-    return task
+    """The task the search runs on: `task` projected onto the facts it reads.
+
+    A fact is read when a precondition, a clause or a goal literal mentions
+    it.  Every other fact is dropped from each action's add and delete and
+    from init (Helmert, AIJ 2009, drops such facts as irrelevant): on the
+    shipped levels, the avatar's unread `oriented-*` flags and digger's
+    `(dead dirt_...)` and `(dead gem_...)`.  `facts`, `fact_id` and the
+    action order are kept, and an action that writes no dropped fact is
+    kept as the same object.  Nothing reads a dropped fact, so a state and
+    its projection have the same applicable actions in the same order, the
+    same h_add and the same goal test, and the projection of a successor is
+    the successor of the projection: the two tasks have the same plans, and
+    search keeps apart only states that differ in what is read.  With
+    nothing unread (every Sokoban task), `task` itself is returned."""
+    read = task.goal_pos | task.goal_neg
+    for action in task.actions:
+        pos, neg = _reads(action)
+        read |= pos | neg
+    unread = ((1 << len(task.facts)) - 1) & ~read
+    if not unread:
+        return task
+    # the constructor, not `replace`: a third of the cost on rain's 220
+    # rewritten actions
+    actions = tuple(
+        a if not (a.add | a.delete) & unread
+        else GroundAction(a.name, a.args, a.pos_pre, a.neg_pre, a.clauses,
+                          a.add & read, a.delete & read)
+        for a in task.actions)
+    return replace(task, actions=actions, init=task.init & read)
 
 
 def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
+    """Search ``simplify(task)`` in ``cfg.mode``.  ``simplify`` keeps the
+    action order, so the plan is mapped back by position to ``task``'s own
+    actions: callers (the agent, ``validate``, ``apply``) see full effects,
+    unread facts included."""
     start = time.perf_counter()
     stats = SearchStats()
     try:
@@ -705,8 +741,12 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
         if goal_satisfied(search_task, search_task.init):
             return PlanResult(Status.SOLVED, (), stats)
         search = _bfs if cfg.mode is Mode.BLIND_BFS else _best_first
-        return search(search_task, _Successors(search_task), cfg, stats, start,
-                      max(1000, cfg.memory_limit // 64))
+        result = search(search_task, _Successors(search_task), cfg, stats,
+                        start, max(1000, cfg.memory_limit // 64))
+        if result.plan and search_task is not task:
+            own = dict(zip(map(id, search_task.actions), task.actions))
+            result.plan = tuple(own[id(a)] for a in result.plan)
+        return result
     finally:
         stats.wall_time = time.perf_counter() - start
 

@@ -34,6 +34,7 @@ from vgdl2pddl.planner import (
     Status,
     _HAdd,
     external_solve,
+    simplify,
     solve,
     validate,
 )
@@ -551,32 +552,37 @@ class TestHAddMemo:
 # strong stubborn set: rain's drops move in any order within a turn, and the
 # set keeps one drop's move at a time (lvl1: 3409 -> 289 expansions; the plans
 # keep their lengths, 71 and 86).  No other best-first entry moved: on every
-# other level each stubborn set holds every applicable action.
+# other level each stubborn set holds every applicable action.  The counts,
+# not the digests, were re-pinned when `solve` began to search `simplify`'s
+# projection onto the facts the task reads: states that differ only in an
+# unread fact (the avatar's `oriented-*`, digger's `dead` dirt and gems) are
+# one state now (BlindBFS aliens lvl1: 160646 -> 126792 expansions; Sokoban
+# reads every fact and did not move).
 SEARCH_PINS = {
     ("GBFS_hadd", "aliens", 0): (
         "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
-        114, 156),
+        89, 120),
     ("GBFS_hadd", "aliens", 1): (
         "8393976e130fd8ba2cf3b0ae836706459d24f6aa022f42324366e508c11bb854",
-        249, 366),
+        184, 266),
     ("GBFS_hadd", "digger", 0): (
         "2b27f80573814ee7efe6f451cc28b83ff99b86dbd6144aafb9dae4a0026b996a",
-        79, 110),
+        79, 104),
     ("GBFS_hadd", "digger", 1): (
         "ec591f69a29a361a5c297f730669a72cd282610748f005311c5a6de5fee8c341",
-        367, 419),
+        235, 267),
     ("GBFS_hadd", "keymaze", 0): (
         "8ebf2022f34bcbfb079e984d44fb39110e85ebff55c3ec0009d733c88e15c057",
-        48, 61),
+        45, 48),
     ("GBFS_hadd", "keymaze", 1): (
         "5a5512becfafffd9b94b055521a131a2f7b4d95401f49c323d086f1301a5d8a4",
-        15, 21),
+        15, 18),
     ("GBFS_hadd", "rain", 0): (
         "15d175a2d3da1636f8d8e3135159ff2a90fcadd9addb0c560822ff900589a6d0",
         177, 205),
     ("GBFS_hadd", "rain", 1): (
         "42b4ad9d6a74fd12d31fb4a97f9031a7cc4382205c903df8ae89387ab8302b23",
-        289, 314),
+        265, 287),
     ("GBFS_hadd", "sokoban", 0): (
         "fc4692ce9e871164ac766dfd94fc53ad01d4e72dcce6649d14fbb14d9060c08d",
         30, 38),
@@ -585,7 +591,7 @@ SEARCH_PINS = {
         89, 117),
     ("GBFS_hadd", "zenpuzzle", 0): (
         "ad0c2ca705da5bbc74f3484b7206f19734653b9934fe89f06046164633ae3f85",
-        125, 191),
+        122, 167),
     ("GBFS_hadd", "zenpuzzle", 1): (
         "9678d5a1b8119a98a80b4fc9931804eb8a1b809490df68c4717311c72f6df23a",
         25, 31),
@@ -597,28 +603,28 @@ SEARCH_PINS = {
         108, 153),
     ("BlindBFS", "aliens", 0): (
         "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
-        8924, 8985),
+        6603, 6643),
     ("BlindBFS", "aliens", 1): (
         "d381a364e8af07194ff5baa8f81dc3af0c640196282877cf07245b2bb65685dd",
-        160646, 161865),
+        126792, 127710),
     ("BlindBFS", "digger", 0): (
         "d7e0d86dd37da3352907ba56ec615b9782427e9c891c1775a0f661c34481032a",
-        6792, 7192),
+        3500, 3685),
     ("BlindBFS", "digger", 1): (
         "88263522abd50faf76ec8e8e529affa945f78c59732212f8a55e565680c33016",
-        19274, 20493),
+        11366, 12056),
     ("BlindBFS", "keymaze", 0): (
         "f92f73fdd0d85ab63caee6e4794246b3642345eb91d18f3bdc5c8b111001afa4",
-        152, 156),
+        85, 87),
     ("BlindBFS", "keymaze", 1): (
         "5a5512becfafffd9b94b055521a131a2f7b4d95401f49c323d086f1301a5d8a4",
-        54, 58),
+        32, 35),
     ("BlindBFS", "rain", 0): (
         "fa5079152be46be9ca0cd4cfb8293e6553a28781df20b03d8a3dcf6fff0910e9",
-        12719, 12848),
+        5491, 5536),
     ("BlindBFS", "rain", 1): (
         "bf6f585a2431c2a4f4d512ac41feb8aa26e3ed157d85f020a2729ee23cc3f428",
-        30685, 30763),
+        14373, 14406),
     ("BlindBFS", "sokoban", 0): (
         "fc4692ce9e871164ac766dfd94fc53ad01d4e72dcce6649d14fbb14d9060c08d",
         140, 162),
@@ -627,10 +633,10 @@ SEARCH_PINS = {
         1318, 1563),
     ("BlindBFS", "zenpuzzle", 0): (
         "af37161c53ee0a7988d70a8cab7576fbedf20071b7a373367670b648d95b6301",
-        68682, 71739),
+        38487, 39669),
     ("BlindBFS", "zenpuzzle", 1): (
         "9678d5a1b8119a98a80b4fc9931804eb8a1b809490df68c4717311c72f6df23a",
-        187, 205),
+        156, 171),
 }
 
 
@@ -658,26 +664,27 @@ class TestSearchStability:
 # (mode, game, level) -> (sha256 of the plan steps' repr, expanded,
 # generated) for A* and GoalCount, which rebuild their plans from the same
 # parent map as GBFS. On zenpuzzle lvl0 A* finds five states again at a
-# lower g and re-parents them.
+# lower g and re-parents them. The counts were re-pinned, the digests kept,
+# when search moved to `simplify`'s projection (see SEARCH_PINS).
 BEST_FIRST_PINS = {
     ("AStar_hadd", "aliens", 1): (
         "8393976e130fd8ba2cf3b0ae836706459d24f6aa022f42324366e508c11bb854",
-        706, 973),
+        503, 683),
     ("AStar_hadd", "digger", 1): (
         "bca7130d454b3bd7f37eb28aefb23dd7b358a53b58fc45836ec367568891e767",
-        1872, 2105),
+        1147, 1318),
     ("AStar_hadd", "zenpuzzle", 0): (
         "45531d74828c4184466f8d4d8d5f850cbc1e3660ba763016b554176f9e8da410",
-        208, 308),
+        185, 250),
     ("GoalCount", "aliens", 1): (
         "ab1eeb6fba019fc732799b99285f913faa03f27f0a3d27b8c320c71fa34d1c6a",
-        11566, 12849),
+        9204, 10213),
     ("GoalCount", "digger", 1): (
         "88263522abd50faf76ec8e8e529affa945f78c59732212f8a55e565680c33016",
-        14694, 15753),
+        8716, 9347),
     ("GoalCount", "zenpuzzle", 0): (
         "bfa57e676b2c7bdce782ca6f2b8c9a3de47b6f16f90079856f44359717f762e4",
-        81, 114),
+        80, 105),
 }
 
 
@@ -1016,11 +1023,16 @@ class ReferenceStubborn:
 
 
 def gbfs_kept(task, monkeypatch):
-    """([(state, applicable, kept)] for every state GBFS expands, the
-    result) for one GBFS run."""
+    """(search task, [(state, applicable, kept)] for every state GBFS
+    expands, the result) for one GBFS run."""
     seen = []
+    made = {}
 
     class Recording(planner._StubbornSets):
+        def __init__(self, search_task):
+            super().__init__(search_task)
+            made["task"] = search_task
+
         def keep(self, state, answer):
             kept = super().keep(state, answer)
             seen.append((state, answer, kept))
@@ -1030,7 +1042,7 @@ def gbfs_kept(task, monkeypatch):
         m.setattr(planner, "_StubbornSets", Recording)
         result = solve(task, SearchConfig(mode=Mode.GBFS_HADD, time_limit=120))
     assert result.status is Status.SOLVED
-    return seen, result
+    return made["task"], seen, result
 
 
 def stubborn_bfs(task):
@@ -1122,8 +1134,7 @@ class TestStubbornSets:
         ("digger", 1), ("sokoban", 1),
     ])
     def test_kept_actions_on_gbfs_states(self, name, index, monkeypatch):
-        task = level_task(name, index)
-        seen, result = gbfs_kept(task, monkeypatch)
+        task, seen, result = gbfs_kept(level_task(name, index), monkeypatch)
         reference = ReferenceStubborn(task)
         kept_at = {}
         strict = 0
@@ -1141,6 +1152,7 @@ class TestStubbornSets:
         # every state of the plan was expanded and kept its plan action
         state = task.init
         for action in result.plan:
+            action = task.action(*action.ident)
             assert action in kept_at[state]
             state = apply(state, action)
         assert goal_satisfied(task, state)
@@ -1170,8 +1182,7 @@ class TestStubbornSets:
         assert answers and all(interned.get(a) is a for a in answers)
 
     def test_interference_tables_match_pairwise_test(self, monkeypatch):
-        task = level_task("rain", 1)
-        seen, _ = gbfs_kept(task, monkeypatch)
+        task, seen, _ = gbfs_kept(level_task("rain", 1), monkeypatch)
         stubborn = planner._StubbornSets(task)
         stubborn._build()
         index = {id(a): i for i, a in enumerate(task.actions)}
@@ -1189,10 +1200,11 @@ class TestStubbornSets:
     def test_bfs_through_the_filter_stays_optimal(self, name, index,
                                                   monkeypatch):
         workloads = perfbench_module("workloads", monkeypatch)
-        length, expanded, _ = stubborn_bfs(level_task(name, index))
+        length, expanded, _ = stubborn_bfs(simplify(level_task(name, index)))
         assert length == workloads.OPTIMAL_LENGTHS[(name, index)]
         if (name, index) == ("rain", 1):
-            # plain blind BFS expands 30,685 states (SEARCH_PINS)
+            # plain blind BFS on the same task expands 14,373 states
+            # (SEARCH_PINS)
             assert expanded * 5 <= SEARCH_PINS[("BlindBFS", "rain", 1)][1]
 
     def test_random_tasks_keep_their_optimum(self):
@@ -1288,6 +1300,135 @@ class TestStubbornSets:
         assert result.plan == (b, c)
         assert result.stats.pruned == 1
         assert stubborn_bfs(task) == (2, 2, 1)
+
+
+def read_facts(task):
+    """Every fact a precondition, a clause or a goal literal mentions."""
+    mask = task.goal_pos | task.goal_neg
+    for a in task.actions:
+        mask |= a.pos_pre | a.neg_pre
+        for pos_mask, neg_mask in a.clauses:
+            mask |= pos_mask | neg_mask
+    return mask
+
+
+def written_facts(task):
+    """Every fact init sets or an action adds or deletes."""
+    mask = task.init
+    for a in task.actions:
+        mask |= a.add | a.delete
+    return mask
+
+
+ORIENTED = [f"(oriented-{d} avatar)" for d in ("down", "left", "right", "up")]
+
+
+class TestSimplify:
+    @pytest.mark.parametrize("name,index,dropped", [
+        ("aliens", 0, 3), ("aliens", 1, 3), ("digger", 0, 11),
+        ("digger", 1, ["(dead dirt_2_2)", "(dead dirt_2_3)", "(dead dirt_2_4)",
+                       "(dead dirt_3_2)", "(dead dirt_3_4)", "(dead dirt_4_2)",
+                       "(dead dirt_4_3)", "(dead dirt_4_4)", "(dead gem_1_3)",
+                       "(dead gem_5_3)"] + ORIENTED),
+        ("keymaze", 0, 5), ("keymaze", 1, 5), ("rain", 0, 4), ("rain", 1, 4),
+        ("zenpuzzle", 0, ORIENTED), ("zenpuzzle", 1, 4),
+    ])
+    def test_drops_exactly_the_unread_facts(self, name, index, dropped):
+        task = level_task(name, index)
+        search = simplify(task)
+        gone = sorted(map(str, task.state_atoms(
+            written_facts(task) & ~written_facts(search))))
+        assert (len(gone) if isinstance(dropped, int) else gone) == dropped
+        read = read_facts(task)
+        assert search.facts == task.facts and search.fact_id == task.fact_id
+        assert search.init == task.init & read
+        assert (search.goal_pos, search.goal_neg, search.unsolvable_goal) == \
+            (task.goal_pos, task.goal_neg, task.unsolvable_goal)
+        assert len(search.actions) == len(task.actions)
+        for a, b in zip(task.actions, search.actions):
+            assert (b.ident, b.pos_pre, b.neg_pre, b.clauses) == \
+                (a.ident, a.pos_pre, a.neg_pre, a.clauses)
+            assert (b.add, b.delete) == (a.add & read, a.delete & read)
+            # an action that writes no dropped fact is kept as is
+            assert (b is a) == (not (a.add | a.delete) & ~read)
+
+    def test_returns_the_task_itself_when_every_fact_is_read(self,
+                                                             monkeypatch):
+        tasks = [level_task("sokoban", 0), level_task("sokoban", 1)]
+        inputs = perfbench_module("inputs", monkeypatch)
+        game = compile_game(load_game("sokoban"))
+        _, text = inputs.ladder_levels(1)[0]
+        problem, _ = generate_problem(parse_ldf(text, game.model), game)
+        tasks.append(ground(game.domain, problem))
+        for task in tasks:
+            assert simplify(task) is task
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_plans_hold_the_tasks_own_actions(self, mode):
+        task = level_task("zenpuzzle", 1)
+        search = simplify(task)
+        result = solve(task, SearchConfig(mode=mode))
+        assert result.status is Status.SOLVED and result.plan
+        assert all(a is task.action(*a.ident) for a in result.plan)
+        # the plan's avatar moves turn the avatar, which nothing reads
+        assert any(search.action(*a.ident) != a for a in result.plan)
+        assert validate(task, result.plan) == (True, None)
+
+    @pytest.mark.parametrize("name", available_games())
+    def test_random_walks_agree_on_the_read_facts(self, name):
+        """The projection is a bisimulation: along seeded random walks on
+        the full task, the projected state has the same applicable actions,
+        h_add and goal test, and each step's successors agree on what is
+        read."""
+        rng = random.Random(22)
+        for index in (0, 1):
+            task = level_task(name, index)
+            search = simplify(task)
+            read = read_facts(task)
+            h, search_h = _HAdd(task).value, _HAdd(search).value
+            state = task.init
+            for _ in range(300):
+                projected = state & read
+                steps = [a for a in task.actions if applicable(state, a)]
+                search_steps = [b for b in search.actions
+                                if applicable(projected, b)]
+                assert [a.ident for a in steps] == \
+                    [b.ident for b in search_steps]
+                assert goal_satisfied(task, state) == \
+                    goal_satisfied(search, projected)
+                assert h(state) == search_h(projected)
+                if not steps or goal_satisfied(task, state):
+                    state = task.init
+                    continue
+                k = rng.randrange(len(steps))
+                state = apply(state, steps[k])
+                assert state & read == apply(projected, search_steps[k])
+
+    def test_random_tasks_agree_on_every_state(self):
+        """Random tasks read facts through goal literals and clauses alone
+        too; every state of each agrees with its projection."""
+        rng = random.Random(22)
+        projected = 0
+        for _ in range(1000):
+            task = random_task(rng)
+            search = simplify(task)
+            if search is task:
+                assert not written_facts(task) & ~read_facts(task)
+                continue
+            projected += 1
+            read = read_facts(task)
+            assert search.init == task.init & read
+            for state in every_state(task):
+                steps = [a for a in task.actions if applicable(state, a)]
+                search_steps = [b for b in search.actions
+                                if applicable(state & read, b)]
+                assert [a.ident for a in steps] == \
+                    [b.ident for b in search_steps]
+                assert goal_satisfied(task, state) == \
+                    goal_satisfied(search, state & read)
+                for a, b in zip(steps, search_steps):
+                    assert apply(state, a) & read == apply(state & read, b)
+        assert projected >= 50
 
 
 # sokoban with its box type written in capitals: objects are named `Box_2_2`,
