@@ -13,6 +13,10 @@ order and heap ties break on insertion-order XOR seed.  Every mode searches
 ``simplify(task)``, the task projected onto the facts that a precondition,
 a clause or the goal reads, so states that differ only in unread facts are
 one state (aliens lvl1 blind BFS: 160,646 -> 126,792 expansions, same plan).
+Every mode also uses interchangeable objects lowest-first (``_Symmetry``):
+of a compiled avatar's identical rounds of ammunition, search fires only
+the lowest untouched one (aliens lvl1 blind BFS: 126,792 -> 24,381
+expansions, same plan).
 
 Compiled tasks gate almost every action behind a phase fact (turn-avatar,
 turn-interactions, turn-<T>-move, ...), so successor generation buckets
@@ -26,7 +30,7 @@ candidates are tried in grounding order, so the index yields exactly what
 a scan of the active buckets would.  Each search memoises that answer on
 the state's projection onto the group gates and the facts the active
 buckets' actions read: the states a search expands repeat few projections
-(aliens lvl1 blind BFS: 126,792 expansions, 17,915 projections), and the
+(aliens lvl1 blind BFS: 24,381 expansions, 3,130 projections), and the
 answer depends on nothing else.
 
 Best-first search (GBFS, A*, GoalCount) prunes with strong stubborn sets
@@ -38,12 +42,13 @@ choice rule tries an unmet phase gate before any other literal; the literal
 with the fewest achievers alone barely prunes there (3,077 calls).  On the
 other shipped levels and on open Sokoban every set of GBFS and A* holds
 every applicable action, so those searches are unchanged; goal-count search
-prunes on aliens too (lvl1: 1,440 actions).  Blind BFS is not pruned: a BFS
-expansion costs a few microseconds, about what a set costs.  Through the
-set (2-core host), rain lvl1 BFS expands 1,369 states instead of 14,373
-with its optimal length kept, yet takes as long (0.02-0.03 s), and aliens
-lvl1 takes 2.0 s instead of 0.21 s, zenpuzzle lvl0 0.13 s instead of
-0.09 s.
+prunes on aliens too (lvl1: 420 actions).  Blind BFS takes no stubborn
+sets: a BFS expansion costs a few microseconds, about what a set costs.
+Through the set (2-core host), rain lvl1 BFS expands 1,369 states instead
+of 14,373 with its optimal length kept, yet takes about as long (a few
+hundredths of a second), and aliens lvl1 expands 111,024 states instead of
+24,381 and takes ~30x as long.  The symmetry pruning, a memo hit per
+state, serves every mode.
 """
 from __future__ import annotations
 
@@ -106,7 +111,9 @@ class SearchStats:
     expanded: int = 0
     generated: int = 0
     evaluated: int = 0  # heuristic calls; 0 for blind BFS
-    pruned: int = 0  # applicable actions the stubborn sets left out
+    # applicable actions search left out: outside the stubborn set, or an
+    # action whose image on interchangeable objects it kept (`_Symmetry`)
+    pruned: int = 0
     wall_time: float = 0.0
 
 
@@ -128,14 +135,19 @@ def _gates(task: GroundedTask) -> int:
     return sum(1 << i for atom, i in task.fact_id.items() if not atom.args)
 
 
-def _reads(action: GroundAction) -> tuple[int, int]:
-    """The facts ``action`` reads positively and negatively: its unit
-    preconditions and its clauses' literals."""
-    pos, neg = action.pos_pre, action.neg_pre
-    for pos_mask, neg_mask in action.clauses:
-        pos |= pos_mask
-        neg |= neg_mask
-    return pos, neg
+def _read_table(task: GroundedTask) -> list[tuple[int, int]]:
+    """Per action of ``task``, in order, the facts it reads positively and
+    negatively: its unit preconditions and its clauses' literals.  ``solve``
+    builds it once and shares it: ``simplify`` keeps every precondition, so
+    it is the search task's table too."""
+    table = []
+    for action in task.actions:
+        pos, neg = action.pos_pre, action.neg_pre
+        for pos_mask, neg_mask in action.clauses:
+            pos |= pos_mask
+            neg |= neg_mask
+        table.append((pos, neg))
+    return table
 
 
 class _Successors:
@@ -169,7 +181,7 @@ class _Successors:
     stored once.
     """
 
-    def __init__(self, task: GroundedTask):
+    def __init__(self, task: GroundedTask, reads: list[tuple[int, int]]):
         gate_mask = _gates(task)
         buckets: dict[int, list[int]] = {}
         for i, action in enumerate(task.actions):
@@ -183,11 +195,11 @@ class _Successors:
         # gate bit -> every fact its group's applicability tests read
         self.reads: dict[int, int] = {}
         for bit in order:
-            reads = 0
+            group = 0
             for i in buckets[bit]:
-                pos, neg = _reads(self.actions[i])
-                reads |= pos | neg
-            self.reads[bit] = reads
+                pos, neg = reads[i]
+                group |= pos | neg
+            self.reads[bit] = group
         # the group gates are distinct single bits, so their sum is their union
         self.gate_mask = sum(order)
         self._masks: dict[int, int] = {}  # active gates -> projection mask
@@ -292,8 +304,9 @@ class _StubbornSets:
     gate they wait on (rain lvl1: 55 -> 6-9 ms of closure over 160 calls).
     """
 
-    def __init__(self, task: GroundedTask):
+    def __init__(self, task: GroundedTask, reads: list[tuple[int, int]]):
         self.actions = task.actions
+        self.reads = reads
         self.n_facts = len(task.facts)
         self.goal_pos, self.goal_neg = task.goal_pos, task.goal_neg
         self.gate_mask = _gates(task)
@@ -301,7 +314,8 @@ class _StubbornSets:
         # them interfere, their union); holding the answer keeps its id from
         # being reused
         self._answers: dict[int, tuple] = {}
-        self._bit: dict[int, int] = {}  # id(action) -> its bit; set on demand
+        self._index = {id(a): i for i, a in enumerate(task.actions)}
+        self._built = False
         self._interferes: list[Optional[int]] = [None] * len(task.actions)
         self._gated: dict[int, tuple] = {}  # true gates -> _gate_groups
 
@@ -325,25 +339,25 @@ class _StubbornSets:
     def _bits_unless_interfering(self, answer):
         if len(answer) < 2:
             return None
-        reads = [_reads(a) for a in answer]
+        index = [self._index[id(a)] for a in answer]
+        reads = [self.reads[i] for i in index]
         for j, b in enumerate(answer):
             b_pos, b_neg = reads[j]
             for a, (a_pos, a_neg) in zip(answer[:j], reads):
                 if not (a.delete & (b_pos | b.add) or b.delete & (a_pos | a.add)
                         or a.add & b_neg or b.add & a_neg):
-                    if not self._bit:
+                    if not self._built:
                         self._build()
-                    return [self._bit[id(action)] for action in answer]
+                    return [1 << i for i in index]
         return None
 
     def _build(self):
         n = self.n_facts
         adders, deleters = [0] * n, [0] * n
         pos_readers, neg_readers = [0] * n, [0] * n
-        for i, a in enumerate(self.actions):
+        self._built = True
+        for i, (a, (pos, neg)) in enumerate(zip(self.actions, self.reads)):
             bit = 1 << i
-            self._bit[id(a)] = bit
-            pos, neg = _reads(a)
             for table, mask in ((adders, a.add), (deleters, a.delete),
                                 (pos_readers, pos), (neg_readers, neg)):
                 for f in _bits(mask):
@@ -439,7 +453,7 @@ class _StubbornSets:
 
     def _interference(self, i: int) -> int:
         a = self.actions[i]
-        pos, neg = _reads(a)
+        pos, neg = self.reads[i]
         out = 0
         for f in _bits(pos):
             out |= self.deleters[f]
@@ -450,6 +464,237 @@ class _StubbornSets:
         for f in _bits(a.add):
             out |= self.neg_readers[f] | self.deleters[f]
         return out
+
+
+# -- interchangeable objects --------------------------------------------------------
+
+class _Symmetry:
+    """Symmetry pruning over classes of interchangeable objects (Fox & Long,
+    IJCAI 1999; Pochter, Zohar & Rosenschein, AAAI 2011).
+
+    Two objects are interchangeable when swapping their names maps the task
+    onto itself: init, the goal, the static facts and the action set, each
+    action onto the one of the same name with the swapped arguments and
+    masks.  A class is a set of objects every two of which are
+    interchangeable, like a compiled avatar's ammunition pool
+    (``bullet_ammo_1..k``).  A member is untouched in a state when every
+    fact that names it has its init value; swapping two untouched members
+    then maps the state onto itself, and so does every permutation of a
+    class's untouched members.
+
+    ``keep`` drops an action of an answer when its image is another action
+    of that answer.  The image renames the action's untouched members, in
+    order, to the lowest untouched members of their class.  Members are
+    ordered by their first init or goal fact in the text-sorted fact table,
+    so a compiled pool's ``bullet_ammo_1`` is lowest, the round an unpruned
+    search fires first.  The image leads to the image of the successor, at
+    the same goal distance, and is its own image, so it is never dropped:
+    BFS and A* keep their optimal lengths, and GBFS and goal-count search
+    stay complete.  For BFS the image is always applicable, so only images
+    are kept.  Best-first search asks after the stubborn sets, and an
+    action is dropped only for an image the set kept, which keeps the two
+    prunings safe together (Wehrle et al., IJCAI 2015).  Touched members
+    are never renamed: states are not mapped to a canonical form.
+
+    ``keep`` remembers its answer per (answer, untouched members) for one
+    search; holding the answer keeps its id from being reused.
+    """
+
+    def __init__(self, task: GroundedTask, classes: list[list[str]],
+                 named: dict[str, int], by_ident):
+        self.classes = classes  # each lowest member first
+        self.names: list[str] = []  # member index -> object
+        self.bit_of: dict[str, int] = {}  # object -> its member bit
+        self.members = []  # (facts naming a member, their init, its bit)
+        self.spans = []  # per class, the bits of its members
+        for objects in classes:
+            span = 0
+            for x in objects:
+                bit = self.bit_of[x] = 1 << len(self.names)
+                self.names.append(x)
+                self.members.append((named[x], task.init & named[x], bit))
+                span |= bit
+            self.spans.append(span)
+        self.by_ident = by_ident  # (name, args) -> (action, its lanes)
+        # (id(answer), untouched members) -> (answer, the actions kept)
+        self._memo: dict[tuple[int, int], tuple] = {}
+
+    def keep(self, state: int, answer: tuple[GroundAction, ...]
+             ) -> tuple[GroundAction, ...]:
+        if len(answer) < 2:
+            return answer
+        untouched = 0
+        for mask, value, bit in self.members:
+            if state & mask == value:
+                untouched |= bit
+        key = (id(answer), untouched)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = (answer, self._drop(untouched, answer))
+        return entry[1]
+
+    def _drop(self, untouched: int, answer):
+        ids = {id(a) for a in answer}
+        kept = tuple(a for a in answer
+                     if (image := self._image(a, untouched)) is a
+                     or id(image) not in ids)
+        return answer if len(kept) == len(answer) else kept
+
+    def _image(self, action: GroundAction, untouched: int) -> GroundAction:
+        named = 0
+        for x in action.args:
+            named |= self.bit_of.get(x, 0)
+        named &= untouched
+        if not named:
+            return action
+        rename = {}
+        for span in self.spans:
+            mine = named & span
+            if not mine:
+                continue
+            free, lowest = untouched & span, 0
+            for _ in range(mine.bit_count()):
+                low = free & -free
+                lowest |= low
+                free ^= low
+            for x, y in zip(_bits(mine), _bits(lowest)):
+                if x != y:
+                    rename[self.names[x]] = self.names[y]
+        if not rename:
+            return action
+        return self.by_ident[action.name,
+                             tuple(rename.get(x, x) for x in action.args)][0]
+
+
+def _symmetry(task: GroundedTask, reads) -> Optional[_Symmetry]:
+    """The classes of interchangeable objects of ``task``, or None if it has
+    none.  The candidates are the objects an init or goal fact names,
+    grouped by their signature: those facts with the object blanked
+    wherever it occurs.  Two objects with one signature are named together
+    by none of those facts, so swapping them maps init and the goal onto
+    themselves; ``_swaps`` checks the static facts and the actions against
+    the group's first object, and those that fail form a group of their
+    own.  Members keep the order of their first init or goal fact."""
+    facts = task.facts
+    signature: dict[str, set] = {}
+    for tag, mask in enumerate((task.init, task.goal_pos, task.goal_neg)):
+        for f in _bits(mask):
+            atom = facts[f]
+            args = atom.args
+            for x in args:
+                entry = (tag, atom.predicate,
+                         tuple(["?" if y == x else y for y in args]))
+                if x in signature:
+                    signature[x].add(entry)
+                else:
+                    signature[x] = {entry}
+    groups: dict[frozenset, list[str]] = {}
+    for x, sig in signature.items():
+        groups.setdefault(frozenset(sig), []).append(x)
+    candidates = {x for g in groups.values() if len(g) > 1 for x in g}
+    if not candidates:
+        return None
+    named = dict.fromkeys(candidates, 0)  # candidate -> the facts naming it
+    fact_of = {}  # (predicate, args) -> fact, for those facts
+    for i, atom in enumerate(facts):
+        if not candidates.isdisjoint(atom.args):
+            fact_of[atom.predicate, atom.args] = i
+            for x in atom.args:
+                if x in named:
+                    named[x] |= 1 << i
+    every = 0
+    for mask in named.values():
+        every |= mask
+    # the actions that name a candidate or touch a fact naming one, with
+    # the facts they touch and their four masks as one int, a lane of
+    # len(facts) bits each
+    near = []
+    by_ident = {}  # (name, args) -> (action, its lanes), for those actions
+    n = len(facts)
+    for a, (pos, neg) in zip(task.actions, reads):
+        touch = pos | neg | a.add | a.delete
+        if touch & every or not candidates.isdisjoint(a.args):
+            lanes = a.pos_pre | (a.neg_pre | (a.add | a.delete << n) << n) << n
+            near.append((a, touch, lanes))
+            by_ident[a.name, a.args] = (a, lanes)
+    if len(by_ident) < len(near):
+        return None  # two actions share a name and arguments
+    classes = []
+    for group in groups.values():
+        while len(group) > 1:
+            first, *rest = group
+            members = [first] + [x for x in rest if _swaps(
+                task, first, x, named, fact_of, near, by_ident)]
+            if len(members) > 1:
+                classes.append(members)
+            group = [x for x in rest if x not in members]
+    return _Symmetry(task, classes, named, by_ident) if classes else None
+
+
+def _swaps(task: GroundedTask, r: str, o: str, named, fact_of, near,
+           by_ident) -> bool:
+    """Whether swapping objects ``r`` and ``o``, of one signature, maps the
+    static facts, the fact table and the actions of ``task`` onto
+    themselves.  Only the facts naming them and the actions in ``near``
+    that name them or touch those facts can change.  The swap is its own
+    inverse, so it is enough that the facts and actions naming ``r`` have
+    images, as many as ``o`` has, and that the other actions that touch
+    those facts are fixed."""
+    if named[r].bit_count() != named[o].bit_count():
+        return False
+    rename = {r: o, o: r}
+    static = task.static_facts
+    if any(pddl.Atom(atom.predicate, tuple(map(rename.get, atom.args,
+                                               atom.args))) not in static
+           for atom in static if r in atom.args or o in atom.args):
+        return False
+    n = len(task.facts)
+    # offset -> the facts whose image is that many places on: one offset
+    # each way where the two objects' facts interleave in the table
+    shifts: dict[int, int] = {}
+    for f in _bits(named[r]):
+        atom = task.facts[f]
+        g = fact_of.get((atom.predicate,
+                         tuple(map(rename.get, atom.args, atom.args))))
+        if g is None:
+            return False
+        shifts[g - f] = shifts.get(g - f, 0) | 1 << f
+    for offset, moved in list(shifts.items()):  # and back
+        shifts[-offset] = shifts.get(-offset, 0) | (
+            moved << offset if offset >= 0 else moved >> -offset)
+
+    def lanes(mask):
+        return mask | (mask | (mask | mask << n) << n) << n
+
+    both = named[r] | named[o]
+    fixed = ~lanes(both)
+    moves = [(offset, lanes(moved)) for offset, moved in shifts.items()]
+
+    def permute(mask):  # of a mask or of lanes
+        out = mask & fixed
+        for offset, moved in moves:
+            moved &= mask
+            out |= moved << offset if offset >= 0 else moved >> -offset
+        return out
+
+    balance = 0  # actions naming r, less those naming o
+    for a, touch, a_lanes in near:
+        args = a.args
+        if o in args:
+            if r not in args:
+                balance -= 1
+                continue
+        elif r in args:
+            balance += 1
+        elif not touch & both:
+            continue
+        b, b_lanes = by_ident.get((a.name, tuple(map(rename.get, args, args))),
+                                  (None, None))
+        if b_lanes != permute(a_lanes) or (a.clauses or b.clauses) and sorted(
+                b.clauses) != sorted((permute(pos), permute(neg))
+                                     for pos, neg in a.clauses):
+            return False
+    return not balance
 
 
 # -- additive heuristic -------------------------------------------------------------
@@ -695,7 +940,8 @@ def _goal_count(task: GroundedTask, state: int) -> float:
 
 # -- search -------------------------------------------------------------------------
 
-def simplify(task: GroundedTask) -> GroundedTask:
+def simplify(task: GroundedTask, reads: Optional[list[tuple[int, int]]] = None
+             ) -> GroundedTask:
     """The task the search runs on: `task` projected onto the facts it reads.
 
     A fact is read when a precondition, a clause or a goal literal mentions
@@ -709,10 +955,10 @@ def simplify(task: GroundedTask) -> GroundedTask:
     same h_add and the same goal test, and the projection of a successor is
     the successor of the projection: the two tasks have the same plans, and
     search keeps apart only states that differ in what is read.  With
-    nothing unread (every Sokoban task), `task` itself is returned."""
+    nothing unread (every Sokoban task), `task` itself is returned.
+    `reads` is `task`'s read table, built here if not given."""
     read = task.goal_pos | task.goal_neg
-    for action in task.actions:
-        pos, neg = _reads(action)
+    for pos, neg in reads or _read_table(task):
         read |= pos | neg
     unread = ((1 << len(task.facts)) - 1) & ~read
     if not unread:
@@ -735,14 +981,17 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
     start = time.perf_counter()
     stats = SearchStats()
     try:
-        search_task = simplify(task)
+        reads = _read_table(task)
+        # by keyword: perfbench's tracer notes `simplify`'s positional
+        # arguments as `(task,)`
+        search_task = simplify(task, reads=reads)
         if search_task.unsolvable_goal:
             return PlanResult(Status.UNSOLVABLE, None, stats)
         if goal_satisfied(search_task, search_task.init):
             return PlanResult(Status.SOLVED, (), stats)
         search = _bfs if cfg.mode is Mode.BLIND_BFS else _best_first
-        result = search(search_task, _Successors(search_task), cfg, stats,
-                        start, max(1000, cfg.memory_limit // 64))
+        result = search(search_task, reads, _symmetry(search_task, reads),
+                        cfg, stats, start, max(1000, cfg.memory_limit // 64))
         if result.plan and search_task is not task:
             own = dict(zip(map(id, search_task.actions), task.actions))
             result.plan = tuple(own[id(a)] for a in result.plan)
@@ -751,7 +1000,8 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
         stats.wall_time = time.perf_counter() - start
 
 
-def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
+def _bfs(task, reads, symmetry, cfg, stats, start, max_states
+         ) -> PlanResult:
     """Breadth-first search.  ``parents`` maps each state found to the state
     it was reached from, ints only, so the cyclic GC has nothing to walk
     there (Fast Downward keeps a parent id per state; Helmert, JAIR 2006).
@@ -760,21 +1010,27 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
     ``expand(parent)`` that leads to the child, where ``expand`` is the
     expansion the search made: ``_Successors.applicable`` for BFS, its
     stubborn-kept actions for best-first search, both answered from the
-    memo the search filled.  The search kept that action and skipped the
+    memo the search filled, each through ``symmetry`` if the task has
+    interchangeable objects.  The search kept that action and skipped the
     rest as duplicates or as no cheaper."""
     parents = {task.init: None}
     queue = deque([task.init])
     deadline = start + cfg.time_limit
     goal_pos, goal_neg = task.goal_pos, task.goal_neg
-    applicable = successors.applicable
-    expanded = generated = 0
+    applicable = _Successors(task, reads).applicable
+    expanded = generated = pruned = 0
     try:
         while queue:
             if expanded % 512 == 0 and time.perf_counter() > deadline:
                 return PlanResult(Status.TIMEOUT, None, stats)
             state = queue.popleft()
             expanded += 1
-            for action in applicable(state):
+            answer = applicable(state)
+            if symmetry is not None:
+                kept = symmetry.keep(state, answer)
+                pruned += len(answer) - len(kept)
+                answer = kept
+            for action in answer:
                 succ = (state & ~action.delete) | action.add
                 if succ in parents:
                     continue
@@ -782,13 +1038,16 @@ def _bfs(task, successors, cfg, stats, start, max_states) -> PlanResult:
                 generated += 1
                 if succ & goal_pos == goal_pos and not succ & goal_neg:
                     return PlanResult(Status.SOLVED, _rebuild(
-                        parents, applicable, succ), stats)
+                        parents, applicable if symmetry is None else
+                        lambda s: symmetry.keep(s, applicable(s)), succ),
+                        stats)
                 if len(parents) > max_states:
                     return PlanResult(Status.OUT_OF_MEMORY, None, stats)
                 queue.append(succ)
         return PlanResult(Status.UNSOLVABLE, None, stats)
     finally:
         stats.expanded, stats.generated = expanded, generated
+        stats.pruned = pruned
 
 
 def _rebuild(parents, expand, state) -> tuple[GroundAction, ...]:
@@ -801,11 +1060,13 @@ def _rebuild(parents, expand, state) -> tuple[GroundAction, ...]:
     return tuple(plan)
 
 
-def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
+def _best_first(task, reads, symmetry, cfg, stats, start, max_states
+                ) -> PlanResult:
     """Greedy (or A*) best-first search on h, with duplicate detection.
     A popped non-goal state expands only the applicable actions of a strong
-    stubborn set (``_StubbornSets``), which keeps a plan from every solvable
-    state; ``stats.pruned`` counts the applicable actions it left out."""
+    stubborn set (``_StubbornSets``), less those ``symmetry`` drops, which
+    keeps a plan from every solvable state; ``stats.pruned`` counts the
+    applicable actions left out."""
     if cfg.mode is Mode.GOAL_COUNT:
         h = lambda s: _goal_count(task, s)  # noqa: E731
     else:
@@ -819,7 +1080,13 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
     stats.evaluated += 1
     open_heap = [(h0, h0, counter ^ cfg.seed, task.init)]
     closed: set[int] = set()
-    stubborn = _StubbornSets(task)
+    successors = _Successors(task, reads)
+    stubborn = _StubbornSets(task, reads)
+
+    def expand(state, answer):
+        kept = stubborn.keep(state, answer)
+        return kept if symmetry is None else symmetry.keep(state, kept)
+
     while open_heap:
         if stats.expanded % 256 == 0 and time.perf_counter() > deadline:
             return PlanResult(Status.TIMEOUT, None, stats)
@@ -830,11 +1097,11 @@ def _best_first(task, successors, cfg, stats, start, max_states) -> PlanResult:
         stats.expanded += 1
         if goal_satisfied(task, state):
             return PlanResult(Status.SOLVED, _rebuild(
-                parents, lambda s: stubborn.keep(s, successors.applicable(s)),
+                parents, lambda s: expand(s, successors.applicable(s)),
                 state), stats)
         g = g_cost[state]
         applicable = successors.applicable(state)
-        kept = stubborn.keep(state, applicable)
+        kept = expand(state, applicable)
         stats.pruned += len(applicable) - len(kept)
         for action in kept:
             succ = (state & ~action.delete) | action.add

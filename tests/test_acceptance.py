@@ -28,7 +28,8 @@ from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.games import load_game, load_level
 from vgdl2pddl.ground import apply, applicable, ground
 from vgdl2pddl.pddl import Atom, print_domain, print_problem
-from vgdl2pddl.planner import Mode, SearchConfig, Status, _Successors, solve
+from vgdl2pddl.planner import (Mode, SearchConfig, Status, _read_table,
+                               _Successors, solve)
 from vgdl2pddl.problems import config_to_text, emit_config, generate_problem
 from vgdl2pddl.vgdl import parse_gdf, parse_ldf
 
@@ -291,7 +292,8 @@ def test_c4_random_walks(name):
 
     def grounded(problem):
         task = ground(game.domain, problem)
-        return task, _Successors(task), 1 << task.fact_id[Atom("turn-avatar")]
+        return task, _Successors(task, _read_table(task)), \
+            1 << task.fact_id[Atom("turn-avatar")]
 
     checks = failed_pushes = 0
     for level in (0, 1):

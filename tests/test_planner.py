@@ -557,14 +557,18 @@ class TestHAddMemo:
 # projection onto the facts the task reads: states that differ only in an
 # unread fact (the avatar's `oriented-*`, digger's `dead` dirt and gems) are
 # one state now (BlindBFS aliens lvl1: 160646 -> 126792 expansions; Sokoban
-# reads every fact and did not move).
+# reads every fact and did not move).  The aliens counts, not the digests,
+# were re-pinned when search began to use untouched ammunition lowest-first
+# (`planner._Symmetry`): the bullets are interchangeable, so firing any one
+# of the untouched ones is one choice (BlindBFS lvl1: 126792 -> 24381
+# expansions).  No other level has interchangeable objects.
 SEARCH_PINS = {
     ("GBFS_hadd", "aliens", 0): (
         "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
-        89, 120),
+        89, 114),
     ("GBFS_hadd", "aliens", 1): (
         "8393976e130fd8ba2cf3b0ae836706459d24f6aa022f42324366e508c11bb854",
-        184, 266),
+        184, 237),
     ("GBFS_hadd", "digger", 0): (
         "2b27f80573814ee7efe6f451cc28b83ff99b86dbd6144aafb9dae4a0026b996a",
         79, 104),
@@ -603,10 +607,10 @@ SEARCH_PINS = {
         108, 153),
     ("BlindBFS", "aliens", 0): (
         "74e8f348be9b44d8228500295767b2883242f86193a5aab96a28e5f374dd6d11",
-        6603, 6643),
+        3405, 3429),
     ("BlindBFS", "aliens", 1): (
         "d381a364e8af07194ff5baa8f81dc3af0c640196282877cf07245b2bb65685dd",
-        126792, 127710),
+        24381, 24595),
     ("BlindBFS", "digger", 0): (
         "d7e0d86dd37da3352907ba56ec615b9782427e9c891c1775a0f661c34481032a",
         3500, 3685),
@@ -665,11 +669,12 @@ class TestSearchStability:
 # generated) for A* and GoalCount, which rebuild their plans from the same
 # parent map as GBFS. On zenpuzzle lvl0 A* finds five states again at a
 # lower g and re-parents them. The counts were re-pinned, the digests kept,
-# when search moved to `simplify`'s projection (see SEARCH_PINS).
+# when search moved to `simplify`'s projection and when it began to use
+# interchangeable objects lowest-first (see SEARCH_PINS).
 BEST_FIRST_PINS = {
     ("AStar_hadd", "aliens", 1): (
         "8393976e130fd8ba2cf3b0ae836706459d24f6aa022f42324366e508c11bb854",
-        503, 683),
+        311, 371),
     ("AStar_hadd", "digger", 1): (
         "bca7130d454b3bd7f37eb28aefb23dd7b358a53b58fc45836ec367568891e767",
         1147, 1318),
@@ -678,7 +683,7 @@ BEST_FIRST_PINS = {
         185, 250),
     ("GoalCount", "aliens", 1): (
         "ab1eeb6fba019fc732799b99285f913faa03f27f0a3d27b8c320c71fa34d1c6a",
-        9204, 10213),
+        3904, 4171),
     ("GoalCount", "digger", 1): (
         "88263522abd50faf76ec8e8e529affa945f78c59732212f8a55e565680c33016",
         8716, 9347),
@@ -724,6 +729,14 @@ class TestBestFirstPlans:
         assert solved >= 500
 
 
+def make_successors(task):
+    return planner._Successors(task, planner._read_table(task))
+
+
+def make_stubborn(task):
+    return planner._StubbornSets(task, planner._read_table(task))
+
+
 def expanded_states(task, mode, monkeypatch):
     """(search task, every state the search asks successors of before it
     rebuilds the plan, the generator it built, the result) for one search
@@ -731,8 +744,8 @@ def expanded_states(task, mode, monkeypatch):
     seen = {}
 
     class Recording(planner._Successors):
-        def __init__(self, search_task):
-            super().__init__(search_task)
+        def __init__(self, search_task, reads):
+            super().__init__(search_task, reads)
             seen.update(task=search_task, states=[], successors=self)
 
         def applicable(self, state):
@@ -761,7 +774,7 @@ def assert_same_successors(task, states):
     grounding order.  Grounding order is the generator's order whenever the
     actions applicable in one state come in gate-bucket order, as they do in
     a compiled task, where one phase is active at a time."""
-    successors = planner._Successors(task)
+    successors = make_successors(task)
     yielded = 0
     for state in states:
         got = list(successors.applicable(state))
@@ -857,7 +870,7 @@ class TestSuccessorMemo:
         pairs = [group[:2] for group in by_projection.values()
                  if len(group) > 1]
         assert pairs
-        successors = planner._Successors(task)
+        successors = make_successors(task)
         for first, second in pairs:
             assert first != second
             got = successors.applicable(first)
@@ -873,10 +886,10 @@ class TestSuccessorMemo:
         for state in states:
             by_gates.setdefault(state & gate_mask, []).append(state)
         assert len(by_gates) > 1
-        together = planner._Successors(task)
+        together = make_successors(task)
         apart = 0
         for group in by_gates.values():
-            alone = planner._Successors(task)
+            alone = make_successors(task)
             for state in group:
                 assert list(together.applicable(state)) == \
                     list(alone.applicable(state)) == self.scan(task, state)
@@ -1029,8 +1042,8 @@ def gbfs_kept(task, monkeypatch):
     made = {}
 
     class Recording(planner._StubbornSets):
-        def __init__(self, search_task):
-            super().__init__(search_task)
+        def __init__(self, search_task, reads):
+            super().__init__(search_task, reads)
             made["task"] = search_task
 
         def keep(self, state, answer):
@@ -1048,8 +1061,8 @@ def gbfs_kept(task, monkeypatch):
 def stubborn_bfs(task):
     """(plan length or None, expansions, actions pruned) of breadth-first
     search that expands only the actions the stubborn sets keep."""
-    successors = planner._Successors(task)
-    stubborn = planner._StubbornSets(task)
+    successors = make_successors(task)
+    stubborn = make_stubborn(task)
     depth = {task.init: 0}
     queue = deque([task.init])
     expanded = pruned = 0
@@ -1163,13 +1176,13 @@ class TestStubbornSets:
         made = {}
 
         class Successors(planner._Successors):
-            def __init__(self, task):
-                super().__init__(task)
+            def __init__(self, task, reads):
+                super().__init__(task, reads)
                 made["successors"] = self
 
         class Stubborn(planner._StubbornSets):
-            def __init__(self, task):
-                super().__init__(task)
+            def __init__(self, task, reads):
+                super().__init__(task, reads)
                 made["stubborn"] = self
 
         with monkeypatch.context() as m:
@@ -1183,7 +1196,7 @@ class TestStubbornSets:
 
     def test_interference_tables_match_pairwise_test(self, monkeypatch):
         task, seen, _ = gbfs_kept(level_task("rain", 1), monkeypatch)
-        stubborn = planner._StubbornSets(task)
+        stubborn = make_stubborn(task)
         stubborn._build()
         index = {id(a): i for i, a in enumerate(task.actions)}
         movers = {index[id(a)] for _, answer, _ in seen for a in answer}
@@ -1232,8 +1245,8 @@ class TestStubbornSets:
         strict = 0
         for _ in range(300):
             task = random_task(rng)
-            successors = planner._Successors(task)
-            stubborn = planner._StubbornSets(task)
+            successors = make_successors(task)
+            stubborn = make_stubborn(task)
             reference = ReferenceStubborn(task)
             seen, queue = {task.init}, deque([task.init])
             while queue:
@@ -1265,7 +1278,7 @@ class TestStubbornSets:
                             False)
         assert interfere(a, b)
         assert not interfere(a, d) and not interfere(b, d)
-        assert planner._StubbornSets(task).keep(task.init, (a, b, d)) == (a, b)
+        assert make_stubborn(task).keep(task.init, (a, b, d)) == (a, b)
         result = solve(task, SearchConfig(mode=Mode.GBFS_HADD))
         assert result.status is Status.SOLVED and result.plan == (a, b)
         assert stubborn_bfs(task)[0] == 2
@@ -1277,7 +1290,7 @@ class TestStubbornSets:
         assert not interfere(a, b) and interfere(a, c)
 
         def shortcut_bfs():
-            successors = planner._Successors(task)
+            successors = make_successors(task)
             seen, queue = {task.init}, deque([task.init])
             while queue:
                 state = queue.popleft()
@@ -1429,6 +1442,108 @@ class TestSimplify:
                 for a, b in zip(steps, search_steps):
                     assert apply(state, a) & read == apply(state & read, b)
         assert projected >= 50
+
+
+def symmetry_classes(task):
+    """The classes of interchangeable objects search uses on `task`."""
+    search = simplify(task)
+    symmetry = planner._symmetry(search, planner._read_table(search))
+    return symmetry and symmetry.classes
+
+
+def pool_task(goal_neg=(), static=(), finish=None, drop=(), extra=None,
+              throw=False):
+    """Two objects `p` and `q` in reserve: USE moves one out of reserve and
+    FINISH needs one used.  Unchanged, `p` and `q` are interchangeable; the
+    arguments break the symmetry one way each."""
+    facts = (Atom("done"),) + tuple(Atom(pred, (x,)) for pred in
+                                    ("in-reserve", "used") for x in "pq")
+    bit = {str(atom): 1 << i for i, atom in enumerate(facts)}
+    used = (bit["(used p)"] | bit["(used q)"], 0)
+    actions = [GroundAction("USE", (x,), bit[f"(in-reserve {x})"], 0, (),
+                            bit[f"(used {x})"], bit[f"(in-reserve {x})"])
+               for x in "pq" if x not in drop]
+    actions.append(GroundAction("FINISH", (), finish or 0, bit["(done)"],
+                                () if finish else (used,), bit["(done)"], 0))
+    if extra:
+        actions[1] = dataclasses.replace(actions[1], neg_pre=bit[extra])
+    if throw:
+        actions.append(dataclasses.replace(actions[1], name="THROW"))
+    return GroundedTask(
+        facts, tuple(actions), bit["(in-reserve p)"] | bit["(in-reserve q)"],
+        bit["(done)"], sum(bit[f] for f in goal_neg),
+        frozenset(static), False)
+
+
+def random_aliens_level(rng):
+    """A small aliens level: the avatar on the bottom row, and two aliens
+    and at times a rock at least two rows above it."""
+    w, h = rng.choice([(4, 3), (5, 3), (4, 4), (5, 4)])
+    rows = [[" "] * w for _ in range(h)]
+    rows[h - 1][rng.randrange(w)] = "p"
+    cells = [(x, y) for x in range(w) for y in range(h - 2)]
+    for (x, y), char in zip(rng.sample(cells, 3), "aar"):
+        if char == "a" or rng.random() < 0.3:
+            rows[y][x] = char
+    return "\n".join("".join(row) for row in rows)
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("name", available_games())
+    def test_only_the_aliens_ammunition_is_interchangeable(self, name):
+        for index in (0, 1):
+            classes = symmetry_classes(level_task(name, index))
+            if name == "aliens":
+                assert classes == [[f"bullet_ammo_{k}"
+                                    for k in range(1, 3 + index)]]
+            else:
+                assert classes is None
+
+    def test_no_ladder_rung_has_interchangeable_objects(self, monkeypatch):
+        inputs = perfbench_module("inputs", monkeypatch)
+        game = compile_game(load_game("sokoban"))
+        for _, text in inputs.ladder_levels(1):
+            problem, _ = generate_problem(parse_ldf(text, game.model), game)
+            assert symmetry_classes(ground(game.domain, problem)) is None
+
+    def test_pool_objects_are_interchangeable(self):
+        task = pool_task()
+        assert symmetry_classes(task) == [["p", "q"]]
+        result = solve(task, SearchConfig(mode=Mode.BLIND_BFS))
+        assert result.steps == [("USE", ("p",)), ("FINISH", ())]
+        assert result.stats.pruned == 1
+
+    @pytest.mark.parametrize("asymmetry", [
+        {"goal_neg": ["(used q)"]},
+        {"static": [Atom("loaded", ("p",))]},
+        {"finish": 1 << 3},  # FINISH needs (used p), not (used q)
+        {"drop": "q"},
+        {"throw": True},  # q has a second way out of reserve
+        {"extra": "(used p)"},  # USE q waits for p to be unused
+    ])
+    def test_asymmetric_objects_are_not_grouped(self, asymmetry):
+        task = pool_task(**asymmetry)
+        assert symmetry_classes(task) is None
+        result = solve(task, SearchConfig(mode=Mode.BLIND_BFS))
+        assert len(result.plan) == exhaustive_optimum(task) == 2
+
+    def test_random_aliens_levels_keep_their_optimum(self):
+        game = compile_game(load_game("aliens"))
+        rng = random.Random(23)
+        pruned = 0
+        for _ in range(12):
+            text = random_aliens_level(rng)
+            problem, _ = generate_problem(parse_ldf(text, game.model), game)
+            task = ground(game.domain, problem)
+            assert symmetry_classes(task)
+            for mode in Mode:
+                result = solve(task, SearchConfig(mode=mode))
+                assert result.status is Status.SOLVED, text
+                assert validate(task, result.plan) == (True, None)
+                if mode is Mode.BLIND_BFS:
+                    assert len(result.plan) == exhaustive_optimum(task), text
+                    pruned += result.stats.pruned > 0
+        assert pruned == 12
 
 
 # sokoban with its box type written in capitals: objects are named `Box_2_2`,
