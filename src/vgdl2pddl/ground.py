@@ -96,7 +96,12 @@ class GroundedTask:
     and the adds of the relaxed-reachable actions) sorted by text; bit `i`
     of a state is `facts[i]`. `fact_id` and the action index are derived
     from `facts` and `actions`. A negative goal literal on an atom outside
-    `facts` always holds and is left out of `goal_neg`."""
+    `facts` always holds and is left out of `goal_neg`.
+
+    `interchangeable` holds the classes of objects that `ground` found on
+    the lifted problem (`_interchangeable`), members in object order:
+    swapping two members maps the task onto itself. A hand-built task has
+    none."""
     facts: tuple[Atom, ...]
     actions: tuple[GroundAction, ...]
     init: int
@@ -104,6 +109,7 @@ class GroundedTask:
     goal_neg: int
     static_facts: frozenset[Atom]
     unsolvable_goal: bool  # a positive goal atom can never become true
+    interchangeable: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
         self.fact_id = {f: i for i, f in enumerate(self.facts)}
@@ -1091,7 +1097,37 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         static_facts=frozenset(problem.init).difference(init_dynamic),
         # statically false, or a positive goal atom is never true
         unsolvable_goal=goal is None or any(a not in fact_id for a in goal_pos),
+        interchangeable=_interchangeable(domain, problem, goal_pos, goal_neg),
     )
+
+
+def _interchangeable(domain: Domain, problem: Problem, goal_pos: list[Atom],
+                     goal_neg: list[Atom]) -> tuple[tuple[str, ...], ...]:
+    """The classes of interchangeable objects of `problem`, each in the
+    problem's object order (Pochter, Zohar & Rosenschein, AAAI 2011;
+    Sievers et al., ICAPS 2019). The candidates are the objects that init
+    or a grounded goal literal names, less the domain's constants, grouped
+    by declared type and by signature: those atoms with the object blanked
+    wherever it occurs. Two objects of one signature are named together by
+    no such atom, so swapping them fixes init, static facts included, and
+    the goal. The domain names neither and both have one type, so the swap
+    fixes the lifted problem, and with it every grounding: the fact table,
+    and the actions, each onto the one of the same name with the swapped
+    arguments."""
+    signature: dict[str, set] = {}
+    for tag, atoms in enumerate((problem.init, goal_pos, goal_neg)):
+        for atom in atoms:
+            args = atom.args
+            for x in args:
+                signature.setdefault(x, set()).add(
+                    (tag, atom.predicate,
+                     tuple(["?" if y == x else y for y in args])))
+    constants = {obj for obj, _ in domain.constants}
+    groups: dict[tuple[str, frozenset], list[str]] = {}
+    for obj, typ in dict(problem.objects).items():
+        if obj in signature and obj not in constants:
+            groups.setdefault((typ, frozenset(signature[obj])), []).append(obj)
+    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
 # -- STRIPS semantics -------------------------------------------------------------

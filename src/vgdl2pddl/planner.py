@@ -13,10 +13,11 @@ order and heap ties break on insertion-order XOR seed.  Every mode searches
 ``simplify(task)``, the task projected onto the facts that a precondition,
 a clause or the goal reads, so states that differ only in unread facts are
 one state (aliens lvl1 blind BFS: 160,646 -> 126,792 expansions, same plan).
-Every mode also uses interchangeable objects lowest-first (``_Symmetry``):
-of a compiled avatar's identical rounds of ammunition, search fires only
-the lowest untouched one (aliens lvl1 blind BFS: 126,792 -> 24,381
-expansions, same plan).
+Every mode also uses interchangeable objects lowest-first (``_Symmetry``,
+on the classes ``ground`` finds on the lifted problem): of a compiled
+avatar's identical rounds of ammunition, search fires only the lowest
+untouched one (aliens lvl1 blind BFS: 126,792 -> 24,381 expansions, same
+plan).
 
 Compiled tasks gate almost every action behind a phase fact (turn-avatar,
 turn-interactions, turn-<T>-move, ...), so successor generation buckets
@@ -472,50 +473,49 @@ class _Symmetry:
     """Symmetry pruning over classes of interchangeable objects (Fox & Long,
     IJCAI 1999; Pochter, Zohar & Rosenschein, AAAI 2011).
 
-    Two objects are interchangeable when swapping their names maps the task
-    onto itself: init, the goal, the static facts and the action set, each
-    action onto the one of the same name with the swapped arguments and
-    masks.  A class is a set of objects every two of which are
-    interchangeable, like a compiled avatar's ammunition pool
-    (``bullet_ammo_1..k``).  A member is untouched in a state when every
-    fact that names it has its init value; swapping two untouched members
-    then maps the state onto itself, and so does every permutation of a
-    class's untouched members.
+    ``ground`` finds the classes on the lifted problem
+    (``GroundedTask.interchangeable``), like a compiled avatar's ammunition
+    pool (``bullet_ammo_1..k``).  A member is untouched in a state when
+    every fact that names it has its init value; swapping two untouched
+    members then maps the state onto itself, and so does every permutation
+    of a class's untouched members.
 
     ``keep`` drops an action of an answer when its image is another action
     of that answer.  The image renames the action's untouched members, in
-    order, to the lowest untouched members of their class.  Members are
-    ordered by their first init or goal fact in the text-sorted fact table,
-    so a compiled pool's ``bullet_ammo_1`` is lowest, the round an unpruned
-    search fires first.  The image leads to the image of the successor, at
-    the same goal distance, and is its own image, so it is never dropped:
-    BFS and A* keep their optimal lengths, and GBFS and goal-count search
-    stay complete.  For BFS the image is always applicable, so only images
-    are kept.  Best-first search asks after the stubborn sets, and an
-    action is dropped only for an image the set kept, which keeps the two
-    prunings safe together (Wehrle et al., IJCAI 2015).  Touched members
-    are never renamed: states are not mapped to a canonical form.
+    order, to the lowest untouched members of their class.  Members keep
+    the problem's object order, so a compiled pool's ``bullet_ammo_1`` is
+    lowest, the round an unpruned search fires first.  The image leads to
+    the image of the successor, at the same goal distance, and is its own
+    image, so it is never dropped: BFS and A* keep their optimal lengths,
+    and GBFS and goal-count search stay complete.  For BFS the image is
+    always applicable, so only images are kept.  Best-first search asks
+    after the stubborn sets, and an action is dropped only for an image the
+    set kept, which keeps the two prunings safe together (Wehrle et al.,
+    IJCAI 2015).  Touched members are never renamed: states are not mapped
+    to a canonical form.
 
     ``keep`` remembers its answer per (answer, untouched members) for one
     search; holding the answer keeps its id from being reused.
     """
 
-    def __init__(self, task: GroundedTask, classes: list[list[str]],
-                 named: dict[str, int], by_ident):
-        self.classes = classes  # each lowest member first
-        self.names: list[str] = []  # member index -> object
-        self.bit_of: dict[str, int] = {}  # object -> its member bit
-        self.members = []  # (facts naming a member, their init, its bit)
-        self.spans = []  # per class, the bits of its members
-        for objects in classes:
-            span = 0
-            for x in objects:
-                bit = self.bit_of[x] = 1 << len(self.names)
-                self.names.append(x)
-                self.members.append((named[x], task.init & named[x], bit))
-                span |= bit
-            self.spans.append(span)
-        self.by_ident = by_ident  # (name, args) -> (action, its lanes)
+    def __init__(self, task: GroundedTask):
+        classes = task.interchangeable
+        # member index -> object, and object -> its member bit
+        self.names = [x for objects in classes for x in objects]
+        self.bit_of = {x: 1 << k for k, x in enumerate(self.names)}
+        # per class, the bits of its members
+        self.spans = [sum(map(self.bit_of.get, objects)) for objects in classes]
+        named = dict.fromkeys(self.names, 0)  # member -> the facts naming it
+        for f, atom in enumerate(task.facts):
+            for x in atom.args:
+                if x in named:
+                    named[x] |= 1 << f
+        # (facts naming a member, their init, its bit)
+        self.members = [(named[x], task.init & named[x], self.bit_of[x])
+                        for x in self.names]
+        # (name, args) -> action, for the actions naming a member
+        self.by_ident = {a.ident: a for a in task.actions
+                         if not self.bit_of.keys().isdisjoint(a.args)}
         # (id(answer), untouched members) -> (answer, the actions kept)
         self._memo: dict[tuple[int, int], tuple] = {}
 
@@ -563,138 +563,7 @@ class _Symmetry:
         if not rename:
             return action
         return self.by_ident[action.name,
-                             tuple(rename.get(x, x) for x in action.args)][0]
-
-
-def _symmetry(task: GroundedTask, reads) -> Optional[_Symmetry]:
-    """The classes of interchangeable objects of ``task``, or None if it has
-    none.  The candidates are the objects an init or goal fact names,
-    grouped by their signature: those facts with the object blanked
-    wherever it occurs.  Two objects with one signature are named together
-    by none of those facts, so swapping them maps init and the goal onto
-    themselves; ``_swaps`` checks the static facts and the actions against
-    the group's first object, and those that fail form a group of their
-    own.  Members keep the order of their first init or goal fact."""
-    facts = task.facts
-    signature: dict[str, set] = {}
-    for tag, mask in enumerate((task.init, task.goal_pos, task.goal_neg)):
-        for f in _bits(mask):
-            atom = facts[f]
-            args = atom.args
-            for x in args:
-                entry = (tag, atom.predicate,
-                         tuple(["?" if y == x else y for y in args]))
-                if x in signature:
-                    signature[x].add(entry)
-                else:
-                    signature[x] = {entry}
-    groups: dict[frozenset, list[str]] = {}
-    for x, sig in signature.items():
-        groups.setdefault(frozenset(sig), []).append(x)
-    candidates = {x for g in groups.values() if len(g) > 1 for x in g}
-    if not candidates:
-        return None
-    named = dict.fromkeys(candidates, 0)  # candidate -> the facts naming it
-    fact_of = {}  # (predicate, args) -> fact, for those facts
-    for i, atom in enumerate(facts):
-        if not candidates.isdisjoint(atom.args):
-            fact_of[atom.predicate, atom.args] = i
-            for x in atom.args:
-                if x in named:
-                    named[x] |= 1 << i
-    every = 0
-    for mask in named.values():
-        every |= mask
-    # the actions that name a candidate or touch a fact naming one, with
-    # the facts they touch and their four masks as one int, a lane of
-    # len(facts) bits each
-    near = []
-    by_ident = {}  # (name, args) -> (action, its lanes), for those actions
-    n = len(facts)
-    for a, (pos, neg) in zip(task.actions, reads):
-        touch = pos | neg | a.add | a.delete
-        if touch & every or not candidates.isdisjoint(a.args):
-            lanes = a.pos_pre | (a.neg_pre | (a.add | a.delete << n) << n) << n
-            near.append((a, touch, lanes))
-            by_ident[a.name, a.args] = (a, lanes)
-    if len(by_ident) < len(near):
-        return None  # two actions share a name and arguments
-    classes = []
-    for group in groups.values():
-        while len(group) > 1:
-            first, *rest = group
-            members = [first] + [x for x in rest if _swaps(
-                task, first, x, named, fact_of, near, by_ident)]
-            if len(members) > 1:
-                classes.append(members)
-            group = [x for x in rest if x not in members]
-    return _Symmetry(task, classes, named, by_ident) if classes else None
-
-
-def _swaps(task: GroundedTask, r: str, o: str, named, fact_of, near,
-           by_ident) -> bool:
-    """Whether swapping objects ``r`` and ``o``, of one signature, maps the
-    static facts, the fact table and the actions of ``task`` onto
-    themselves.  Only the facts naming them and the actions in ``near``
-    that name them or touch those facts can change.  The swap is its own
-    inverse, so it is enough that the facts and actions naming ``r`` have
-    images, as many as ``o`` has, and that the other actions that touch
-    those facts are fixed."""
-    if named[r].bit_count() != named[o].bit_count():
-        return False
-    rename = {r: o, o: r}
-    static = task.static_facts
-    if any(pddl.Atom(atom.predicate, tuple(map(rename.get, atom.args,
-                                               atom.args))) not in static
-           for atom in static if r in atom.args or o in atom.args):
-        return False
-    n = len(task.facts)
-    # offset -> the facts whose image is that many places on: one offset
-    # each way where the two objects' facts interleave in the table
-    shifts: dict[int, int] = {}
-    for f in _bits(named[r]):
-        atom = task.facts[f]
-        g = fact_of.get((atom.predicate,
-                         tuple(map(rename.get, atom.args, atom.args))))
-        if g is None:
-            return False
-        shifts[g - f] = shifts.get(g - f, 0) | 1 << f
-    for offset, moved in list(shifts.items()):  # and back
-        shifts[-offset] = shifts.get(-offset, 0) | (
-            moved << offset if offset >= 0 else moved >> -offset)
-
-    def lanes(mask):
-        return mask | (mask | (mask | mask << n) << n) << n
-
-    both = named[r] | named[o]
-    fixed = ~lanes(both)
-    moves = [(offset, lanes(moved)) for offset, moved in shifts.items()]
-
-    def permute(mask):  # of a mask or of lanes
-        out = mask & fixed
-        for offset, moved in moves:
-            moved &= mask
-            out |= moved << offset if offset >= 0 else moved >> -offset
-        return out
-
-    balance = 0  # actions naming r, less those naming o
-    for a, touch, a_lanes in near:
-        args = a.args
-        if o in args:
-            if r not in args:
-                balance -= 1
-                continue
-        elif r in args:
-            balance += 1
-        elif not touch & both:
-            continue
-        b, b_lanes = by_ident.get((a.name, tuple(map(rename.get, args, args))),
-                                  (None, None))
-        if b_lanes != permute(a_lanes) or (a.clauses or b.clauses) and sorted(
-                b.clauses) != sorted((permute(pos), permute(neg))
-                                     for pos, neg in a.clauses):
-            return False
-    return not balance
+                             tuple(rename.get(x, x) for x in action.args)]
 
 
 # -- additive heuristic -------------------------------------------------------------
@@ -990,8 +859,10 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
         if goal_satisfied(search_task, search_task.init):
             return PlanResult(Status.SOLVED, (), stats)
         search = _bfs if cfg.mode is Mode.BLIND_BFS else _best_first
-        result = search(search_task, reads, _symmetry(search_task, reads),
-                        cfg, stats, start, max(1000, cfg.memory_limit // 64))
+        symmetry = (_Symmetry(search_task) if search_task.interchangeable
+                    else None)
+        result = search(search_task, reads, symmetry, cfg, stats, start,
+                        max(1000, cfg.memory_limit // 64))
         if result.plan and search_task is not task:
             own = dict(zip(map(id, search_task.actions), task.actions))
             result.plan = tuple(own[id(a)] for a in result.plan)

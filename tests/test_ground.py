@@ -14,6 +14,8 @@ from oracle_interp import (
 )
 from reference_ground import reference_ground, reference_simplify
 from test_compiler import _stability_model
+from test_planner import (POOL_ASYMMETRIES, level_task, pool_task,
+                          random_aliens_level)
 from vgdl2pddl import engine
 from vgdl2pddl import ground as ground_module
 from vgdl2pddl.compiler import compile_game
@@ -884,3 +886,49 @@ class TestReferenceEquality:
             for a, ref in pairs:
                 assert (applicable(state(task, true), a)
                         == applicable(state(reference, true), ref)), (a, true)
+
+
+def atom_view(task, rename=None):
+    """`task` as atoms, every object renamed by `rename`: its facts, static
+    facts, init and goal, and each action's ident with its precondition,
+    clause and effect atoms."""
+    def named(atom):
+        return Atom(atom.predicate, tuple(rename.get(x, x) for x in atom.args))
+
+    def atoms(mask):
+        return frozenset(map(named, task.state_atoms(mask)))
+
+    rename = rename or {}
+    actions = {(a.name, tuple(rename.get(x, x) for x in a.args)):
+               (atoms(a.pos_pre), atoms(a.neg_pre),
+                frozenset((atoms(pos), atoms(neg)) for pos, neg in a.clauses),
+                atoms(a.add), atoms(a.delete))
+               for a in task.actions}
+    assert len(actions) == len(task.actions)
+    return (frozenset(map(named, task.facts)),
+            frozenset(map(named, task.static_facts)), atoms(task.init),
+            atoms(task.goal_pos), atoms(task.goal_neg), actions)
+
+
+class TestInterchangeable:
+    def test_every_swap_maps_the_task_onto_itself(self):
+        """Swapping any two members of a class `ground` reports fixes the
+        task atom by atom: facts, static facts, init, goal, action idents,
+        and each action's precondition, clause and effect atoms."""
+        game = compile_game(load_game("aliens"))
+        tasks = [level_task("aliens", index) for index in (0, 1)]
+        tasks += [ground(*_case(case)) for case in sorted(MID_EPISODE)]
+        rng = random.Random(23)
+        for _ in range(12):
+            grid = parse_ldf(random_aliens_level(rng), game.model)
+            tasks.append(ground(game.domain, generate_problem(grid, game)[0]))
+        tasks += [pool_task()]
+        tasks += [pool_task(**asymmetry) for asymmetry in POOL_ASYMMETRIES]
+        swaps = 0
+        for task in tasks:
+            view = atom_view(task)
+            for members in task.interchangeable:
+                for x, y in itertools.combinations(members, 2):
+                    assert atom_view(task, {x: y, y: x}) == view, (x, y)
+                    swaps += 1
+        assert swaps == 1 + 3 + 1 + 3 + 12 + 1

@@ -24,7 +24,7 @@ from vgdl2pddl.ground import (
     ground,
 )
 from vgdl2pddl.pddl import (Atom, format_plan, parse_plan, print_domain,
-                            print_problem)
+                            print_problem, read_domain, read_problem)
 from vgdl2pddl import planner
 from vgdl2pddl.planner import (
     INF,
@@ -1446,33 +1446,58 @@ class TestSimplify:
 
 def symmetry_classes(task):
     """The classes of interchangeable objects search uses on `task`."""
-    search = simplify(task)
-    symmetry = planner._symmetry(search, planner._read_table(search))
-    return symmetry and symmetry.classes
+    return [list(c) for c in simplify(task).interchangeable] or None
 
 
-def pool_task(goal_neg=(), static=(), finish=None, drop=(), extra=None,
-              throw=False):
-    """Two objects `p` and `q` in reserve: USE moves one out of reserve and
-    FINISH needs one used.  Unchanged, `p` and `q` are interchangeable; the
-    arguments break the symmetry one way each."""
-    facts = (Atom("done"),) + tuple(Atom(pred, (x,)) for pred in
-                                    ("in-reserve", "used") for x in "pq")
-    bit = {str(atom): 1 << i for i, atom in enumerate(facts)}
-    used = (bit["(used p)"] | bit["(used q)"], 0)
-    actions = [GroundAction("USE", (x,), bit[f"(in-reserve {x})"], 0, (),
-                            bit[f"(used {x})"], bit[f"(in-reserve {x})"])
-               for x in "pq" if x not in drop]
-    actions.append(GroundAction("FINISH", (), finish or 0, bit["(done)"],
-                                () if finish else (used,), bit["(done)"], 0))
-    if extra:
-        actions[1] = dataclasses.replace(actions[1], neg_pre=bit[extra])
-    if throw:
-        actions.append(dataclasses.replace(actions[1], name="THROW"))
-    return GroundedTask(
-        facts, tuple(actions), bit["(in-reserve p)"] | bit["(in-reserve q)"],
-        bit["(done)"], sum(bit[f] for f in goal_neg),
-        frozenset(static), False)
+POOL_DOMAIN = """\
+(define (domain pool)
+  (:requirements :strips :typing :negative-preconditions)
+  (:types spare - ball ball)
+  {constants}
+  (:predicates (in-reserve ?b - ball) (used ?b - ball) (jammed ?b - ball)
+               (linked ?a ?b - ball) (done))
+  (:action USE
+    :parameters (?b - ball)
+    :precondition (and (in-reserve ?b) (not (jammed ?b)) {use})
+    :effect (and (used ?b) (not (in-reserve ?b))))
+  (:action FINISH
+    :parameters (?b - ball)
+    :precondition (and (used ?b) (not (done)))
+    :effect (done))
+  (:action SPARE
+    :parameters (?s - spare)
+    :precondition (in-reserve ?s)
+    :effect (done)))
+"""
+
+POOL_PROBLEM = """\
+(define (problem pool-1) (:domain pool)
+  (:objects {objects})
+  (:init {init})
+  (:goal {goal}))
+"""
+
+# one way each to tell `p` and `q` apart, by keyword of `pool_task`
+POOL_ASYMMETRIES = [
+    {"goal": "(and (done) (not (used q)))"},  # the goal names q
+    {"init": "(in-reserve p) (in-reserve q) (jammed p)"},  # a static fact
+    {"constants": "(:constants p - ball)", "objects": "q - ball",
+     "use": "(not (used p))"},  # a schema names p as a domain constant
+    {"objects": "p - ball q - spare"},  # q has a subtype, which SPARE takes
+    {"init": "(in-reserve p) (in-reserve q) (linked p q)"},  # one fact, both
+    {"init": "(used p) (in-reserve q)"},  # a dynamic init fact
+]
+
+
+def pool_task(objects="p q - ball", init="(in-reserve p) (in-reserve q)",
+              goal="(done)", constants="", use=""):
+    """Two balls `p` and `q` in reserve, grounded: USE moves one out of
+    reserve and FINISH needs one used.  Unchanged, `p` and `q` are
+    interchangeable; each of `POOL_ASYMMETRIES` tells them apart."""
+    domain = read_domain(POOL_DOMAIN.format(constants=constants, use=use))
+    problem = read_problem(POOL_PROBLEM.format(objects=objects, init=init,
+                                               goal=goal))
+    return ground(domain, problem)
 
 
 def random_aliens_level(rng):
@@ -1510,22 +1535,25 @@ class TestSymmetry:
         task = pool_task()
         assert symmetry_classes(task) == [["p", "q"]]
         result = solve(task, SearchConfig(mode=Mode.BLIND_BFS))
-        assert result.steps == [("USE", ("p",)), ("FINISH", ())]
+        assert result.steps == [("USE", ("p",)), ("FINISH", ("p",))]
         assert result.stats.pruned == 1
 
-    @pytest.mark.parametrize("asymmetry", [
-        {"goal_neg": ["(used q)"]},
-        {"static": [Atom("loaded", ("p",))]},
-        {"finish": 1 << 3},  # FINISH needs (used p), not (used q)
-        {"drop": "q"},
-        {"throw": True},  # q has a second way out of reserve
-        {"extra": "(used p)"},  # USE q waits for p to be unused
-    ])
+    @pytest.mark.parametrize("asymmetry", POOL_ASYMMETRIES)
     def test_asymmetric_objects_are_not_grouped(self, asymmetry):
         task = pool_task(**asymmetry)
         assert symmetry_classes(task) is None
         result = solve(task, SearchConfig(mode=Mode.BLIND_BFS))
-        assert len(result.plan) == exhaustive_optimum(task) == 2
+        assert len(result.plan) == exhaustive_optimum(task)
+
+    def test_members_keep_the_problem_order(self):
+        """Ten aliens, ten rounds, in object order: `bullet_ammo_10` comes
+        last, where a text sort puts it second."""
+        game = compile_game(load_game("aliens"))
+        grid = parse_ldf("a" * 10 + "\n" + " " * 10 + "\n" + " " * 10
+                         + "\n" + " " * 4 + "p" + " " * 5, game.model)
+        task = ground(game.domain, generate_problem(grid, game)[0])
+        assert symmetry_classes(task) == [[f"bullet_ammo_{k}"
+                                           for k in range(1, 11)]]
 
     def test_random_aliens_levels_keep_their_optimum(self):
         game = compile_game(load_game("aliens"))
