@@ -101,7 +101,8 @@ class GroundedTask:
     `interchangeable` holds the classes of objects that `ground` found on
     the lifted problem (`_interchangeable`), members in object order:
     swapping two members maps the task onto itself. A hand-built task has
-    none."""
+    none. Search trusts it: a task `dataclasses.replace` edits, other than
+    by `simplify`, must pass `interchangeable=()`."""
     facts: tuple[Atom, ...]
     actions: tuple[GroundAction, ...]
     init: int
@@ -1106,14 +1107,15 @@ def _interchangeable(domain: Domain, problem: Problem, goal_pos: list[Atom],
     """The classes of interchangeable objects of `problem`, each in the
     problem's object order (Pochter, Zohar & Rosenschein, AAAI 2011;
     Sievers et al., ICAPS 2019). The candidates are the objects that init
-    or a grounded goal literal names, less the domain's constants, grouped
-    by declared type and by signature: those atoms with the object blanked
-    wherever it occurs. Two objects of one signature are named together by
-    no such atom, so swapping them fixes init, static facts included, and
-    the goal. The domain names neither and both have one type, so the swap
-    fixes the lifted problem, and with it every grounding: the fact table,
-    and the actions, each onto the one of the same name with the swapped
-    arguments."""
+    or a grounded goal literal names, less those the domain names: its
+    constants and any other name an action schema's precondition or effect
+    uses. They are grouped by declared type and by signature: those atoms
+    with the object blanked wherever it occurs. Two objects of one
+    signature are named together by no such atom, so swapping them fixes
+    init, static facts included, and the goal. The domain names neither and
+    both have one type, so the swap fixes the lifted problem, and with it
+    every grounding: the fact table, and the actions, each onto the one of
+    the same name with the swapped arguments."""
     signature: dict[str, set] = {}
     for tag, atoms in enumerate((problem.init, goal_pos, goal_neg)):
         for atom in atoms:
@@ -1122,10 +1124,12 @@ def _interchangeable(domain: Domain, problem: Problem, goal_pos: list[Atom],
                 signature.setdefault(x, set()).add(
                     (tag, atom.predicate,
                      tuple(["?" if y == x else y for y in args])))
-    constants = {obj for obj, _ in domain.constants}
+    named = {a for s in domain.actions for f in (s.precondition, s.effect)
+             for atom in atoms_in(f) for a in atom.args if a[:1] != "?"}
+    named.update(obj for obj, _ in domain.constants)
     groups: dict[tuple[str, frozenset], list[str]] = {}
     for obj, typ in dict(problem.objects).items():
-        if obj in signature and obj not in constants:
+        if obj in signature and obj not in named:
             groups.setdefault((typ, frozenset(signature[obj])), []).append(obj)
     return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 

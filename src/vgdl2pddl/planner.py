@@ -846,7 +846,8 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
     """Search ``simplify(task)`` in ``cfg.mode``.  ``simplify`` keeps the
     action order, so the plan is mapped back by position to ``task``'s own
     actions: callers (the agent, ``validate``, ``apply``) see full effects,
-    unread facts included."""
+    unread facts included.  It trusts ``task.interchangeable``: see
+    ``GroundedTask``."""
     start = time.perf_counter()
     stats = SearchStats()
     try:

@@ -1462,7 +1462,7 @@ POOL_DOMAIN = """\
     :effect (and (used ?b) (not (in-reserve ?b))))
   (:action FINISH
     :parameters (?b - ball)
-    :precondition (and (used ?b) (not (done)))
+    :precondition (and (used ?b) (not (done)) {finish})
     :effect (done))
   (:action SPARE
     :parameters (?s - spare)
@@ -1483,6 +1483,7 @@ POOL_ASYMMETRIES = [
     {"init": "(in-reserve p) (in-reserve q) (jammed p)"},  # a static fact
     {"constants": "(:constants p - ball)", "objects": "q - ball",
      "use": "(not (used p))"},  # a schema names p as a domain constant
+    {"finish": "(used q)"},  # a schema names q, undeclared as a constant
     {"objects": "p - ball q - spare"},  # q has a subtype, which SPARE takes
     {"init": "(in-reserve p) (in-reserve q) (linked p q)"},  # one fact, both
     {"init": "(used p) (in-reserve q)"},  # a dynamic init fact
@@ -1490,11 +1491,12 @@ POOL_ASYMMETRIES = [
 
 
 def pool_task(objects="p q - ball", init="(in-reserve p) (in-reserve q)",
-              goal="(done)", constants="", use=""):
+              goal="(done)", constants="", use="", finish=""):
     """Two balls `p` and `q` in reserve, grounded: USE moves one out of
     reserve and FINISH needs one used.  Unchanged, `p` and `q` are
     interchangeable; each of `POOL_ASYMMETRIES` tells them apart."""
-    domain = read_domain(POOL_DOMAIN.format(constants=constants, use=use))
+    domain = read_domain(POOL_DOMAIN.format(constants=constants, use=use,
+                                            finish=finish))
     problem = read_problem(POOL_PROBLEM.format(objects=objects, init=init,
                                                goal=goal))
     return ground(domain, problem)
