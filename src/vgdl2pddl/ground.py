@@ -10,11 +10,21 @@ Facts over static predicates (never added or deleted by any action, e.g.
 is-wall, next) are evaluated at grounding time: actions with a statically
 false precondition are dropped, literals that are statically true disappear.
 
-`_Schema` is the one path from a formula to ground clauses. It normalizes a
-schema precondition once per task, conjunct by conjunct, into clause
-templates that a binding fills in; a quantified single clause is expanded
-only over the instances that the join `_SchemaGrounder.forall_clauses`
-leaves open. The goal is grounded as the precondition of a parameterless
+Grounding runs in two stages, as Fast Downward's translator compiles a
+domain into one Datalog program before it reads any facts (Helmert 2009).
+The domain's program (`_Program`) is built on the first call for a `Domain`
+object and kept for that object's life. It holds what the domain alone
+decides: the type walk, the signature checks over schema parameters, each
+precondition conjunct's clause templates (or its forall's join plan), the
+needs, the effect positions and add/delete overlaps, and the level plan of
+every `_Join`. It holds nothing of a problem. A call binds it to one
+problem (`_Context`): the universe, the static facts, the joins over them,
+quantified effects, and the fixpoint.
+
+`_Schema` is the one path from a formula to ground clauses: the program's
+templates of a precondition, each quantified single clause expanded only
+over the instances that its join (`_Forall`) leaves open, filled in per
+binding. The goal is grounded as the precondition of a parameterless
 schema, the plan step `GOAL`, and `precondition_clauses` grounds one plan
 step, the goal included, for the execution monitor; neither expands
 effects, which only `ground`'s `_ActionSchema`s do.
@@ -49,9 +59,11 @@ checked for adding and deleting the same atom, reachable or not.
 """
 from __future__ import annotations
 
+import copy
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -222,7 +234,7 @@ def _cnf(f: Formula) -> list[list[Literal]]:
     raise TypeError(f"unexpected formula in CNF: {f!r}")
 
 
-# -- effects ---------------------------------------------------------------------
+# -- the grounding program of a domain ---------------------------------------------
 
 def _collect_effects(f: Formula, universe: dict[str, list[str]],
                      adds: set[Atom], dels: set[Atom]) -> None:
@@ -230,26 +242,12 @@ def _collect_effects(f: Formula, universe: dict[str, list[str]],
         (adds if positive else dels).add(atom)
 
 
-# -- schema grounding --------------------------------------------------------------
-
-def _check_signature(domain: Domain, atom: Atom, types_of: dict[str, str],
-                     supertypes: dict[str, tuple[str, ...]]) -> None:
-    if atom.predicate == "=":
-        return
-    try:
-        pred = domain.predicate(atom.predicate)
-    except KeyError:
-        raise TypeMismatchError(f"undeclared predicate {atom.predicate!r}")
-    if len(pred.params) != len(atom.args):
-        raise TypeMismatchError(
-            f"{atom.predicate} expects {len(pred.params)} args, got {len(atom.args)}")
-    for arg, (_, declared) in zip(atom.args, pred.params):
-        actual = types_of.get(arg)
-        if actual is None:
-            continue  # unbound variable or unknown constant checked elsewhere
-        if declared not in supertypes.get(actual, (actual,)):
-            raise TypeMismatchError(
-                f"{atom.predicate}: {arg} has type {actual}, needs {declared}")
+def _check_type(pred: str, arg: str, actual: Optional[str], declared: str,
+                supertypes: dict[str, tuple[str, ...]]) -> None:
+    """Raise unless `arg`, of type `actual`, may stand where `declared` is
+    needed; an argument of no known type (None) is not checked."""
+    if actual is not None and declared not in supertypes.get(actual, (actual,)):
+        raise TypeMismatchError(f"{pred}: {arg} has type {actual}, needs {declared}")
 
 
 def _split_conjuncts(f: Formula) -> list[Formula]:
@@ -261,12 +259,12 @@ def _split_conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
-class _AtomTable(dict):
-    """Ground atoms interned by (predicate, args)."""
-
-    def __missing__(self, key: tuple[str, tuple[str, ...]]) -> Atom:
-        atom = self[key] = Atom(*key)
-        return atom
+def _has_forall(f: Formula) -> bool:
+    if isinstance(f, Not):
+        return _has_forall(f.body)
+    if isinstance(f, (And, Or)):
+        return any(map(_has_forall, f.parts))
+    return isinstance(f, Forall)
 
 
 def _clause_literals(f: Forall) -> Optional[list[tuple[Atom, bool]]]:
@@ -285,17 +283,40 @@ def _decided(atom: Atom, names) -> bool:
     return all(a in names or not a.startswith("?") for a in atom.args)
 
 
-class _SchemaGrounder:
-    """One task's grounding context, built once per call. Each declared
-    type's parent chain is walked once, a cycle rejected, into `supertypes`;
-    the typed `universe`, `types_of`, the split of init into the static
-    table and the dynamic init, and `atoms` build on it. The joins read the
-    rest: `_options` indexes the static table by argument position, and
-    `typed` and `position` give a type's objects as a set and by universe
-    order. It computes no reachable atoms: a join on them is given them.
-    """
+class _AtomTable(dict):
+    """Ground atoms interned by (predicate, args): the literals and effects
+    of a task's actions share one `Atom` per atom."""
 
-    def __init__(self, domain: Domain, problem: Problem):
+    def __missing__(self, key: tuple[str, tuple[str, ...]]) -> Atom:
+        atom = self[key] = tuple.__new__(Atom, key)  # skips Atom's __new__
+        return atom
+
+_PROGRAMS: dict[int, _Program] = {}
+
+
+def _program(domain: Domain) -> _Program:
+    """The grounding program of `domain`, built on first use and kept while
+    that object lives. It is found by identity, as hashing a frozen `Domain`
+    walks its whole tree, and kept beside the domain, not in it, so the
+    domain still pickles. A domain that fails its type walk keeps none, so
+    every call raises."""
+    program = _PROGRAMS.get(id(domain))
+    if program is None:
+        program = _PROGRAMS[id(domain)] = _Program(domain)
+        weakref.finalize(domain, _PROGRAMS.pop, id(domain), None)
+    return program
+
+
+class _Program:
+    """What grounding derives from a domain alone, once per `Domain` object
+    (`_program`), holding nothing of a problem: `supertypes` (each declared
+    type's parent chain, a cycle rejected), an `_ActionProgram` per schema,
+    their `triggers` by need predicate, and `named`, the constants and
+    every other name a schema uses, which `_interchangeable` leaves out. A
+    domain error found in a schema is kept in place and raised, as a copy,
+    by every call that gets that far."""
+
+    def __init__(self, domain: Domain):
         parents = dict(domain.types)
         for name, parent in domain.types:
             if parent is not None and parent not in parents and parent != ROOT_TYPE:
@@ -310,25 +331,72 @@ class _SchemaGrounder:
                 chain.append(cur)
                 cur = None if cur == ROOT_TYPE else parents.get(cur)
             self.supertypes[typ] = tuple(chain)
-        self.universe: dict[str, list[str]] = {t: [] for t in self.supertypes}
+        self.constants = domain.constants
+        self.static_preds = domain.static_predicates
+        self.predicates = {p.name: tuple(t for _, t in p.params)
+                           for p in reversed(domain.predicates)}
+        self.schemas = tuple(_ActionProgram(a, self) for a in domain.actions)
+        self.triggers: dict[str, list[tuple[int, _Join]]] = {}
+        for k, schema in enumerate(self.schemas):
+            for pred, join in schema.triggers:
+                self.triggers.setdefault(pred, []).append((k, join))
+        self.named = frozenset(
+            a for s in domain.actions for f in (s.precondition, s.effect)
+            for atom in atoms_in(f) for a in atom.args if a[:1] != "?"
+        ).union(obj for obj, _ in domain.constants)
+
+    def signature(self, atom: Atom) -> Iterable[tuple[str, str]]:
+        """Each argument of `atom` with the type its predicate declares there;
+        raises on an undeclared predicate or a wrong arity."""
+        if atom.predicate == "=":
+            return ()
+        declared = self.predicates.get(atom.predicate)
+        if declared is None:
+            raise TypeMismatchError(f"undeclared predicate {atom.predicate!r}")
+        if len(declared) != len(atom.args):
+            raise TypeMismatchError(
+                f"{atom.predicate} expects {len(declared)} args, got {len(atom.args)}")
+        return zip(atom.args, declared)
+
+    def step(self, name: str, problem: Problem) -> _Precondition:
+        """The precondition of plan step `name`; the step `GOAL` is the goal
+        of `problem`, a parameterless schema compiled for the call."""
+        if name == GOAL:
+            return _Precondition((), problem.goal, self.static_preds)
+        return next(s for s in self.schemas if s.name == name)
+
+
+class _Context:
+    """What one problem decides, on its domain's program: the typed
+    `universe`, `types_of`, init split into the static table and sets and
+    the dynamic init, and the task's `atoms`. For the joins, `_options`
+    indexes the static table by argument position, and `typed` and
+    `position` give a type's objects as a set and by universe order. It
+    computes no reachable atoms: a join on them is given them.
+    """
+
+    def __init__(self, program: _Program, problem: Problem):
+        self.program = program
+        supertypes = self.supertypes = program.supertypes
+        self.universe: dict[str, list[str]] = {t: [] for t in supertypes}
         self.types_of: dict[str, str] = {}
-        for obj, typ in tuple(domain.constants) + tuple(problem.objects):
-            if typ not in self.supertypes:
+        for obj, typ in program.constants + tuple(problem.objects):
+            if typ not in supertypes:
                 raise TypeMismatchError(f"object {obj!r} has undeclared type {typ!r}")
             self.types_of[obj] = typ
-            for t in self.supertypes[typ]:
+            for t in supertypes[typ]:
                 self.universe[t].append(obj)
 
-        self.domain = domain
-        self.static_preds = domain.static_predicates
+        static_preds = program.static_preds
         self.static_table: dict[str, list[tuple[str, ...]]] = {}
         self.init_dynamic: set[Atom] = set()
         for atom in problem.init:
-            if atom.predicate in self.static_preds:
+            if atom.predicate in static_preds:
                 self.static_table.setdefault(atom.predicate, []).append(atom.args)
             else:
                 self.init_dynamic.add(atom)
-        self.static_sets = {p: set(rows) for p, rows in self.static_table.items()}
+        self.static_sets = {p: set(self.static_table.get(p, ()))
+                            for p in static_preds}
         self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
                           dict[tuple[str, ...], tuple[int, list[str]]]] = {}
@@ -366,88 +434,18 @@ class _SchemaGrounder:
                 for key, values in matches.items()}
         return index.get(others, (0, []))
 
-    def forall_clauses(self, f: Forall, reached: Optional[_Reached] = None
-                       ) -> Optional[list[list[Literal]] | Forall]:
-        """The CNF of a forall whose body is one clause, the forall itself
-        for a guard when no `reached` atoms are passed, or None for any
-        other forall.
-
-        A literal is decided when each of its arguments is a variable of the
-        forall or a constant. Decided negated static atoms and decided
-        positive equalities are joinable, and so are a guard's decided
-        negated dynamic atoms, joined on the atoms of `reached`. The forall
-        is joined on its joinable literals and its variables' types, so only
-        instances that no joinable literal satisfies are expanded: each
-        negated static atom holds, each negated dynamic atom is reached and
-        each equality fails. With nothing joinable that is the plain product.
-        A guard (a decided negated dynamic atom, as in every
-        END-TURN-INTERACTIONS guard) has no all-positive or statically false
-        instance, and an instance whose atom never becomes true always holds.
-        The clauses keep `itertools.product` order and leave the joined
-        literals out; a negated equality over the forall's variables is
-        folded, and every other literal is kept for the caller (one that
-        mentions a schema parameter is only decided per binding).
-        """
-        literals = _clause_literals(f)
-        if literals is None:
-            return None
-        names = [v for v, _ in f.variables]
-        joined: list[tuple[list, Atom]] = []  # (the constraints it joins, atom)
-        static, dynamic, neqs = [], [], []
-        kept: list[tuple[Atom, bool, bool]] = []  # atom, positive, decided
-        for atom, positive in literals:
-            decided = _decided(atom, names)
-            if decided and not positive and atom.predicate in self.static_preds:
-                joined.append((static, atom))
-            elif decided and positive and atom.predicate == "=":
-                joined.append((neqs, atom))
-            else:
-                if decided and not positive and atom.predicate != "=":
-                    if reached is None:
-                        return f  # a guard, joined once atoms are passed
-                    joined.append((dynamic, atom))
-                kept.append((atom, positive, decided))
-        slot = {v: i for i, v in enumerate(names)}
-        consts: list[str] = []
-        for constraints, atom in joined:
-            for a in atom.args:
-                if a not in slot:
-                    slot[a] = len(slot)
-                    consts.append(a)
-            idx = tuple(slot[a] for a in atom.args)
-            constraints.append(idx if constraints is neqs else (atom.predicate, idx))
-        types = {i: typ for i, (_, typ) in enumerate(f.variables)}
-        rows = _Join(self, len(names), consts, types, static, dynamic, neqs,
-                     reached).run()
-        ranks = [self.position(typ) for _, typ in f.variables]
-        rows.sort(key=lambda row: tuple(map(dict.__getitem__, ranks, row)))
-        clauses = []
-        for row in rows:
-            binding = dict(zip(names, row))
-            clause: list[Literal] = []
-            for atom, positive, decided in kept:
-                args = tuple([binding.get(a, a) for a in atom.args])
-                if decided and atom.predicate == "=":  # a negated equality
-                    if args[0] != args[1]:
-                        break  # the instance holds
-                else:
-                    clause.append((Atom(atom.predicate, args), positive))
-            else:
-                clauses.append(clause)
-        return clauses
-
 
 class _Reached:
-    """Reached dynamic atoms as (predicate, args) keys, and indexes of them:
-    an index on some argument positions of a predicate maps the values at
-    those positions to the args of every reached atom that has them. An
-    index is built on first use and kept up to date by `add`."""
+    """Reached dynamic atoms, and indexes of them: an index on some argument
+    positions of a predicate maps the values at those positions to the args
+    of every reached atom that has them. An index is built on first use and
+    kept up to date by `add`."""
 
-    def __init__(self, keys: Iterable[tuple[str, tuple[str, ...]]] = ()):
-        self.keys: set[tuple[str, tuple[str, ...]]] = set(keys)
+    def __init__(self, keys: Iterable[Atom] = ()):
+        self.keys: set[Atom] = set(keys)
         self._indexes: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
 
-    def add(self, key: tuple[str, tuple[str, ...]]) -> bool:
+    def add(self, key: Atom) -> bool:
         """Reach `key`; False if it was reached already."""
         if key in self.keys:
             return False
@@ -471,9 +469,10 @@ class _Reached:
         return index
 
 
-def _getter(idx) -> Callable[[Sequence[str]], tuple[str, ...]]:
+@lru_cache(maxsize=4096)
+def _getter(idx: tuple[int, ...]) -> Callable[[Sequence[str]], tuple[str, ...]]:
     """Map `ext` to the tuple of its items at `idx` (itemgetter returns a
-    bare item for one index and fails for none)."""
+    bare item for one index and fails for none); shared between joins."""
     if len(idx) == 1:
         i = idx[0]
         return lambda ext: (ext[i],)
@@ -484,32 +483,30 @@ _ROW, _VAR = "row", "var"  # the kinds of a join level
 
 
 class _Join:
-    """A backtracking join over the slots of an `ext` list (`width`
-    variable slots, then `consts`), compiled once and run many times.
+    """The level plan of a backtracking join over the slots of an `ext`
+    list (`width` variable slots, then `consts`), made once per domain and
+    run on a problem as a `_BoundJoin`.
 
     `types` maps the variable slots to bind to their types, in binding
     order; every other slot is known when the join runs. Each `static`
     atom must be in the static table, each `dynamic` atom reached, and the
     two slots of each of `neqs` must differ; every constraint is checked at
     the level that binds its last slot. A dynamic atom with open slots binds
-    them all at once from an index of `reached`, the atom with the most
-    known arguments first. A variable left over takes its candidates from
-    the static atom whose only open slot it is (the one with fewest rows),
-    else from its type; without dynamic atoms that is the plain enumeration
-    in binding order, which `rank` replays.
+    them all at once from an index of the reached atoms, the atom with the
+    most known arguments first. A variable left over takes its candidates
+    from the static atom whose only open slot it is (the one with fewest
+    rows), else from its type; without dynamic atoms that is the plain
+    enumeration in binding order, which `rank` replays.
 
     With `first`, level 0 unifies that dynamic atom with one atom given to
     `run` instead (a trigger), and a binding for which one of `skips` gives
     that same atom is left out.
     """
 
-    def __init__(self, grounder: _SchemaGrounder, width: int, consts,
-                 types: dict[int, str], static=(), dynamic=(), neqs=(),
-                 reached: Optional[_Reached] = None, first=None, skips=()):
-        self.grounder = grounder
+    def __init__(self, width: int, consts, types: dict[int, str], static=(),
+                 dynamic=(), neqs=(), first=None, skips=()):
         self.width = width
-        self.ext = [None] * width + list(consts)
-        self.keys = reached.keys if reached is not None else None
+        self.ext = (None,) * width + tuple(consts)
         level: dict[int, int] = {}  # variable slot -> the level that binds it
 
         def known(s: int) -> bool:
@@ -522,7 +519,7 @@ class _Join:
                 if known(idx[k]):
                     eqs.append((k, idx[k]))
                 else:
-                    binds.append((k, idx[k], grounder.typed(types[idx[k]])))
+                    binds.append((k, idx[k], types[idx[k]]))
                     level[idx[k]] = at
             return tuple(binds), tuple(eqs)
 
@@ -537,8 +534,8 @@ class _Join:
                 pred, idx = max(open_atoms, key=lambda a: sum(map(known, a[1])))
                 dynamic.remove((pred, idx))
                 positions = tuple(k for k, s in enumerate(idx) if known(s))
-                steps.append((_ROW, reached.index(pred, positions),
-                              _getter([idx[k] for k in positions]), *unify(
+                steps.append((_ROW, (pred, positions),
+                              _getter(tuple([idx[k] for k in positions])), *unify(
                                   idx, [k for k in range(len(idx))
                                         if k not in positions], at)))
                 continue
@@ -552,7 +549,7 @@ class _Join:
             level[slot] = at
             steps.append((_VAR, slot, types[slot], tuple(options)))
         # the types a trigger's atom must have, by argument position
-        self.first_types = tuple((k, types[s]) for k, s, _ in steps[0][3]
+        self.first_types = tuple((k, typ) for k, _, typ in steps[0][3]
                                  ) if first is not None else ()
 
         # every constraint is checked at the level that binds its last slot
@@ -562,24 +559,55 @@ class _Join:
             return checks[1 + max((level.get(s, -1) for s in slots), default=-1)]
 
         for pred, idx in static:
-            after(idx)[0].append((grounder.static_sets.get(pred, frozenset()),
-                                  _getter(idx)))
+            after(idx)[0].append((pred, _getter(idx)))
         for pred, idx in dynamic:
             after(idx)[1].append((pred, _getter(idx)))
         for pair in neqs:
             after(pair)[2].append(tuple(pair))
         for idx in skips:
             after(idx)[3].append(_getter(idx))
-        checks = [c if any(c) else None for c in checks]
+        checks = [tuple(map(tuple, c)) if any(c) else None for c in checks]
         self.pre = checks[0]
         self.steps = tuple((*step, c) for step, c in zip(steps, checks[1:]))
+
+
+class _BoundJoin:
+    """A `_Join` on one problem: its levels read the type sets and static
+    sets of `cx` and the indexes of `reached`, looked up here once."""
+
+    def __init__(self, join: _Join, cx: _Context,
+                 reached: Optional[_Reached] = None):
+        self.cx = cx
+        self.width = join.width
+        self.ext = join.ext
+        self.keys = reached.keys if reached is not None else None
+        sets = cx.static_sets
+
+        def bound(checks):
+            if checks is None:
+                return None
+            static, dynamic, neqs, skips = checks
+            return tuple((sets[p], get) for p, get in static), dynamic, neqs, skips
+
+        self.pre = bound(join.pre)
+        steps = []
+        for step in join.steps:
+            if step[0] is _ROW:
+                _, at, key, binds, eqs, checks = step
+                step = (_ROW, None if at is None else reached.index(*at), key,
+                        tuple((k, s, cx.typed(t)) for k, s, t in binds), eqs,
+                        bound(checks))
+            else:
+                step = (*step[:4], bound(step[4]))
+            steps.append(step)
+        self.steps = tuple(steps)
 
     def run(self, first: Optional[tuple[str, ...]] = None
             ) -> list[tuple[str, ...]]:
         """The bindings, as tuples of the first `width` slots (a slot that
         is neither bound nor known reads None)."""
         out: list[tuple[str, ...]] = []
-        ext = self.ext.copy()
+        ext = list(self.ext)
         if self._holds(self.pre, ext, first):
             self._search(0, ext, first, out)
         return out
@@ -588,11 +616,11 @@ class _Join:
         """Where each value of `args` stands among its level's candidates:
         sorting by rank gives the order of `run` on a join without dynamic
         atoms."""
-        ext = list(args) + self.ext[self.width:]
+        ext = [*args, *self.ext[self.width:]]
         out = []
         for _, slot, typ, options, _ in self.steps:
             values = self._candidates(typ, options, ext)
-            out.append(self.grounder.position(typ)[ext[slot]] if values is None
+            out.append(self.cx.position(typ)[ext[slot]] if values is None
                        else values.index(ext[slot]))
         return tuple(out)
 
@@ -602,7 +630,7 @@ class _Join:
         best: Optional[list[str]] = None
         best_rows = 0
         for pred, pos, get in options:
-            rows, values = self.grounder._options(pred, pos, typ, get(ext))
+            rows, values = self.cx._options(pred, pos, typ, get(ext))
             if best is None or rows < best_rows:
                 best, best_rows = values, rows
         return best
@@ -646,85 +674,95 @@ class _Join:
             _, slot, typ, options, checks = step
             values = self._candidates(typ, options, ext)
             if values is None:
-                values = self.grounder.universe.get(typ, [])
+                values = self.cx.universe.get(typ, [])
             for value in values:
                 ext[slot] = value
                 if checks is None or self._holds(checks, ext, first):
                     self._search(level + 1, ext, first, out)
 
 
-_EQUALITY = object()  # the "table" of an equality literal in a template
+class _Forall:
+    """A forall whose body is one clause, planned once per domain and
+    grounded on a problem by `clauses`.
 
-
-class _Schema:
-    """A schema precondition, normalized into clause templates: the only
-    code that grounds a formula into clauses. The goal (the precondition of
-    a parameterless schema) and the monitor's check build this alone;
-    `_ActionSchema` adds what `ground` reads of an action.
-
-    A binding's values followed by the constants the schema mentions form
-    its `ext` tuple; each template atom is a predicate and a getter of its
-    arguments from `ext`.
-
-    `clauses` is the precondition CNF as clause templates, taken one
-    conjunct at a time (the CNF of a conjunction is its conjuncts' CNFs in
-    order): a forall whose body is one clause through the join
-    `forall_clauses`, any other conjunct with its foralls expanded. A guard
-    forall, which `forall_clauses` passed no atoms returns as itself, is
-    joined on `reached`, the atoms the caller says can be true where the
-    clauses are checked (`ground` passes the task's relaxed-reachable atoms,
-    the monitor the problem's own dynamic init), and left out when
-    `reached` is None. `clauses_for` fills the templates in for one
-    binding: it substitutes their arguments and decides their static and
-    equality literals. Equalities are folded after the CNF, so a conjunct
-    with an equality under a conjunction under a disjunction may keep a
-    clause that the conjunct's other clauses imply.
+    A literal is decided when each of its arguments is a variable of the
+    forall or a constant. Decided negated static atoms and decided positive
+    equalities are joinable, and so are a `guard`'s decided negated dynamic
+    atoms, joined on the atoms the caller passes. The forall is joined on
+    its joinable literals and its variables' types, so only instances that
+    no joinable literal satisfies are expanded: each negated static atom
+    holds, each negated dynamic atom is reached and each equality fails.
+    With nothing joinable that is the plain product. A guard (a decided
+    negated dynamic atom, as in every END-TURN-INTERACTIONS guard) has no
+    all-positive or statically false instance, and an instance whose atom
+    never becomes true always holds. The clauses keep `itertools.product`
+    order and leave the joined literals out; a negated equality over the
+    forall's variables is folded, and every other literal is kept for the
+    caller (one that mentions a schema parameter is only decided per
+    binding).
     """
 
-    def __init__(self, params: tuple[tuple[str, str], ...],
-                 precondition: Formula, grounder: _SchemaGrounder,
-                 reached: Optional[_Reached]):
-        self.grounder = grounder
-        self.atoms = grounder.atoms
-        self.params = tuple(v for v, _ in params)
-        self._slot = {v: i for i, v in enumerate(self.params)}
-        self._consts: list[str] = []
-        self.conjuncts = _split_conjuncts(precondition)
-        # per conjunct, its clause templates, or the forall of a guard
-        self._parts: list = []
-        for conjunct in self.conjuncts:
-            cnf = (grounder.forall_clauses(conjunct)
-                   if isinstance(conjunct, Forall) else None)
-            if cnf is None:
-                cnf = _cnf(_nnf(_expand_foralls(conjunct, grounder.universe),
-                                False))
-            self._parts.append(cnf if cnf is conjunct
-                               else tuple(map(self._template, cnf)))
-        self.clauses = self._templates(reached)
+    def __init__(self, f: Forall, literals: list[Literal], static_preds):
+        self.names = [v for v, _ in f.variables]
+        self.types = [typ for _, typ in f.variables]
+        joined: list[tuple[list, Atom]] = []  # (the constraints it joins, atom)
+        static, dynamic, neqs = [], [], []
+        self.kept: list[tuple[Atom, bool, bool]] = []  # atom, positive, decided
+        for atom, positive in literals:
+            decided = _decided(atom, self.names)
+            if decided and not positive and atom.predicate in static_preds:
+                joined.append((static, atom))
+            elif decided and positive and atom.predicate == "=":
+                joined.append((neqs, atom))
+            else:
+                if decided and not positive and atom.predicate != "=":
+                    joined.append((dynamic, atom))
+                self.kept.append((atom, positive, decided))
+        slot = {v: i for i, v in enumerate(self.names)}
+        consts: list[str] = []
+        for constraints, atom in joined:
+            for a in atom.args:
+                if a not in slot:
+                    slot[a] = len(slot)
+                    consts.append(a)
+            idx = tuple(slot[a] for a in atom.args)
+            constraints.append(idx if constraints is neqs else (atom.predicate, idx))
+        self.guard = bool(dynamic)
+        self.join = _Join(len(self.names), consts, dict(enumerate(self.types)),
+                          static, dynamic, neqs)
 
-    def _templates(self, reached: Optional[_Reached]) -> tuple:
-        """The clause templates in conjunct order, each guard joined on
-        `reached` (left out without it)."""
+    def clauses(self, cx: _Context, reached: Optional[_Reached] = None
+                ) -> list[list[Literal]]:
+        """The CNF of the forall over the objects and static facts of `cx`,
+        a guard's dynamic atoms joined on `reached`."""
+        rows = _BoundJoin(self.join, cx, reached).run()
+        ranks = [cx.position(typ) for typ in self.types]
+        rows.sort(key=lambda row: tuple(map(dict.__getitem__, ranks, row)))
         clauses = []
-        for part in self._parts:
-            if not isinstance(part, Forall):
-                clauses.extend(part)
-            elif reached is not None:
-                clauses.extend(map(self._template,
-                                   self.grounder.forall_clauses(part, reached)))
-        self.consts = tuple(self._consts)
-        return tuple(clauses)
+        for row in rows:
+            binding = dict(zip(self.names, row))
+            clause: list[Literal] = []
+            for atom, positive, decided in self.kept:
+                args = tuple([binding.get(a, a) for a in atom.args])
+                if decided and atom.predicate == "=":  # a negated equality
+                    if args[0] != args[1]:
+                        break  # the instance holds
+                else:
+                    clause.append((cx.atoms[atom.predicate, args], positive))
+            else:
+                clauses.append(clause)
+        return clauses
 
-    def _template(self, clause: list[Literal]) -> tuple:
-        static_preds = self.grounder.static_preds
-        out = []
-        for atom, positive in clause:
-            pred, idx = self._index(atom)
-            table = (_EQUALITY if pred == "=" else
-                     self.grounder.static_sets.get(pred, frozenset())
-                     if pred in static_preds else None)
-            out.append((pred, _getter(idx), positive, table))
-        return tuple(out)
+
+_EQUALITY = object()  # the kind of an equality literal in a template
+
+
+class _Slots:
+    """The `ext` layout of a schema, a binding's values followed by the
+    constants its atoms mention, and clause templates over it: each
+    template atom is a predicate and a getter of its arguments from `ext`.
+    A template literal's kind is None for a dynamic atom, True for a static
+    one and `_EQUALITY` for an equality."""
 
     def _index(self, atom: Atom) -> tuple[str, tuple[int, ...]]:
         """The predicate of `atom` and the `ext` positions of its arguments."""
@@ -735,104 +773,60 @@ class _Schema:
                 self._consts.append(a)
         return atom.predicate, tuple(slot[a] for a in atom.args)
 
-    def clauses_for(self, args: tuple[str, ...]
-                    ) -> Optional[list[list[Literal]]]:
-        """The precondition bound to `args` as CNF clauses over dynamic
-        atoms, or None when it is statically false."""
-        ext = args + self.consts
-        atoms = self.atoms
-        clauses = []
-        for template in self.clauses:
-            kept = []
-            for pred, get, positive, table in template:
-                values = get(ext)
-                if table is None:
-                    kept.append((atoms[pred, values], positive))
-                elif (values[0] == values[1] if table is _EQUALITY
-                      else values in table) == positive:
-                    break  # statically satisfied
-            else:
-                if not kept:
-                    return None
-                clauses.append(kept)
-        return clauses
+    def _template(self, clause: list[Literal]) -> tuple:
+        out = []
+        for atom, positive in clause:
+            pred, idx = self._index(atom)
+            kind = (_EQUALITY if pred == "=" else
+                    True if pred in self.static_preds else None)
+            out.append((pred, _getter(idx), positive, kind))
+        return tuple(out)
 
 
-class _ActionSchema(_Schema):
-    """An action schema as `ground` reads it: the precondition templates,
-    guards left out until `with_guards`; `triggers`, a `_Join` per need (a
-    top-level positive dynamic atom); `order`, the plain enumeration of its
-    bindings over the static facts; `adds`/`dels` (the effects with foralls
-    expanded) and `overlaps` (the argument equalities under which an add
-    and a delete coincide)."""
+class _Precondition(_Slots):
+    """A schema precondition compiled once per domain, one conjunct at a
+    time (the CNF of a conjunction is its conjuncts' CNFs in order), into
+    `parts`: a conjunct without a forall as its clause templates, a forall
+    whose body is one clause as a `_Forall`, and any other conjunct as
+    itself, expanded over each problem's objects. A domain error (a
+    disjunction too large to normalize) ends `parts`: each call raises it
+    once it has grounded the parts before it."""
 
-    def __init__(self, schema: Action, grounder: _SchemaGrounder,
-                 reached: _Reached):
-        super().__init__(schema.params, schema.precondition, grounder, None)
-        self.name = schema.name
-        static_preds = grounder.static_preds
-        params = set(self.params)
-        needs: list[tuple[str, tuple[int, ...]]] = []
-        self._static: list[tuple[str, tuple[int, ...]]] = []
-        self._neqs: list[tuple[int, ...]] = []
-        for c in self.conjuncts:
-            atom = c.body if isinstance(c, Not) else c
-            if not isinstance(atom, Atom):
+    def __init__(self, params: tuple[tuple[str, str], ...],
+                 precondition: Formula, static_preds: frozenset[str]):
+        self.static_preds = static_preds
+        self.params = tuple(v for v, _ in params)
+        self._slot = {v: i for i, v in enumerate(self.params)}
+        self._consts: list[str] = []
+        self.conjuncts = _split_conjuncts(precondition)
+        self.parts: list = []
+        try:
+            for conjunct in self.conjuncts:
+                literals = (_clause_literals(conjunct)
+                            if isinstance(conjunct, Forall) else None)
+                if literals is not None:
+                    self.parts.append(_Forall(conjunct, literals, static_preds))
+                elif _has_forall(conjunct):
+                    self.parts.append(conjunct)
+                else:
+                    self.parts.append(tuple(map(self._template,
+                                                _cnf(_nnf(conjunct, False)))))
+        except UnsupportedConstructError as e:
+            self.parts.append(copy.copy(e))
+
+
+def _overlap_joins(adds, dels, n: int, consts, types: dict[int, str],
+                   static, neqs) -> list[tuple[_Join, tuple[int, ...]]]:
+    """Per add and delete that coincide under some equalities of their
+    `ext` positions, the join of the bindings that the static facts allow
+    and that meet them, and each parameter's slot in its rows. Each
+    equality is substituted, keeping the constant or the earlier parameter;
+    two distinct constants never coincide."""
+    out = []
+    for p, ia in adds:
+        for q, idl in dels:
+            if p != q or len(ia) != len(idl):
                 continue
-            if c is atom and atom.predicate not in static_preds:
-                if atom.predicate != "=" and self._index(atom) not in needs:
-                    needs.append(self._index(atom))
-            elif not _decided(atom, params):
-                continue  # a variable that is not a parameter: never checked
-            elif c is atom:
-                self._static.append(self._index(atom))
-            elif atom.predicate == "=":
-                self._neqs.append(self._index(atom)[1])
-
-        adds: set[Atom] = set()
-        dels: set[Atom] = set()
-        _collect_effects(schema.effect, grounder.universe, adds, dels)
-        add_idx = [self._index(a) for a in adds]
-        del_idx = [self._index(a) for a in dels]
-        self.adds = tuple((p, _getter(idx)) for p, idx in add_idx)
-        self.dels = tuple((p, _getter(idx)) for p, idx in del_idx)
-        n = len(self.params)
-        overlaps = []
-        for p, ia in add_idx:
-            for q, idl in del_idx:
-                if p != q or len(ia) != len(idl):
-                    continue
-                conds = tuple((i, j) for i, j in zip(ia, idl) if i != j)
-                # two distinct constants at one position never coincide
-                if not any(i >= n and j >= n for i, j in conds):
-                    overlaps.append(conds)
-        self.overlaps = tuple(overlaps)
-
-        self._types = {i: typ for i, (_, typ) in enumerate(schema.params)}
-        consts = self.consts = tuple(self._consts)
-        self.triggers = tuple(
-            (pred, _Join(grounder, n, consts, self._types, self._static,
-                         needs[:i] + needs[i + 1:], self._neqs, reached,
-                         first=(pred, idx),
-                         skips=[other for q, other in needs[:i]
-                                if q == pred and len(other) == len(idx)]))
-            for i, (pred, idx) in enumerate(needs))
-
-    @cached_property
-    def order(self) -> _Join:
-        """The plain enumeration of the schema's bindings over the static
-        facts: `run` lists them, `rank` places one."""
-        return _Join(self.grounder, len(self.params), self.consts, self._types,
-                     self._static, (), self._neqs)
-
-    def check_overlaps(self) -> None:
-        """Raise if a binding the static facts allow adds and deletes one
-        atom, reachable or not. Only the bindings that meet an overlap's
-        equalities are enumerated: each equality is substituted, keeping the
-        constant or the earlier parameter."""
-        n = len(self.params)
-        consts = self.consts
-        for conds in self.overlaps:
             rep = list(range(n + len(consts)))
 
             def find(s: int) -> int:
@@ -840,7 +834,7 @@ class _ActionSchema(_Schema):
                     s = rep[s]
                 return s
 
-            for i, j in conds:
+            for i, j in zip(ia, idl):
                 a, b = sorted((find(i), find(j)))
                 if a == b:
                     continue
@@ -851,16 +845,210 @@ class _ActionSchema(_Schema):
                 else:
                     rep[b] = a
             else:
-                types = {s: t for s, t in self._types.items() if find(s) == s}
-                join = _Join(self.grounder, n, consts, types,
-                             [(p, tuple(map(find, idx))) for p, idx in self._static],
-                             (), [tuple(map(find, pair)) for pair in self._neqs])
-                for row in join.run():
-                    ext = row + consts
-                    args = tuple(ext[find(s)] for s in range(n))
-                    if all(args[s] in self.grounder.typed(t)
-                           for s, t in self._types.items()):
-                        self.build(args)  # raises unless statically false
+                out.append((_Join(
+                    n, consts, {s: t for s, t in types.items() if find(s) == s},
+                    [(p, tuple(map(find, idx))) for p, idx in static], (),
+                    [tuple(map(find, pair)) for pair in neqs]),
+                    tuple(map(find, range(n)))))
+    return out
+
+
+class _ActionProgram(_Precondition):
+    """What `ground` reads of an action schema, compiled once per domain:
+    `checks`, the signature checks a problem decides (a name that is no
+    variable), up to `error`, the first one the domain fails; a `_Join`
+    trigger per need (top-level positive dynamic atom), and `order`, the
+    plain enumeration over the static facts; `adds`/`dels` and `overlaps`
+    of the effects without a forall, the other effects (`foralls`) being
+    expanded per problem, and `effect_error`, an unsupported effect."""
+
+    def __init__(self, schema: Action, program: _Program):
+        super().__init__(schema.params, schema.precondition, program.static_preds)
+        self.name = schema.name
+        params = dict(schema.params)
+        self.checks: list[tuple[str, str, str]] = []
+        self.error: Optional[TypeMismatchError] = None
+        try:
+            for atom in itertools.chain(atoms_in(schema.precondition),
+                                        atoms_in(schema.effect)):
+                for arg, declared in program.signature(atom):
+                    if arg in params:
+                        _check_type(atom.predicate, arg, params[arg], declared,
+                                    program.supertypes)
+                    elif not arg.startswith("?"):
+                        self.checks.append((atom.predicate, arg, declared))
+        except TypeMismatchError as e:
+            self.error = copy.copy(e)
+
+        names = set(self.params)
+        needs: list[tuple[str, tuple[int, ...]]] = []
+        self.static: list[tuple[str, tuple[int, ...]]] = []
+        self.neqs: list[tuple[int, ...]] = []
+        for c in self.conjuncts:
+            atom = c.body if isinstance(c, Not) else c
+            if not isinstance(atom, Atom):
+                continue
+            if c is atom and atom.predicate not in self.static_preds:
+                if atom.predicate != "=" and self._index(atom) not in needs:
+                    needs.append(self._index(atom))
+            elif not _decided(atom, names):
+                continue  # a variable that is not a parameter: never checked
+            elif c is atom:
+                self.static.append(self._index(atom))
+            elif atom.predicate == "=":
+                self.neqs.append(self._index(atom)[1])
+
+        adds: dict[tuple, None] = {}
+        dels: dict[tuple, None] = {}
+        self.foralls: list[Formula] = []
+        self.effect_error: Optional[UnsupportedConstructError] = None
+        try:
+            for c in _split_conjuncts(schema.effect):
+                if _has_forall(c):
+                    self.foralls.append(c)
+                    continue
+                for atom, positive in effect_literals(c):
+                    (adds if positive else dels)[self._index(atom)] = None
+        except UnsupportedConstructError as e:
+            self.effect_error = copy.copy(e)
+        self.adds, self.dels = tuple(adds), tuple(dels)
+        n = len(self.params)
+        self.types = {i: typ for i, (_, typ) in enumerate(schema.params)}
+        self.consts = tuple(self._consts)
+        self.overlaps = _overlap_joins(self.adds, self.dels, n, self.consts,
+                                       self.types, self.static, self.neqs)
+        self.triggers = tuple(
+            (pred, _Join(n, self.consts, self.types, self.static,
+                         needs[:i] + needs[i + 1:], self.neqs, first=(pred, idx),
+                         skips=[other for q, other in needs[:i]
+                                if q == pred and len(other) == len(idx)]))
+            for i, (pred, idx) in enumerate(needs))
+        self.order = _Join(n, self.consts, self.types, self.static, (), self.neqs)
+
+
+# -- grounding a problem on the program ----------------------------------------------
+
+class _Schema(_Slots):
+    """A compiled precondition on one problem, as clause templates: the only
+    code that grounds a formula into clauses. The goal (the precondition of
+    a parameterless schema) and the monitor's check build this alone;
+    `_ActionSchema` adds what `ground` reads of an action.
+
+    `clauses` is the precondition CNF as clause templates in conjunct order:
+    the program's, each `_Forall` joined on the problem and any other
+    quantified conjunct expanded over its objects. A guard forall is joined
+    on `reached`, the atoms the caller says can be true where the clauses
+    are checked (`ground` passes the relaxed-reachable atoms, the monitor
+    the problem's dynamic init), and left out when `reached` is None.
+    `clauses_for` fills the templates in for one binding: it substitutes
+    their arguments and decides their static and equality literals.
+    Equalities are folded after the CNF, so a conjunct with an equality
+    under a conjunction under a disjunction may keep a clause that the
+    conjunct's other clauses imply.
+    """
+
+    def __init__(self, pre: _Precondition, cx: _Context,
+                 reached: Optional[_Reached]):
+        self.cx = cx
+        self.static_preds = pre.static_preds
+        self.params = pre.params
+        self._slot = dict(pre._slot)
+        self._consts = list(pre._consts)
+        self._parts: list = []  # per conjunct, its templates or a guard
+        for part in pre.parts:
+            if isinstance(part, Exception):
+                raise copy.copy(part)
+            if isinstance(part, _Forall):
+                if not part.guard:
+                    part = tuple(map(self._template, part.clauses(cx)))
+            elif not isinstance(part, tuple):  # a conjunct with a forall
+                part = tuple(map(self._template, _cnf(_nnf(
+                    _expand_foralls(part, cx.universe), False))))
+            self._parts.append(part)
+        self.clauses = self._templates(reached)
+
+    def _templates(self, reached: Optional[_Reached]) -> tuple:
+        """The clause templates in conjunct order, each guard joined on
+        `reached` (left out without it)."""
+        clauses = []
+        for part in self._parts:
+            if not isinstance(part, _Forall):
+                clauses.extend(part)
+            elif reached is not None:
+                clauses.extend(map(self._template, part.clauses(self.cx, reached)))
+        self.consts = tuple(self._consts)
+        return tuple(clauses)
+
+    def clauses_for(self, args: tuple[str, ...]
+                    ) -> Optional[list[list[Literal]]]:
+        """The precondition bound to `args` as CNF clauses over dynamic
+        atoms, or None when it is statically false."""
+        ext = args + self.consts
+        static = self.cx.static_sets
+        atoms = self.cx.atoms
+        clauses = []
+        for template in self.clauses:
+            kept = []
+            for pred, get, positive, kind in template:
+                values = get(ext)
+                if kind is None:
+                    kept.append((atoms[pred, values], positive))
+                elif (values[0] == values[1] if kind is _EQUALITY
+                      else values in static[pred]) == positive:
+                    break  # statically satisfied
+            else:
+                if not kept:
+                    return None
+                clauses.append(kept)
+        return clauses
+
+
+class _ActionSchema(_Schema):
+    """An `_ActionProgram` on one problem, its signature checks run: the
+    precondition templates, guards left out until `with_guards`, and
+    `adds`/`dels` and `overlaps`, the program's and those of the effect's
+    foralls expanded over the objects."""
+
+    def __init__(self, program: _ActionProgram, cx: _Context):
+        for pred, arg, declared in program.checks:
+            _check_type(pred, arg, cx.types_of.get(arg), declared, cx.supertypes)
+        if program.error is not None:
+            raise copy.copy(program.error)
+        super().__init__(program, cx, None)
+        self.program = program
+        self.name = program.name
+        adds: set[Atom] = set()
+        dels: set[Atom] = set()
+        for c in program.foralls:
+            _collect_effects(c, cx.universe, adds, dels)
+        if program.effect_error is not None:
+            raise copy.copy(program.effect_error)
+        adds = tuple(dict.fromkeys((*program.adds, *map(self._index, adds))))
+        dels = tuple(dict.fromkeys((*program.dels, *map(self._index, dels))))
+        self.consts = tuple(self._consts)
+        self.overlaps = program.overlaps if not program.foralls else _overlap_joins(
+            adds, dels, len(self.params), self.consts, program.types,
+            program.static, program.neqs)
+        self.adds = tuple((p, _getter(idx)) for p, idx in adds)
+        self.dels = tuple((p, _getter(idx)) for p, idx in dels)
+
+    @cached_property
+    def order(self) -> _BoundJoin:
+        """The plain enumeration of the schema's bindings over the static
+        facts: `run` lists them, `rank` places one."""
+        return _BoundJoin(self.program.order, self.cx)
+
+    def check_overlaps(self) -> None:
+        """Raise if a binding the static facts allow adds and deletes one
+        atom, reachable or not. Only the bindings that meet an overlap's
+        equalities are enumerated."""
+        for join, rep in self.overlaps:
+            for row in _BoundJoin(join, self.cx).run():
+                ext = row + self.consts
+                args = tuple([ext[s] for s in rep])
+                if all(args[s] in self.cx.typed(t)
+                       for s, t in self.program.types.items()):
+                    self.build(args)  # raises unless statically false
 
     def build(self, args: tuple[str, ...]):
         """The grounded action as (name, args, clauses, adds, dels), or None
@@ -869,7 +1057,7 @@ class _ActionSchema(_Schema):
         if clauses is None:
             return None
         ext = args + self.consts
-        atoms = self.atoms
+        atoms = self.cx.atoms
         adds = {atoms[p, get(ext)] for p, get in self.adds}
         dels = {atoms[p, get(ext)] for p, get in self.dels}
         both = adds & dels
@@ -881,7 +1069,7 @@ class _ActionSchema(_Schema):
     def with_guards(self, raws: list[tuple], reached: _Reached) -> list[tuple]:
         """The built actions `raws` with the guard foralls' clauses spliced
         in, joined on the final `reached` atoms."""
-        if not any(isinstance(part, Forall) for part in self._parts):
+        if not any(isinstance(part, _Forall) for part in self._parts):
             return raws
         self.clauses = self._templates(reached)
         return [(name, args, self.clauses_for(args), adds, dels)
@@ -904,40 +1092,32 @@ class _Worklist:
     need, emptied when met). Once every need is met the action is kept and
     its add effects are reached, which fires triggers and meets waiting
     needs in turn. The dynamic init is reached atom by atom the same way.
-    Atoms are (predicate, args) keys.
+    The triggers are the program's, each bound to the problem when an atom
+    first fires it.
     """
 
-    def __init__(self, grounder: _SchemaGrounder):
+    def __init__(self, cx: _Context):
+        self.cx = cx
         self.reached = _Reached()
-        self.waiting: dict[tuple[str, tuple[str, ...]], list[list]] = {}
+        self.waiting: dict[Atom, list[list]] = {}
         self.schemas: list[_ActionSchema] = []
         self.kept: list[list[tuple]] = []  # per schema, its kept actions
-        self._triggers: dict[str, list[tuple[int, _Join]]] = {}
         self._stack: list[list] = []  # [unmet needs, schema, args, built]
-        self._dispatch: dict[tuple, list[tuple[int, _Join]]] = {}
-        self._types_of = grounder.types_of
-        self._supertypes = grounder.supertypes
-        domain = grounder.domain
-        for schema in domain.actions:
-            types_of = dict(schema.params) | grounder.types_of
-            for atom in itertools.chain(atoms_in(schema.precondition),
-                                        atoms_in(schema.effect)):
-                _check_signature(domain, atom, types_of, grounder.supertypes)
-            compiled = _ActionSchema(schema, grounder, self.reached)
+        self._dispatch: dict[tuple, list[tuple[int, _BoundJoin]]] = {}
+        self._bound: dict[_Join, _BoundJoin] = {}
+        for k, program in enumerate(cx.program.schemas):
+            compiled = _ActionSchema(program, cx)
             compiled.check_overlaps()
-            k = len(self.schemas)
             self.schemas.append(compiled)
             self.kept.append([])
-            for pred, join in compiled.triggers:
-                self._triggers.setdefault(pred, []).append((k, join))
-            if not compiled.triggers:
+            if not program.triggers:
                 self._stack.extend([0, k, args, None]
                                    for args in compiled.order.run())
-        for atom in grounder.init_dynamic:
-            self._reach((atom.predicate, atom.args))
+        for atom in cx.init_dynamic:
+            self._reach(atom)
         self._run()
 
-    def _reach(self, key: tuple[str, tuple[str, ...]]) -> None:
+    def _reach(self, key: Atom) -> None:
         if not self.reached.add(key):
             return
         for cell in self.waiting.pop(key, ()):
@@ -949,17 +1129,24 @@ class _Worklist:
         for k, join in self._fired(key):
             self._stack.extend([0, k, args, None] for args in join.run(key[1]))
 
-    def _fired(self, key: tuple[str, tuple[str, ...]]) -> list[tuple[int, _Join]]:
+    def _fired(self, key: Atom) -> list[tuple[int, _BoundJoin]]:
         """The triggers an atom of these argument types can fire."""
-        sig = (key[0], tuple(map(self._types_of.get, key[1])))
+        sig = (key[0], tuple(map(self.cx.types_of.get, key[1])))
         fired = self._dispatch.get(sig)
         if fired is None:
-            supertypes = self._supertypes
+            supertypes = self.cx.supertypes
             fired = self._dispatch[sig] = [
-                (k, join) for k, join in self._triggers.get(key[0], ())
+                (k, self._bind(join))
+                for k, join in self.cx.program.triggers.get(key[0], ())
                 if all(typ in supertypes.get(sig[1][pos], ())
                        for pos, typ in join.first_types)]
         return fired
+
+    def _bind(self, join: _Join) -> _BoundJoin:
+        bound = self._bound.get(join)
+        if bound is None:
+            bound = self._bound[join] = _BoundJoin(join, self.cx, self.reached)
+        return bound
 
     def _wait(self, entry: list, needs) -> bool:
         """Queue `entry` on each of `needs` not met yet; False if none."""
@@ -981,13 +1168,12 @@ class _Worklist:
                 if raw is None:
                     continue  # statically false
                 if self._wait(entry, [
-                        [(atom.predicate, atom.args) for atom, _ in clause]
-                        for clause in raw[2]
+                        [atom for atom, _ in clause] for clause in raw[2]
                         if all(positive for _, positive in clause)]):
                     continue
             self.kept[entry[1]].append(raw)
             for atom in raw[3]:
-                self._reach((atom.predicate, atom.args))
+                self._reach(atom)
 
     def actions(self) -> list[tuple]:
         """The kept actions, schema by schema, each schema's in the order of
@@ -1000,50 +1186,45 @@ class _Worklist:
         return out
 
 
-def _step_schema(domain: Domain, problem: Problem, name: str,
-                 grounder: _SchemaGrounder, reached: _Reached) -> _Schema:
-    """The precondition of plan step `name`, its guards joined on `reached`;
-    the step `GOAL` is the goal of `problem`, a parameterless schema."""
-    if name == GOAL:
-        return _Schema((), problem.goal, grounder, reached)
-    schema = next(a for a in domain.actions if a.name == name)
-    return _Schema(schema.params, schema.precondition, grounder, reached)
-
-
 def precondition_clauses(domain: Domain, problem: Problem, name: str,
                          args: tuple[str, ...]
                          ) -> Optional[list[list[Literal]]]:
     """The precondition of plan step `name` bound to `args` (`(GOAL, ())`
     for the goal), grounded over the objects and static facts of `problem`
     as `ground` grounds it: CNF clauses over dynamic atoms, or None if it
-    is statically false. Only the precondition is normalized; the effects
-    are never expanded. The step is checked in the problem's own state, so
-    a guard forall is joined on its dynamic init."""
-    grounder = _SchemaGrounder(domain, problem)
-    observed = _Reached((a.predicate, a.args) for a in grounder.init_dynamic)
-    return _step_schema(domain, problem, name, grounder,
-                        observed).clauses_for(args)
+    is statically false. The step's templates come from the domain's
+    program; only the problem's context is built, and the effects are never
+    expanded. The step is checked in the problem's own state, so a guard
+    forall is joined on its dynamic init."""
+    program = _program(domain)
+    cx = _Context(program, problem)
+    return _Schema(program.step(name, problem), cx,
+                   _Reached(cx.init_dynamic)).clauses_for(args)
 
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
     """Ground the relaxed-reachable actions of `problem` over its reachable
     atoms.
 
-    One semi-naive join over the static facts and the reached atoms finds
-    the bindings as their needs are reached (`_Worklist`, see the module
-    docstring); the kept actions are listed schema by schema, each in the
-    order of its plain static enumeration, and guard foralls are joined on
-    the final reached atoms. The fact table holds the reached atoms, sorted
-    by text, and the masks are trimmed to it.
+    The domain's program, compiled on its first call, is bound to the
+    problem (`_Context`). One semi-naive join over the static facts and the
+    reached atoms finds the bindings as their needs are reached
+    (`_Worklist`, see the module docstring); the kept actions are listed
+    schema by schema, each in the order of its plain static enumeration,
+    and guard foralls are joined on the final reached atoms. The fact table
+    holds the reached atoms, sorted by text, and the masks are trimmed to
+    it.
     """
-    grounder = _SchemaGrounder(domain, problem)
+    program = _program(domain)
+    cx = _Context(program, problem)
     for atom in problem.init:
-        _check_signature(domain, atom, grounder.types_of, grounder.supertypes)
+        for arg, declared in program.signature(atom):
+            _check_type(atom.predicate, arg, cx.types_of.get(arg), declared,
+                        cx.supertypes)
 
-    init_dynamic = grounder.init_dynamic
-    worklist = _Worklist(grounder)
-    facts = tuple(sorted((grounder.atoms[key] for key in worklist.reached.keys),
-                         key=str))
+    init_dynamic = cx.init_dynamic
+    worklist = _Worklist(cx)
+    facts = tuple(sorted(worklist.reached.keys, key=str))
     fact_id = {f: i for i, f in enumerate(facts)}
 
     def mask(members: Iterable[Atom]) -> int:
@@ -1083,8 +1264,8 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             delete=mask(dels),
         ))
 
-    goal = _step_schema(domain, problem, GOAL, grounder,
-                        worklist.reached).clauses_for(())
+    goal = _Schema(program.step(GOAL, problem), cx,
+                   worklist.reached).clauses_for(())
     goal_pos, goal_neg, multi = split(goal or ())
     if multi:
         raise UnsupportedConstructError("goal must be a conjunction of literals")
@@ -1098,18 +1279,20 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
         static_facts=frozenset(problem.init).difference(init_dynamic),
         # statically false, or a positive goal atom is never true
         unsolvable_goal=goal is None or any(a not in fact_id for a in goal_pos),
-        interchangeable=_interchangeable(domain, problem, goal_pos, goal_neg),
+        interchangeable=_interchangeable(program.named, problem, goal_pos,
+                                         goal_neg),
     )
 
 
-def _interchangeable(domain: Domain, problem: Problem, goal_pos: list[Atom],
-                     goal_neg: list[Atom]) -> tuple[tuple[str, ...], ...]:
+def _interchangeable(named: frozenset[str], problem: Problem,
+                     goal_pos: list[Atom], goal_neg: list[Atom]
+                     ) -> tuple[tuple[str, ...], ...]:
     """The classes of interchangeable objects of `problem`, each in the
     problem's object order (Pochter, Zohar & Rosenschein, AAAI 2011;
     Sievers et al., ICAPS 2019). The candidates are the objects that init
-    or a grounded goal literal names, less those the domain names: its
-    constants and any other name an action schema's precondition or effect
-    uses. They are grouped by declared type and by signature: those atoms
+    or a grounded goal literal names, less `named`, those the domain names:
+    its constants and any other name an action schema's precondition or
+    effect uses. They are grouped by declared type and by signature: those atoms
     with the object blanked wherever it occurs. Two objects of one
     signature are named together by no such atom, so swapping them fixes
     init, static facts included, and the goal. The domain names neither and
@@ -1124,9 +1307,6 @@ def _interchangeable(domain: Domain, problem: Problem, goal_pos: list[Atom],
                 signature.setdefault(x, set()).add(
                     (tag, atom.predicate,
                      tuple(["?" if y == x else y for y in args])))
-    named = {a for s in domain.actions for f in (s.precondition, s.effect)
-             for atom in atoms_in(f) for a in atom.args if a[:1] != "?"}
-    named.update(obj for obj, _ in domain.constants)
     groups: dict[tuple[str, frozenset], list[str]] = {}
     for obj, typ in dict(problem.objects).items():
         if obj in signature and obj not in named:

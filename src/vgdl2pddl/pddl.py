@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import PddlSyntaxError, UnsupportedConstructError
 
@@ -28,8 +28,8 @@ UNSUPPORTED_HEADS = {
 
 # -- formulas ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """A (predicate, args) pair; it equals and hashes as that plain tuple."""
     predicate: str
     args: tuple[str, ...] = ()
 

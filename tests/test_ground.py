@@ -1,7 +1,9 @@
 """Grounding and STRIPS-semantics tests, cross-checked against a naive oracle."""
+import gc
 import itertools
 import random
 import signal
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -14,8 +16,8 @@ from oracle_interp import (
 )
 from reference_ground import reference_ground, reference_simplify
 from test_compiler import _stability_model
-from test_planner import (POOL_ASYMMETRIES, level_task, pool_task,
-                          random_aliens_level)
+from test_planner import (POOL_ASYMMETRIES, level_task, perfbench_module,
+                          pool_task, random_aliens_level)
 from vgdl2pddl import engine
 from vgdl2pddl import ground as ground_module
 from vgdl2pddl.compiler import compile_game
@@ -24,20 +26,22 @@ from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
 from vgdl2pddl.games import available_games, load_game, load_level
 from vgdl2pddl.ground import (
     GOAL,
+    _Context,
+    _Forall,
     _Schema,
-    _SchemaGrounder,
     _Worklist,
     _cnf,
     _expand_foralls,
     _nnf,
-    _split_conjuncts,
+    _program,
     applicable,
     apply,
     goal_satisfied,
     ground,
     precondition_clauses,
 )
-from vgdl2pddl.pddl import Atom, Forall, read_domain, read_problem
+from vgdl2pddl.pddl import (Atom, Forall, print_domain, read_domain,
+                            read_problem)
 from vgdl2pddl.problems import generate_problem
 from vgdl2pddl.vgdl import parse_ldf
 
@@ -322,6 +326,72 @@ class TestTypeChecks:
                                                     "TOUCH", ("o",)))
 
 
+PROBE = """
+  (:action PROBE
+    :parameters ()
+    :precondition (q o)
+    :effect (not (q o))
+  )
+"""
+
+MISTYPED = """
+  (:action MISTYPED
+    :parameters (?x - c)
+    :precondition (q ?x)
+    :effect (not (p ?x))
+  )
+"""
+
+
+class TestErrorsOnEveryCall:
+    """A domain's program is compiled once, but no call skips a check:
+    each checks what its problem decides, a domain error found while
+    compiling is raised by every call that reaches it, and a domain that
+    fails its type walk keeps no program."""
+
+    @staticmethod
+    def loop(types: str, action: str = ""):
+        text = LOOP_DOMAIN.format(types=types)
+        return read_domain(text[:text.rindex(")")] + action + ")\n")
+
+    def test_a_type_cycle_raises_on_every_call(self):
+        domain = self.loop("a - b b - a c")
+        problem = read_problem(LOOP_PROBLEM.format(typ="c"))
+        for _ in range(2):
+            with pytest.raises(TypeMismatchError, match="type cycle"):
+                _within(5, lambda: ground(domain, problem))
+            with pytest.raises(TypeMismatchError, match="type cycle"):
+                _within(5, lambda: precondition_clauses(domain, problem,
+                                                        "TOUCH", ("o",)))
+
+    def test_an_undeclared_object_type_raises_after_a_good_problem(self):
+        domain = self.loop("a c")
+        assert ground(domain, read_problem(LOOP_PROBLEM.format(typ="c"))
+                      ).actions == ()
+        with pytest.raises(TypeMismatchError,
+                           match="object 'o' has undeclared type 'e'"):
+            ground(domain, read_problem(LOOP_PROBLEM.format(typ="e")))
+
+    def test_a_schema_naming_an_object_of_the_wrong_type(self):
+        domain = self.loop("a c", PROBE)
+        assert ground(domain, read_problem(LOOP_PROBLEM.format(typ="c"))
+                      ).actions == ()
+        with pytest.raises(TypeMismatchError, match="q: o has type a, needs c"):
+            ground(domain, read_problem(LOOP_PROBLEM.format(typ="a")))
+
+    def test_a_domain_error_raises_on_every_ground(self):
+        """A mistyped parameter fails every `ground`; the monitor, which
+        checks no signature, still grounds the other steps."""
+        domain = self.loop("a c", MISTYPED)
+        problem = read_problem(LOOP_PROBLEM.format(typ="a"))
+        for _ in range(2):
+            with pytest.raises(TypeMismatchError,
+                               match=r"p: \?x has type c, needs a"):
+                ground(domain, problem)
+        assert precondition_clauses(domain, problem, "TOUCH", ("o",)) == [
+            [(Atom("p", ("o",)), True)]]
+
+
 def _with_action(action_text: str) -> str:
     return PUSH_DOMAIN[:PUSH_DOMAIN.rindex(")")] + action_text + ")\n"
 
@@ -558,9 +628,9 @@ class TestNeverTrueInstances:
         task = ground(domain, problem)
         eti = next(a for a in domain.actions
                    if a.name == "END-TURN-INTERACTIONS")
-        grounder = _SchemaGrounder(domain, problem)
-        joined = _Schema(eti.params, eti.precondition, grounder,
-                         _Worklist(grounder).reached).clauses_for(())
+        cx = _Context(_program(domain), problem)
+        joined = _Schema(cx.program.step(eti.name, problem), cx,
+                         _Worklist(cx).reached).clauses_for(())
         guards = [clause for clause in joined if len(clause) > 1]
         assert guards and all(not positive and atom in task.fact_id
                               for clause in guards for atom, positive in clause)
@@ -578,9 +648,9 @@ class TestNeverTrueInstances:
         domain, problem = _case("digger-1")
         eti = next(a for a in domain.actions
                    if a.name == "END-TURN-INTERACTIONS")
-        grounder = _SchemaGrounder(domain, problem)
-        schema = _Schema(eti.params, eti.precondition, grounder,
-                         _Worklist(grounder).reached)
+        cx = _Context(_program(domain), problem)
+        schema = _Schema(cx.program.step(eti.name, problem), cx,
+                         _Worklist(cx).reached)
         # one template per instance of every guard's forall would be 1,268
         assert len(schema.clauses) <= 70
         kept = ground(domain, problem).action("END-TURN-INTERACTIONS", ())
@@ -607,31 +677,38 @@ class TestNeverTrueInstances:
 
 
 class TestForallClauses:
-    """`_SchemaGrounder.forall_clauses` grounds every forall whose body is
-    one clause; a guard is joined only once the atoms it joins on are
+    """A `_Forall`, planned once per domain, grounds every forall whose body
+    is one clause; a guard is joined only once the atoms it joins on are
     passed."""
 
     @staticmethod
     def foralls(name):
+        """The context of rain lvl1, and each forall conjunct of schema
+        `name` with its `_Forall` plan."""
         domain, problem = _case("rain-1")
-        schema = next(a for a in domain.actions if a.name == name)
-        return _SchemaGrounder(domain, problem), [
-            c for c in _split_conjuncts(schema.precondition)
-            if isinstance(c, Forall)]
+        program = _program(domain)
+        schema = next(s for s in program.schemas if s.name == name)
+        return _Context(program, problem), [
+            (c, plan) for c, plan in zip(schema.conjuncts, schema.parts)
+            if isinstance(plan, _Forall)]
 
     def test_nothing_joinable_is_the_plain_expansion(self):
-        grounder, [forall] = self.foralls("STOP_DROP_MOVE")
-        expanded = _cnf(_nnf(_expand_foralls(forall, grounder.universe), False))
+        cx, [(forall, plan)] = self.foralls("STOP_DROP_MOVE")
+        assert isinstance(forall, Forall)
+        expanded = _cnf(_nnf(_expand_foralls(forall, cx.universe), False))
         assert len(expanded) > 1
-        assert grounder.forall_clauses(forall) == expanded
+        assert plan.clauses(cx) == expanded
 
     def test_guard_passed_no_atoms_is_returned_as_itself(self):
-        grounder, guards = self.foralls("END-TURN-INTERACTIONS")
-        assert guards
-        reached = _Worklist(grounder).reached
-        for guard in guards:
-            assert grounder.forall_clauses(guard) is guard
-            assert isinstance(grounder.forall_clauses(guard, reached), list)
+        """A schema built without atoms keeps each guard as its plan."""
+        cx, guards = self.foralls("END-TURN-INTERACTIONS")
+        assert guards and all(plan.guard for _, plan in guards)
+        schema = _Schema(cx.program.step("END-TURN-INTERACTIONS", None), cx, None)
+        assert [part for part in schema._parts if isinstance(part, _Forall)
+                ] == [plan for _, plan in guards]
+        reached = _Worklist(cx).reached
+        for _, plan in guards:
+            assert isinstance(plan.clauses(cx, reached), list)
 
 
 # -- equality with the naive grounding --------------------------------------------
@@ -886,6 +963,55 @@ class TestReferenceEquality:
             for a, ref in pairs:
                 assert (applicable(state(task, true), a)
                         == applicable(state(reference, true), ref)), (a, true)
+
+
+class TestDomainProgram:
+    """`ground` compiles a domain's program once per `Domain` object and
+    keeps nothing of a problem in it."""
+
+    def test_shared_domains_ground_as_fresh_ones(self, monkeypatch):
+        """The cases of `TestReferenceEquality` (the shipped levels among
+        them) and the ladder rungs, grounded in shuffled order on one
+        `Domain` object per domain text, equal their grounds on a freshly
+        compiled domain, interchangeable objects included."""
+        cases = [_case(c) for c in
+                 [f"{g}-{i}" for g in SHIPPED for i in (0, 1)]
+                 + sorted(TOY_LEVELS)
+                 + ["push", "push-walls", "push-guard", "open-sokoban-12"]
+                 + sorted(TOY_ACTIONS) + sorted(MID_EPISODE)]
+        inputs = perfbench_module("inputs", monkeypatch)
+        for _, text in inputs.ladder_levels(1):
+            game = compile_game(load_game("sokoban"))
+            cases.append((game.domain,
+                          generate_problem(parse_ldf(text, game.model), game)[0]))
+        expected = [ground(domain, problem) for domain, problem in cases]
+        shared: dict[str, object] = {}
+        pairs = [(shared.setdefault(print_domain(d), d), p) for d, p in cases]
+        assert len(shared) < len(pairs)
+        order = list(range(len(pairs)))
+        random.Random(7).shuffle(order)
+        for i in order:
+            assert ground(*pairs[i]) == expected[i], i
+        assert any(task.interchangeable for task in expected)
+
+    def test_a_grounded_problem_is_not_kept(self):
+        domain, problem = _case("aliens-1")
+        ground(domain, problem)
+        precondition_clauses(domain, problem, GOAL, ())
+        problem_ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert problem_ref() is None
+        assert id(domain) in ground_module._PROGRAMS
+
+    def test_the_program_dies_with_its_domain(self):
+        domain, problem = _case("aliens-0")
+        ground(domain, problem)
+        key = id(domain)
+        assert key in ground_module._PROGRAMS
+        del domain
+        gc.collect()
+        assert key not in ground_module._PROGRAMS
 
 
 def atom_view(task, rename=None):
