@@ -13,9 +13,17 @@ Metrics per planner and game:
 Write-ups sometimes print the satisficing ratio inverted (C/C*); the IPC
 convention C*/C is implemented here so per-level scores stay within [0, 1].
 
-Times wrap grounding + search (compilation is excluded).  Results persist as
-one CSV row per (planner, game, level); rerunning with a partial results file
-skips finished rows and recomputes identical aggregates.
+Times wrap grounding + search (compilation is excluded).  A suite runs one
+job per (game, level): it parses the level and generates and grounds its
+problem once, then runs every planner whose row is missing on the result,
+as a portfolio runs every search on one translated task (Fast Downward
+Stone Soup).  Each built-in planner's row is charged the level's grounding
+time plus its own search time.  The domain's grounding program is built
+before the grounding clock starts, with compilation; external planners
+read PDDL files instead, and a level that only they run is not grounded.
+Results persist as one CSV row per (planner, game, level); rerunning with a
+partial results file skips finished rows and recomputes identical
+aggregates.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ import csv
 import math
 import os
 import time
+import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import starmap
@@ -34,7 +43,7 @@ import yaml
 from .compiler import CompiledGame, compile_game
 from .engine import load
 from .games import available_games, level_paths, load_game
-from .ground import ground
+from .ground import GroundedTask, domain_program, ground
 from .pddl import Domain, print_domain, print_problem
 from .planner import Mode, SearchConfig, Status, external_solve, solve
 from .problems import generate_problem
@@ -223,34 +232,90 @@ class SuiteReport:
     reductions: dict[str, float]  # game -> static object reduction (%)
 
 
-def _run_one(spec: PlannerSpec, game: CompiledGame, level_path: Path,
-             level_index: int, time_limit: float,
-             work_dir: Path) -> RunRow:
-    grid = parse_ldf(level_path.read_text(), game.model)
-    problem, _ = generate_problem(grid, game)
-    name = game.model.name
+class _Level:
+    """One level of a suite job: its problem, generated once, and the task
+    that every built-in planner searches, grounded once, by the first that
+    asks (`task`). The domain's grounding program is built before the
+    grounding clock starts, as compilation is. External planners read the
+    problem from PDDL files, written once (`pddl_files`)."""
+
+    def __init__(self, game: CompiledGame, level_path: Path, index: int,
+                 work_dir: Path):
+        self.game = game
+        self.index = index
+        self.work_dir = work_dir
+        grid = parse_ldf(level_path.read_text(), game.model)
+        self.problem, _ = generate_problem(grid, game)
+        self._task: Optional[tuple[GroundedTask, float]] = None
+        self._files: Optional[tuple[Path, Path]] = None
+
+    def task(self) -> tuple[GroundedTask, float]:
+        """The grounded task and the seconds grounding it took."""
+        if self._task is None:
+            domain_program(self.game.domain)
+            started = time.perf_counter()
+            task = ground(self.game.domain, self.problem)
+            self._task = task, time.perf_counter() - started
+        return self._task
+
+    def pddl_files(self) -> tuple[Path, Path]:
+        """The domain and problem files, written on first use."""
+        if self._files is None:
+            name = self.game.model.name
+            domain_file = self.work_dir / f"{name}.pddl"
+            problem_file = self.work_dir / f"{name}_{self.index}.pddl"
+            domain_file.write_text(print_domain(self.game.domain))
+            problem_file.write_text(print_problem(self.problem))
+            self._files = domain_file, problem_file
+        return self._files
+
+
+def _run_one(spec: PlannerSpec, level: _Level, time_limit: float) -> RunRow:
+    """One planner on one level. A built-in planner's time is the level's
+    grounding time plus its own search time."""
+    name = level.game.model.name
     if spec.cmd is not None:
-        domain_file = work_dir / f"{name}.pddl"
-        problem_file = work_dir / f"{name}_{level_index}.pddl"
-        domain_file.write_text(print_domain(game.domain))
-        problem_file.write_text(print_problem(problem))
         try:
-            result = external_solve(domain_file, problem_file, spec.cmd,
+            result = external_solve(*level.pddl_files(), spec.cmd,
                                     time_limit=time_limit)
         except Exception:
-            return RunRow(spec.name, name, level_index, False, None, None)
+            return RunRow(spec.name, name, level.index, False, None, None)
         solved = result.status is Status.SOLVED
-        return RunRow(spec.name, name, level_index, solved,
+        return RunRow(spec.name, name, level.index, solved,
                       len(result.plan) if solved else None,
                       result.stats.wall_time if solved else None)
+    task, grounding = level.task()
     started = time.perf_counter()
-    task = ground(game.domain, problem)
     result = solve(task, SearchConfig(mode=spec.mode, time_limit=time_limit))
-    elapsed = time.perf_counter() - started
+    elapsed = grounding + time.perf_counter() - started
     solved = result.status is Status.SOLVED
-    return RunRow(spec.name, name, level_index, solved,
+    return RunRow(spec.name, name, level.index, solved,
                   len(result.plan) if solved else None,
                   elapsed if solved else None, blind=spec.is_blind)
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an exception that a suite job raised in a
+    worker process, where it was left behind; set as that exception's
+    cause."""
+
+
+def _run_level(specs: tuple[PlannerSpec, ...], game: CompiledGame,
+               level_path: Path, level_index: int, time_limit: float,
+               work_dir: Path
+               ) -> tuple[list[RunRow], Optional[Exception], Optional[str]]:
+    """A suite job: every planner of `specs` on one level, in order, on one
+    generated problem and one grounded task. Returns the rows finished and
+    the exception that stopped the job, if one did, with its traceback as
+    text, so that the caller saves those rows before it raises."""
+    rows: list[RunRow] = []
+    try:
+        level = _Level(game, level_path, level_index, work_dir)
+        for spec in specs:
+            rows.append(_run_one(spec, level, time_limit))
+    except Exception as error:
+        return rows, error, traceback.format_exc()
+    return rows, None, None
 
 
 def static_reduction(game: CompiledGame, grid: LevelGrid) -> float:
@@ -283,13 +348,13 @@ def run_suite(suite_dir: Optional[Path] = None,
     jobs_list = []
     for name in games:
         for level_index, level_path in enumerate(level_paths(name, suite_dir)):
-            for spec in planners:
-                if (spec.name, name, level_index) in done:
-                    continue
-                jobs_list.append((spec, compiled[name], level_path, level_index,
-                                  time_limit, work_dir))
+            pending = tuple(spec for spec in planners
+                            if (spec.name, name, level_index) not in done)
+            if pending:
+                jobs_list.append((pending, compiled[name], level_path,
+                                  level_index, time_limit, work_dir))
 
-    # a worker per job left to run, at most one per core; a single worker
+    # a worker per level left to run, at most one per core; a single worker
     # is the serial loop, and a finished suite opens no pool at all
     workers = min(jobs, len(jobs_list), os.cpu_count() or 1)
     with ExitStack() as stack:
@@ -302,14 +367,19 @@ def run_suite(suite_dir: Optional[Path] = None,
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")))
-            new_rows = pool.map(_run_one, *zip(*jobs_list))
+            results = pool.map(_run_level, *zip(*jobs_list))
         else:
-            new_rows = starmap(_run_one, jobs_list)
-        # each row is saved as its job returns, so a failing job loses none
-        # of the rows before it and a rerun resumes after them
-        for row in new_rows:
-            append_result(results_path, row)
-            rows.append(row)
+            results = starmap(_run_level, jobs_list)
+        # each row is saved as its job returns, and a failing job hands back
+        # the rows it finished first, so a rerun resumes after all of them
+        for finished, error, trace in results:
+            for row in finished:
+                append_result(results_path, row)
+                rows.append(row)
+            if error is not None:
+                if error.__traceback__ is None:  # sent back from a worker
+                    raise error from WorkerTraceback(trace)
+                raise error
 
     board = ScoreBoard(rows)
     stats = {name: domain_stats(compiled[name].domain) for name in games}

@@ -13,13 +13,15 @@ false precondition are dropped, literals that are statically true disappear.
 Grounding runs in two stages, as Fast Downward's translator compiles a
 domain into one Datalog program before it reads any facts (Helmert 2009).
 The domain's program (`_Program`) is built on the first call for a `Domain`
-object and kept for that object's life. It holds what the domain alone
-decides: the type walk, the signature checks over schema parameters, each
-precondition conjunct's clause templates (or its forall's join plan), the
-needs, the effect positions and add/delete overlaps, and the level plan of
-every `_Join`. It holds nothing of a problem. A call binds it to one
-problem (`_Context`): the universe, the static facts, the joins over them,
-quantified effects, and the fixpoint.
+object, or ahead of one by `domain_program`, and kept for that object's
+life. It holds what the domain alone decides: the type walk, the signature
+checks over schema parameters, each precondition conjunct's clause
+templates (or its forall's join plan), the needs, the effect positions and
+add/delete overlaps, and the level plan of every `_Join`, each equal plan
+tuple kept once. It holds nothing of a problem. A call binds it to one
+problem (`_Context`): the universe and the static facts, each type and
+predicate listed on first use, the joins over them, quantified effects,
+and the fixpoint.
 
 `_Schema` is the one path from a formula to ground clauses: the program's
 templates of a precondition, each quantified single clause expanded only
@@ -294,7 +296,7 @@ class _AtomTable(dict):
 _PROGRAMS: dict[int, _Program] = {}
 
 
-def _program(domain: Domain) -> _Program:
+def domain_program(domain: Domain) -> _Program:
     """The grounding program of `domain`, built on first use and kept while
     that object lives. It is found by identity, as hashing a frozen `Domain`
     walks its whole tree, and kept beside the domain, not in it, so the
@@ -308,13 +310,13 @@ def _program(domain: Domain) -> _Program:
 
 
 class _Program:
-    """What grounding derives from a domain alone, once per `Domain` object
-    (`_program`), holding nothing of a problem: `supertypes` (each declared
-    type's parent chain, a cycle rejected), an `_ActionProgram` per schema,
-    their `triggers` by need predicate, and `named`, the constants and
-    every other name a schema uses, which `_interchangeable` leaves out. A
-    domain error found in a schema is kept in place and raised, as a copy,
-    by every call that gets that far."""
+    """What grounding derives from a domain alone, once per `Domain`
+    object (`domain_program`), holding nothing of a problem: `supertypes`
+    (each declared type's parent chain, a cycle rejected), an
+    `_ActionProgram` per schema, their `triggers` by need predicate, and
+    `named`, the constants and every other name a schema uses, which
+    `_interchangeable` leaves out. A domain error found in a schema is kept
+    in place and raised, as a copy, by every call that gets that far."""
 
     def __init__(self, domain: Domain):
         parents = dict(domain.types)
@@ -344,6 +346,21 @@ class _Program:
             a for s in domain.actions for f in (s.precondition, s.effect)
             for atom in atoms_in(f) for a in atom.args if a[:1] != "?"
         ).union(obj for obj, _ in domain.constants)
+        # the joins' level plans repeat: each equal tuple is kept once
+        seen: dict[tuple, tuple] = {}
+        for join in self.joins():
+            for name in ("ext", "first_types", "pre", "steps"):
+                setattr(join, name, _interned(getattr(join, name), seen))
+
+    def joins(self) -> Iterable[_Join]:
+        """Every `_Join` of the schemas: triggers, plain enumerations,
+        overlap checks and foralls."""
+        for schema in self.schemas:
+            yield from (join for _, join in schema.triggers)
+            yield schema.order
+            yield from (join for join, _ in schema.overlaps)
+            yield from (part.join for part in schema.parts
+                        if isinstance(part, _Forall))
 
     def signature(self, atom: Atom) -> Iterable[tuple[str, str]]:
         """Each argument of `atom` with the type its predicate declares there;
@@ -366,26 +383,59 @@ class _Program:
         return next(s for s in self.schemas if s.name == name)
 
 
+class _Universe(dict):
+    """Each type -> its objects, in the order `objects` lists them, listed
+    on a type's first lookup. A type that no object has, declared or not,
+    lists none, so `get` needs no default."""
+
+    def __init__(self, objects: tuple[tuple[str, str], ...],
+                 supertypes: dict[str, tuple[str, ...]]):
+        super().__init__()
+        self.objects = objects
+        self.supertypes = supertypes
+
+    def __missing__(self, typ: str) -> list[str]:
+        supertypes = self.supertypes
+        objs = self[typ] = [o for o, t in self.objects if typ in supertypes[t]]
+        return objs
+
+    def get(self, typ: str, default=None) -> list[str]:
+        return self[typ]
+
+
+class _StaticSets(dict):
+    """Each static predicate -> the set of its rows in `table`, made on the
+    predicate's first lookup."""
+
+    def __init__(self, table: dict[str, list[tuple[str, ...]]]):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, pred: str) -> set[tuple[str, ...]]:
+        rows = self[pred] = set(self.table.get(pred, ()))
+        return rows
+
+
 class _Context:
     """What one problem decides, on its domain's program: the typed
     `universe`, `types_of`, init split into the static table and sets and
     the dynamic init, and the task's `atoms`. For the joins, `_options`
     indexes the static table by argument position, and `typed` and
     `position` give a type's objects as a set and by universe order. It
-    computes no reachable atoms: a join on them is given them.
+    computes no reachable atoms: a join on them is given them. A type's
+    objects and a static predicate's set are made on first use, as one
+    step of the monitor reads only a few of them.
     """
 
     def __init__(self, program: _Program, problem: Problem):
         self.program = program
         supertypes = self.supertypes = program.supertypes
-        self.universe: dict[str, list[str]] = {t: [] for t in supertypes}
-        self.types_of: dict[str, str] = {}
-        for obj, typ in program.constants + tuple(problem.objects):
+        self.objects = program.constants + tuple(problem.objects)
+        for obj, typ in self.objects:
             if typ not in supertypes:
                 raise TypeMismatchError(f"object {obj!r} has undeclared type {typ!r}")
-            self.types_of[obj] = typ
-            for t in supertypes[typ]:
-                self.universe[t].append(obj)
+        self.universe = _Universe(self.objects, supertypes)
+        self.types_of = dict(self.objects)
 
         static_preds = program.static_preds
         self.static_table: dict[str, list[tuple[str, ...]]] = {}
@@ -395,8 +445,7 @@ class _Context:
                 self.static_table.setdefault(atom.predicate, []).append(atom.args)
             else:
                 self.init_dynamic.add(atom)
-        self.static_sets = {p: set(self.static_table.get(p, ()))
-                            for p in static_preds}
+        self.static_sets = _StaticSets(self.static_table)
         self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
                           dict[tuple[str, ...], tuple[int, list[str]]]] = {}
@@ -407,7 +456,7 @@ class _Context:
         """The objects of type `typ`, as a set."""
         objs = self._typed.get(typ)
         if objs is None:
-            objs = self._typed[typ] = frozenset(self.universe.get(typ, ()))
+            objs = self._typed[typ] = frozenset(self.universe[typ])
         return objs
 
     def position(self, typ: str) -> dict[str, int]:
@@ -415,7 +464,7 @@ class _Context:
         ranks = self._positions.get(typ)
         if ranks is None:
             ranks = self._positions[typ] = {
-                o: i for i, o in enumerate(self.universe.get(typ, []))}
+                o: i for i, o in enumerate(self.universe[typ])}
         return ranks
 
     def _options(self, pred: str, pos: int, typ: str, others: tuple[str, ...]
@@ -571,6 +620,18 @@ class _Join:
         self.steps = tuple((*step, c) for step, c in zip(steps, checks[1:]))
 
 
+def _interned(value, seen: dict[tuple, tuple]):
+    """`value` with every tuple in it, itself included, replaced by the
+    first equal one in `seen`."""
+    if type(value) is not tuple:
+        return value
+    kept = seen.get(value)
+    if kept is None:
+        kept = seen[value] = tuple([_interned(v, seen) if type(v) is tuple else v
+                                    for v in value])
+    return kept
+
+
 class _BoundJoin:
     """A `_Join` on one problem: its levels read the type sets and static
     sets of `cx` and the indexes of `reached`, looked up here once."""
@@ -674,7 +735,7 @@ class _BoundJoin:
             _, slot, typ, options, checks = step
             values = self._candidates(typ, options, ext)
             if values is None:
-                values = self.cx.universe.get(typ, [])
+                values = self.cx.universe[typ]
             for value in values:
                 ext[slot] = value
                 if checks is None or self._holds(checks, ext, first):
@@ -1196,7 +1257,7 @@ def precondition_clauses(domain: Domain, problem: Problem, name: str,
     program; only the problem's context is built, and the effects are never
     expanded. The step is checked in the problem's own state, so a guard
     forall is joined on its dynamic init."""
-    program = _program(domain)
+    program = domain_program(domain)
     cx = _Context(program, problem)
     return _Schema(program.step(name, problem), cx,
                    _Reached(cx.init_dynamic)).clauses_for(args)
@@ -1215,7 +1276,7 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     holds the reached atoms, sorted by text, and the masks are trimmed to
     it.
     """
-    program = _program(domain)
+    program = domain_program(domain)
     cx = _Context(program, problem)
     for atom in problem.init:
         for arg, declared in program.signature(atom):

@@ -1,10 +1,13 @@
 """Metric and harness tests; formula values frozen from direct evaluation."""
+import dataclasses
 import math
+import time
 
 import pytest
 
 from vgdl2pddl import bench as bench_module
 from vgdl2pddl.bench import (
+    BUILTIN_PLANNERS,
     PlannerSpec,
     RunRow,
     ScoreBoard,
@@ -70,6 +73,16 @@ class TestDomainStats:
         empty = Domain("toy", (), (), (), ())
         s = domain_stats(empty)
         assert (s.types, s.supertypes, s.predicates, s.actions) == (0, 0, 0, 0)
+
+
+@dataclasses.dataclass(frozen=True)
+class FailingPlanner(PlannerSpec):
+    """A built-in planner whose row cannot be made; it pickles, so it fails
+    in a worker process too."""
+
+    @property
+    def is_blind(self) -> bool:
+        raise RuntimeError("row failed")
 
 
 def row(planner, game, level, solved, length=None, seconds=None, blind=False):
@@ -155,15 +168,13 @@ class TestHarness:
         assert len(again.board.rows) == len(report.board.rows)
 
     def test_parallel_workers_match_sequential(self, tmp_path):
-        planners = (PlannerSpec("gbfs-hadd", mode=Mode.GBFS_HADD),)
-        seq = run_suite(planners=planners, games=["sokoban"], time_limit=60,
-                        jobs=1, out_dir=tmp_path / "seq")
-        par = run_suite(planners=planners, games=["sokoban"], time_limit=60,
-                        jobs=2, out_dir=tmp_path / "par")
-        assert par.board.coverage("gbfs-hadd", "sokoban") == \
-            seq.board.coverage("gbfs-hadd", "sokoban")
-        assert par.board.satisficing("gbfs-hadd", "sokoban") == \
-            pytest.approx(seq.board.satisficing("gbfs-hadd", "sokoban"))
+        seq = run_suite(games=["sokoban"], time_limit=60, jobs=1,
+                        out_dir=tmp_path / "seq")
+        par = run_suite(games=["sokoban"], time_limit=60, jobs=2,
+                        out_dir=tmp_path / "par")
+        assert len(seq.board.rows) == 4
+        assert without_seconds(par.board.rows) == \
+            without_seconds(seq.board.rows)
 
     def test_finished_suite_spawns_no_worker(self, suite, monkeypatch):
         import concurrent.futures
@@ -220,6 +231,24 @@ class TestHarness:
         rows = read_results(tmp_path / "results.csv")
         assert [(r.game, r.level) for r in rows] == [("sokoban", 0)]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_saved_before_a_failing_planner_of_a_level(self, tmp_path,
+                                                           jobs):
+        """When the second planner of a level raises, the first planner's
+        row of that level is still saved before the suite aborts; from a
+        worker, the exception names the worker's traceback as its cause."""
+        planners = (BUILTIN_PLANNERS[0],
+                    FailingPlanner("failing", mode=Mode.GBFS_HADD))
+        with pytest.raises(RuntimeError, match="row failed") as raised:
+            run_suite(planners=planners, games=["sokoban"], time_limit=60,
+                      jobs=jobs, out_dir=tmp_path)
+        rows = read_results(tmp_path / "results.csv")
+        assert [r.key() for r in rows] == [("gbfs-hadd", "sokoban", 0)]
+        if jobs > 1:
+            cause = raised.value.__cause__
+            assert isinstance(cause, bench_module.WorkerTraceback)
+            assert "is_blind" in str(cause)
+
     def test_stub_external_planner_scored(self, tmp_path):
         # external adapter wired through the harness with a canned plan
         out = tmp_path / "out"
@@ -241,3 +270,89 @@ class TestHarness:
                            time_limit=60, out_dir=out)
         # the canned plan only fits level 0; level 1 must be rejected
         assert report.board.coverage("stub", "sokoban") == 1
+
+
+def without_seconds(rows):
+    return [dataclasses.replace(r, seconds=None) for r in rows]
+
+
+def timed_ground(monkeypatch):
+    """Wrap `bench.ground`: the list it returns gets (problem, seconds) per
+    call."""
+    real = bench_module.ground
+    calls = []
+
+    def timed(domain, problem):
+        started = time.perf_counter()
+        task = real(domain, problem)
+        calls.append((problem, time.perf_counter() - started))
+        return task
+
+    monkeypatch.setattr(bench_module, "ground", timed)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def shared(tmp_path_factory):
+    """Both built-in planners on sokoban, every grounding timed: (results
+    directory, report, grounding calls)."""
+    out = tmp_path_factory.mktemp("shared")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = timed_ground(monkeypatch)
+        report = run_suite(games=["sokoban"], time_limit=60, out_dir=out)
+    return out, report, calls
+
+
+class TestSharedGrounding:
+    """A suite job grounds its level once, and every built-in planner
+    searches that task."""
+
+    def test_one_ground_per_level(self, shared):
+        _, report, calls = shared
+        assert len(report.board.rows) == 2 * len(BUILTIN_PLANNERS)
+        assert len(calls) == 2
+        assert calls[0][0] != calls[1][0]  # one call per level
+
+    def test_rows_equal_each_planner_run_alone(self, shared, tmp_path):
+        _, report, _ = shared
+        alone = []
+        for spec in BUILTIN_PLANNERS:
+            alone += run_suite(planners=(spec,), games=["sokoban"],
+                               time_limit=60,
+                               out_dir=tmp_path / spec.name).board.rows
+        key = dataclasses.astuple
+        assert sorted(without_seconds(report.board.rows), key=key) == \
+            sorted(without_seconds(alone), key=key)
+
+    def test_rows_are_charged_their_levels_grounding(self, shared):
+        _, report, calls = shared
+        # the serial suite grounds the levels in order
+        for r in report.board.rows:
+            assert r.solved and r.seconds >= calls[r.level][1], r
+
+    def test_resume_runs_only_the_missing_planner(self, shared, tmp_path,
+                                                  monkeypatch):
+        out, report, _ = shared
+        missing = ("blind-bfs", "sokoban", 1)
+        lines = (out / "results.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "results.csv").write_text("".join(
+            line for line in lines if not line.startswith("blind-bfs,sokoban,1,")))
+        assert len(read_results(tmp_path / "results.csv")) == 3
+        calls = timed_ground(monkeypatch)
+        again = run_suite(games=["sokoban"], time_limit=60, out_dir=tmp_path)
+        assert len(calls) == 1
+        rows = read_results(tmp_path / "results.csv")
+        assert [r.key() for r in rows[3:]] == [missing]
+        assert without_seconds(sorted(again.board.rows, key=RunRow.key)) == \
+            without_seconds(sorted(report.board.rows, key=RunRow.key))
+
+    def test_external_only_level_is_not_grounded(self, tmp_path,
+                                                 monkeypatch):
+        calls = timed_ground(monkeypatch)
+        stub = PlannerSpec("stub", cmd="true")
+        report = run_suite(planners=(stub,), games=["sokoban"],
+                           time_limit=60, out_dir=tmp_path)
+        assert calls == []
+        assert [r.solved for r in report.board.rows] == [False, False]
+        assert sorted(p.name for p in (tmp_path / "pddl").iterdir()) == \
+            ["sokoban.pddl", "sokoban_0.pddl", "sokoban_1.pddl"]

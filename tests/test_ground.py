@@ -14,7 +14,8 @@ from oracle_interp import (
     relaxed_reachable,
     static_predicates,
 )
-from reference_ground import reference_ground, reference_simplify
+from reference_ground import (_build_universe, reference_ground,
+                             reference_simplify)
 from test_compiler import _stability_model
 from test_planner import (POOL_ASYMMETRIES, level_task, perfbench_module,
                           pool_task, random_aliens_level)
@@ -33,9 +34,10 @@ from vgdl2pddl.ground import (
     _cnf,
     _expand_foralls,
     _nnf,
-    _program,
+    _Reached,
     applicable,
     apply,
+    domain_program,
     goal_satisfied,
     ground,
     precondition_clauses,
@@ -628,7 +630,7 @@ class TestNeverTrueInstances:
         task = ground(domain, problem)
         eti = next(a for a in domain.actions
                    if a.name == "END-TURN-INTERACTIONS")
-        cx = _Context(_program(domain), problem)
+        cx = _Context(domain_program(domain), problem)
         joined = _Schema(cx.program.step(eti.name, problem), cx,
                          _Worklist(cx).reached).clauses_for(())
         guards = [clause for clause in joined if len(clause) > 1]
@@ -648,7 +650,7 @@ class TestNeverTrueInstances:
         domain, problem = _case("digger-1")
         eti = next(a for a in domain.actions
                    if a.name == "END-TURN-INTERACTIONS")
-        cx = _Context(_program(domain), problem)
+        cx = _Context(domain_program(domain), problem)
         schema = _Schema(cx.program.step(eti.name, problem), cx,
                          _Worklist(cx).reached)
         # one template per instance of every guard's forall would be 1,268
@@ -686,7 +688,7 @@ class TestForallClauses:
         """The context of rain lvl1, and each forall conjunct of schema
         `name` with its `_Forall` plan."""
         domain, problem = _case("rain-1")
-        program = _program(domain)
+        program = domain_program(domain)
         schema = next(s for s in program.schemas if s.name == name)
         return _Context(program, problem), [
             (c, plan) for c, plan in zip(schema.conjuncts, schema.parts)
@@ -1004,6 +1006,24 @@ class TestDomainProgram:
         assert problem_ref() is None
         assert id(domain) in ground_module._PROGRAMS
 
+    def test_equal_join_plan_tuples_are_kept_once(self):
+        program = domain_program(_case("aliens-1")[0])
+        kept: dict[tuple, tuple] = {}
+        occurrences = 0
+
+        def walk(value):
+            nonlocal occurrences
+            if type(value) is tuple:
+                occurrences += 1
+                assert kept.setdefault(value, value) is value, value
+                for item in value:
+                    walk(item)
+
+        for join in program.joins():
+            for plan in (join.ext, join.first_types, join.pre, join.steps):
+                walk(plan)
+        assert len(kept) < occurrences / 2
+
     def test_the_program_dies_with_its_domain(self):
         domain, problem = _case("aliens-0")
         ground(domain, problem)
@@ -1012,6 +1032,37 @@ class TestDomainProgram:
         del domain
         gc.collect()
         assert key not in ground_module._PROGRAMS
+
+
+class TestContext:
+    """A problem's context lists a type's objects and a static predicate's
+    rows on first use."""
+
+    @pytest.mark.parametrize("case", [f"{g}-1" for g in SHIPPED]
+                             + ["push-walls"])
+    def test_universe_and_static_sets_equal_the_eager_ones(self, case):
+        domain, problem = _case(case)
+        program = domain_program(domain)
+        cx = _Context(program, problem)
+        for typ, objs in _build_universe(domain, problem).items():
+            assert cx.universe[typ] == cx.universe.get(typ) == objs, typ
+        assert cx.universe["no-such-type"] == []
+        for pred in program.static_preds:
+            assert cx.static_sets[pred] == {
+                atom.args for atom in problem.init if atom.predicate == pred}
+
+    def test_a_monitor_step_builds_only_what_it_reads(self):
+        domain, problem = _case("aliens-1")
+        move = next(a for a in ground(domain, problem).actions
+                    if a.name.startswith("AVATAR_ACTION_MOVE"))
+        program = domain_program(domain)
+        cx = _Context(program, problem)
+        assert not cx.universe and not cx.static_sets
+        clauses = _Schema(program.step(move.name, problem), cx,
+                          _Reached(cx.init_dynamic)).clauses_for(move.args)
+        assert clauses == precondition_clauses(domain, problem, *move.ident)
+        assert 0 < len(cx.universe) < len(program.supertypes)
+        assert 0 < len(cx.static_sets) < len(program.static_preds)
 
 
 def atom_view(task, rename=None):
