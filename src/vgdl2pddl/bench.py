@@ -44,6 +44,7 @@ from .compiler import CompiledGame, compile_game
 from .engine import load
 from .games import available_games, level_paths, load_game
 from .ground import GroundedTask, domain_program, ground
+from .kb import KnowledgeBase
 from .pddl import Domain, print_domain, print_problem
 from .planner import Mode, SearchConfig, Status, external_solve, solve
 from .problems import generate_problem
@@ -340,8 +341,10 @@ def run_suite(suite_dir: Optional[Path] = None,
     done = {r.key() for r in rows}
 
     games = games or available_games(suite_dir)
+    # every game compiles on one load of the template directory
+    kb = KnowledgeBase()
     compiled: dict[str, CompiledGame] = {
-        name: compile_game(load_game(name, suite_dir)) for name in games}
+        name: compile_game(load_game(name, suite_dir), kb) for name in games}
 
     work_dir = out_dir / "pddl"
     work_dir.mkdir(exist_ok=True)

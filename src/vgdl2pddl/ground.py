@@ -795,7 +795,10 @@ class _Forall:
     def clauses(self, cx: _Context, reached: Optional[_Reached] = None
                 ) -> list[list[Literal]]:
         """The CNF of the forall over the objects and static facts of `cx`,
-        a guard's dynamic atoms joined on `reached`."""
+        a guard's dynamic atoms joined on `reached`. A variable whose type
+        has no object leaves no instance, so no join is bound."""
+        if not all(map(cx.universe.__getitem__, self.types)):
+            return []
         rows = _BoundJoin(self.join, cx, reached).run()
         ranks = [cx.position(typ) for typ in self.types]
         rows.sort(key=lambda row: tuple(map(dict.__getitem__, ranks, row)))

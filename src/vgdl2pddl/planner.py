@@ -32,7 +32,10 @@ a scan of the active buckets would.  Each search memoises that answer on
 the state's projection onto the group gates and the facts the active
 buckets' actions read: the states a search expands repeat few projections
 (aliens lvl1 blind BFS: 24,381 expansions, 3,130 projections), and the
-answer depends on nothing else.
+answer depends on nothing else.  A projection it has not seen is looked up
+again on the state's key facts, under which the candidates' tests are kept
+partially evaluated, and then on the facts those remaining tests read
+(zenpuzzle lvl0 blind BFS: 15,927 new projections, 30 full scans).
 
 Best-first search (GBFS, A*, GoalCount) prunes with strong stubborn sets
 (``_StubbornSets``): it expands only those applicable actions, in the
@@ -164,22 +167,50 @@ class _Successors:
     the group require, ties to the lowest fact.  An action with no such fact
     is unkeyed and a candidate whenever its group is active.
 
-    ``_scan`` takes the active groups in gate order; a group's candidates
-    are its unkeyed actions plus those filed under the key facts true in
-    the state, taken in grounding order and fully tested.  So it yields
-    exactly what a scan of every action of the active groups would, in the
-    same order.
+    ``_candidates`` takes the active groups in gate order; a group's
+    candidates are its unkeyed actions plus those filed under the key facts
+    true in the state, in grounding order.  ``_scan`` tests each fully, so
+    it returns exactly what a scan of every action of the active groups
+    would, in the same order, as action indices.
 
-    ``applicable`` memoises ``_scan`` as a tuple, keyed by ``state & mask``:
-    ``mask`` holds every group gate and each active group's ``reads``, the
-    facts its actions' positive and negative preconditions and clauses
-    mention, and is cached per combination of true gates.  The key is exact:
-    an action's applicability reads only its own masks, every action of an
-    active group is covered by ``mask``, and an inactive group's gate is in
-    ``mask`` and false, so two states with one key have the same applicable
-    actions in the same order.  The memo lives as long as the generator, one
-    search, and gains at most one entry per expanded state; equal tuples are
-    stored once.
+    ``applicable`` remembers that answer in two lookups.  The first is keyed
+    by ``state & mask``: ``mask`` holds every group gate and each active
+    group's ``reads``, the facts its actions' positive and negative
+    preconditions and clauses mention, and is cached per combination of
+    true gates.  The key is exact: an action's applicability reads only its
+    own masks, every action of an active group is covered by ``mask``, and
+    an inactive group's gate is in ``mask`` and false, so two states with
+    one key have the same applicable actions in the same order.
+
+    That key is fine-grained where a phase's actions read many facts: a
+    compiled END-TURN-INTERACTIONS reads every interaction's facts in its
+    guard clauses.  So a miss looks up a second entry, keyed by the state's
+    known facts ``state & known``: ``known`` holds every group gate and the
+    key facts of the active groups, cached per combination of true gates.
+    They decide the candidates, and the entry holds the candidates' tests
+    partially evaluated on them, as Fast Downward's successor generator
+    tests a few variables and never the whole state (Helmert, JAIR 2006):
+    an action that a known fact rules out is dropped, a clause that a known
+    literal satisfies is dropped, an action with a clause of known false
+    literals only is dropped, and the rest of each test is kept.  ``read``
+    is ``known`` with every fact those remaining tests mention, so the
+    answer depends on ``state & read`` alone and is remembered under it.
+    That key is exact too: its gate bits give ``known``, its known bits the
+    entry, and so ``read``.  On zenpuzzle lvl0 blind BFS the avatar's cell
+    leaves one guard clause of the thirteen, and the 15,927 misses of the
+    first lookup take 30 scans and 14 entries instead of 15,927 scans.
+
+    An entry is built on the second miss of its known facts, the first
+    sign that they recur; the first miss scans as before.  So known facts
+    seen on one miss only cost no entry: aliens lvl1, whose known facts
+    include every moving object's cell, misses 3,130 times on 1,726 of
+    them.  Building an entry costs about one and a half scans, and a test
+    left in it about half a scan, so an entry that is never used again is
+    the only waste.  Answers are interned: equal answers are one tuple,
+    whichever lookup found them, so callers that key on an answer's
+    identity (``_StubbornSets``, ``_Symmetry``) see the same tuples a scan
+    alone would give.  The memos live as long as the generator, one search,
+    and each gains at most one entry per expanded state.
     """
 
     def __init__(self, task: GroundedTask, reads: list[tuple[int, int]]):
@@ -189,8 +220,16 @@ class _Successors:
             gates = action.pos_pre & gate_mask
             buckets.setdefault(gates & -gates, []).append(i)
         self.actions = task.actions
+        # per action, the facts its clauses read
+        self.clause_reads = []
+        for action in task.actions:
+            read = 0
+            for pos_mask, neg_mask in action.clauses:
+                read |= pos_mask | neg_mask
+            self.clause_reads.append(read)
         # (gate bit, unkeyed, key mask, key bit -> actions) in gate order,
-        # actions as indices into task.actions; 0 marks the always group
+        # each action as its test (index, pos, neg, clauses); 0 marks the
+        # always group
         order = sorted(buckets, key=lambda b: (not b, b))
         self.groups = [self._index(bit, buckets[bit]) for bit in order]
         # gate bit -> every fact its group's applicability tests read
@@ -204,20 +243,31 @@ class _Successors:
         # the group gates are distinct single bits, so their sum is their union
         self.gate_mask = sum(order)
         self._masks: dict[int, int] = {}  # active gates -> projection mask
+        self._known: dict[int, int] = {}  # active gates -> known facts
         self._memo: dict[int, tuple[GroundAction, ...]] = {}  # key -> answer
+        # known facts -> None after their first miss, then their entry:
+        # (remaining tests, read: the known facts and what those tests read)
+        self._entries: dict[int, Optional[tuple]] = {}
+        self._partial: dict[int, tuple] = {}  # state & read -> answer
         self._interned: dict[tuple, tuple] = {}  # answer -> its one copy
+        # action indices -> their interned answer; hashing the indices is
+        # cheaper than hashing the actions
+        self._by_indices: dict[tuple[int, ...], tuple] = {}
 
     def _index(self, bit: int, members: list[int]):
-        facts = [_bits(self.actions[i].pos_pre & ~bit) for i in members]
+        actions = self.actions
+        facts = [_bits(actions[i].pos_pre & ~bit) for i in members]
         requires = Counter(f for fs in facts for f in fs)
-        unkeyed: list[int] = []
-        keyed: dict[int, list[int]] = {}
+        unkeyed: list[tuple] = []
+        keyed: dict[int, list[tuple]] = {}
         for i, fs in zip(members, facts):
+            a = actions[i]
+            test = (i, a.pos_pre, a.neg_pre, a.clauses)
             if fs:
                 key = min(fs, key=lambda f: (requires[f], f))
-                keyed.setdefault(1 << key, []).append(i)
+                keyed.setdefault(1 << key, []).append(test)
             else:
-                unkeyed.append(i)
+                unkeyed.append(test)
         # the keys are distinct single bits, so their sum is their union
         return bit, unkeyed, sum(keyed), keyed
 
@@ -233,35 +283,121 @@ class _Successors:
         key = state & mask
         found = self._memo.get(key)
         if found is None:
-            found = tuple(self._scan(state))
-            found = self._interned.setdefault(found, found)
-            self._memo[key] = found
+            found = self._memo[key] = self._miss(state, gates)
         return found
 
-    def _scan(self, state: int):
-        actions = self.actions
+    def _miss(self, state: int, gates: int) -> tuple[GroundAction, ...]:
+        known = self._known.get(gates)
+        if known is None:
+            known = self.gate_mask
+            for bit, _, key_mask, _ in self.groups:
+                if not bit or gates & bit:
+                    known |= key_mask
+            self._known[gates] = known
+        facts = state & known
+        entry = self._entries.get(facts)
+        if entry is None:
+            # the first miss on these known facts scans, the second builds
+            # their entry
+            if facts in self._entries:
+                entry = self._entries[facts] = self._evaluate(state, known)
+            else:
+                self._entries[facts] = None
+                return self._answer(self._scan(state))
+        tests, read = entry
+        key = state & read
+        found = self._partial.get(key)
+        if found is None:
+            found = self._partial[key] = self._answer(_passing(tests, state))
+        return found
+
+    def _candidates(self, state: int) -> list[tuple]:
+        """The tests of the active groups' candidates: per group in gate
+        order, in grounding order."""
+        out: list[tuple] = []
         for bit, unkeyed, key_mask, keyed in self.groups:
             if bit and not state & bit:
                 continue
             keys = state & key_mask
-            candidates = unkeyed
-            if keys:
-                candidates = unkeyed[:]
-                while keys:
-                    low = keys & -keys
-                    candidates += keyed[low]
-                    keys ^= low
-                candidates.sort()
-            for i in candidates:
-                action = actions[i]
-                pos = action.pos_pre
-                if state & pos != pos or state & action.neg_pre:
+            if not keys:
+                out += unkeyed
+                continue
+            candidates = unkeyed[:]
+            while keys:
+                low = keys & -keys
+                candidates += keyed[low]
+                keys ^= low
+            candidates.sort()
+            out += candidates
+        return out
+
+    def _answer(self, indices: tuple[int, ...]) -> tuple[GroundAction, ...]:
+        """The interned answer of the actions at ``indices``."""
+        found = self._by_indices.get(indices)
+        if found is None:
+            found = tuple(map(self.actions.__getitem__, indices))
+            found = self._by_indices[indices] = self._interned.setdefault(
+                found, found)
+        return found
+
+    def _scan(self, state: int) -> tuple[int, ...]:
+        return _passing(self._candidates(state), state)
+
+    def _evaluate(self, state: int, known: int) -> tuple[list, int]:
+        """The candidates' tests evaluated on ``state & known``, and
+        ``known`` with the facts the remaining tests read."""
+        true, false = state & known, known & ~state
+        unknown = ~known
+        clause_reads = self.clause_reads
+        tests = []
+        read = known
+        for i, pos, neg, clauses in self._candidates(state):
+            if pos & false or neg & true:
+                continue
+            reads = clause_reads[i]
+            if reads & known:
+                clauses, reads = _evaluate_clauses(clauses, true, false,
+                                                   unknown)
+                if clauses is None:
                     continue
-                for pos_mask, neg_mask in action.clauses:
-                    if not state & pos_mask and not neg_mask & ~state:
-                        break
-                else:
-                    yield action
+            pos &= unknown
+            neg &= unknown
+            tests.append((i, pos, neg, clauses))
+            read |= pos | neg | reads
+        return tests, read
+
+
+def _evaluate_clauses(clauses, true: int, false: int, unknown: int):
+    """``clauses`` less those a known literal satisfies and less their known
+    false literals, and the facts they still read; None for the clauses
+    when one has no literal left."""
+    rest = []
+    reads = 0
+    for pos_mask, neg_mask in clauses:
+        if pos_mask & true or neg_mask & false:
+            continue  # a known literal holds
+        pos_mask &= unknown
+        neg_mask &= unknown
+        if not pos_mask | neg_mask:
+            return None, 0  # every literal is known false
+        rest.append((pos_mask, neg_mask))
+        reads |= pos_mask | neg_mask
+    return rest, reads
+
+
+def _passing(tests, state: int) -> tuple[int, ...]:
+    """The indices of ``tests``, each (index, pos, neg, clauses), whose
+    test ``state`` passes."""
+    out = []
+    for i, pos, neg, clauses in tests:
+        if state & pos != pos or state & neg:
+            continue
+        for pos_mask, neg_mask in clauses:
+            if not state & pos_mask and not neg_mask & ~state:
+                break
+        else:
+            out.append(i)
+    return tuple(out)
 
 
 # -- strong stubborn sets -----------------------------------------------------------

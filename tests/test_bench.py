@@ -20,6 +20,7 @@ from vgdl2pddl.bench import (
 )
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.games import load_game
+from vgdl2pddl.kb import KnowledgeBase
 from vgdl2pddl.pddl import Domain
 from vgdl2pddl.planner import Mode
 
@@ -166,6 +167,31 @@ class TestHarness:
                 pytest.approx(report.board.satisficing("gbfs-hadd", game))
         # no duplicate rows were appended
         assert len(again.board.rows) == len(report.board.rows)
+
+    def test_one_template_load_per_suite(self, tmp_path, monkeypatch):
+        from vgdl2pddl import compiler
+        planners = (PlannerSpec("gbfs-hadd", mode=Mode.GBFS_HADD),)
+        games = ["sokoban", "keymaze"]
+        with monkeypatch.context() as m:
+            # each game compiled on a load of its own
+            m.setattr(bench_module, "compile_game",
+                      lambda model, kb: compile_game(model))
+            alone = run_suite(planners=planners, games=games, time_limit=60,
+                              out_dir=tmp_path / "alone")
+        made = []
+
+        class Counted(KnowledgeBase):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "KnowledgeBase", Counted)
+        monkeypatch.setattr(compiler, "KnowledgeBase", Counted)
+        report = run_suite(planners=planners, games=games, time_limit=60,
+                           out_dir=tmp_path / "shared")
+        assert len(made) == 1
+        assert without_seconds(report.board.rows) == \
+            without_seconds(alone.board.rows)
 
     def test_parallel_workers_match_sequential(self, tmp_path):
         seq = run_suite(games=["sokoban"], time_limit=60, jobs=1,

@@ -1064,6 +1064,62 @@ class TestContext:
         assert 0 < len(cx.universe) < len(program.supertypes)
         assert 0 < len(cx.static_sets) < len(program.static_preds)
 
+    def test_a_forall_over_an_empty_type_binds_no_join(self, monkeypatch):
+        bound = []
+
+        class Recording(ground_module._BoundJoin):
+            def __init__(self, join, *args):
+                bound.append(join)
+                super().__init__(join, *args)
+
+        monkeypatch.setattr(ground_module, "_BoundJoin", Recording)
+        for case, rocks in (("aliens-1", False), ("aliens-1-turn-4", True)):
+            domain, problem = _case(case)
+            move = next(a for a in ground(domain, problem).actions
+                        if a.name.startswith("AVATAR_ACTION_MOVE"))
+            foralls = [part for part in domain_program(domain).step(
+                move.name, problem).parts if isinstance(part, _Forall)]
+            assert [f.types for f in foralls] == [["rock"]]
+            assert any(t == "rock" for _, t in problem.objects) is rocks
+            bound.clear()
+            assert precondition_clauses(domain, problem, *move.ident)
+            assert any(join is foralls[0].join for join in bound) is rocks
+
+    def test_monitor_clauses_unchanged_on_the_c6_episodes(self, monkeypatch):
+        """Every step the monitor checks in the acceptance c6 episodes
+        (aliens lvl0, seeds 0-9) gets the clauses of a join bound even over
+        a type with no object."""
+        from vgdl2pddl import agent
+        from vgdl2pddl.planner import Mode, SearchConfig
+        calls = []  # (arguments, clauses)
+
+        def recording(*call):
+            clauses = precondition_clauses(*call)
+            calls.append((call, clauses))
+            return clauses
+
+        game = compile_game(load_game("aliens"))
+        grid = load_level("aliens", 0, game.model)
+        with monkeypatch.context() as m:
+            m.setattr(agent, "precondition_clauses", recording)
+            for seed in range(10):
+                agent.run_episode(game, grid, SearchConfig(
+                    mode=Mode.GBFS_HADD, time_limit=120), seed=seed, budget=200)
+        skipping = _Forall.clauses
+        empty = []
+
+        def always_joined(self, cx, reached=None):
+            rows = ground_module._BoundJoin(self.join, cx, reached).run()
+            if not all(map(cx.universe.__getitem__, self.types)):
+                empty.append(rows)
+                return []
+            return skipping(self, cx, reached)
+
+        monkeypatch.setattr(_Forall, "clauses", always_joined)
+        for call, clauses in calls:
+            assert precondition_clauses(*call) == clauses, call
+        assert empty and not any(empty)
+
 
 def atom_view(task, rename=None):
     """`task` as atoms, every object renamed by `rename`: its facts, static

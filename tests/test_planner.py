@@ -6,7 +6,7 @@ import importlib
 import operator
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from functools import reduce
 from pathlib import Path
 
@@ -786,7 +786,8 @@ def assert_same_successors(task, states):
 class TestSuccessors:
     @pytest.mark.parametrize("name,index", [
         ("sokoban", 0), ("sokoban", 1), ("keymaze", 0), ("keymaze", 1),
-        ("digger", 0), ("rain", 0), ("aliens", 0), ("zenpuzzle", 1),
+        ("digger", 0), ("digger", 1), ("rain", 0), ("aliens", 0),
+        ("zenpuzzle", 0), ("zenpuzzle", 1),
     ])
     def test_equals_applicable_scan_on_bfs_states(self, name, index,
                                                   monkeypatch):
@@ -938,6 +939,83 @@ class TestSuccessorMemo:
             level_task("aliens", 0), mode, monkeypatch)
         assert 0 < len(successors._memo) <= result.stats.expanded
         assert len(successors._memo) < len(set(states))
+
+
+def known_facts(successors, state):
+    """`state` on the group gates and on the key facts of its active
+    groups, the facts that decide its candidates."""
+    mask = successors.gate_mask
+    for bit, _, key_mask, _ in successors.groups:
+        if not bit or state & bit:
+            mask |= key_mask
+    return state & mask
+
+
+class TestKeyFactEntries:
+    def scan(self, task, state):
+        return [a for a in task.actions if applicable(state, a)]
+
+    def test_equal_known_facts_and_reads_share_one_answer(self, monkeypatch):
+        """States that agree on their known facts and on what the entry's
+        remaining tests read share one remembered answer, though they
+        differ in other facts their phase reads."""
+        task, states, _, _ = expanded_states(
+            level_task("zenpuzzle", 0), Mode.BLIND_BFS, monkeypatch)
+        reads = group_reads(task)
+        filled = make_successors(task)
+        for state in states:
+            filled.applicable(state)
+        # entry key -> first-lookup key -> a state with both
+        by_key = {}
+        for state in states:
+            entry = filled._entries[known_facts(filled, state)]
+            if entry is not None:
+                by_key.setdefault(state & entry[1], {}).setdefault(
+                    projection(reads, state), state)
+        triples = [list(group.values())[:3] for group in by_key.values()
+                   if len(group) >= 3]
+        assert triples
+        tested = []
+        passing = planner._passing
+
+        def counted(tests, state):
+            tested.append(state)
+            return passing(tests, state)
+
+        monkeypatch.setattr(planner, "_passing", counted)
+        for first, second, third in triples:
+            successors = make_successors(task)
+            # the first miss on these known facts scans, the second builds
+            # their entry and tests what it left open
+            got = successors.applicable(first)
+            assert successors.applicable(second) is got
+            assert tested[-2:] == [first, second]
+            assert successors.applicable(third) is got
+            assert tested[-1] == second
+            assert list(got) == self.scan(task, first) == self.scan(task, third)
+
+    def test_guard_clauses_are_scanned_a_few_dozen_times(self, monkeypatch):
+        """zenpuzzle lvl0's END-TURN-INTERACTIONS reads every interaction's
+        facts, so its blind BFS misses the first lookup 15,927 times; its
+        known facts take 30 values."""
+        counts = Counter()
+
+        class Counting(planner._Successors):
+            def _scan(self, state):
+                counts["scans"] += 1
+                return super()._scan(state)
+
+            def _evaluate(self, state, known):
+                counts["entries"] += 1
+                return super()._evaluate(state, known)
+
+        monkeypatch.setattr(planner, "_Successors", Counting)
+        _, _, successors, result = expanded_states(
+            level_task("zenpuzzle", 0), Mode.BLIND_BFS, monkeypatch)
+        assert len(result.plan) == 58
+        assert len(successors._memo) > 15_000
+        assert counts["scans"] == len(successors._entries) <= 40
+        assert counts["entries"] <= counts["scans"]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
