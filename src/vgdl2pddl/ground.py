@@ -34,16 +34,13 @@ effects, which only `ground`'s `_ActionSchema`s do.
 Grounding is one semi-naive join over the static facts and the reached
 atoms: relaxed reachability evaluated as Datalog, as Fast Downward's
 translator does (Helmert 2009), firing each rule only on newly reached
-atoms (Bancilhon & Ramakrishnan 1986). A schema's needs are its top-level
-positive dynamic atoms. When an atom is reached, init first, it is unified
-with every need of its predicate, and the rest of the binding is joined on
-the static table, the inequalities and the atoms reached so far (`_Join`),
-so a binding is built once, when its last need arrives. Each all-positive
-clause of a built action is one more need, met by any one of its atoms.
-Once every need is met the action is kept and its add effects are reached,
-which fires the join again. The kept actions are the least fixpoint of
-that rule, listed schema by schema, each schema's in the order of its plain
-enumeration over the static facts.
+atoms (Bancilhon & Ramakrishnan 1986). A binding is found once, when its
+last top-level positive dynamic atom is reached (`_Worklist`), and checked
+for only what reachability reads: static falsity, its all-positive
+clauses, each one more need, and its adds. The kept actions, the least
+fixpoint of that rule, are evaluated into masks once it ends, schema by
+schema, each schema's in the order of its plain enumeration over the
+static facts.
 
 A guard forall, one with a negated dynamic atom over its own variables
 (every END-TURN-INTERACTIONS guard), is never a need and never statically
@@ -448,7 +445,7 @@ class _Context:
         self.static_sets = _StaticSets(self.static_table)
         self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
-                          dict[tuple[str, ...], tuple[int, list[str]]]] = {}
+                          dict[tuple[str, ...], tuple[int, dict[str, int]]]] = {}
         self._typed: dict[str, frozenset[str]] = {}
         self._positions: dict[str, dict[str, int]] = {}
 
@@ -468,10 +465,11 @@ class _Context:
         return ranks
 
     def _options(self, pred: str, pos: int, typ: str, others: tuple[str, ...]
-                 ) -> tuple[int, list[str]]:
+                 ) -> tuple[int, dict[str, int]]:
         """Values at `pos` of the `pred` rows whose other arguments are
-        `others`: (how many rows match, the distinct values of type `typ` in
-        table order). Indexed once per (pred, pos, typ)."""
+        `others`: (how many rows match, each distinct value of type `typ`
+        -> its place among them, in table order). Indexed once per (pred,
+        pos, typ)."""
         index = self._index.get((pred, pos, typ))
         if index is None:
             matches: dict[tuple[str, ...], list[str]] = {}
@@ -479,9 +477,10 @@ class _Context:
                 matches.setdefault(row[:pos] + row[pos + 1:], []).append(row[pos])
             allowed = self.typed(typ)
             index = self._index[pred, pos, typ] = {
-                key: (len(values), [o for o in dict.fromkeys(values) if o in allowed])
+                key: (len(values), {o: i for i, o in enumerate(
+                    [o for o in dict.fromkeys(values) if o in allowed])})
                 for key, values in matches.items()}
-        return index.get(others, (0, []))
+        return index.get(others, (0, {}))
 
 
 class _Reached:
@@ -680,21 +679,19 @@ class _BoundJoin:
         ext = [*args, *self.ext[self.width:]]
         out = []
         for _, slot, typ, options, _ in self.steps:
-            values = self._candidates(typ, options, ext)
-            out.append(self.cx.position(typ)[ext[slot]] if values is None
-                       else values.index(ext[slot]))
+            out.append(self._candidates(typ, options, ext)[ext[slot]])
         return tuple(out)
 
-    def _candidates(self, typ: str, options, ext: list) -> Optional[list[str]]:
-        """The values of the static option with fewest rows, or None to
-        take the whole type."""
-        best: Optional[list[str]] = None
+    def _candidates(self, typ: str, options, ext: list) -> dict[str, int]:
+        """The values of the static option with fewest rows, else those of
+        the whole type, each -> its place among them."""
+        best: Optional[dict[str, int]] = None
         best_rows = 0
         for pred, pos, get in options:
             rows, values = self.cx._options(pred, pos, typ, get(ext))
             if best is None or rows < best_rows:
                 best, best_rows = values, rows
-        return best
+        return self.cx.position(typ) if best is None else best
 
     def _holds(self, checks, ext: list, first) -> bool:
         if checks is None:
@@ -733,10 +730,7 @@ class _BoundJoin:
                         self._search(level + 1, ext, first, out)
         else:
             _, slot, typ, options, checks = step
-            values = self._candidates(typ, options, ext)
-            if values is None:
-                values = self.cx.universe[typ]
-            for value in values:
+            for value in self._candidates(typ, options, ext):
                 ext[slot] = value
                 if checks is None or self._holds(checks, ext, first):
                     self._search(level + 1, ext, first, out)
@@ -921,8 +915,9 @@ class _ActionProgram(_Precondition):
     """What `ground` reads of an action schema, compiled once per domain:
     `checks`, the signature checks a problem decides (a name that is no
     variable), up to `error`, the first one the domain fails; a `_Join`
-    trigger per need (top-level positive dynamic atom), and `order`, the
-    plain enumeration over the static facts; `adds`/`dels` and `overlaps`
+    trigger per need (top-level positive dynamic atom), `order`, the plain
+    enumeration over the static facts, and `joined`, the conjuncts that
+    these joins decide; `adds`/`dels` and `overlaps`
     of the effects without a forall, the other effects (`foralls`) being
     expanded per problem, and `effect_error`, an unsupported effect."""
 
@@ -948,12 +943,13 @@ class _ActionProgram(_Precondition):
         needs: list[tuple[str, tuple[int, ...]]] = []
         self.static: list[tuple[str, tuple[int, ...]]] = []
         self.neqs: list[tuple[int, ...]] = []
-        for c in self.conjuncts:
+        self.joined: set[int] = set()
+        for i, c in enumerate(self.conjuncts):
             atom = c.body if isinstance(c, Not) else c
-            if not isinstance(atom, Atom):
+            if not isinstance(atom, Atom) or c is atom and atom.predicate == "=":
                 continue
             if c is atom and atom.predicate not in self.static_preds:
-                if atom.predicate != "=" and self._index(atom) not in needs:
+                if self._index(atom) not in needs:
                     needs.append(self._index(atom))
             elif not _decided(atom, names):
                 continue  # a variable that is not a parameter: never checked
@@ -961,6 +957,9 @@ class _ActionProgram(_Precondition):
                 self.static.append(self._index(atom))
             elif atom.predicate == "=":
                 self.neqs.append(self._index(atom)[1])
+            else:
+                continue  # a negated atom, decided per binding
+            self.joined.add(i)
 
         adds: dict[tuple, None] = {}
         dels: dict[tuple, None] = {}
@@ -1005,11 +1004,14 @@ class _Schema(_Slots):
     are checked (`ground` passes the relaxed-reachable atoms, the monitor
     the problem's dynamic init), and left out when `reached` is None.
     `clauses_for` fills the templates in for one binding: it substitutes
-    their arguments and decides their static and equality literals.
+    their arguments and decides their static and equality literals, and
+    `action` decides them the same way straight into bit masks.
     Equalities are folded after the CNF, so a conjunct with an equality
     under a conjunction under a disjunction may keep a clause that the
     conjunct's other clauses imply.
     """
+
+    name, adds, dels = GOAL, (), ()  # the goal's; an action has its own
 
     def __init__(self, pre: _Precondition, cx: _Context,
                  reached: Optional[_Reached]):
@@ -1047,16 +1049,25 @@ class _Schema(_Slots):
                     ) -> Optional[list[list[Literal]]]:
         """The precondition bound to `args` as CNF clauses over dynamic
         atoms, or None when it is statically false."""
+        atoms = self.cx.atoms
+        return self._fill(self.clauses, args,
+                          lambda pred, values, positive:
+                          (atoms[pred, values], positive))
+
+    def _fill(self, templates, args: tuple[str, ...], literal: Callable
+              ) -> Optional[list[list]]:
+        """`templates` bound to `args`: each one its static and equality
+        literals leave open as the list of `literal(pred, values, positive)`
+        of its dynamic literals, or None when one is statically false."""
         ext = args + self.consts
         static = self.cx.static_sets
-        atoms = self.cx.atoms
         clauses = []
-        for template in self.clauses:
+        for template in templates:
             kept = []
             for pred, get, positive, kind in template:
                 values = get(ext)
                 if kind is None:
-                    kept.append((atoms[pred, values], positive))
+                    kept.append(literal(pred, values, positive))
                 elif (values[0] == values[1] if kind is _EQUALITY
                       else values in static[pred]) == positive:
                     break  # statically satisfied
@@ -1066,12 +1077,53 @@ class _Schema(_Slots):
                 clauses.append(kept)
         return clauses
 
+    def action(self, args: tuple[str, ...], bits: dict[Atom, int]
+               ) -> GroundAction:
+        """The step bound to `args` as a `GroundAction` over `bits`, each
+        reachable atom's bit: `clauses_for(args)` split into units and longer
+        clauses, trimmed to `bits` as the module docstring says, and the
+        effects. The caller knows the step is not statically false."""
+        ext = args + self.consts
+        static = self.cx.static_sets
+        pos = neg = 0
+        clauses = []
+        for template in self.clauses:
+            p = n = size = 0
+            for pred, get, positive, kind in template:
+                values = get(ext)
+                if kind is None:
+                    bit = bits.get((pred, values), 0)
+                    if positive:
+                        p |= bit
+                    elif bit:
+                        n |= bit
+                    else:
+                        break  # the clause always holds
+                    size += 1
+                elif (values[0] == values[1] if kind is _EQUALITY
+                      else values in static[pred]) == positive:
+                    break  # statically satisfied
+            else:
+                if size > 1:
+                    clauses.append((p, n))
+                else:  # a unit, or a static clause that holds
+                    pos |= p
+                    neg |= n
+        add = delete = 0
+        for p, get in self.adds:  # every add of a kept action is reachable
+            add |= bits[p, get(ext)]
+        for p, get in self.dels:
+            delete |= bits.get((p, get(ext)), 0)
+        return GroundAction(self.name, args, pos, neg, tuple(clauses), add,
+                            delete)
+
 
 class _ActionSchema(_Schema):
     """An `_ActionProgram` on one problem, its signature checks run: the
-    precondition templates, guards left out until `with_guards`, and
+    precondition templates, guards left out until the fixpoint ends, and
     `adds`/`dels` and `overlaps`, the program's and those of the effect's
-    foralls expanded over the objects."""
+    foralls expanded over the objects. The fixpoint reads a binding through
+    `needs` alone, and `action` evaluates a kept one into masks."""
 
     def __init__(self, program: _ActionProgram, cx: _Context):
         for pred, arg, declared in program.checks:
@@ -1081,6 +1133,10 @@ class _ActionSchema(_Schema):
         super().__init__(program, cx, None)
         self.program = program
         self.name = program.name
+        self.tests = tuple(t for i, part in enumerate(self._parts)
+                           if i not in program.joined and type(part) is tuple
+                           for t in part if all(kind is not None or positive
+                                                for _, _, positive, kind in t))
         adds: set[Atom] = set()
         dels: set[Atom] = set()
         for c in program.foralls:
@@ -1111,33 +1167,20 @@ class _ActionSchema(_Schema):
                 ext = row + self.consts
                 args = tuple([ext[s] for s in rep])
                 if all(args[s] in self.cx.typed(t)
-                       for s, t in self.program.types.items()):
-                    self.build(args)  # raises unless statically false
+                       for s, t in self.program.types.items()
+                       ) and self.needs(args) is not None:
+                    ext = args + self.consts
+                    both = ({Atom(p, get(ext)) for p, get in self.adds}
+                            & {Atom(p, get(ext)) for p, get in self.dels})
+                    raise TypeMismatchError(f"action {self.name} adds and "
+                                            f"deletes {sorted(map(str, both))}")
 
-    def build(self, args: tuple[str, ...]):
-        """The grounded action as (name, args, clauses, adds, dels), or None
-        when its precondition is statically false."""
-        clauses = self.clauses_for(args)
-        if clauses is None:
-            return None
-        ext = args + self.consts
-        atoms = self.cx.atoms
-        adds = {atoms[p, get(ext)] for p, get in self.adds}
-        dels = {atoms[p, get(ext)] for p, get in self.dels}
-        both = adds & dels
-        if both:
-            raise TypeMismatchError(
-                f"action {self.name} adds and deletes {sorted(map(str, both))}")
-        return self.name, args, clauses, adds, dels
-
-    def with_guards(self, raws: list[tuple], reached: _Reached) -> list[tuple]:
-        """The built actions `raws` with the guard foralls' clauses spliced
-        in, joined on the final `reached` atoms."""
-        if not any(isinstance(part, _Forall) for part in self._parts):
-            return raws
-        self.clauses = self._templates(reached)
-        return [(name, args, self.clauses_for(args), adds, dels)
-                for name, args, _, adds, dels in raws]
+    def needs(self, args: tuple[str, ...]) -> Optional[list[list[tuple]]]:
+        """The atoms of each all-positive clause of the precondition bound
+        to `args`, or None when it is statically false: all the fixpoint
+        reads of it. Only `tests` can be either, the clauses with no negated
+        dynamic atom but those of the conjuncts every join decides."""
+        return self._fill(self.tests, args, lambda pred, values, _: (pred, values))
 
 
 class _Worklist:
@@ -1150,23 +1193,24 @@ class _Worklist:
     facts, the inequalities and the atoms reached so far (`_Join`). So a
     binding is found once, when the last of its needs is reached (by the
     earliest need that gives that atom). A schema without needs enumerates
-    its static bindings once. A found binding is built, and each
-    all-positive clause of the built action is one more need, met by any one
-    of its atoms; the action waits here on those (as a one-item list per
-    need, emptied when met). Once every need is met the action is kept and
-    its add effects are reached, which fires triggers and meets waiting
-    needs in turn. The dynamic init is reached atom by atom the same way.
-    The triggers are the program's, each bound to the problem when an atom
-    first fires it.
+    its static bindings once. A found binding is checked, not built
+    (`_ActionSchema.needs`): it is dropped if statically false, and each
+    all-positive clause is one more need, met by any one of its atoms; the
+    binding waits here on those (as a one-item list per need, emptied when
+    met). Once every need is met the binding is kept and its add effects
+    are reached, which fires triggers and meets waiting needs in turn. The
+    dynamic init is reached atom by atom the same way. The triggers are the
+    program's, each bound to the problem when an atom first fires it.
+    `actions` evaluates each kept binding into masks once the fixpoint ends.
     """
 
     def __init__(self, cx: _Context):
         self.cx = cx
         self.reached = _Reached()
-        self.waiting: dict[Atom, list[list]] = {}
+        self.waiting: dict[tuple, list[list]] = {}
         self.schemas: list[_ActionSchema] = []
-        self.kept: list[list[tuple]] = []  # per schema, its kept actions
-        self._stack: list[list] = []  # [unmet needs, schema, args, built]
+        self.kept: list[list[tuple[str, ...]]] = []  # per schema, kept args
+        self._stack: list[list] = []  # [unmet needs, schema, args, checked]
         self._dispatch: dict[tuple, list[tuple[int, _BoundJoin]]] = {}
         self._bound: dict[_Join, _BoundJoin] = {}
         for k, program in enumerate(cx.program.schemas):
@@ -1175,7 +1219,7 @@ class _Worklist:
             self.schemas.append(compiled)
             self.kept.append([])
             if not program.triggers:
-                self._stack.extend([0, k, args, None]
+                self._stack.extend([0, k, args, False]
                                    for args in compiled.order.run())
         for atom in cx.init_dynamic:
             self._reach(atom)
@@ -1191,7 +1235,7 @@ class _Worklist:
                 if not waiter[0]:
                     self._stack.append(waiter)
         for k, join in self._fired(key):
-            self._stack.extend([0, k, args, None] for args in join.run(key[1]))
+            self._stack.extend([0, k, args, False] for args in join.run(key[1]))
 
     def _fired(self, key: Atom) -> list[tuple[int, _BoundJoin]]:
         """The triggers an atom of these argument types can fire."""
@@ -1226,27 +1270,28 @@ class _Worklist:
         stack = self._stack
         while stack:
             entry = stack.pop()
-            raw = entry[3]
-            if raw is None:
-                raw = entry[3] = self.schemas[entry[1]].build(entry[2])
-                if raw is None:
-                    continue  # statically false
-                if self._wait(entry, [
-                        [atom for atom, _ in clause] for clause in raw[2]
-                        if all(positive for _, positive in clause)]):
-                    continue
-            self.kept[entry[1]].append(raw)
-            for atom in raw[3]:
-                self._reach(atom)
+            _, k, args, checked = entry
+            schema = self.schemas[k]
+            if not checked:
+                entry[3] = True
+                needs = schema.needs(args)
+                if needs is None or self._wait(entry, needs):
+                    continue  # statically false, or waiting
+            self.kept[k].append(args)
+            ext = args + schema.consts
+            for pred, get in schema.adds:
+                self._reach(self.cx.atoms[pred, get(ext)])
 
-    def actions(self) -> list[tuple]:
-        """The kept actions, schema by schema, each schema's in the order of
-        its plain enumeration (`order.rank`), with their guard clauses."""
+    def actions(self, bits: dict[Atom, int]) -> list[GroundAction]:
+        """The kept actions as masks over `bits`, schema by schema, each
+        schema's in the order of its plain enumeration (`order.rank`), guard
+        foralls joined on the final reached atoms."""
         out = []
         for schema, kept in zip(self.schemas, self.kept):
             if kept:
-                kept.sort(key=lambda raw: schema.order.rank(raw[1]))
-                out.extend(schema.with_guards(kept, self.reached))
+                kept.sort(key=schema.order.rank)
+                schema.clauses = schema._templates(self.reached)
+                out.extend([schema.action(args, bits) for args in kept])
         return out
 
 
@@ -1268,17 +1313,11 @@ def precondition_clauses(domain: Domain, problem: Problem, name: str,
 
 def ground(domain: Domain, problem: Problem) -> GroundedTask:
     """Ground the relaxed-reachable actions of `problem` over its reachable
-    atoms.
-
-    The domain's program, compiled on its first call, is bound to the
-    problem (`_Context`). One semi-naive join over the static facts and the
-    reached atoms finds the bindings as their needs are reached
-    (`_Worklist`, see the module docstring); the kept actions are listed
-    schema by schema, each in the order of its plain static enumeration,
-    and guard foralls are joined on the final reached atoms. The fact table
-    holds the reached atoms, sorted by text, and the masks are trimmed to
-    it.
-    """
+    atoms. The domain's program, compiled on its first call, is bound to
+    the problem (`_Context`); the fixpoint (`_Worklist`) finds each binding
+    and checks it for what reachability reads, and each kept action is
+    evaluated into masks once, after the fixpoint (see the module
+    docstring)."""
     program = domain_program(domain)
     cx = _Context(program, problem)
     for atom in problem.init:
@@ -1286,75 +1325,37 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
             _check_type(atom.predicate, arg, cx.types_of.get(arg), declared,
                         cx.supertypes)
 
-    init_dynamic = cx.init_dynamic
     worklist = _Worklist(cx)
     facts = tuple(sorted(worklist.reached.keys, key=str))
-    fact_id = {f: i for i, f in enumerate(facts)}
+    bits = {f: 1 << i for i, f in enumerate(facts)}
 
-    def mask(members: Iterable[Atom]) -> int:
-        """The bits of those `members` that can become true."""
-        m = 0
-        for a in members:
-            i = fact_id.get(a)
-            if i is not None:
-                m |= 1 << i
-        return m
-
-    def split(clauses: Iterable[list[Literal]]):
-        """The positive units, the negative units and the longer clauses,
-        less those a negative literal on a never-true atom satisfies."""
-        pos: list[Atom] = []
-        neg: list[Atom] = []
-        multi: list[list[Literal]] = []
-        for clause in clauses:
-            if len(clause) == 1:
-                atom, positive = clause[0]
-                (pos if positive else neg).append(atom)
-            elif all(positive or a in fact_id for a, positive in clause):
-                multi.append(clause)
-        return pos, neg, multi
-
-    actions = []
-    for name, args, clauses, adds, dels in worklist.actions():
-        pos, neg, multi = split(clauses)
-        actions.append(GroundAction(
-            name=name,
-            args=args,
-            pos_pre=mask(pos),
-            neg_pre=mask(neg),
-            clauses=tuple((mask(a for a, p in cl if p),
-                           mask(a for a, p in cl if not p)) for cl in multi),
-            add=mask(adds),
-            delete=mask(dels),
-        ))
-
-    goal = _Schema(program.step(GOAL, problem), cx,
-                   worklist.reached).clauses_for(())
-    goal_pos, goal_neg, multi = split(goal or ())
-    if multi:
+    schema = _Schema(program.step(GOAL, problem), cx, worklist.reached)
+    goal = schema.clauses_for(())
+    step = schema.action((), bits) if goal is not None else None
+    if step and step.clauses:
         raise UnsupportedConstructError("goal must be a conjunction of literals")
+    units = [clause[0] for clause in goal or () if len(clause) == 1]
 
     return GroundedTask(
         facts=facts,
-        actions=tuple(actions),
-        init=mask(init_dynamic),
-        goal_pos=mask(goal_pos),
-        goal_neg=mask(goal_neg),
-        static_facts=frozenset(problem.init).difference(init_dynamic),
+        actions=tuple(worklist.actions(bits)),
+        init=sum(map(bits.__getitem__, cx.init_dynamic)),
+        goal_pos=step.pos_pre if step else 0,
+        goal_neg=step.neg_pre if step else 0,
+        static_facts=frozenset(problem.init).difference(cx.init_dynamic),
         # statically false, or a positive goal atom is never true
-        unsolvable_goal=goal is None or any(a not in fact_id for a in goal_pos),
-        interchangeable=_interchangeable(program.named, problem, goal_pos,
-                                         goal_neg),
+        unsolvable_goal=goal is None or any(
+            positive and a not in bits for a, positive in units),
+        interchangeable=_interchangeable(program.named, problem, units),
     )
 
 
 def _interchangeable(named: frozenset[str], problem: Problem,
-                     goal_pos: list[Atom], goal_neg: list[Atom]
-                     ) -> tuple[tuple[str, ...], ...]:
+                     goal: list[Literal]) -> tuple[tuple[str, ...], ...]:
     """The classes of interchangeable objects of `problem`, each in the
     problem's object order (Pochter, Zohar & Rosenschein, AAAI 2011;
     Sievers et al., ICAPS 2019). The candidates are the objects that init
-    or a grounded goal literal names, less `named`, those the domain names:
+    or a grounded goal unit, one of `goal`, names, less `named`, those the domain names:
     its constants and any other name an action schema's precondition or
     effect uses. They are grouped by declared type and by signature: those atoms
     with the object blanked wherever it occurs. Two objects of one
@@ -1364,13 +1365,12 @@ def _interchangeable(named: frozenset[str], problem: Problem,
     every grounding: the fact table, and the actions, each onto the one of
     the same name with the swapped arguments."""
     signature: dict[str, set] = {}
-    for tag, atoms in enumerate((problem.init, goal_pos, goal_neg)):
-        for atom in atoms:
-            args = atom.args
-            for x in args:
-                signature.setdefault(x, set()).add(
-                    (tag, atom.predicate,
-                     tuple(["?" if y == x else y for y in args])))
+    for atom, tag in itertools.chain(((a, None) for a in problem.init), goal):
+        args = atom.args
+        for x in args:
+            signature.setdefault(x, set()).add(
+                (tag, atom.predicate,
+                 tuple(["?" if y == x else y for y in args])))
     groups: dict[tuple[str, frozenset], list[str]] = {}
     for obj, typ in dict(problem.objects).items():
         if obj in signature and obj not in named:

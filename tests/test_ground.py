@@ -21,6 +21,7 @@ from test_planner import (POOL_ASYMMETRIES, level_task, perfbench_module,
                           pool_task, random_aliens_level)
 from vgdl2pddl import engine
 from vgdl2pddl import ground as ground_module
+from vgdl2pddl.agent import violated_literals
 from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.engine import AvatarAction
 from vgdl2pddl.errors import NotApplicableError, TypeMismatchError
@@ -792,6 +793,15 @@ GUARD = """
   )
 """
 
+# a clause with a negated atom that never becomes true, and a positive one
+CALM = """
+  (:action CALM
+    :parameters (?a - walker ?x ?y - num)
+    :precondition (and (at ?x ?y ?a) (or (not (dead ?a)) (dead ?a)))
+    :effect (not (turn-boulder-move))
+  )
+"""
+
 # an equality under a conjunction under a disjunction
 NESTED = """
   (:action NESTED
@@ -965,6 +975,55 @@ class TestReferenceEquality:
             for a, ref in pairs:
                 assert (applicable(state(task, true), a)
                         == applicable(state(reference, true), ref)), (a, true)
+
+
+class TestMaskPass:
+    """The fixpoint checks a binding without building its clauses; each kept
+    action is evaluated into masks once, after it, by code apart from the
+    monitor's `clauses_for`."""
+
+    @pytest.mark.parametrize("case", [f"{g}-{i}" for g in SHIPPED for i in (0, 1)])
+    def test_masks_agree_with_the_monitor_in_init(self, case):
+        domain, problem = _case(case)
+        task = ground(domain, problem)
+        init = frozenset(problem.init)
+        for a in task.actions:
+            clauses = precondition_clauses(domain, problem, a.name, a.args)
+            assert applicable(task.init, a) == (
+                violated_literals(clauses, init) == ()), a
+
+    def test_a_negated_never_true_atom_drops_its_clause(self):
+        """Only the unreachable SQUASH adds dead, so CALM's clause always
+        holds: it is no need, and no mask names it."""
+        task = ground(read_domain(_with_action(CALM)), read_problem(PUSH_PROBLEM))
+        calm = [a for a in task.actions if a.name == "CALM"]
+        assert Atom("dead", ("w1",)) not in task.fact_id
+        assert calm and all(a.clauses == () and a.neg_pre == 0 for a in calm)
+        assert all(applicable(task.init, a) for a in calm
+                   if a.args[1:] == ("n0", "n2"))
+
+    @pytest.mark.parametrize("case", ["digger-1", "rain-1", "push-guard"])
+    def test_each_kept_action_is_evaluated_once(self, case, monkeypatch):
+        """One `ground` turns each kept action's precondition into masks
+        once, and builds a literal clause list for the goal alone."""
+        evaluated, filled = [], []
+        action, clauses_for = _Schema.action, _Schema.clauses_for
+
+        def counted(self, args, bits):
+            if isinstance(self, ground_module._ActionSchema):
+                evaluated.append((self.name, args))
+            return action(self, args, bits)
+
+        def recorded(self, args):
+            filled.append(self)
+            return clauses_for(self, args)
+
+        monkeypatch.setattr(_Schema, "action", counted)
+        monkeypatch.setattr(_Schema, "clauses_for", recorded)
+        task = ground(*_case(case))
+        assert evaluated == [a.ident for a in task.actions]
+        assert len(filled) == 1
+        assert not isinstance(filled[0], ground_module._ActionSchema)
 
 
 class TestDomainProgram:
