@@ -14,9 +14,20 @@ over the observed problem.  A plan that runs out with the game still going
 (e.g. a stray rock intercepted a bullet without ever touching an avatar
 precondition) logs the goal literals the observed state falsifies as its
 violation, and the loop replans.
+
+A level played under many engine seeds opens every episode on the same
+turn-0 state, so `run_episode` keeps, per `Domain` object, the task of the
+start problem it grounded last (`_STARTS`, found by identity and emptied
+when the domain dies, as `ground.domain_program` keeps its programs). An
+episode whose first problem equals that start searches the kept task instead
+of grounding it again. Only the first plan consults it: a replan's state is
+not a level start, so it neither reuses nor replaces the entry. One entry
+per domain keeps the memory bounded, and a level played after another on
+the same game grounds its own start. Every plan is still searched.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -25,8 +36,9 @@ from typing import Optional
 from . import engine
 from .compiler import CompiledGame
 from .engine import AvatarAction, GameStatus, GameState
-from .ground import GOAL, GroundAction, ground, precondition_clauses
-from .pddl import Atom
+from .ground import (GOAL, GroundAction, GroundedTask, ground,
+                     precondition_clauses)
+from .pddl import Atom, Domain, Problem
 from .planner import SearchConfig, Status, solve
 from .problems import ConfigFile, emit_config, generate_problem
 from .vgdl import LevelGrid
@@ -120,13 +132,39 @@ def monitor(state: GameState, step: tuple[str, tuple[str, ...]],
 
 # -- episode loop --------------------------------------------------------------------
 
+# id(domain) -> (start problem, its task), the last episode start grounded
+_STARTS: dict[int, tuple[Problem, GroundedTask]] = {}
+
+
+def _start_task(domain: Domain, problem: Problem) -> GroundedTask:
+    """The task of an episode's first problem: the kept one if `problem`
+    equals the last start grounded on `domain`, else a fresh ground that
+    replaces it."""
+    kept = _STARTS.get(id(domain))
+    if kept is not None and kept[0] == problem:
+        return kept[1]
+    task = ground(domain, problem)
+    if kept is None:
+        weakref.finalize(domain, _STARTS.pop, id(domain), None)
+    _STARTS[id(domain)] = (problem, task)
+    return task
+
+
 def run_episode(game: CompiledGame, grid: LevelGrid,
                 planner_cfg: Optional[SearchConfig] = None, seed: int = 0,
                 budget: int = 2000,
                 trace: Optional[Path] = None,
                 on_step=None) -> EpisodeResult:
     """Play one level to Win/Lose/budget; `on_step(state)` is called after
-    every executed turn (rendering hook)."""
+    every executed turn (rendering hook).
+
+    The first plan's task comes from `_start_task`: an episode that starts
+    where the last one started on the same `game.domain` (the same level
+    under another engine seed) searches the task grounded then, since the
+    problems are equal. Only that one start is kept per domain: a replan's
+    state is the episode's own, so replans ground their own problem and
+    leave the entry alone, and one entry bounds the memory to a task per
+    game."""
     planner_cfg = planner_cfg or SearchConfig()
     config = emit_config(game)
     state = engine.load(game.model, grid, seed=seed)
@@ -143,7 +181,10 @@ def run_episode(game: CompiledGame, grid: LevelGrid,
     while True:
         turn_at_plan = state.turn
         problem, binding = generate_problem(state, game, config)
-        plan_result = solve(ground(game.domain, problem), planner_cfg)
+        # only the episode's first problem can be a start seen before
+        task = (_start_task(game.domain, problem) if not result.wall_times
+                else ground(game.domain, problem))
+        plan_result = solve(task, planner_cfg)
         result.wall_times.append(plan_result.stats.wall_time)
         if plan_result.status is not Status.SOLVED:
             return finish(Outcome.PLANNER_FAILED)

@@ -35,6 +35,8 @@ MODE_NAMES = {
     "goalcount": Mode.GOAL_COUNT,
 }
 
+SECONDS = click.FloatRange(min=0, min_open=True)  # a search time limit
+
 
 class ProjectConfig:
     """Optional default paths from the file VGDL2PDDL_CONFIG points at.
@@ -118,7 +120,7 @@ def gen_problem_cmd(gdf: Path, ldf: Path, out: Path):
               type=click.Path(exists=True, path_type=Path))
 @click.option("--mode", type=click.Choice(sorted(MODE_NAMES)), default="gbfs",
               show_default=True)
-@click.option("--time", "time_limit", type=float, default=60.0,
+@click.option("--time", "time_limit", type=SECONDS, default=60.0,
               show_default=True, help="seconds")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cmd", default=None,
@@ -141,7 +143,8 @@ def plan_cmd(domain_path, problem_path, mode, time_limit, seed, cmd, out):
                                  f"after {result.stats.wall_time:.2f}s"))
         text = format_plan(result.steps)
         if out is not None:
-            Path(out).write_text(text)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text)
             click.echo(f"wrote {out} ({len(result.plan)} steps)")
         else:
             click.echo(text, nl=False)
@@ -158,7 +161,7 @@ def plan_cmd(domain_path, problem_path, mode, time_limit, seed, cmd, out):
               default="gbfs", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--budget", type=int, default=2000, show_default=True)
-@click.option("--time", "time_limit", type=float, default=60.0,
+@click.option("--time", "time_limit", type=SECONDS, default=60.0,
               show_default=True)
 @click.option("--trace", type=click.Path(path_type=Path), default=None)
 @click.option("--render", type=click.Choice(["ascii"]), default=None)
@@ -167,6 +170,8 @@ def play_cmd(gdf, ldf, planner, seed, budget, time_limit, trace, render):
     try:
         game = compile_game(_load_game_file(gdf))
         grid = parse_ldf(Path(ldf).read_text(), game.model)
+        if trace is not None:
+            trace.parent.mkdir(parents=True, exist_ok=True)
         on_step = None
         if render == "ascii":
             state = engine_mod.load(game.model, grid, seed=seed)
@@ -195,9 +200,10 @@ def play_cmd(gdf, ldf, planner, seed, budget, time_limit, trace, render):
               help="planner config YAML (default: built-in gbfs + blind bfs)")
 @click.option("--games", "game_names", default=None,
               help="comma-separated subset of games")
-@click.option("--time", "time_limit", type=float, default=900.0,
+@click.option("--time", "time_limit", type=SECONDS, default=900.0,
               show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="result directory [default: bench-out]")
 def bench_cmd(suite, planners_path, game_names, time_limit, jobs, out):

@@ -1,4 +1,5 @@
 """Episode-loop tests: deterministic runs, monitoring, seeded replanning."""
+import gc
 import hashlib
 import random
 
@@ -354,3 +355,76 @@ class TestStochasticEpisodes:
         b = run_episode(game, grid, CFG, seed=4, budget=100)
         assert (a.outcome, a.turns, a.replans, a.plan_lengths) == \
             (b.outcome, b.turns, b.replans, b.plan_lengths)
+
+
+class TestStartMemo:
+    """`run_episode` grounds a level's start once for every episode that
+    begins there on the same compiled game; replans ground their own."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        original = agent.ground
+
+        def recording(domain, problem):
+            task = original(domain, problem)
+            calls.append((problem, task))
+            return task
+
+        monkeypatch.setattr(agent, "ground", recording)
+        return calls
+
+    def test_ten_seeds_ground_the_start_once(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        game = compile_game(load_game("aliens"))
+        grid = load_level("aliens", 0, game.model)
+        results = [run_episode(game, grid, CFG, seed=seed, budget=200)
+                   for seed in range(10)]
+        replans = sum(r.replans for r in results)
+        assert replans >= 1
+        assert sum(len(r.wall_times) for r in results) == 10 + replans
+        assert len(calls) == 1 + replans
+        # a replan neither reuses nor replaces the start
+        start = calls[0][0]
+        assert all(problem != start for problem, _ in calls[1:])
+        assert agent._STARTS[id(game.domain)] == calls[0]
+
+    def test_each_seed_plays_as_on_a_fresh_game(self):
+        game = compile_game(load_game("aliens"))
+        grid = load_level("aliens", 0, game.model)
+        for seed in range(10):
+            shared = run_episode(game, grid, CFG, seed=seed, budget=200)
+            fresh_game = compile_game(load_game("aliens"))
+            alone = run_episode(fresh_game,
+                                load_level("aliens", 0, fresh_game.model),
+                                CFG, seed=seed, budget=200)
+            for name in ("outcome", "turns", "replans", "plan_lengths",
+                         "violations", "issued"):
+                assert getattr(shared, name) == getattr(alone, name), \
+                    (seed, name)
+
+    def test_another_level_grounds_its_own_start(self, monkeypatch):
+        game = compile_game(load_game("aliens"))
+        for seed in range(2):
+            run_episode(game, load_level("aliens", 0, game.model), CFG,
+                        seed=seed, budget=200)
+        calls = self.counting(monkeypatch)
+        run_episode(game, load_level("aliens", 1, game.model), CFG, seed=0,
+                    budget=1)
+        assert len(calls) == 1
+        problem, task = calls[0]
+        fresh = compile_game(load_game("aliens"))
+        fresh_problem, _ = generate_problem(
+            load_level("aliens", 1, fresh.model), fresh)
+        assert problem == fresh_problem
+        assert task == ground(fresh.domain, fresh_problem)
+        assert agent._STARTS[id(game.domain)] == (problem, task)
+
+    def test_the_start_dies_with_its_domain(self):
+        game = compile_game(load_game("aliens"))
+        run_episode(game, load_level("aliens", 0, game.model), CFG, budget=1)
+        key = id(game.domain)
+        assert key in agent._STARTS
+        del game
+        gc.collect()
+        assert key not in agent._STARTS

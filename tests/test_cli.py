@@ -112,6 +112,30 @@ class TestPlanAndPlay:
         assert "replans=0" in result.output
         assert trace.exists()
 
+    def test_plan_out_creates_its_directory(self, runner, tmp_path):
+        for command in (["compile", shipped("sokoban", "sokoban.txt")],
+                        ["gen-problem", shipped("sokoban", "sokoban.txt"),
+                         shipped("sokoban", "sokoban_lvl0.txt")]):
+            assert runner.invoke(
+                main, [*command, "--out", str(tmp_path)]).exit_code == 0
+        out = tmp_path / "missing" / "deeper" / "plan.txt"
+        result = runner.invoke(main, [
+            "plan", "--domain", str(tmp_path / "sokoban.pddl"),
+            "--problem", str(tmp_path / "sokoban_lvl0.pddl"),
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().strip().endswith("(END-TURN-SPRITES)")
+
+    def test_play_trace_creates_its_directory(self, runner, tmp_path):
+        trace = tmp_path / "missing" / "deeper" / "t.log"
+        result = runner.invoke(main, [
+            "play", "--gdf", shipped("sokoban", "sokoban.txt"),
+            "--ldf", shipped("sokoban", "sokoban_lvl0.txt"),
+            "--trace", str(trace)])
+        assert result.exit_code == 0, result.output
+        assert "outcome=Win" in result.output
+        assert trace.read_text()
+
     def test_play_render(self, runner):
         result = runner.invoke(main, [
             "play", "--gdf", shipped("sokoban", "sokoban.txt"),
@@ -182,3 +206,34 @@ class TestBenchCli:
         assert (tmp_path / "bench" / "results.csv").exists()
         assert (tmp_path / "bench" / "summary.csv").exists()
         assert (tmp_path / "bench" / "report.txt").exists()
+
+
+class TestOptionRanges:
+    """A search time limit must be positive and `--jobs` at least 1; a bad
+    value is a usage error that names the option, raised before any work."""
+
+    PLAN = ["plan", "--domain", shipped("sokoban", "sokoban.txt"),
+            "--problem", shipped("sokoban", "sokoban_lvl0.txt")]
+    PLAY = ["play", "--gdf", shipped("sokoban", "sokoban.txt"),
+            "--ldf", shipped("sokoban", "sokoban_lvl0.txt")]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.5"])
+    @pytest.mark.parametrize("command", ["plan", "play"])
+    def test_time_must_be_positive(self, runner, command, value):
+        args = self.PLAN if command == "plan" else self.PLAY
+        result = runner.invoke(main, [*args, "--time", value])
+        assert result.exit_code == 2, result.output
+        assert "--time" in result.output
+
+    @pytest.mark.parametrize("option,value", [("--time", "0"),
+                                              ("--time", "-3"),
+                                              ("--jobs", "0"),
+                                              ("--jobs", "-2")])
+    def test_bench_rejects_before_any_work(self, runner, tmp_path, option,
+                                           value):
+        out = tmp_path / "bench"
+        result = runner.invoke(main, ["bench", "--games", "sokoban",
+                                      option, value, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert not out.exists()
