@@ -160,7 +160,8 @@ def plan_cmd(domain_path, problem_path, mode, time_limit, seed, cmd, out):
 @click.option("--planner", type=click.Choice(sorted(MODE_NAMES)),
               default="gbfs", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=2000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=2000,
+              show_default=True)
 @click.option("--time", "time_limit", type=SECONDS, default=60.0,
               show_default=True)
 @click.option("--trace", type=click.Path(path_type=Path), default=None)
@@ -216,9 +217,8 @@ def bench_cmd(suite, planners_path, game_names, time_limit, jobs, out):
                       else Path("bench-out"))
         planners = bench_mod.load_planners(planners_path)
         games = game_names.split(",") if game_names else None
-        report = bench_mod.run_suite(suite_dir=suite, planners=planners,
-                                     games=games, time_limit=time_limit,
-                                     jobs=jobs, out_dir=out)
+        bench_mod.run_suite(suite_dir=suite, planners=planners, games=games,
+                            time_limit=time_limit, jobs=jobs, out_dir=out)
         click.echo((Path(out) / "report.txt").read_text(), nl=False)
     except Vgdl2PddlError as exc:
         _fail(exc)

@@ -17,11 +17,10 @@ object, or ahead of one by `domain_program`, and kept for that object's
 life. It holds what the domain alone decides: the type walk, the signature
 checks over schema parameters, each precondition conjunct's clause
 templates (or its forall's join plan), the needs, the effect positions and
-add/delete overlaps, and the level plan of every `_Join`, each equal plan
-tuple kept once. It holds nothing of a problem. A call binds it to one
-problem (`_Context`): the universe and the static facts, each type and
-predicate listed on first use, the joins over them, quantified effects,
-and the fixpoint.
+add/delete overlaps, and the level plan of every `_Join`. It holds nothing
+of a problem. A call binds it to one problem (`_Context`): the universe and
+the static facts, the joins over them, quantified effects, and the
+fixpoint.
 
 `_Schema` is the one path from a formula to ground clauses: the program's
 templates of a precondition, each quantified single clause expanded only
@@ -61,6 +60,7 @@ from __future__ import annotations
 import copy
 import itertools
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -343,21 +343,6 @@ class _Program:
             a for s in domain.actions for f in (s.precondition, s.effect)
             for atom in atoms_in(f) for a in atom.args if a[:1] != "?"
         ).union(obj for obj, _ in domain.constants)
-        # the joins' level plans repeat: each equal tuple is kept once
-        seen: dict[tuple, tuple] = {}
-        for join in self.joins():
-            for name in ("ext", "first_types", "pre", "steps"):
-                setattr(join, name, _interned(getattr(join, name), seen))
-
-    def joins(self) -> Iterable[_Join]:
-        """Every `_Join` of the schemas: triggers, plain enumerations,
-        overlap checks and foralls."""
-        for schema in self.schemas:
-            yield from (join for _, join in schema.triggers)
-            yield schema.order
-            yield from (join for join, _ in schema.overlaps)
-            yield from (part.join for part in schema.parts
-                        if isinstance(part, _Forall))
 
     def signature(self, atom: Atom) -> Iterable[tuple[str, str]]:
         """Each argument of `atom` with the type its predicate declares there;
@@ -380,74 +365,55 @@ class _Program:
         return next(s for s in self.schemas if s.name == name)
 
 
-class _Universe(dict):
-    """Each type -> its objects, in the order `objects` lists them, listed
-    on a type's first lookup. A type that no object has, declared or not,
-    lists none, so `get` needs no default."""
-
-    def __init__(self, objects: tuple[tuple[str, str], ...],
-                 supertypes: dict[str, tuple[str, ...]]):
-        super().__init__()
-        self.objects = objects
-        self.supertypes = supertypes
-
-    def __missing__(self, typ: str) -> list[str]:
-        supertypes = self.supertypes
-        objs = self[typ] = [o for o, t in self.objects if typ in supertypes[t]]
-        return objs
-
-    def get(self, typ: str, default=None) -> list[str]:
-        return self[typ]
-
-
-class _StaticSets(dict):
-    """Each static predicate -> the set of its rows in `table`, made on the
-    predicate's first lookup."""
-
-    def __init__(self, table: dict[str, list[tuple[str, ...]]]):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, pred: str) -> set[tuple[str, ...]]:
-        rows = self[pred] = set(self.table.get(pred, ()))
-        return rows
-
-
 class _Context:
     """What one problem decides, on its domain's program: the typed
-    `universe`, `types_of`, init split into the static table and sets and
-    the dynamic init, and the task's `atoms`. For the joins, `_options`
-    indexes the static table by argument position, and `typed` and
-    `position` give a type's objects as a set and by universe order. It
-    computes no reachable atoms: a join on them is given them. A type's
-    objects and a static predicate's set are made on first use, as one
-    step of the monitor reads only a few of them.
+    `universe` (a type no object has, declared or not, lists none),
+    `types_of`, init split into the static table, the static sets (empty
+    for a static predicate without rows) and the dynamic init, and the
+    task's `atoms`. For the joins, `_options` indexes the static table by
+    argument position, and `typed` and `position` give a type's objects as
+    a set and by universe order. It computes no reachable atoms: a join on
+    them is given them.
     """
 
     def __init__(self, program: _Program, problem: Problem):
         self.program = program
         supertypes = self.supertypes = program.supertypes
-        self.objects = program.constants + tuple(problem.objects)
-        for obj, typ in self.objects:
+        objects = program.constants + tuple(problem.objects)
+        universe = self.universe = defaultdict(list, {t: [] for t in supertypes})
+        for obj, typ in objects:
             if typ not in supertypes:
                 raise TypeMismatchError(f"object {obj!r} has undeclared type {typ!r}")
-        self.universe = _Universe(self.objects, supertypes)
-        self.types_of = dict(self.objects)
+            for t in supertypes[typ]:
+                universe[t].append(obj)
+        self.types_of = dict(objects)
 
-        static_preds = program.static_preds
         self.static_table: dict[str, list[tuple[str, ...]]] = {}
+        self.static_sets: dict[str, set[tuple[str, ...]]] = {
+            pred: set() for pred in program.static_preds}
         self.init_dynamic: set[Atom] = set()
         for atom in problem.init:
-            if atom.predicate in static_preds:
-                self.static_table.setdefault(atom.predicate, []).append(atom.args)
-            else:
+            rows = self.static_sets.get(atom.predicate)
+            if rows is None:
                 self.init_dynamic.add(atom)
-        self.static_sets = _StaticSets(self.static_table)
+            else:
+                self.static_table.setdefault(atom.predicate, []).append(atom.args)
+                rows.add(atom.args)
         self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
                           dict[tuple[str, ...], tuple[int, dict[str, int]]]] = {}
         self._typed: dict[str, frozenset[str]] = {}
         self._positions: dict[str, dict[str, int]] = {}
+
+    def check(self, atoms: Iterable[Atom]) -> None:
+        """Raise on an atom over an undeclared predicate, with the wrong
+        arity, or with an object of the wrong type (a `?` variable is not
+        checked)."""
+        for atom in atoms:
+            for arg, declared in self.program.signature(atom):
+                if arg[:1] != "?":
+                    _check_type(atom.predicate, arg, self.types_of.get(arg),
+                                declared, self.supertypes)
 
     def typed(self, typ: str) -> frozenset[str]:
         """The objects of type `typ`, as a set."""
@@ -617,18 +583,6 @@ class _Join:
         checks = [tuple(map(tuple, c)) if any(c) else None for c in checks]
         self.pre = checks[0]
         self.steps = tuple((*step, c) for step, c in zip(steps, checks[1:]))
-
-
-def _interned(value, seen: dict[tuple, tuple]):
-    """`value` with every tuple in it, itself included, replaced by the
-    first equal one in `seen`."""
-    if type(value) is not tuple:
-        return value
-    kept = seen.get(value)
-    if kept is None:
-        kept = seen[value] = tuple([_interned(v, seen) if type(v) is tuple else v
-                                    for v in value])
-    return kept
 
 
 class _BoundJoin:
@@ -1317,18 +1271,18 @@ def ground(domain: Domain, problem: Problem) -> GroundedTask:
     the problem (`_Context`); the fixpoint (`_Worklist`) finds each binding
     and checks it for what reachability reads, and each kept action is
     evaluated into masks once, after the fixpoint (see the module
-    docstring)."""
+    docstring). An init or goal atom over an undeclared predicate, with the
+    wrong arity or with an object of the wrong type raises
+    `TypeMismatchError`."""
     program = domain_program(domain)
     cx = _Context(program, problem)
-    for atom in problem.init:
-        for arg, declared in program.signature(atom):
-            _check_type(atom.predicate, arg, cx.types_of.get(arg), declared,
-                        cx.supertypes)
+    cx.check(problem.init)
 
     worklist = _Worklist(cx)
     facts = tuple(sorted(worklist.reached.keys, key=str))
     bits = {f: 1 << i for i, f in enumerate(facts)}
 
+    cx.check(atoms_in(problem.goal))
     schema = _Schema(program.step(GOAL, problem), cx, worklist.reached)
     goal = schema.clauses_for(())
     step = schema.action((), bits) if goal is not None else None

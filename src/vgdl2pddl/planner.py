@@ -206,11 +206,13 @@ class _Successors:
     include every moving object's cell, misses 3,130 times on 1,726 of
     them.  Building an entry costs about one and a half scans, and a test
     left in it about half a scan, so an entry that is never used again is
-    the only waste.  Answers are interned: equal answers are one tuple,
-    whichever lookup found them, so callers that key on an answer's
-    identity (``_StubbornSets``, ``_Symmetry``) see the same tuples a scan
-    alone would give.  The memos live as long as the generator, one search,
-    and each gains at most one entry per expanded state.
+    the only waste.  Each set of action indices has one answer tuple
+    (``_by_indices``), whichever lookup found it, and distinct actions have
+    distinct indices, so equal answers are one tuple and callers that key
+    on an answer's identity (``_StubbornSets``, ``_Symmetry``) see the same
+    tuples a scan alone would give.  The memos live as long as the
+    generator, one search, and each gains at most one entry per expanded
+    state.
     """
 
     def __init__(self, task: GroundedTask, reads: list[tuple[int, int]]):
@@ -249,9 +251,8 @@ class _Successors:
         # (remaining tests, read: the known facts and what those tests read)
         self._entries: dict[int, Optional[tuple]] = {}
         self._partial: dict[int, tuple] = {}  # state & read -> answer
-        self._interned: dict[tuple, tuple] = {}  # answer -> its one copy
-        # action indices -> their interned answer; hashing the indices is
-        # cheaper than hashing the actions
+        # action indices -> their one answer; hashing the indices is cheaper
+        # than hashing the actions
         self._by_indices: dict[tuple[int, ...], tuple] = {}
 
     def _index(self, bit: int, members: list[int]):
@@ -332,12 +333,11 @@ class _Successors:
         return out
 
     def _answer(self, indices: tuple[int, ...]) -> tuple[GroundAction, ...]:
-        """The interned answer of the actions at ``indices``."""
+        """The one answer of the actions at ``indices``."""
         found = self._by_indices.get(indices)
         if found is None:
-            found = tuple(map(self.actions.__getitem__, indices))
-            found = self._by_indices[indices] = self._interned.setdefault(
-                found, found)
+            found = self._by_indices[indices] = tuple(
+                map(self.actions.__getitem__, indices))
         return found
 
     def _scan(self, state: int) -> tuple[int, ...]:
@@ -429,7 +429,7 @@ class _StubbornSets:
     the first.  So where movers of one phase commute, as rain's drops do, T
     follows the phase's end back to one mover's moves.
 
-    ``keep`` takes the generator's interned answer for a state.  If every
+    ``keep`` takes the generator's answer for a state.  If every
     two of its actions interfere, a T holding one of them holds all of them,
     and a T holding none means the state is a dead end, so the answer is
     kept whole with no closure; that test reads the actions' masks and is

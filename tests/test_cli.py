@@ -136,6 +136,27 @@ class TestPlanAndPlay:
         assert "outcome=Win" in result.output
         assert trace.read_text()
 
+    @pytest.mark.parametrize("goal,message", [
+        ("(dne b1)", "undeclared predicate 'dne'"),
+        ("(done b1 b1)", "done expects 1 args, got 2"),
+    ])
+    def test_plan_rejects_a_bad_goal_atom(self, runner, tmp_path, goal,
+                                          message):
+        domain = tmp_path / "d.pddl"
+        domain.write_text("""(define (domain toy)
+  (:requirements :strips :typing)
+  (:types box)
+  (:predicates (done ?b - box))
+  (:action FINISH :parameters (?b - box) :precondition (and)
+    :effect (done ?b)))""")
+        problem = tmp_path / "p.pddl"
+        problem.write_text(f"""(define (problem toy1) (:domain toy)
+  (:objects b1 - box) (:init) (:goal {goal}))""")
+        result = runner.invoke(main, ["plan", "--domain", str(domain),
+                                      "--problem", str(problem)])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+
     def test_play_render(self, runner):
         result = runner.invoke(main, [
             "play", "--gdf", shipped("sokoban", "sokoban.txt"),
@@ -209,8 +230,9 @@ class TestBenchCli:
 
 
 class TestOptionRanges:
-    """A search time limit must be positive and `--jobs` at least 1; a bad
-    value is a usage error that names the option, raised before any work."""
+    """A search time limit must be positive, and `play --budget` and
+    `--jobs` at least 1; a bad value is a usage error that names the
+    option, raised before any work."""
 
     PLAN = ["plan", "--domain", shipped("sokoban", "sokoban.txt"),
             "--problem", shipped("sokoban", "sokoban_lvl0.txt")]
@@ -224,6 +246,12 @@ class TestOptionRanges:
         result = runner.invoke(main, [*args, "--time", value])
         assert result.exit_code == 2, result.output
         assert "--time" in result.output
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_play_budget_must_be_positive(self, runner, value):
+        result = runner.invoke(main, [*self.PLAY, "--budget", value])
+        assert result.exit_code == 2, result.output
+        assert "--budget" in result.output
 
     @pytest.mark.parametrize("option,value", [("--time", "0"),
                                               ("--time", "-3"),

@@ -2,6 +2,7 @@
 import gc
 import itertools
 import random
+import re
 import signal
 import weakref
 from dataclasses import replace
@@ -253,6 +254,19 @@ class TestGrounding:
         bad = PUSH_PROBLEM.replace("(at n0 n2 w1)", "(at n0 w1 n2)")
         with pytest.raises(TypeMismatchError):
             ground(domain, read_problem(bad))
+
+    @pytest.mark.parametrize("atom,message", [
+        ("(dne b1)", "undeclared predicate 'dne'"),
+        ("(dead b1 b1)", "dead expects 1 args, got 2"),
+        ("(boulder-moved w1)", "boulder-moved: w1 has type walker"),
+    ])
+    def test_goal_atoms_are_checked_as_init_atoms_are(self, atom, message):
+        domain = read_domain(PUSH_DOMAIN)
+        goal = "(:goal (and (at n1 n2 b1) (not (dead w1))))"
+        for text in (PUSH_PROBLEM.replace(goal, f"(:goal (not {atom}))"),
+                     PUSH_PROBLEM.replace("(turn-boulder-move)", atom)):
+            with pytest.raises(TypeMismatchError, match=re.escape(message)):
+                ground(domain, read_problem(text))
 
 
 LOOP_DOMAIN = """\
@@ -1065,24 +1079,6 @@ class TestDomainProgram:
         assert problem_ref() is None
         assert id(domain) in ground_module._PROGRAMS
 
-    def test_equal_join_plan_tuples_are_kept_once(self):
-        program = domain_program(_case("aliens-1")[0])
-        kept: dict[tuple, tuple] = {}
-        occurrences = 0
-
-        def walk(value):
-            nonlocal occurrences
-            if type(value) is tuple:
-                occurrences += 1
-                assert kept.setdefault(value, value) is value, value
-                for item in value:
-                    walk(item)
-
-        for join in program.joins():
-            for plan in (join.ext, join.first_types, join.pre, join.steps):
-                walk(plan)
-        assert len(kept) < occurrences / 2
-
     def test_the_program_dies_with_its_domain(self):
         domain, problem = _case("aliens-0")
         ground(domain, problem)
@@ -1094,8 +1090,8 @@ class TestDomainProgram:
 
 
 class TestContext:
-    """A problem's context lists a type's objects and a static predicate's
-    rows on first use."""
+    """A problem's context lists every type's objects and every static
+    predicate's rows, and a monitor step grounds on it as `ground` does."""
 
     @pytest.mark.parametrize("case", [f"{g}-1" for g in SHIPPED]
                              + ["push-walls"])
@@ -1116,12 +1112,9 @@ class TestContext:
                     if a.name.startswith("AVATAR_ACTION_MOVE"))
         program = domain_program(domain)
         cx = _Context(program, problem)
-        assert not cx.universe and not cx.static_sets
         clauses = _Schema(program.step(move.name, problem), cx,
                           _Reached(cx.init_dynamic)).clauses_for(move.args)
         assert clauses == precondition_clauses(domain, problem, *move.ident)
-        assert 0 < len(cx.universe) < len(program.supertypes)
-        assert 0 < len(cx.static_sets) < len(program.static_preds)
 
     def test_a_forall_over_an_empty_type_binds_no_join(self, monkeypatch):
         bound = []

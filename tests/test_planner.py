@@ -1250,7 +1250,8 @@ class TestStubbornSets:
 
     def test_keep_sees_only_interned_answers(self, monkeypatch):
         """The plan is rebuilt from the successor memo, so every answer the
-        stubborn sets cache is the one copy `_Successors` interned."""
+        stubborn sets cache is the one copy `_Successors` keeps for its
+        action indices."""
         made = {}
 
         class Successors(planner._Successors):
@@ -1268,9 +1269,9 @@ class TestStubbornSets:
             m.setattr(planner, "_StubbornSets", Stubborn)
             result = solve(level_task("rain", 1))
         assert result.status is Status.SOLVED and result.plan
-        interned = made["successors"]._interned
+        kept = {id(a) for a in made["successors"]._by_indices.values()}
         answers = [entry[0] for entry in made["stubborn"]._answers.values()]
-        assert answers and all(interned.get(a) is a for a in answers)
+        assert answers and all(id(a) in kept for a in answers)
 
     def test_interference_tables_match_pairwise_test(self, monkeypatch):
         task, seen, _ = gbfs_kept(level_task("rain", 1), monkeypatch)
