@@ -74,10 +74,8 @@ class EpisodeResult:
 AVATAR_PREFIX = "AVATAR_ACTION"
 
 _ENGINE_ACTION = {
-    "AVATAR_ACTION_MOVE_UP": AvatarAction.UP,
-    "AVATAR_ACTION_MOVE_DOWN": AvatarAction.DOWN,
-    "AVATAR_ACTION_MOVE_LEFT": AvatarAction.LEFT,
-    "AVATAR_ACTION_MOVE_RIGHT": AvatarAction.RIGHT,
+    **{f"AVATAR_ACTION_MOVE_{d}": move
+       for move, d in engine.MOVE_ACTIONS.items()},
     "AVATAR_ACTION_NIL": AvatarAction.NIL,
 }
 

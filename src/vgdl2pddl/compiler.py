@@ -6,20 +6,25 @@ sprite type updates in its own sub-phase closed by STOP_<T>_MOVE, and
 END-TURN-SPRITES re-opens the avatar phase (advancing the turn counter in
 timeout games).
 
-Compilation decisions that fall outside templates:
+Templates hold each element action whole; the compiler computes the text of
+their holes from the game and drops an action whose precondition holds the
+empty disjunction (or).  Compilation decisions that fall outside templates:
   * an Immovable sprite becomes a static (is-<T> ?x ?y) predicate instead of
     an object type when nothing ever affects it: it is never an interaction
     receiver, produces only stepBack, and no termination counts it;
-  * stepBack interactions emit no action at all; they become destination-not-
-    blocked preconditions on every action that moves the receiver;
-  * a blocked self-mover performs <T>_MOVE_STOP (stay in place) so the STOP
-    closer's all-moved check stays satisfiable; at the grid edge it exits and
+  * stepBack interactions emit no action at all; they fill the <FREE> hole
+    (destination not blocked) of every template that moves the receiver, and
+    a self-mover's <BLOCKED> hole, which guards <T>_MOVE_STOP (stay in place)
+    so the STOP closer's all-moved check stays satisfiable; a mover nothing
+    blocks gets (or) there, so it has no stay; at the grid edge it exits and
     dies, mirroring the simulator;
+  * each STOP_<T>_MOVE's <NEXT_PHASE> hole opens the next mover's phase;
   * END-TURN-INTERACTIONS needs each interaction action's guard "no binding
     applies", derived from its template; bounceForward's guard instead bans
     any overlap, so a failed push is a dead end (the simulator reverts it);
   * avatar projectiles are pooled: problems carry reserve objects that a USE
-    action places on the grid;
+    action places on the grid, and the projectile's <POOL> hole counts them
+    as moved;
   * an avatar class template holds only what the class adds to MovingAvatar
     (a ShootAvatar's or FlakAvatar's USE): the avatar's actions are
     MovingAvatar's moves, the class's own actions, then MovingAvatar's NIL;
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DuplicateActionNameError, GdfError, UnsupportedGoalError
-from .kb import DIRECTIONS, Instantiated, KnowledgeBase
+from .kb import DIRECTIONS, KnowledgeBase, TemplateSet
 from .pddl import (
     Action,
     And,
@@ -61,6 +66,9 @@ from .vgdl import (
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":equality",
                 ":universal-preconditions", ":conditional-effects")
 
+_NEVER = Or(())  # a precondition conjunct that no state satisfies
+
+
 @dataclass(frozen=True)
 class Blockers:
     """Producers of stepBack interactions against one moving sprite."""
@@ -68,8 +76,21 @@ class Blockers:
     statics: tuple[str, ...]
     object_types: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return bool(self.statics or self.object_types)
+    def free(self) -> str:
+        """The <FREE> hole: no blocker holds the destination <DEST>."""
+        return " ".join(
+            [f"(not (is-{name} <DEST>))" for name in self.statics]
+            + [f"(forall (?blk - {t}) (not (at <DEST> ?blk)))"
+               for t in self.object_types])
+
+    def blocked(self) -> str:
+        """The <BLOCKED> hole: a blocker holds <DEST>; (or) when none can."""
+        options = ([f"(is-{name} <DEST>)" for name in self.statics]
+                   + [f"(not (forall (?blk - {t}) (not (at <DEST> ?blk))))"
+                      for t in self.object_types])
+        if len(options) == 1:
+            return options[0]
+        return f"({' '.join(['or', *options])})"
 
 
 @dataclass(frozen=True)
@@ -186,43 +207,6 @@ def _never_applies(action: Action, asserted: Formula) -> Forall:
         if c not in conj(asserted).parts)))
 
 
-def _dest_cell(action: Action) -> tuple[str, str]:
-    names = [v for v, _ in action.params]
-    if "?new_x" in names:
-        return ("?new_x", "?y")
-    return ("?x", "?new_y")
-
-
-def _blocker_conjuncts(blockers: Blockers, cell: tuple[str, str]) -> list[Formula]:
-    dx, dy = cell
-    out: list[Formula] = []
-    for name in blockers.statics:
-        out.append(Not(Atom(f"is-{name}", (dx, dy))))
-    for type_name in blockers.object_types:
-        out.append(Forall((("?blk", type_name),),
-                          Not(Atom("at", (dx, dy, "?blk")))))
-    return out
-
-
-def _stop_name(mover: str) -> str:
-    """The name of sprite_missile's end-of-phase action for ``mover``."""
-    return f"STOP_{mover.upper()}_MOVE"
-
-
-def _add_in_reserve_disjunct(action: Action) -> Action:
-    """Extend STOP_<T>_MOVE's all-moved check with pooled projectiles."""
-    parts = list(action.precondition.parts
-                 if isinstance(action.precondition, And)
-                 else [action.precondition])
-    for idx, part in enumerate(parts):
-        if isinstance(part, Forall) and isinstance(part.body, Or):
-            var = part.variables[0][0]
-            parts[idx] = Forall(part.variables,
-                                Or(part.body.parts
-                                   + (Atom("in-reserve", (var,)),)))
-    return Action(action.name, action.params, conj(*parts), action.effect)
-
-
 # -- main assembly ------------------------------------------------------------------
 
 def compile_game(model: GameModel,
@@ -272,30 +256,31 @@ def compile_game(model: GameModel,
                 predicates.append(p)
                 pred_seen.add(p.name)
 
+    def element(ts: TemplateSet, binding: dict[str, str],
+                directions: Optional[tuple[str, ...]] = None) -> list[Action]:
+        inst = kb.instantiate(ts, binding, directions)
+        add_predicates(inst.predicates)
+        return [a for a in inst.actions
+                if _NEVER not in conj(a.precondition).parts]
+
+    def free(sprite: str) -> str:
+        return blockers_for(model, sprite, statics).free()
+
     core = kb.instantiate(kb.lookup("turn", "core"), {})
     add_predicates(core.predicates)
     eti_core = next(a for a in core.actions if a.name == "END-TURN-INTERACTIONS")
     ets_core = next(a for a in core.actions if a.name == "END-TURN-SPRITES")
 
-    avatar_blockers = blockers_for(model, avatar.name, statics)
-
-    avatar_binding = {"A": avatar.name}
+    avatar_binding = {"A": avatar.name, "FREE": free(avatar.name)}
     if projectile is not None:
         avatar_binding["P"] = projectile
     moving_template = kb.lookup("avatar", SpriteType.MOVING_AVATAR.value)
     class_template = kb.lookup("avatar", avatar.vgdl_type.value)
-    moving = kb.instantiate(moving_template, avatar_binding,
-                            class_template.directions)
-    own = (kb.instantiate(class_template, avatar_binding)
-           if class_template is not moving_template else Instantiated((), ()))
-    add_predicates(moving.predicates + own.predicates)
-    *moves, nil = moving.actions
-    avatar_actions: list[Action] = []
-    for action in (*moves, *own.actions, nil):
-        if action.name.startswith("AVATAR_ACTION_MOVE_"):
-            action = _with_pre(action, _blocker_conjuncts(
-                avatar_blockers, _dest_cell(action)))
-        avatar_actions.append(action)
+    *moves, nil = element(moving_template, avatar_binding,
+                          class_template.directions)
+    own = (element(class_template, avatar_binding)
+           if class_template is not moving_template else [])
+    avatar_actions = [*moves, *own, nil]
 
     # interactions, in declaration order
     interaction_actions: list[Action] = []
@@ -304,20 +289,15 @@ def compile_game(model: GameModel,
     for inter in model.interactions:
         if inter.kind is InteractionKind.STEP_BACK:
             continue
-        binding = {"S1": inter.receiver, "S2": inter.producer}
+        binding = {"S1": inter.receiver, "S2": inter.producer,
+                   "FREE": free(inter.receiver)}
         if inter.kind is InteractionKind.KILL_IF_OTHER_HAS_MORE:
             binding["R"] = inter.params["resource"]
             binding["L"] = inter.params["limit"]
             kiohm_limits.append((inter.params["resource"],
                                  int(inter.params["limit"])))
-        inst = kb.instantiate(
-            kb.lookup("interaction", inter.kind.value), binding)
-        add_predicates(inst.predicates)
-        actions = inst.actions
+        actions = element(kb.lookup("interaction", inter.kind.value), binding)
         if inter.kind is InteractionKind.BOUNCE_FORWARD:
-            blockers = blockers_for(model, inter.receiver, statics)
-            actions = tuple(_with_pre(a, _blocker_conjuncts(
-                blockers, _dest_cell(a))) for a in actions)
             # a failed push leaves the receiver on the pusher: no overlap may
             # close the turn, so the model dead-ends where the engine reverts
             guards.append(parse_fragment_formula(
@@ -329,17 +309,16 @@ def compile_game(model: GameModel,
                           for a in actions)
         interaction_actions.extend(actions)
 
-    # sprite behaviour: resources, statics, self-movers (declaration order)
-    mover_actions: dict[str, list[Action]] = {}
+    # sprite behaviour: resources, statics, self-movers (declaration order);
+    # each mover's phase closer opens the next mover's
+    sprite_phase_actions: list[Action] = []
     edge_dirs: list[str] = []
     for s in model.concrete_sprites():
         if s.name in statics:
-            inst = kb.instantiate(kb.lookup("sprite", "static"), {"T": s.name})
-            add_predicates(inst.predicates)
+            element(kb.lookup("sprite", "static"), {"T": s.name})
             continue
         if s.vgdl_type is SpriteType.RESOURCE:
-            inst = kb.instantiate(kb.lookup("sprite", "Resource"), {"T": s.name})
-            add_predicates(inst.predicates)
+            element(kb.lookup("sprite", "Resource"), {"T": s.name})
             continue
         if s.vgdl_type is not SpriteType.MISSILE:
             continue
@@ -352,51 +331,26 @@ def compile_game(model: GameModel,
                 raise GdfError(
                     f"missile {s.name!r} needs an orientation parameter")
             directions = (orientation.upper(),)
-        inst = kb.instantiate(kb.lookup("sprite", "Missile"), {"T": s.name},
-                              directions)
-        add_predicates(inst.predicates)
-        mover_blockers = blockers_for(model, s.name, statics)
         for d in directions:
             if d not in edge_dirs:
                 edge_dirs.append(d)
-        # classify by the exact names sprite_missile builds from <T>, never
-        # by substrings, which the sprite's own name may contain
-        t = s.name.upper()
-        moves = {f"{t}_MOVE_{d}" for d in directions}
-        stays = {f"{t}_MOVE_STOP",
-                 *(f"{t}_MOVE_STOP_{d}" for d in directions)}
-        actions = []
-        for action in inst.actions:
-            if action.name in moves:
-                action = _with_pre(action, _blocker_conjuncts(
-                    mover_blockers, _dest_cell(action)))
-            elif action.name in stays:
-                if not mover_blockers:
-                    continue  # nothing can block this mover: no stay-in-place
-                blocked = _blocked_disjunction(mover_blockers,
-                                               _dest_cell(action))
-                action = _with_pre(action, [blocked])
-            elif action.name == _stop_name(s.name) and s.name == projectile:
-                action = _add_in_reserve_disjunct(action)
-            actions.append(action)
-        mover_actions[s.name] = actions
+        blockers = blockers_for(model, s.name, statics)
+        after = movers[movers.index(s.name) + 1:]
+        sprite_phase_actions.extend(element(
+            kb.lookup("sprite", "Missile"),
+            {"T": s.name, "FREE": blockers.free(),
+             "BLOCKED": blockers.blocked(),
+             "POOL": "(in-reserve ?o)" if s.name == projectile else "",
+             "NEXT_PHASE": f"(turn-{after[0]}-move)" if after else ""},
+            directions))
 
     if timeout is not None:
-        counter = kb.instantiate(kb.lookup("turn", "counter"), {})
-        add_predicates(counter.predicates)
+        element(kb.lookup("turn", "counter"), {})
 
     # --- phase wiring -------------------------------------------------------
     # END-TURN-INTERACTIONS opens the first mover's phase, if there is one
     eti = _with_eff(_with_pre(eti_core, guards),
                     [Atom(f"turn-{m}-move") for m in movers[:1]])
-
-    sprite_phase_actions: list[Action] = []
-    for idx, mover in enumerate(movers):
-        for action in mover_actions[mover]:
-            if action.name == _stop_name(mover) and idx + 1 < len(movers):
-                action = _with_eff(action,
-                                   [Atom(f"turn-{movers[idx + 1]}-move")])
-            sprite_phase_actions.append(action)
 
     ets_pre = [Atom(f"finished-turn-{m}-move") for m in movers]
     ets_eff: list[Formula] = [Not(Atom(f"finished-turn-{m}-move"))
@@ -440,14 +394,3 @@ def compile_game(model: GameModel,
         kiohm_limits=tuple(kiohm_limits),
         edge_directions=tuple(edge_dirs),
     )
-
-
-def _blocked_disjunction(blockers: Blockers, cell: tuple[str, str]) -> Formula:
-    dx, dy = cell
-    options: list[Formula] = []
-    for name in blockers.statics:
-        options.append(Atom(f"is-{name}", (dx, dy)))
-    for type_name in blockers.object_types:
-        options.append(Not(Forall((("?blk", type_name),),
-                                  Not(Atom("at", (dx, dy, "?blk"))))))
-    return options[0] if len(options) == 1 else Or(tuple(options))

@@ -2,7 +2,8 @@
 
 Templates live as data files (one per template): the PDDL of a construct is
 edited there, not in the compiler.  A file has three header lines and a body of
-PDDL fragments (a fourth, optional ``directions:`` line is described below):
+PDDL fragments (optional ``holes:`` and ``directions:`` lines are described
+below):
 
     id: interaction_killsprite
     kind: Interaction
@@ -12,10 +13,13 @@ PDDL fragments (a fourth, optional ``directions:`` line is described below):
 
 Placeholders are written ``<NAME>`` and replaced textually; action-name heads
 are uppercased after substitution (SHOES_USER_COLLECTRESOURCE style), all
-other identifiers stay lowercase.  Fragments wrapped in ``(:per-direction
-...)`` are written once and instantiated once per requested direction, with
-the grid geometry of that direction filled in from ``DIRECTION_TABLE``; a
-``directions:`` header restricts a template to the directions it lists.
+other identifiers stay lowercase.  A ``holes:`` header declares holes: they
+are written ``<NAME>`` too, but bound to PDDL text, possibly empty, which the
+compiler computes from the game (a blocker test, the ammunition pool, the
+next phase).  Fragments wrapped in ``(:per-direction ...)`` are written once
+and instantiated once per requested direction, with the grid geometry of that
+direction filled in from ``DIRECTION_TABLE`` after the binding, so a hole's
+text may use it too; a ``directions:`` header restricts a template to the directions it lists.
 Each template with behaviour ships with a micro domain/problem check
 (templates/checks/<id>.yaml) executed by ``validate_kb``: the instantiated
 action is grounded, applied to the check's initial state, and the state diff
@@ -27,7 +31,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import yaml
 
@@ -79,7 +83,8 @@ class TemplateSet:
 
     template_id: str
     kind: str
-    placeholders: frozenset[str]
+    placeholders: frozenset[str]  # bound to names
+    holes: frozenset[str]  # bound to PDDL text
     directions: tuple[str, ...]  # the directions blocks may be instantiated for
     predicates: Section
     actions: Section
@@ -140,15 +145,18 @@ def _parse_template(text: str, source: str) -> TemplateSet:
     if fields["kind"] not in _KINDS:
         raise TemplateFormatError(f"{source}: unknown kind {fields['kind']!r}")
     placeholders = frozenset(fields.get("placeholders", "").split())
+    holes = frozenset(fields.get("holes", "").split())
     directions = tuple(fields.get("directions", " ".join(DIRECTIONS)).split())
     unknown = set(directions) - set(DIRECTIONS)
     if unknown:
         raise TemplateFormatError(f"{source}: unknown directions {sorted(unknown)}")
     sections = _parse_sections(_split_fragments(body), source)
     ts = TemplateSet(template_id=fields["id"], kind=fields["kind"],
-                     placeholders=placeholders, directions=directions,
+                     placeholders=placeholders, holes=holes,
+                     directions=directions,
                      **{key: tuple(items) for key, items in sections.items()})
-    undeclared = ts.used_placeholders() - placeholders - _DIRECTION_PLACEHOLDERS
+    undeclared = (ts.used_placeholders() - placeholders - holes
+                  - _DIRECTION_PLACEHOLDERS)
     if undeclared:
         raise TemplateFormatError(
             f"{source}: undeclared placeholders {sorted(undeclared)}")
@@ -200,15 +208,18 @@ def _direction_rows(ts: TemplateSet,
     return rows
 
 
-def _expand(section: Section, rows: list[dict[str, str]]) -> list[str]:
-    """Per-direction blocks once per row, directions outermost."""
+def _expand(section: Section, rows: list[dict[str, str]],
+            bind: Callable[[str], str]) -> list[str]:
+    """``bind`` applied to every fragment, then per-direction blocks once per
+    row, directions outermost."""
     out: list[str] = []
     for item in section:
         if isinstance(item, str):
-            out.append(item)
+            out.append(bind(item))
             continue
+        bound = [bind(fragment) for fragment in item]
         for row in rows:
-            for fragment in item:
+            for fragment in bound:
                 for name, value in row.items():
                     fragment = fragment.replace(f"<{name}>", value)
                 out.append(fragment)
@@ -242,34 +253,37 @@ class KnowledgeBase:
 
     def instantiate(self, ts: TemplateSet, binding: dict[str, str],
                     directions: Optional[Iterable[str]] = None) -> Instantiated:
-        """Fill ``binding`` in; per-direction blocks are instantiated once
+        """Fill ``binding`` in, then instantiate per-direction blocks once
         for each of ``directions`` (default: the template's own), in the
         given order."""
-        missing = ts.placeholders - set(binding)
+        missing = (ts.placeholders | ts.holes) - set(binding)
         if missing:
             raise UnboundPlaceholderError(
                 f"{ts.template_id}: unbound placeholders {sorted(missing)}")
 
-        def sub(text: str) -> str:
-            out = text
+        def bind(text: str) -> str:
             for name, value in binding.items():
-                out = out.replace(f"<{name}>", value)
-            leftover = _PLACEHOLDER_RE.search(out)
-            if leftover:
-                raise UnboundPlaceholderError(
-                    f"{ts.template_id}: placeholder {leftover.group(0)} survives")
+                text = text.replace(f"<{name}>", value)
+            return text
+
+        def parsed(section: Section, parse: Callable) -> list:
+            out = []
+            for fragment in _expand(section, rows, bind):
+                leftover = _PLACEHOLDER_RE.search(fragment)
+                if leftover:
+                    raise UnboundPlaceholderError(
+                        f"{ts.template_id}: placeholder {leftover.group(0)} "
+                        "survives")
+                out.append(parse(fragment))
             return out
 
         rows = _direction_rows(
             ts, ts.directions if directions is None else directions)
-        predicates = [pddl.parse_fragment_predicate(sub(f))
-                      for f in _expand(ts.predicates, rows)]
-        actions = []
-        for frag in _expand(ts.actions, rows):
-            action = pddl.parse_fragment_action(sub(frag))
-            actions.append(Action(action.name.upper(), action.params,
-                                  action.precondition, action.effect))
-        return Instantiated(tuple(predicates), tuple(actions))
+        actions = [Action(a.name.upper(), a.params, a.precondition, a.effect)
+                   for a in parsed(ts.actions, pddl.parse_fragment_action)]
+        return Instantiated(
+            tuple(parsed(ts.predicates, pddl.parse_fragment_predicate)),
+            tuple(actions))
 
 
 # -- per-template micro checks ---------------------------------------------------

@@ -319,8 +319,23 @@ def _parse_interactions(nodes: list[_Node]) -> list[tuple[InteractionDef, int]]:
                     raise GdfError(
                         f"killIfOtherHasMore requires {req}=", line=node.line
                     )
+            # canonical text: the domain's geq-<R>-<L> names it, the
+            # problem generator prints the int
+            params["limit"] = str(
+                _parse_limit(params, "killIfOtherHasMore", node.line))
         out.append((InteractionDef(receiver, producer, kind, params), node.line))
     return out
+
+
+def _parse_limit(params: dict[str, str], owner: str, line: int) -> int:
+    """A ``limit=`` parameter (default 0): a nonnegative integer."""
+    try:
+        limit = int(params.get("limit", "0"))
+    except ValueError:
+        raise GdfError(f"bad limit {params['limit']!r}", line=line)
+    if limit < 0:
+        raise GdfError(f"{owner} limit must be nonnegative", line=line)
+    return limit
 
 
 def _parse_terminations(nodes: list[_Node]) -> list[TerminationDef]:
@@ -331,12 +346,7 @@ def _parse_terminations(nodes: list[_Node]) -> list[TerminationDef]:
         if win_str not in ("True", "False"):
             raise GdfError("termination needs win=True or win=False", line=node.line)
         win = win_str == "True"
-        try:
-            limit = int(params.get("limit", "0"))
-        except ValueError:
-            raise GdfError(f"bad limit {params['limit']!r}", line=node.line)
-        if limit < 0:
-            raise GdfError("termination limit must be nonnegative", line=node.line)
+        limit = _parse_limit(params, "termination", node.line)
         if kind_name == "SpriteCounter":
             if "stype" not in params:
                 raise GdfError("SpriteCounter needs stype=", line=node.line)

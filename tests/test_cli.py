@@ -37,6 +37,18 @@ class TestCompile:
         assert result.exit_code == 1
         assert "line 2" in result.output
 
+    def test_bad_kiohm_limit_is_an_error_not_a_traceback(self, runner,
+                                                         tmp_path):
+        bad = tmp_path / "digger.txt"
+        bad.write_text(
+            (games_dir() / "digger" / "digger.txt").read_text().replace(
+                "limit=2", "limit=x"))
+        result = runner.invoke(main, ["compile", str(bad), "--out",
+                                      str(tmp_path)])
+        assert result.exit_code == 1
+        assert "error:" in result.output
+        assert "bad limit 'x'" in result.output
+
     def test_recompile_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

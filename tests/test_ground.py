@@ -1106,7 +1106,7 @@ class TestContext:
             assert cx.static_sets[pred] == {
                 atom.args for atom in problem.init if atom.predicate == pred}
 
-    def test_a_monitor_step_builds_only_what_it_reads(self):
+    def test_a_fresh_contexts_schema_equals_precondition_clauses(self):
         domain, problem = _case("aliens-1")
         move = next(a for a in ground(domain, problem).actions
                     if a.name.startswith("AVATAR_ACTION_MOVE"))

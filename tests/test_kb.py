@@ -13,6 +13,11 @@ from vgdl2pddl.kb import (DIRECTION_TABLE, KIND_AVATAR, KnowledgeBase,
 from vgdl2pddl.pddl import And, Atom, Not, format_formula
 
 
+# sprite_missile's holes for a missile that nothing blocks, that is not the
+# avatar's projectile and that closes the last sprite phase
+MISSILE_HOLES = {"FREE": "", "BLOCKED": "(or)", "POOL": "", "NEXT_PHASE": ""}
+
+
 @pytest.fixture(scope="module")
 def kb():
     return KnowledgeBase()
@@ -71,7 +76,7 @@ class TestInstantiate:
 
     def test_rock_move_down(self, kb):
         ts = kb.lookup("sprite", "Missile")
-        inst = kb.instantiate(ts, {"T": "rock"}, ["DOWN"])
+        inst = kb.instantiate(ts, {"T": "rock", **MISSILE_HOLES}, ["DOWN"])
         move = next(a for a in inst.actions if a.name == "ROCK_MOVE_DOWN")
         pre_text = format_formula(move.precondition)
         assert "(oriented-down ?o)" in pre_text
@@ -85,11 +90,11 @@ class TestInstantiate:
 
     def test_directions_expand_outermost(self, kb):
         ts = kb.lookup("sprite", "Missile")
-        one = kb.instantiate(ts, {"T": "rock"}, ["LEFT"])
+        one = kb.instantiate(ts, {"T": "rock", **MISSILE_HOLES}, ["LEFT"])
         assert [a.name for a in one.actions] == [
             "ROCK_MOVE_LEFT", "ROCK_MOVE_STOP", "ROCK_EXIT_LEFT",
             "STOP_ROCK_MOVE"]
-        four = kb.instantiate(ts, {"T": "rock"})
+        four = kb.instantiate(ts, {"T": "rock", **MISSILE_HOLES})
         assert [a.name for a in four.actions] == [
             f"ROCK_{verb}_{d}" for d in ("UP", "DOWN", "LEFT", "RIGHT")
             for verb in ("MOVE", "MOVE_STOP", "EXIT")] + ["STOP_ROCK_MOVE"]
@@ -98,7 +103,7 @@ class TestInstantiate:
 
     def test_direction_row_fills_geometry(self, kb):
         inst = kb.instantiate(kb.lookup("avatar", "MovingAvatar"),
-                              {"A": "avatar"}, ["LEFT"])
+                              {"A": "avatar", "FREE": ""}, ["LEFT"])
         move = inst.actions[0]
         assert move.name == "AVATAR_ACTION_MOVE_LEFT"
         assert ("?new_x", "num") in move.params
@@ -114,7 +119,7 @@ class TestInstantiate:
         assert ts.directions == ("LEFT", "RIGHT")
         moving = kb.lookup("avatar", "MovingAvatar")
         names = [a.name for a in kb.instantiate(
-            moving, {"A": "a"}, ts.directions).actions]
+            moving, {"A": "a", "FREE": ""}, ts.directions).actions]
         assert names[:2] == ["AVATAR_ACTION_MOVE_LEFT", "AVATAR_ACTION_MOVE_RIGHT"]
         with pytest.raises(UnboundPlaceholderError):
             kb.instantiate(ts, {"A": "a", "P": "p"}, ["UP"])
@@ -138,6 +143,7 @@ class TestInstantiate:
     def test_no_placeholder_tokens_survive(self, kb):
         for ts in kb.templates.values():
             binding = {p: f"xx{p.lower()}" for p in ts.placeholders}
+            binding.update({h: "" for h in ts.holes})
             inst = kb.instantiate(ts, binding)
             rendered = " ".join(
                 [format_formula(a.precondition) + format_formula(a.effect)
@@ -153,9 +159,39 @@ class TestInstantiate:
             if ts.kind != KIND_AVATAR:
                 continue
             binding = {p: f"xx{p.lower()}" for p in ts.placeholders}
+            binding.update({h: "" for h in ts.holes})
             for action in kb.instantiate(ts, binding).actions:
                 owner = defined_by.setdefault(action.name, ts.template_id)
                 assert owner == ts.template_id, (action.name, owner)
+
+    def test_undeclared_hole_rejected(self, tmp_path):
+        (tmp_path / "bad.tmpl").write_text(
+            "id: sprite_bad\nkind: SpriteBehaviour\nplaceholders: T\n---\n"
+            "(:action <T>_WAIT :parameters (?o - <T>)"
+            " :precondition (and (at ?o) <FREE>) :effect (and))\n")
+        with pytest.raises(TemplateFormatError):
+            KnowledgeBase(tmp_path)
+
+    def test_unbound_hole_raises(self, kb):
+        ts = kb.lookup("sprite", "Missile")
+        holes = dict(MISSILE_HOLES)
+        del holes["POOL"]
+        with pytest.raises(UnboundPlaceholderError):
+            kb.instantiate(ts, {"T": "rock", **holes}, ["DOWN"])
+
+    def test_hole_text_expands_per_direction(self, kb):
+        """A hole is filled before per-direction blocks expand, so its text
+        may name the block's direction placeholders."""
+        inst = kb.instantiate(kb.lookup("avatar", "MovingAvatar"),
+                              {"A": "avatar", "FREE": "(not (is-wall <DEST>))"},
+                              ["UP", "DOWN", "LEFT", "RIGHT"])
+        free = {a.name: a.precondition.parts[-1] for a in inst.actions[:4]}
+        assert free == {
+            "AVATAR_ACTION_MOVE_UP": Not(Atom("is-wall", ("?x", "?new_y"))),
+            "AVATAR_ACTION_MOVE_DOWN": Not(Atom("is-wall", ("?x", "?new_y"))),
+            "AVATAR_ACTION_MOVE_LEFT": Not(Atom("is-wall", ("?new_x", "?y"))),
+            "AVATAR_ACTION_MOVE_RIGHT": Not(Atom("is-wall", ("?new_x", "?y"))),
+        }
 
     def test_instantiation_injective_on_bindings(self, kb):
         ts = kb.lookup("interaction", "killSprite")

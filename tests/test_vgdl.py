@@ -14,6 +14,7 @@ from vgdl2pddl.errors import (
     UnknownSpriteTypeError,
     UnmappedCharacterError,
 )
+from vgdl2pddl.games import games_dir
 from vgdl2pddl.vgdl import (
     InteractionKind,
     SpriteType,
@@ -205,6 +206,27 @@ class TestParseGdf:
                                    "box hole > killIfOtherHasMore")
         with pytest.raises(GdfError):
             parse_gdf(text)
+
+    @pytest.mark.parametrize("limit", ["x", "-1"])
+    def test_killifotherhasmore_limit_checked_at_parse(self, limit):
+        """A limit that is no nonnegative integer names its line, as a
+        termination's does."""
+        text = (games_dir() / "digger" / "digger.txt").read_text()
+        assert "killIfOtherHasMore resource=gem limit=2" in text
+        with pytest.raises(GdfError) as info:
+            parse_gdf(text.replace("limit=2", f"limit={limit}"))
+        line = next(n for n, row in enumerate(text.splitlines(), 1)
+                    if "killIfOtherHasMore" in row)
+        assert info.value.line == line
+
+    def test_killifotherhasmore_limit_text_is_canonical(self):
+        """The domain's geq-<R>-<L> predicate and the problem's init name
+        the limit alike, however the GDF writes it."""
+        text = (games_dir() / "digger" / "digger.txt").read_text()
+        model = parse_gdf(text.replace("limit=2", "limit=02"))
+        kiohm = next(i for i in model.interactions
+                     if i.kind is InteractionKind.KILL_IF_OTHER_HAS_MORE)
+        assert kiohm.params["limit"] == "2"
 
     def test_visual_params_retained(self):
         text = SOKOBAN_GDF.replace("box > Passive",
