@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from . import engine as engine_mod
 from .compiler import compile_game
 from .errors import Vgdl2PddlError
-from .games import games_dir
+from .games import available_games, games_dir
 from .kb import KnowledgeBase, validate_kb
 from .ground import ground
 from .pddl import print_domain, print_problem, format_plan, read_domain, read_problem
@@ -211,12 +211,20 @@ def bench_cmd(suite, planners_path, game_names, time_limit, jobs, out):
     """Run the games x levels x planners benchmark."""
     try:
         project = ProjectConfig()
-        suite = suite or project.games_dir
+        suite = suite or project.games_dir or games_dir()
         planners_path = planners_path or project.planners
         out = out or (project.out_dir / "bench" if project.out_dir
                       else Path("bench-out"))
+        games = None
+        if game_names is not None:
+            games = game_names.split(",")
+            known = available_games(suite)
+            for name in games:
+                if name not in known:
+                    raise click.BadParameter(
+                        f"no game {name!r} in {suite}",
+                        param_hint="'--games'")
         planners = bench_mod.load_planners(planners_path)
-        games = game_names.split(",") if game_names else None
         bench_mod.run_suite(suite_dir=suite, planners=planners, games=games,
                             time_limit=time_limit, jobs=jobs, out_dir=out)
         click.echo((Path(out) / "report.txt").read_text(), nl=False)

@@ -6,9 +6,10 @@ sprite type updates in its own sub-phase closed by STOP_<T>_MOVE, and
 END-TURN-SPRITES re-opens the avatar phase (advancing the turn counter in
 timeout games).
 
-Templates hold each element action whole; the compiler computes the text of
-their holes from the game and drops an action whose precondition holds the
-empty disjunction (or).  Compilation decisions that fall outside templates:
+Templates hold every action whole, the turn core's included; the compiler
+computes the text of their holes from the game, drops an element action whose
+precondition holds the empty disjunction (or), and builds or edits no action
+itself.  Compilation decisions that fall outside templates:
   * an Immovable sprite becomes a static (is-<T> ?x ?y) predicate instead of
     an object type when nothing ever affects it: it is never an interaction
     receiver, produces only stepBack, and no termination counts it;
@@ -18,10 +19,13 @@ empty disjunction (or).  Compilation decisions that fall outside templates:
     so the STOP closer's all-moved check stays satisfiable; a mover nothing
     blocks gets (or) there, so it has no stay; at the grid edge it exits and
     dies, mirroring the simulator;
-  * each STOP_<T>_MOVE's <NEXT_PHASE> hole opens the next mover's phase;
-  * END-TURN-INTERACTIONS needs each interaction action's guard "no binding
-    applies", derived from its template; bounceForward's guard instead bans
-    any overlap, so a failed push is a dead end (the simulator reverts it);
+  * each STOP_<T>_MOVE's <NEXT_PHASE> hole opens the next mover's phase,
+    END-TURN-INTERACTIONS's <FIRST_PHASE> the first one's, and
+    END-TURN-SPRITES's <MOVERS_DONE> and <RESET> close them all;
+  * END-TURN-INTERACTIONS's <GUARDS> hold each interaction action's guard
+    "no binding applies", derived from its template; bounceForward's guard
+    instead bans any overlap, so a failed push is a dead end (the simulator
+    reverts it); <TICK_PARAMS>, <TICK> and <TICK_EFFECT> hold the tick;
   * avatar projectiles are pooled: problems carry reserve objects that a USE
     action places on the grid, and the projectile's <POOL> hole counts them
     as moved;
@@ -52,7 +56,7 @@ from .pddl import (
     Or,
     Predicate,
     conj,
-    parse_fragment_formula,
+    format_formula,
 )
 from .vgdl import (
     GameModel,
@@ -183,28 +187,15 @@ def deduce_goal(terminations: tuple[TerminationDef, ...]) -> Formula:
     raise UnsupportedGoalError("no winning termination")
 
 
-# -- formula surgery helpers --------------------------------------------------------
+# -- interaction guards -------------------------------------------------------------
 
-def _with_pre(action: Action, extra: list[Formula]) -> Action:
-    if not extra:
-        return action
-    return Action(action.name, action.params,
-                  conj(action.precondition, *extra), action.effect)
-
-
-def _with_eff(action: Action, extra: list[Formula]) -> Action:
-    if not extra:
-        return action
-    return Action(action.name, action.params, action.precondition,
-                  conj(action.effect, *extra))
-
-
-def _never_applies(action: Action, asserted: Formula) -> Forall:
-    """No binding of `action` applies, given that `asserted` holds."""
+def _never_applies(action: Action) -> Forall:
+    """No binding of `action` applies.  Its argument-free atoms are left out:
+    they are the phase flags END-TURN-INTERACTIONS asserts itself."""
     return Forall(action.params, Or(tuple(
         c.body if isinstance(c, Not) else Not(c)
         for c in conj(action.precondition).parts
-        if c not in conj(asserted).parts)))
+        if not (isinstance(c, Atom) and not c.args))))
 
 
 # -- main assembly ------------------------------------------------------------------
@@ -247,29 +238,17 @@ def compile_game(model: GameModel,
     type_decls.append(("num", None))
 
     # --- template instantiations -------------------------------------------
-    predicates: list[Predicate] = []
-    pred_seen: set[str] = set()
-
-    def add_predicates(preds):
-        for p in preds:
-            if p.name not in pred_seen:
-                predicates.append(p)
-                pred_seen.add(p.name)
+    predicates: list[Predicate] = []  # every element's, in instantiation order
 
     def element(ts: TemplateSet, binding: dict[str, str],
                 directions: Optional[tuple[str, ...]] = None) -> list[Action]:
         inst = kb.instantiate(ts, binding, directions)
-        add_predicates(inst.predicates)
+        predicates.extend(inst.predicates)
         return [a for a in inst.actions
                 if _NEVER not in conj(a.precondition).parts]
 
     def free(sprite: str) -> str:
         return blockers_for(model, sprite, statics).free()
-
-    core = kb.instantiate(kb.lookup("turn", "core"), {})
-    add_predicates(core.predicates)
-    eti_core = next(a for a in core.actions if a.name == "END-TURN-INTERACTIONS")
-    ets_core = next(a for a in core.actions if a.name == "END-TURN-SPRITES")
 
     avatar_binding = {"A": avatar.name, "FREE": free(avatar.name)}
     if projectile is not None:
@@ -284,7 +263,7 @@ def compile_game(model: GameModel,
 
     # interactions, in declaration order
     interaction_actions: list[Action] = []
-    guards: list[Formula] = []
+    guards: list[str] = []
     kiohm_limits: list[tuple[str, int]] = []
     for inter in model.interactions:
         if inter.kind is InteractionKind.STEP_BACK:
@@ -300,13 +279,12 @@ def compile_game(model: GameModel,
         if inter.kind is InteractionKind.BOUNCE_FORWARD:
             # a failed push leaves the receiver on the pusher: no overlap may
             # close the turn, so the model dead-ends where the engine reverts
-            guards.append(parse_fragment_formula(
+            guards.append(
                 f"(forall (?o1 - {inter.receiver} ?o2 - {inter.producer} ?x ?y"
                 " - num) (or (= ?o1 ?o2) (not (at ?x ?y ?o1))"
-                " (not (at ?x ?y ?o2))))"))
+                " (not (at ?x ?y ?o2))))")
         else:
-            guards.extend(_never_applies(a, eti_core.precondition)
-                          for a in actions)
+            guards.extend(format_formula(_never_applies(a)) for a in actions)
         interaction_actions.extend(actions)
 
     # sprite behaviour: resources, statics, self-movers (declaration order);
@@ -344,27 +322,26 @@ def compile_game(model: GameModel,
              "NEXT_PHASE": f"(turn-{after[0]}-move)" if after else ""},
             directions))
 
+    # --- turn core ----------------------------------------------------------
+    # instantiated last, from what the elements gave: the guards and the
+    # movers' phases; a timeout game's END-TURN-SPRITES also ticks
     if timeout is not None:
         element(kb.lookup("turn", "counter"), {})
-
-    # --- phase wiring -------------------------------------------------------
-    # END-TURN-INTERACTIONS opens the first mover's phase, if there is one
-    eti = _with_eff(_with_pre(eti_core, guards),
-                    [Atom(f"turn-{m}-move") for m in movers[:1]])
-
-    ets_pre = [Atom(f"finished-turn-{m}-move") for m in movers]
-    ets_eff: list[Formula] = [Not(Atom(f"finished-turn-{m}-move"))
-                              for m in movers]
-    ets_eff.append(Forall((("?a", avatar.name),),
-                          Not(Atom("avatar-moved", ("?a",)))))
-    ets = _with_eff(_with_pre(ets_core, ets_pre), ets_eff)
-    if timeout is not None:
-        ets = Action(
-            ets.name, ets.params + (("?t", "num"), ("?t_next", "num")),
-            conj(ets.precondition, Atom("turn", ("?t",)),
-                 Atom("next", ("?t", "?t_next"))),
-            conj(ets.effect, Not(Atom("turn", ("?t",))),
-                 Atom("turn", ("?t_next",))))
+    tick = {"TICK_PARAMS": "?t ?t_next - num",
+            "TICK": "(turn ?t) (next ?t ?t_next)",
+            "TICK_EFFECT": "(not (turn ?t)) (turn ?t_next)"}
+    core = kb.instantiate(kb.lookup("turn", "core"), {
+        "GUARDS": " ".join(guards),
+        "FIRST_PHASE": " ".join(f"(turn-{m}-move)" for m in movers[:1]),
+        "MOVERS_DONE": " ".join(f"(finished-turn-{m}-move)" for m in movers),
+        "RESET": " ".join(f"(not (finished-turn-{m}-move))" for m in movers)
+        + f" (forall (?a - {avatar.name}) (not (avatar-moved ?a)))",
+        **(tick if timeout is not None else dict.fromkeys(tick, ""))})
+    eti, ets = core.actions
+    # the core's predicates first, each name declared once
+    predicate_decls: dict[str, Predicate] = {}
+    for p in (*core.predicates, *predicates):
+        predicate_decls.setdefault(p.name, p)
 
     all_actions = (avatar_actions + interaction_actions + [eti]
                    + sprite_phase_actions + [ets])
@@ -377,7 +354,7 @@ def compile_game(model: GameModel,
         name=f"{model.name.capitalize()}Domain",
         requirements=REQUIREMENTS,
         types=tuple(type_decls),
-        predicates=tuple(predicates),
+        predicates=tuple(predicate_decls.values()),
         actions=tuple(all_actions),
     )
     goal = deduce_goal(model.terminations)

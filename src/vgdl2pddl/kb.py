@@ -16,7 +16,7 @@ are uppercased after substitution (SHOES_USER_COLLECTRESOURCE style), all
 other identifiers stay lowercase.  A ``holes:`` header declares holes: they
 are written ``<NAME>`` too, but bound to PDDL text, possibly empty, which the
 compiler computes from the game (a blocker test, the ammunition pool, the
-next phase).  Fragments wrapped in ``(:per-direction ...)`` are written once
+next phase, the turn core's guards and tick).  Fragments wrapped in ``(:per-direction ...)`` are written once
 and instantiated once per requested direction, with the grid geometry of that
 direction filled in from ``DIRECTION_TABLE`` after the binding, so a hole's
 text may use it too; a ``directions:`` header restricts a template to the directions it lists.
@@ -297,7 +297,8 @@ class CheckResult:
 
 
 def _micro_domain(kb: KnowledgeBase, check: dict) -> tuple[Domain, Problem]:
-    core = kb.instantiate(kb.lookup("turn", "core"), {})
+    core_template = kb.lookup("turn", "core")
+    core = kb.instantiate(core_template, dict.fromkeys(core_template.holes, ""))
     predicates = list(core.predicates)
     actions: list[Action] = []
     seen = {p.name for p in predicates}

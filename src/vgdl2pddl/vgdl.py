@@ -259,6 +259,11 @@ def _parse_sprites(nodes: list[_Node], parent: Optional[SpriteDef],
             vgdl_type = SPRITE_TYPE_BY_NAME[type_name]
         merged = dict(parent.params) if parent is not None else {}
         merged.update(params)
+        if vgdl_type is SpriteType.RESOURCE and "limit" in merged:
+            # canonical text: the problem generator sizes the counter by it
+            merged["limit"] = str(_parse_limit(merged, "Resource", node.line))
+        if vgdl_type is SpriteType.BOMBER and "prob" in merged:
+            _check_prob(merged["prob"], node.line)
         sprite = SpriteDef(
             name=name,
             vgdl_type=vgdl_type,
@@ -336,6 +341,17 @@ def _parse_limit(params: dict[str, str], owner: str, line: int) -> int:
     if limit < 0:
         raise GdfError(f"{owner} limit must be nonnegative", line=line)
     return limit
+
+
+def _check_prob(text: str, line: int) -> None:
+    """A Bomber's ``prob=`` parameter: a number in [0, 1]."""
+    try:
+        prob = float(text)
+    except ValueError:
+        prob = None
+    if prob is None or not 0 <= prob <= 1:
+        raise GdfError(f"Bomber prob must be a number in [0, 1], got {text!r}",
+                       line=line)
 
 
 def _parse_terminations(nodes: list[_Node]) -> list[TerminationDef]:

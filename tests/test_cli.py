@@ -85,6 +85,19 @@ class TestGenProblem:
             "--out", str(tmp_path)])
         assert result.exit_code == 1
 
+    def test_bad_resource_limit_is_an_error_not_a_traceback(self, runner,
+                                                            tmp_path):
+        bad = tmp_path / "keymaze.txt"
+        bad.write_text(
+            (games_dir() / "keymaze" / "keymaze.txt").read_text().replace(
+                "key > Resource", "key > Resource limit=x"))
+        result = runner.invoke(main, [
+            "gen-problem", str(bad), shipped("keymaze", "keymaze_lvl0.txt"),
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert "bad limit 'x'" in result.output
+
     def test_all_shipped_levels_generate(self, runner, tmp_path):
         for game in ("sokoban", "zenpuzzle", "keymaze", "digger", "rain",
                      "aliens"):
@@ -242,9 +255,10 @@ class TestBenchCli:
 
 
 class TestOptionRanges:
-    """A search time limit must be positive, and `play --budget` and
-    `--jobs` at least 1; a bad value is a usage error that names the
-    option, raised before any work."""
+    """A search time limit must be positive, `play --budget` and `--jobs`
+    at least 1, and each `bench --games` name a game of the suite; a bad
+    value is a usage error that names the option, raised before any
+    work."""
 
     PLAN = ["plan", "--domain", shipped("sokoban", "sokoban.txt"),
             "--problem", shipped("sokoban", "sokoban_lvl0.txt")]
@@ -276,4 +290,18 @@ class TestOptionRanges:
                                       option, value, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert option in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("games,name", [("nosuch", "'nosuch'"),
+                                            ("sokoban,", "''"),
+                                            ("sokoban,,rain", "''"),
+                                            ("", "''")])
+    def test_bench_rejects_unknown_games_before_any_work(
+            self, runner, tmp_path, games, name):
+        out = tmp_path / "bench"
+        result = runner.invoke(main, ["bench", "--games", games,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--games" in result.output
+        assert f"no game {name}" in result.output
         assert not out.exists()

@@ -228,6 +228,43 @@ class TestParseGdf:
                      if i.kind is InteractionKind.KILL_IF_OTHER_HAS_MORE)
         assert kiohm.params["limit"] == "2"
 
+    @staticmethod
+    def _line_of(text, fragment):
+        return next(n for n, row in enumerate(text.splitlines(), 1)
+                    if fragment in row)
+
+    @pytest.mark.parametrize("limit", ["x", "-3", "1.5"])
+    def test_resource_limit_checked_at_parse(self, limit):
+        """A Resource's limit is checked as a termination's is, and the
+        error names the sprite's line."""
+        text = (games_dir() / "keymaze" / "keymaze.txt").read_text()
+        assert "key > Resource\n" in text
+        with pytest.raises(GdfError) as info:
+            parse_gdf(text.replace("key > Resource",
+                                   f"key > Resource limit={limit}"))
+        assert info.value.line == self._line_of(text, "key > Resource")
+
+    def test_resource_limit_text_is_canonical(self):
+        text = (games_dir() / "keymaze" / "keymaze.txt").read_text()
+        model = parse_gdf(text.replace("key > Resource",
+                                       "key > Resource limit=03"))
+        assert model.sprite("key").params["limit"] == "3"
+
+    @pytest.mark.parametrize("prob", ["x", "7", "-0.5", "nan"])
+    def test_bomber_prob_checked_at_parse(self, prob):
+        text = (games_dir() / "aliens" / "aliens.txt").read_text()
+        assert "prob=0.5" in text
+        with pytest.raises(GdfError) as info:
+            parse_gdf(text.replace("prob=0.5", f"prob={prob}"))
+        assert info.value.line == self._line_of(text, "prob=0.5")
+        assert prob in str(info.value)
+
+    @pytest.mark.parametrize("prob", ["0", "1", "0.25"])
+    def test_bomber_prob_bounds_are_accepted(self, prob):
+        text = (games_dir() / "aliens" / "aliens.txt").read_text()
+        model = parse_gdf(text.replace("prob=0.5", f"prob={prob}"))
+        assert model.sprite("alien").params["prob"] == prob
+
     def test_visual_params_retained(self):
         text = SOKOBAN_GDF.replace("box > Passive",
                                    "box > Passive img=newset/block1 color=BROWN")
