@@ -42,11 +42,13 @@ import yaml
 
 from .compiler import CompiledGame, compile_game
 from .engine import load
+from .errors import PlannerConfigError
 from .games import available_games, level_paths, load_game
 from .ground import GroundedTask, domain_program, ground
 from .kb import KnowledgeBase
 from .pddl import Domain, print_domain, print_problem
-from .planner import Mode, SearchConfig, Status, external_solve, solve
+from .planner import (Mode, SearchConfig, Status, check_command,
+                      external_solve, solve)
 from .problems import generate_problem
 from .vgdl import SPRITE_TYPE_BY_NAME, LevelGrid, parse_ldf
 
@@ -116,17 +118,39 @@ BUILTIN_PLANNERS = (
 
 
 def load_planners(path: Optional[Path]) -> tuple[PlannerSpec, ...]:
+    """The built-in planners, or those the YAML file at `path` lists; a
+    malformed file raises a PlannerConfigError naming it and the entry."""
     if path is None:
         return BUILTIN_PLANNERS
-    data = yaml.safe_load(Path(path).read_text())
+    try:
+        data = yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise PlannerConfigError(f"{path}: {exc}") from None
+    entries = data.get("planners") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise PlannerConfigError(f"{path}: no 'planners' list")
     specs = []
-    for entry in data["planners"]:
-        if "mode" in entry:
-            specs.append(PlannerSpec(entry["name"], mode=Mode(entry["mode"])))
-        elif "cmd" in entry:
-            specs.append(PlannerSpec(entry["name"], cmd=entry["cmd"]))
-        else:
-            raise ValueError(f"planner {entry.get('name')} needs mode or cmd")
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise PlannerConfigError(
+                f"{path}: planner entry {index} has no name")
+        where = f"{path}: planner {entry['name']!r}"
+        if ("mode" in entry) == ("cmd" in entry):
+            raise PlannerConfigError(
+                f"{where} needs exactly one of mode and cmd")
+        try:
+            if "cmd" in entry:
+                check_command(entry["cmd"])
+                spec = PlannerSpec(entry["name"], cmd=entry["cmd"])
+            else:
+                spec = PlannerSpec(entry["name"], mode=Mode(entry["mode"]))
+        except PlannerConfigError as exc:
+            raise PlannerConfigError(f"{where}: {exc}") from None
+        except ValueError:
+            raise PlannerConfigError(
+                f"{where}: unknown mode {entry['mode']!r}; modes are "
+                + ", ".join(m.value for m in Mode)) from None
+        specs.append(spec)
     return tuple(specs)
 
 

@@ -130,3 +130,7 @@ class PlanParseError(Vgdl2PddlError):
 
 class ValidationFailedError(Vgdl2PddlError):
     pass
+
+
+class PlannerConfigError(Vgdl2PddlError):
+    """A planners file or command template that names no usable planner."""

@@ -69,7 +69,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional
 
-from .errors import PlanParseError, SpawnError, ValidationFailedError
+from .errors import (PlannerConfigError, PlanParseError, SpawnError,
+                     ValidationFailedError)
 from . import pddl
 from .ground import GroundAction, GroundedTask, applicable, goal_satisfied, ground
 
@@ -1160,6 +1161,20 @@ def validate(task: GroundedTask, plan) -> tuple[bool, Optional[int]]:
 
 # -- external planner adapter --------------------------------------------------------
 
+def check_command(template: str) -> None:
+    """Reject an external planner command template that names a field other
+    than {domain}, {problem} and {plan}, before any planner runs."""
+    try:
+        template.format(domain="", problem="", plan="")
+    except KeyError as exc:
+        raise PlannerConfigError(
+            f"command template {template!r} names {{{exc.args[0]}}}; its "
+            "fields are {domain}, {problem} and {plan}") from None
+    except (IndexError, ValueError, AttributeError) as exc:
+        raise PlannerConfigError(
+            f"bad command template {template!r}: {exc}") from None
+
+
 def external_solve(domain_file: str | Path, problem_file: str | Path,
                    cmd_template: str, time_limit: float = 900.0
                    ) -> PlanResult:
@@ -1171,6 +1186,7 @@ def external_solve(domain_file: str | Path, problem_file: str | Path,
     plan file is parsed with the IPC convention and validated before the
     result is reported Solved.
     """
+    check_command(cmd_template)
     domain_file = Path(domain_file)
     problem_file = Path(problem_file)
     start = time.perf_counter()

@@ -305,3 +305,130 @@ class TestOptionRanges:
         assert "--games" in result.output
         assert f"no game {name}" in result.output
         assert not out.exists()
+
+
+class TestPathKinds:
+    """Each path parameter declares whether it takes a file or a directory,
+    and an input or an output; a path of the wrong kind is a usage error
+    that names the parameter, raised before the command writes anything."""
+
+    # the parameter as Click names it, and a command line that gives it
+    # FILE where a directory is expected or DIR where a file is; OUT is an
+    # output that must not appear
+    GDF = shipped("sokoban", "sokoban.txt")
+    LDF = shipped("sokoban", "sokoban_lvl0.txt")
+    CASES = [
+        ("GDF", ["compile", "DIR", "--out", "OUT"]),
+        ("--out", ["compile", GDF, "--out", "FILE"]),
+        ("GDF", ["gen-problem", "DIR", LDF, "--out", "OUT"]),
+        ("LDF", ["gen-problem", GDF, "DIR", "--out", "OUT"]),
+        ("--out", ["gen-problem", GDF, LDF, "--out", "FILE"]),
+        ("--domain", ["plan", "--domain", "DIR", "--problem", LDF,
+                      "--out", "OUT/plan.txt"]),
+        ("--problem", ["plan", "--domain", GDF, "--problem", "DIR",
+                       "--out", "OUT/plan.txt"]),
+        ("--out", ["plan", "--domain", GDF, "--problem", LDF,
+                   "--out", "DIR"]),
+        ("--gdf", ["play", "--gdf", "DIR", "--ldf", LDF,
+                   "--trace", "OUT/t.log"]),
+        ("--ldf", ["play", "--gdf", GDF, "--ldf", "DIR",
+                   "--trace", "OUT/t.log"]),
+        ("--trace", ["play", "--gdf", GDF, "--ldf", LDF, "--trace", "DIR"]),
+        ("--suite", ["bench", "--suite", "FILE", "--out", "OUT"]),
+        ("--planners", ["bench", "--planners", "DIR", "--out", "OUT"]),
+        ("--out", ["bench", "--games", "sokoban", "--out", "FILE"]),
+        ("--kb", ["validate-kb", "--kb", "FILE"]),
+    ]
+
+    @pytest.mark.parametrize("param,args", CASES,
+                             ids=[f"{args[0]} {param}"
+                                  for param, args in CASES])
+    def test_wrong_kind_is_a_usage_error(self, runner, tmp_path, param,
+                                         args):
+        out = tmp_path / "out"
+        paths = {"FILE": self.GDF, "DIR": str(tmp_path)}
+        argv = [paths.get(a, a.replace("OUT", str(out))) for a in args]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{param}'" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_validate_kb_rejects_a_file(self, runner):
+        result = runner.invoke(main, ["validate-kb", "--kb", self.GDF])
+        assert result.exit_code == 2, result.output
+        assert "is a file" in result.output
+        assert "PASS" not in result.output
+
+
+class TestDomainErrors:
+    """A malformed planners file, command template or configured path is a
+    domain error: exit 1 with `error:` and a message that says where, before
+    any planner runs."""
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("foo: 1\n", "no 'planners' list", id="no-list"),
+        pytest.param("- name: a\n", "no 'planners' list", id="bare-list"),
+        pytest.param("planners:\n  - mode: BlindBFS\n",
+                     "planner entry 0 has no name", id="no-name"),
+        pytest.param("planners:\n  - name: a\n",
+                     "planner 'a' needs exactly one of", id="no-mode-or-cmd"),
+        pytest.param("planners:\n  - name: a\n    mode: BlindBFS\n"
+                     "    cmd: 'true'\n",
+                     "planner 'a' needs exactly one of", id="mode-and-cmd"),
+        pytest.param("planners:\n  - name: a\n    mode: Nope\n",
+                     "planner 'a': unknown mode 'Nope'", id="unknown-mode"),
+        pytest.param("planners:\n  - name: a\n    cmd: 'echo {x}'\n",
+                     "planner 'a': command template 'echo {x}' names {x}",
+                     id="bad-template"),
+        pytest.param("planners: [\n", "planners.yaml: ", id="bad-yaml"),
+    ])
+    def test_malformed_planners_file(self, runner, tmp_path, text, message):
+        planners = tmp_path / "planners.yaml"
+        planners.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["bench", "--games", "sokoban",
+                                      "--planners", str(planners),
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert message in result.output
+        assert str(planners) in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("template,message", [
+        ("echo {x}", "names {x}"),
+        ("echo {}", "bad command template"),
+        ("echo {domain", "bad command template"),
+    ])
+    def test_plan_rejects_a_bad_template(self, runner, tmp_path, template,
+                                         message):
+        ran = tmp_path / "ran"
+        result = runner.invoke(main, [
+            "plan", "--domain", shipped("sokoban", "sokoban.txt"),
+            "--problem", shipped("sokoban", "sokoban_lvl0.txt"),
+            "--cmd", f"touch {ran}; {template}"])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert message in result.output
+        assert not ran.exists()
+
+    @pytest.mark.parametrize("key,kind", [("games_dir", "file"),
+                                          ("kb_dir", "file"),
+                                          ("planners", "directory"),
+                                          ("out_dir", "file")])
+    def test_configured_path_of_the_wrong_kind(self, runner, tmp_path,
+                                               monkeypatch, key, kind):
+        value = tmp_path if kind == "directory" else \
+            shipped("sokoban", "sokoban.txt")
+        cfg = tmp_path / "project.yaml"
+        cfg.write_text(f"{key}: {value}\n")
+        monkeypatch.setenv("VGDL2PDDL_CONFIG", str(cfg))
+        out = tmp_path / "out"
+        command = ["validate-kb"] if key == "kb_dir" else \
+            ["bench", "--games", "sokoban", "--out", str(out)]
+        result = runner.invoke(main, command)
+        assert result.exit_code == 1, result.output
+        assert f"error: config {key}:" in result.output
+        assert f"is a {kind}" in result.output
+        assert not out.exists()
