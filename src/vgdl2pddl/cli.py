@@ -4,9 +4,11 @@ validate-kb.
 Exit codes: 0 on success, 1 on a domain error (bad game description, failed
 validation, malformed planners file or command template; a lost episode is
 still 0), 2 on usage errors, among them a path of the wrong kind (a file
-where a directory is expected, or the reverse).  VGDL2PDDL_CONFIG may point
-at a YAML file with default paths (games_dir, kb_dir, planners, out_dir);
-explicit flags win.
+where a directory is expected, or the reverse) and an output path under a
+file.  VGDL2PDDL_CONFIG may point at a YAML file with default paths
+(games_dir, kb_dir, planners, out_dir); explicit flags win.  A config file
+that is not YAML or not a mapping, or a configured path of the wrong kind,
+is a domain error.
 """
 from __future__ import annotations
 
@@ -38,12 +40,26 @@ MODE_NAMES = {
 
 SECONDS = click.FloatRange(min=0, min_open=True)  # a search time limit
 
+
+class _OutputPath(click.Path):
+    """A path a command writes, creating its missing directories: the
+    nearest ancestor that exists must be a directory."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        ancestor = next((p for p in path.parents if p.exists()), None)
+        if ancestor is not None and not ancestor.is_dir():
+            self.fail(f"{str(path)!r} is under the file {str(ancestor)!r}.",
+                      param, ctx)
+        return path
+
+
 # the four kinds of path a command takes; a path of the wrong kind is a
 # usage error, raised before the command runs
 INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 INPUT_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
-OUTPUT_FILE = click.Path(dir_okay=False, path_type=Path)
-OUTPUT_DIR = click.Path(file_okay=False, path_type=Path)
+OUTPUT_FILE = _OutputPath(dir_okay=False, path_type=Path)
+OUTPUT_DIR = _OutputPath(file_okay=False, path_type=Path)
 
 
 class ProjectConfig:
@@ -51,6 +67,8 @@ class ProjectConfig:
 
     Unconfigured entries stay None and each command falls back to its own
     default (shipped games, shipped templates, local output directories).
+    A file that is not YAML, or whose top level is not a mapping, is a
+    domain error.
     """
 
     def __init__(self):
@@ -61,7 +79,16 @@ class ProjectConfig:
         path = os.environ.get("VGDL2PDDL_CONFIG")
         if path:
             path = _configured(INPUT_FILE, path, "VGDL2PDDL_CONFIG")
-            data = yaml.safe_load(path.read_text()) or {}
+            try:
+                data = yaml.safe_load(path.read_text())
+            except yaml.YAMLError as exc:
+                raise Vgdl2PddlError(f"VGDL2PDDL_CONFIG: {path}: {exc}") from None
+            if data is None:
+                data = {}  # an empty file
+            if not isinstance(data, dict):
+                raise Vgdl2PddlError(
+                    f"VGDL2PDDL_CONFIG: {path}: expected a mapping of default "
+                    f"paths, got a {type(data).__name__}")
             for key, kind in (("games_dir", INPUT_DIR), ("kb_dir", INPUT_DIR),
                               ("planners", INPUT_FILE),
                               ("out_dir", OUTPUT_DIR)):

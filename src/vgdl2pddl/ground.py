@@ -371,9 +371,9 @@ class _Context:
     `types_of`, init split into the static table, the static sets (empty
     for a static predicate without rows) and the dynamic init, and the
     task's `atoms`. For the joins, `_options` indexes the static table by
-    argument position, and `typed` and `position` give a type's objects as
-    a set and by universe order. It computes no reachable atoms: a join on
-    them is given them.
+    argument position, and `position` maps a type's objects to their
+    universe order, which also answers membership. It computes no reachable
+    atoms: a join on them is given them.
     """
 
     def __init__(self, program: _Program, problem: Problem):
@@ -402,7 +402,6 @@ class _Context:
         self.atoms = _AtomTable()
         self._index: dict[tuple[str, int, str],
                           dict[tuple[str, ...], tuple[int, dict[str, int]]]] = {}
-        self._typed: dict[str, frozenset[str]] = {}
         self._positions: dict[str, dict[str, int]] = {}
 
     def check(self, atoms: Iterable[Atom]) -> None:
@@ -414,13 +413,6 @@ class _Context:
                 if arg[:1] != "?":
                     _check_type(atom.predicate, arg, self.types_of.get(arg),
                                 declared, self.supertypes)
-
-    def typed(self, typ: str) -> frozenset[str]:
-        """The objects of type `typ`, as a set."""
-        objs = self._typed.get(typ)
-        if objs is None:
-            objs = self._typed[typ] = frozenset(self.universe[typ])
-        return objs
 
     def position(self, typ: str) -> dict[str, int]:
         """Each object of type `typ` -> its place in the universe."""
@@ -441,7 +433,7 @@ class _Context:
             matches: dict[tuple[str, ...], list[str]] = {}
             for row in self.static_table.get(pred, ()):
                 matches.setdefault(row[:pos] + row[pos + 1:], []).append(row[pos])
-            allowed = self.typed(typ)
+            allowed = self.position(typ)
             index = self._index[pred, pos, typ] = {
                 key: (len(values), {o: i for i, o in enumerate(
                     [o for o in dict.fromkeys(values) if o in allowed])})
@@ -586,8 +578,8 @@ class _Join:
 
 
 class _BoundJoin:
-    """A `_Join` on one problem: its levels read the type sets and static
-    sets of `cx` and the indexes of `reached`, looked up here once."""
+    """A `_Join` on one problem: its levels read the type positions and
+    static sets of `cx` and the indexes of `reached`, looked up here once."""
 
     def __init__(self, join: _Join, cx: _Context,
                  reached: Optional[_Reached] = None):
@@ -609,7 +601,7 @@ class _BoundJoin:
             if step[0] is _ROW:
                 _, at, key, binds, eqs, checks = step
                 step = (_ROW, None if at is None else reached.index(*at), key,
-                        tuple((k, s, cx.typed(t)) for k, s, t in binds), eqs,
+                        tuple((k, s, cx.position(t)) for k, s, t in binds), eqs,
                         bound(checks))
             else:
                 step = (*step[:4], bound(step[4]))
@@ -705,10 +697,10 @@ class _Forall:
     negated dynamic atom, as in every END-TURN-INTERACTIONS guard) has no
     all-positive or statically false instance, and an instance whose atom
     never becomes true always holds. The clauses keep `itertools.product`
-    order and leave the joined literals out; a negated equality over the
-    forall's variables is folded, and every other literal is kept for the
-    caller (one that mentions a schema parameter is only decided per
-    binding).
+    order and leave the joined literals out. Every other literal is kept,
+    a negated equality too: the schema's templates decide their equality
+    and static literals where they are filled in (`_Schema._fill`), one
+    that mentions a schema parameter per binding.
     """
 
     def __init__(self, f: Forall, literals: list[Literal], static_preds):
@@ -716,7 +708,7 @@ class _Forall:
         self.types = [typ for _, typ in f.variables]
         joined: list[tuple[list, Atom]] = []  # (the constraints it joins, atom)
         static, dynamic, neqs = [], [], []
-        self.kept: list[tuple[Atom, bool, bool]] = []  # atom, positive, decided
+        self.kept: list[Literal] = []
         for atom, positive in literals:
             decided = _decided(atom, self.names)
             if decided and not positive and atom.predicate in static_preds:
@@ -726,7 +718,7 @@ class _Forall:
             else:
                 if decided and not positive and atom.predicate != "=":
                     joined.append((dynamic, atom))
-                self.kept.append((atom, positive, decided))
+                self.kept.append((atom, positive))
         slot = {v: i for i, v in enumerate(self.names)}
         consts: list[str] = []
         for constraints, atom in joined:
@@ -753,16 +745,9 @@ class _Forall:
         clauses = []
         for row in rows:
             binding = dict(zip(self.names, row))
-            clause: list[Literal] = []
-            for atom, positive, decided in self.kept:
-                args = tuple([binding.get(a, a) for a in atom.args])
-                if decided and atom.predicate == "=":  # a negated equality
-                    if args[0] != args[1]:
-                        break  # the instance holds
-                else:
-                    clause.append((cx.atoms[atom.predicate, args], positive))
-            else:
-                clauses.append(clause)
+            clauses.append([(cx.atoms[atom.predicate, tuple(
+                [binding.get(a, a) for a in atom.args])], positive)
+                for atom, positive in self.kept])
         return clauses
 
 
@@ -956,10 +941,11 @@ class _Schema(_Slots):
     quantified conjunct expanded over its objects. A guard forall is joined
     on `reached`, the atoms the caller says can be true where the clauses
     are checked (`ground` passes the relaxed-reachable atoms, the monitor
-    the problem's dynamic init), and left out when `reached` is None.
-    `clauses_for` fills the templates in for one binding: it substitutes
-    their arguments and decides their static and equality literals, and
-    `action` decides them the same way straight into bit masks.
+    the problem's dynamic init); without `reached` no `clauses` are built
+    until `join_guards` is given them. `clauses_for` fills the templates in
+    for one binding: `_fill` substitutes their arguments and decides their
+    static and equality literals, a forall's included, and `action`
+    decides them the same way straight into bit masks.
     Equalities are folded after the CNF, so a conjunct with an equality
     under a conjunction under a disjunction may keep a clause that the
     conjunct's other clauses imply.
@@ -985,19 +971,18 @@ class _Schema(_Slots):
                 part = tuple(map(self._template, _cnf(_nnf(
                     _expand_foralls(part, cx.universe), False))))
             self._parts.append(part)
-        self.clauses = self._templates(reached)
+        if reached is not None:
+            self.join_guards(reached)
 
-    def _templates(self, reached: Optional[_Reached]) -> tuple:
-        """The clause templates in conjunct order, each guard joined on
-        `reached` (left out without it)."""
+    def join_guards(self, reached: _Reached) -> None:
+        """Set `clauses`, the clause templates in conjunct order, each guard
+        joined on `reached`."""
         clauses = []
         for part in self._parts:
-            if not isinstance(part, _Forall):
-                clauses.extend(part)
-            elif reached is not None:
-                clauses.extend(map(self._template, part.clauses(self.cx, reached)))
+            clauses.extend(map(self._template, part.clauses(self.cx, reached))
+                           if isinstance(part, _Forall) else part)
+        self.clauses = tuple(clauses)
         self.consts = tuple(self._consts)
-        return tuple(clauses)
 
     def clauses_for(self, args: tuple[str, ...]
                     ) -> Optional[list[list[Literal]]]:
@@ -1074,7 +1059,8 @@ class _Schema(_Slots):
 
 class _ActionSchema(_Schema):
     """An `_ActionProgram` on one problem, its signature checks run: the
-    precondition templates, guards left out until the fixpoint ends, and
+    precondition parts, whose `clauses` are built once the fixpoint ends
+    (`_Worklist.actions` joins the guards on the final reached atoms), and
     `adds`/`dels` and `overlaps`, the program's and those of the effect's
     foralls expanded over the objects. The fixpoint reads a binding through
     `needs` alone, and `action` evaluates a kept one into masks."""
@@ -1120,7 +1106,7 @@ class _ActionSchema(_Schema):
             for row in _BoundJoin(join, self.cx).run():
                 ext = row + self.consts
                 args = tuple([ext[s] for s in rep])
-                if all(args[s] in self.cx.typed(t)
+                if all(args[s] in self.cx.position(t)
                        for s, t in self.program.types.items()
                        ) and self.needs(args) is not None:
                     ext = args + self.consts
@@ -1244,7 +1230,7 @@ class _Worklist:
         for schema, kept in zip(self.schemas, self.kept):
             if kept:
                 kept.sort(key=schema.order.rank)
-                schema.clauses = schema._templates(self.reached)
+                schema.join_guards(self.reached)
                 out.extend([schema.action(args, bits) for args in kept])
         return out
 

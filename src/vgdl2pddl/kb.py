@@ -106,25 +106,38 @@ class Instantiated:
     actions: tuple[Action, ...]
 
 
-def _split_fragments(body: str) -> list[str]:
-    """Split a body into top-level parenthesized fragments, dropping comments."""
+def _split_fragments(body: str, source: str) -> list[str]:
+    """Split a body into top-level parenthesized fragments, dropping
+    comments; text outside every fragment, or a parenthesis that does not
+    balance, is an error naming `source`."""
     text = "\n".join(raw.split(";")[0] for raw in body.split("\n"))
     fragments = []
-    depth = 0
-    start = None
+    depth = start = end = 0  # `end`: just after the last fragment
     for i, ch in enumerate(text):
         if ch == "(":
             if depth == 0:
+                _outside(text[end:i], source)
                 start = i
             depth += 1
         elif ch == ")":
             depth -= 1
-            if depth == 0 and start is not None:
+            if depth < 0:
+                break  # it closes nothing
+            if depth == 0:
                 fragments.append(text[start:i + 1])
-                start = None
+                end = i + 1
     if depth != 0:
-        raise TemplateFormatError("unbalanced parentheses in template body")
+        raise TemplateFormatError(
+            f"{source}: unbalanced parentheses in template body")
+    _outside(text[end:], source)
     return fragments
+
+
+def _outside(text: str, source: str) -> None:
+    """Raise if `text`, found between fragments, is not blank."""
+    if text.strip():
+        raise TemplateFormatError(
+            f"{source}: text outside a fragment: {text.strip()[:40]!r}")
 
 
 def _parse_template(text: str, source: str) -> TemplateSet:
@@ -150,7 +163,7 @@ def _parse_template(text: str, source: str) -> TemplateSet:
     unknown = set(directions) - set(DIRECTIONS)
     if unknown:
         raise TemplateFormatError(f"{source}: unknown directions {sorted(unknown)}")
-    sections = _parse_sections(_split_fragments(body), source)
+    sections = _parse_sections(_split_fragments(body, source), source)
     ts = TemplateSet(template_id=fields["id"], kind=fields["kind"],
                      placeholders=placeholders, holes=holes,
                      directions=directions,
@@ -172,11 +185,12 @@ def _parse_sections(fragments: list[str], source: str,
         head = fragment[1:].split(None, 1)[0] if fragment[1:].split() else ""
         inner = fragment[len(head) + 1:-1]
         if head == ":predicates":
-            sections["predicates"].extend(_split_fragments(inner))
+            sections["predicates"].extend(_split_fragments(inner, source))
         elif head == ":action":
             sections["actions"].append(fragment)
         elif head == ":per-direction" and not per_direction:
-            block = _parse_sections(_split_fragments(inner), source, True)
+            block = _parse_sections(_split_fragments(inner, source), source,
+                                    True)
             for key, items in block.items():
                 if items:
                     sections[key].append(tuple(items))

@@ -10,6 +10,7 @@ case-insensitively (IPC convention, see :func:`parse_plan`).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -160,35 +161,20 @@ class _Token:
     column: int
 
 
+# a comment, a token (a parenthesis or a name) or a line break; whatever
+# else the pattern skips is blank
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)|\n")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start, start_col = i, col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        tokens.append(_Token(text[start:i], line, start_col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        token = match.group(1)
+        if token is not None:
+            tokens.append(_Token(token, line, match.start() - line_start + 1))
+        elif match.group() == "\n":
+            line, line_start = line + 1, match.end()
     return tokens
 
 
@@ -333,26 +319,36 @@ def _parse_action(sexpr) -> Action:
     return Action(name, params, precondition, effect)
 
 
-def read_domain(text: str) -> Domain:
+def _read_define(text: str, kind: str, bad_decl: str
+                 ) -> tuple[str, list[tuple[str, _Token, list]]]:
+    """NAME and the sections of `(define (<kind> NAME) sections...)`, the
+    whole of `text`, each section as (head, head token, section) with an
+    unsupported head rejected; a missing `(<kind> NAME)` raises `bad_decl`."""
     reader = _Reader(text)
     sexpr = reader.read_sexpr()
     if reader.peek() is not None:
-        raise reader._err("trailing content after domain")
+        raise reader._err(f"trailing content after {kind}")
     if _head(sexpr) != "define":
-        raise PddlSyntaxError("expected (define (domain ...))", line=1, column=1)
-    decl = sexpr[1]
-    if _head(decl) != "domain":
-        raise PddlSyntaxError("expected (domain NAME)", line=1, column=1)
-    name = _atom_token(decl[1]).text
+        raise PddlSyntaxError(f"expected (define ({kind} ...))", line=1, column=1)
+    decl = sexpr[1] if len(sexpr) > 1 else None
+    if _head(decl) != kind or len(decl) < 2:
+        raise PddlSyntaxError(bad_decl, line=1, column=1)
+    sections = []
+    for section in sexpr[2:]:
+        head = _head(section)
+        _check_unsupported(head, section[0])
+        sections.append((head, section[0], section))
+    return _atom_token(decl[1]).text, sections
+
+
+def read_domain(text: str) -> Domain:
+    name, sections = _read_define(text, "domain", "expected (domain NAME)")
     requirements: tuple[str, ...] = ()
     types: tuple[tuple[str, Optional[str]], ...] = ()
     constants: tuple[tuple[str, str], ...] = ()
     predicates: list[Predicate] = []
     actions: list[Action] = []
-    for section in sexpr[2:]:
-        head_tok = section[0]
-        head = _head(section)
-        _check_unsupported(head, head_tok)
+    for head, head_tok, section in sections:
         if head == ":requirements":
             requirements = tuple(_atom_token(t).text for t in section[1:])
         elif head == ":types":
@@ -373,21 +369,13 @@ def read_domain(text: str) -> Domain:
 
 
 def read_problem(text: str) -> Problem:
-    reader = _Reader(text)
-    sexpr = reader.read_sexpr()
-    if reader.peek() is not None:
-        raise reader._err("trailing content after problem")
-    if _head(sexpr) != "define" or _head(sexpr[1]) != "problem":
-        raise PddlSyntaxError("expected (define (problem ...))", line=1, column=1)
-    name = _atom_token(sexpr[1][1]).text
+    name, sections = _read_define(text, "problem",
+                                  "expected (define (problem ...))")
     domain = ""
     objects: tuple[tuple[str, str], ...] = ()
     init: list[Atom] = []
     goal: Formula = And(())
-    for section in sexpr[2:]:
-        head_tok = section[0]
-        head = _head(section)
-        _check_unsupported(head, head_tok)
+    for head, head_tok, section in sections:
         if head == ":domain":
             domain = _atom_token(section[1]).text
         elif head == ":objects":

@@ -758,11 +758,11 @@ class _HAdd:
     than the node itself, popped costs never decrease and a popped cost is
     final.  Once the goal facts are popped, their sum cannot change.
 
-    ``value`` remembers h for the task's life, keyed on ``state & (needed |
-    goal_neg)``.  The key is exact: Dijkstra reads the state only as its
-    zero-cost facts ``state & needed``, the goal facts still to pop (of
-    ``goal_pos``, which is within ``needed``) and the penalty's ``goal_neg``
-    facts.  ``goal_neg`` must be in the key: rain's ``(dead avatar)`` is a
+    ``value`` remembers h for this object's life, one search (``_best_first``
+    builds one per search), keyed on ``state & (needed | goal_neg)``.  The
+    key is exact: Dijkstra reads the state only as its zero-cost facts
+    ``state & needed``, the goal facts still to pop (of ``goal_pos``, which
+    is within ``needed``) and the penalty's ``goal_neg`` facts.  ``goal_neg`` must be in the key: rain's ``(dead avatar)`` is a
     negative goal fact that no relaxed action needs.
     """
 

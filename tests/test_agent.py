@@ -263,6 +263,46 @@ class TestMonitor:
         assert goal_satisfied(task, state)
 
 
+class TestMonitorAgreesOnObservedProblems:
+    """On each problem the monitor observes during an episode, its verdict
+    (`precondition_clauses`, then `violated_literals` on the observed init)
+    on every action of `ground(problem)` is the planner's `applicable` in
+    init, and its verdict on the goal step is `goal_satisfied`."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", ["aliens", "sokoban", "digger", "rain"])
+    def test_every_action_of_each_observed_problem(self, monkeypatch, name,
+                                                   level):
+        observed = []
+        generate = agent.generate_problem
+
+        def record(state, game, config=None, binding=None, pool=None):
+            problem, used = generate(state, game, config, binding=binding,
+                                     pool=pool)
+            if binding is not None:  # a monitor call
+                observed.append(problem)
+            return problem, used
+
+        monkeypatch.setattr(agent, "generate_problem", record)
+        game = compile_game(load_game(name))
+        run_episode(game, load_level(name, level, game.model), CFG, seed=0,
+                    budget=40)
+        assert observed
+        for problem in observed[:40]:
+            task = ground(game.domain, problem)
+            facts = frozenset(problem.init)
+
+            def verdict(step, args):
+                cnf = precondition_clauses(game.domain, problem, step, args)
+                return cnf is not None and violated_literals(cnf, facts) == ()
+
+            assert task.actions
+            for action in task.actions:
+                assert verdict(action.name, action.args) == \
+                    applicable(task.init, action), action
+            assert verdict(GOAL, ()) == goal_satisfied(task, task.init)
+
+
 class TestPlanEnd:
     def test_goal_violation_names_only_live_sprites(self, monkeypatch):
         """A plan that runs out is judged by the goal of the observed

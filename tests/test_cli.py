@@ -354,6 +354,33 @@ class TestPathKinds:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    # an output path under a file, FILE/x: the parameter and a command line
+    # that gives it
+    UNDER_A_FILE = [
+        ("--out", ["compile", GDF, "--out", "FILE/x"]),
+        ("--out", ["gen-problem", GDF, LDF, "--out", "FILE/x"]),
+        ("--out", ["bench", "--games", "sokoban", "--out", "FILE/x"]),
+        ("--out", ["plan", "--domain", GDF, "--problem", LDF,
+                   "--out", "FILE/x/plan.txt"]),
+        ("--trace", ["play", "--gdf", GDF, "--ldf", LDF,
+                     "--trace", "FILE/x/t.log"]),
+    ]
+
+    @pytest.mark.parametrize("param,args", UNDER_A_FILE,
+                             ids=[args[0] for _, args in UNDER_A_FILE])
+    def test_output_under_a_file_is_a_usage_error(self, runner, tmp_path,
+                                                  param, args):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [a.replace("FILE", str(blocker)) for a in args]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{param}'" in result.output
+        assert "is under the file" in result.output
+        assert "Traceback" not in result.output
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == ""
+
     def test_validate_kb_rejects_a_file(self, runner):
         result = runner.invoke(main, ["validate-kb", "--kb", self.GDF])
         assert result.exit_code == 2, result.output
@@ -412,6 +439,27 @@ class TestDomainErrors:
         assert "error:" in result.output
         assert message in result.output
         assert not ran.exists()
+
+    @pytest.mark.parametrize("command", ["validate-kb", "bench"])
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("kb_dir: [\n", "while parsing", id="not-yaml"),
+        pytest.param("games_dir\n", "got a str", id="bare-text"),
+        pytest.param("- kb_dir\n", "got a list", id="list"),
+    ])
+    def test_malformed_config_file(self, runner, tmp_path, monkeypatch,
+                                   command, text, message):
+        cfg = tmp_path / "project.yaml"
+        cfg.write_text(text)
+        monkeypatch.setenv("VGDL2PDDL_CONFIG", str(cfg))
+        out = tmp_path / "out"
+        argv = [command] if command == "validate-kb" else \
+            [command, "--games", "sokoban", "--out", str(out)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert f"error: VGDL2PDDL_CONFIG: {cfg}: " in result.output
+        assert message in result.output
+        assert "PASS" not in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,kind", [("games_dir", "file"),
                                           ("kb_dir", "file"),

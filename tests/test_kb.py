@@ -2,7 +2,9 @@
 import re
 
 import pytest
+from click.testing import CliRunner
 
+from vgdl2pddl.cli import main
 from vgdl2pddl.errors import (
     TemplateFormatError,
     UnboundPlaceholderError,
@@ -201,6 +203,32 @@ class TestInstantiate:
             for action in inst.actions:
                 assert action.name not in names
                 names.add(action.name)
+
+
+class TestTemplateBody:
+    """A template body is PDDL fragments and comments only: stray text, or
+    a parenthesis that does not balance, fails the load, naming the file."""
+
+    HEADER = "id: sprite_bad\nkind: SpriteBehaviour\nplaceholders: T\n---\n"
+    PREDICATES = "(:predicates (at-<T> ?n - num))\n"
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(PREDICATES + "junk\n", id="text-after"),
+        pytest.param("junk " + PREDICATES, id="text-before"),
+        pytest.param("(:predicates junk (at-<T> ?n - num))\n",
+                     id="text-in-predicates"),
+        # a ')' that closes nothing, which the '(' after it rebalances
+        pytest.param(PREDICATES + ") (\n", id="closes-nothing"),
+        pytest.param("(:predicates (at-<T> ?n - num)\n", id="never-closed"),
+    ])
+    def test_malformed_body_names_the_file(self, tmp_path, body):
+        (tmp_path / "bad.tmpl").write_text(self.HEADER + body)
+        with pytest.raises(TemplateFormatError, match="bad.tmpl"):
+            KnowledgeBase(tmp_path)
+        result = CliRunner().invoke(main, ["validate-kb", "--kb", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert "bad.tmpl" in result.output
 
 
 class TestValidateKb:
