@@ -298,43 +298,15 @@ def _find_producer(state: GameState, inter, receiver: Instance
     return None
 
 
-def _kill(state: GameState, inst: Instance) -> None:
-    inst.alive = False
-
-
 def _apply_interaction(state: GameState, inter, receiver: Instance,
                        producer: Instance, events: list[Event],
                        avatar: Optional[Instance],
                        avatar_moved_from: Optional[tuple[int, int]]) -> bool:
+    # every kind but bounceForward kills the receiver; stepBack never gets
+    # here, as `_interaction_phase` skips it (the avatar phase cancels a
+    # blocked move itself)
     name = f"{inter.receiver}_{inter.producer}_{inter.kind.value}".upper()
     kind = inter.kind
-    if kind is InteractionKind.KILL_SPRITE:
-        _kill(state, receiver)
-        events.append(Event("-", name, (receiver.sprite, producer.sprite)))
-        return True
-    if kind is InteractionKind.KILL_BOTH:
-        _kill(state, receiver)
-        _kill(state, producer)
-        events.append(Event("-", name, (receiver.sprite, producer.sprite)))
-        return True
-    if kind is InteractionKind.KILL_IF_FROM_ABOVE:
-        _kill(state, receiver)
-        events.append(Event("-", name, (receiver.sprite, producer.sprite)))
-        return True
-    if kind is InteractionKind.COLLECT_RESOURCE:
-        _kill(state, receiver)
-        state.resources[receiver.sprite] = \
-            state.resources.get(receiver.sprite, 0) + 1
-        events.append(Event("-", name, (receiver.sprite, producer.sprite)))
-        return True
-    if kind is InteractionKind.KILL_IF_OTHER_HAS_MORE:
-        resource = inter.params["resource"]
-        limit = int(inter.params["limit"])
-        if state.resources.get(resource, 0) >= limit:
-            _kill(state, receiver)
-            events.append(Event("-", name, (receiver.sprite, producer.sprite)))
-            return True
-        return False
     if kind is InteractionKind.BOUNCE_FORWARD:
         direction = producer.orientation or DEFAULT_AVATAR_ORIENTATION
         dx, dy = DIR_DELTAS[direction]
@@ -350,7 +322,18 @@ def _apply_interaction(state: GameState, inter, receiver: Instance,
         events.append(Event("-", f"{name}_{direction}",
                             (receiver.sprite, producer.sprite)))
         return True
-    return False
+    if (kind is InteractionKind.KILL_IF_OTHER_HAS_MORE
+            and state.resources.get(inter.params["resource"], 0)
+            < int(inter.params["limit"])):
+        return False
+    receiver.alive = False
+    if kind is InteractionKind.KILL_BOTH:
+        producer.alive = False
+    elif kind is InteractionKind.COLLECT_RESOURCE:
+        state.resources[receiver.sprite] = \
+            state.resources.get(receiver.sprite, 0) + 1
+    events.append(Event("-", name, (receiver.sprite, producer.sprite)))
+    return True
 
 
 def _sprite_phase(state: GameState, events: list[Event]) -> None:
@@ -372,7 +355,7 @@ def _move_missile(state: GameState, inst: Instance, events: list[Event]) -> None
     nx, ny = inst.x + dx, inst.y + dy
     upper = inst.sprite.upper()
     if not state.in_bounds(nx, ny):
-        _kill(state, inst)
+        inst.alive = False
         events.append(Event("#", f"{upper}_EXIT_{direction}", (inst.sprite,)))
         return
     if state.blocked(inst.sprite, nx, ny):

@@ -161,6 +161,19 @@ class _Token:
     column: int
 
 
+class _List(list):
+    """A parenthesized s-expression: its items, and where its '(' is."""
+
+    def __init__(self, tok: _Token):
+        super().__init__()
+        self.line, self.column = tok.line, tok.column
+
+
+def _error(message: str, at) -> PddlSyntaxError:
+    """A syntax error at ``at``, a token or a list."""
+    return PddlSyntaxError(message, line=at.line, column=at.column)
+
+
 # a comment, a token (a parenthesis or a name) or a line break; whatever
 # else the pattern skips is blank
 _TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)|\n")
@@ -185,9 +198,8 @@ class _Reader:
 
     def _err(self, message: str, token: Optional[_Token] = None):
         tok = token or (self.tokens[self.pos - 1] if self.pos else None)
-        line = tok.line if tok else 1
-        col = tok.column if tok else 1
-        return PddlSyntaxError(message, line=line, column=col)
+        return _error(message, tok) if tok else PddlSyntaxError(
+            message, line=1, column=1)
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -203,7 +215,7 @@ class _Reader:
         """Read one s-expression as nested lists of tokens."""
         tok = self.next()
         if tok.text == "(":
-            items = []
+            items = _List(tok)
             while True:
                 nxt = self.peek()
                 if nxt is None:
@@ -223,11 +235,18 @@ def _head(sexpr) -> str:
     return sexpr[0].text
 
 
+def _named(sexpr, what: str) -> str:
+    """The head of ``sexpr``, a list that starts with a name; else a syntax
+    error at ``sexpr`` that expects ``what``."""
+    head = _head(sexpr)
+    if not head:
+        raise _error(f"expected {what}", sexpr)
+    return head
+
+
 def _atom_token(item) -> _Token:
     if isinstance(item, list):
-        raise PddlSyntaxError("expected a name, got a list",
-                              line=item[0].line if item else 1,
-                              column=item[0].column if item else 1)
+        raise _error("expected a name, got a list", item)
     return item
 
 
@@ -235,6 +254,8 @@ def _parse_typed_list(items, untyped: Optional[str] = ROOT_TYPE
                       ) -> tuple[tuple[str, Optional[str]], ...]:
     """Parse `a b - t c - u d` style lists; names in the trailing group
     without a type (`d`) get `untyped`."""
+    if not isinstance(items, list):
+        raise _error("expected a typed list (NAME ... - TYPE ...)", items)
     out: list[tuple[str, Optional[str]]] = []
     pending: list[str] = []
     i = 0
@@ -242,8 +263,7 @@ def _parse_typed_list(items, untyped: Optional[str] = ROOT_TYPE
         tok = _atom_token(items[i])
         if tok.text == "-":
             if i + 1 >= len(items):
-                raise PddlSyntaxError("dangling '-' in typed list",
-                                      line=tok.line, column=tok.column)
+                raise _error("dangling '-' in typed list", tok)
             type_tok = _atom_token(items[i + 1])
             for name in pending:
                 out.append((name, type_tok.text))
@@ -265,14 +285,12 @@ def _check_unsupported(head: str, tok: _Token):
 
 def _parse_formula(sexpr) -> Formula:
     if not isinstance(sexpr, list):
-        raise PddlSyntaxError("expected a formula", line=sexpr.line,
-                              column=sexpr.column)
+        raise _error("expected a formula", sexpr)
     if not sexpr:
         return And(())
     head_tok = sexpr[0]
     if isinstance(head_tok, list):
-        raise PddlSyntaxError("formula head must be a symbol",
-                              line=1, column=1)
+        raise _error("formula head must be a symbol", sexpr)
     head = head_tok.text
     _check_unsupported(head, head_tok)
     if head == "and":
@@ -281,13 +299,11 @@ def _parse_formula(sexpr) -> Formula:
         return Or(tuple(_parse_formula(p) for p in sexpr[1:]))
     if head == "not":
         if len(sexpr) != 2:
-            raise PddlSyntaxError("not takes one argument",
-                                  line=head_tok.line, column=head_tok.column)
+            raise _error("not takes one argument", head_tok)
         return Not(_parse_formula(sexpr[1]))
     if head == "forall":
         if len(sexpr) != 3 or not isinstance(sexpr[1], list):
-            raise PddlSyntaxError("forall needs (vars) and a body",
-                                  line=head_tok.line, column=head_tok.column)
+            raise _error("forall needs (vars) and a body", head_tok)
         variables = _parse_typed_list(sexpr[1])
         return Forall(variables, _parse_formula(sexpr[2]))
     args = []
@@ -297,6 +313,8 @@ def _parse_formula(sexpr) -> Formula:
 
 
 def _parse_action(sexpr) -> Action:
+    if not isinstance(sexpr, list) or len(sexpr) < 2:
+        raise _error("expected (:action NAME ...)", sexpr)
     name = _atom_token(sexpr[1]).text
     params: tuple[tuple[str, str], ...] = ()
     precondition: Formula = And(())
@@ -305,6 +323,8 @@ def _parse_action(sexpr) -> Action:
     while i < len(sexpr):
         key_tok = _atom_token(sexpr[i])
         key = key_tok.text
+        if i + 1 == len(sexpr):
+            raise _error(f"{key} has no value", key_tok)
         if key == ":parameters":
             params = _parse_typed_list(sexpr[i + 1])
         elif key == ":precondition":
@@ -313,8 +333,7 @@ def _parse_action(sexpr) -> Action:
             effect = _parse_formula(sexpr[i + 1])
         else:
             _check_unsupported(key, key_tok)
-            raise PddlSyntaxError(f"unexpected action section {key!r}",
-                                  line=key_tok.line, column=key_tok.column)
+            raise _error(f"unexpected action section {key!r}", key_tok)
         i += 2
     return Action(name, params, precondition, effect)
 
@@ -322,8 +341,9 @@ def _parse_action(sexpr) -> Action:
 def _read_define(text: str, kind: str, bad_decl: str
                  ) -> tuple[str, list[tuple[str, _Token, list]]]:
     """NAME and the sections of `(define (<kind> NAME) sections...)`, the
-    whole of `text`, each section as (head, head token, section) with an
-    unsupported head rejected; a missing `(<kind> NAME)` raises `bad_decl`."""
+    whole of `text`, each section as (head, head token, section): a list
+    that starts with a supported name; a missing `(<kind> NAME)` raises
+    `bad_decl`."""
     reader = _Reader(text)
     sexpr = reader.read_sexpr()
     if reader.peek() is not None:
@@ -335,7 +355,7 @@ def _read_define(text: str, kind: str, bad_decl: str
         raise PddlSyntaxError(bad_decl, line=1, column=1)
     sections = []
     for section in sexpr[2:]:
-        head = _head(section)
+        head = _named(section, f"a {kind} section (:NAME ...)")
         _check_unsupported(head, section[0])
         sections.append((head, section[0], section))
     return _atom_token(decl[1]).text, sections
@@ -357,13 +377,12 @@ def read_domain(text: str) -> Domain:
             constants = _parse_typed_list(section[1:])
         elif head == ":predicates":
             for p in section[1:]:
-                pname = _atom_token(p[0]).text
+                pname = _named(p, "a predicate (NAME ...)")
                 predicates.append(Predicate(pname, _parse_typed_list(p[1:])))
         elif head == ":action":
             actions.append(_parse_action(section))
         else:
-            raise PddlSyntaxError(f"unexpected domain section {head!r}",
-                                  line=head_tok.line, column=head_tok.column)
+            raise _error(f"unexpected domain section {head!r}", head_tok)
     return Domain(name, requirements, types, tuple(predicates), tuple(actions),
                   constants)
 
@@ -376,6 +395,8 @@ def read_problem(text: str) -> Problem:
     init: list[Atom] = []
     goal: Formula = And(())
     for head, head_tok, section in sections:
+        if head in (":domain", ":goal") and len(section) != 2:
+            raise _error(f"{head} takes one argument", head_tok)
         if head == ":domain":
             domain = _atom_token(section[1]).text
         elif head == ":objects":
@@ -384,15 +405,12 @@ def read_problem(text: str) -> Problem:
             for fact in section[1:]:
                 formula = _parse_formula(fact)
                 if not isinstance(formula, Atom):
-                    raise PddlSyntaxError("init facts must be ground atoms",
-                                          line=head_tok.line,
-                                          column=head_tok.column)
+                    raise _error("init facts must be ground atoms", head_tok)
                 init.append(formula)
         elif head == ":goal":
             goal = _parse_formula(section[1])
         else:
-            raise PddlSyntaxError(f"unexpected problem section {head!r}",
-                                  line=head_tok.line, column=head_tok.column)
+            raise _error(f"unexpected problem section {head!r}", head_tok)
     return Problem(name, domain, objects, tuple(init), goal)
 
 
@@ -404,7 +422,7 @@ def parse_fragment_action(text: str) -> Action:
 
 def parse_fragment_predicate(text: str) -> Predicate:
     parsed = _Reader(text).read_sexpr()
-    name = _atom_token(parsed[0]).text
+    name = _named(parsed, "a predicate (NAME ...)")
     return Predicate(name, _parse_typed_list(parsed[1:]))
 
 

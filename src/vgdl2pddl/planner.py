@@ -37,6 +37,11 @@ again on the state's key facts, under which the candidates' tests are kept
 partially evaluated, and then on the facts those remaining tests read
 (zenpuzzle lvl0 blind BFS: 15,927 new projections, 30 full scans).
 
+Search names an action by its index alone, as Fast Downward numbers its
+operators (Helmert, JAIR 2006): successor answers are tuples of indices,
+which the pruning memos key by value, and the plan is such a tuple, which
+``solve`` maps by position to the caller's own actions.
+
 Best-first search (GBFS, A*, GoalCount) prunes with strong stubborn sets
 (``_StubbornSets``): it expands only those applicable actions, in the
 generator's order.  Where the movers of one phase commute, every order of
@@ -207,13 +212,11 @@ class _Successors:
     include every moving object's cell, misses 3,130 times on 1,726 of
     them.  Building an entry costs about one and a half scans, and a test
     left in it about half a scan, so an entry that is never used again is
-    the only waste.  Each set of action indices has one answer tuple
-    (``_by_indices``), whichever lookup found it, and distinct actions have
-    distinct indices, so equal answers are one tuple and callers that key
-    on an answer's identity (``_StubbornSets``, ``_Symmetry``) see the same
-    tuples a scan alone would give.  The memos live as long as the
-    generator, one search, and each gains at most one entry per expanded
-    state.
+    the only waste.  An answer is interned by value (``_answers``),
+    whichever lookup found it, so equal answers are one tuple: the memos
+    of ``_StubbornSets`` and ``_Symmetry``, keyed by answer, then hold one
+    tuple as both key and value.  The memos live as long as the generator,
+    one search, and each gains at most one entry per expanded state.
     """
 
     def __init__(self, task: GroundedTask, reads: list[tuple[int, int]]):
@@ -223,13 +226,6 @@ class _Successors:
             gates = action.pos_pre & gate_mask
             buckets.setdefault(gates & -gates, []).append(i)
         self.actions = task.actions
-        # per action, the facts its clauses read
-        self.clause_reads = []
-        for action in task.actions:
-            read = 0
-            for pos_mask, neg_mask in action.clauses:
-                read |= pos_mask | neg_mask
-            self.clause_reads.append(read)
         # (gate bit, unkeyed, key mask, key bit -> actions) in gate order,
         # each action as its test (index, pos, neg, clauses); 0 marks the
         # always group
@@ -247,14 +243,12 @@ class _Successors:
         self.gate_mask = sum(order)
         self._masks: dict[int, int] = {}  # active gates -> projection mask
         self._known: dict[int, int] = {}  # active gates -> known facts
-        self._memo: dict[int, tuple[GroundAction, ...]] = {}  # key -> answer
+        self._memo: dict[int, tuple[int, ...]] = {}  # key -> answer
         # known facts -> None after their first miss, then their entry:
         # (remaining tests, read: the known facts and what those tests read)
         self._entries: dict[int, Optional[tuple]] = {}
         self._partial: dict[int, tuple] = {}  # state & read -> answer
-        # action indices -> their one answer; hashing the indices is cheaper
-        # than hashing the actions
-        self._by_indices: dict[tuple[int, ...], tuple] = {}
+        self._answers: dict[tuple[int, ...], tuple[int, ...]] = {}  # interned
 
     def _index(self, bit: int, members: list[int]):
         actions = self.actions
@@ -273,7 +267,7 @@ class _Successors:
         # the keys are distinct single bits, so their sum is their union
         return bit, unkeyed, sum(keyed), keyed
 
-    def applicable(self, state: int) -> tuple[GroundAction, ...]:
+    def applicable(self, state: int) -> tuple[int, ...]:
         gates = state & self.gate_mask
         mask = self._masks.get(gates)
         if mask is None:
@@ -288,7 +282,7 @@ class _Successors:
             found = self._memo[key] = self._miss(state, gates)
         return found
 
-    def _miss(self, state: int, gates: int) -> tuple[GroundAction, ...]:
+    def _miss(self, state: int, gates: int) -> tuple[int, ...]:
         known = self._known.get(gates)
         if known is None:
             known = self.gate_mask
@@ -305,12 +299,14 @@ class _Successors:
                 entry = self._entries[facts] = self._evaluate(state, known)
             else:
                 self._entries[facts] = None
-                return self._answer(self._scan(state))
+                found = self._scan(state)
+                return self._answers.setdefault(found, found)
         tests, read = entry
         key = state & read
         found = self._partial.get(key)
         if found is None:
-            found = self._partial[key] = self._answer(_passing(tests, state))
+            found = _passing(tests, state)
+            found = self._partial[key] = self._answers.setdefault(found, found)
         return found
 
     def _candidates(self, state: int) -> list[tuple]:
@@ -333,14 +329,6 @@ class _Successors:
             out += candidates
         return out
 
-    def _answer(self, indices: tuple[int, ...]) -> tuple[GroundAction, ...]:
-        """The one answer of the actions at ``indices``."""
-        found = self._by_indices.get(indices)
-        if found is None:
-            found = self._by_indices[indices] = tuple(
-                map(self.actions.__getitem__, indices))
-        return found
-
     def _scan(self, state: int) -> tuple[int, ...]:
         return _passing(self._candidates(state), state)
 
@@ -349,14 +337,13 @@ class _Successors:
         ``known`` with the facts the remaining tests read."""
         true, false = state & known, known & ~state
         unknown = ~known
-        clause_reads = self.clause_reads
         tests = []
         read = known
         for i, pos, neg, clauses in self._candidates(state):
             if pos & false or neg & true:
                 continue
-            reads = clause_reads[i]
-            if reads & known:
+            reads = 0
+            if clauses:
                 clauses, reads = _evaluate_clauses(clauses, true, false,
                                                    unknown)
                 if clauses is None:
@@ -430,11 +417,12 @@ class _StubbornSets:
     the first.  So where movers of one phase commute, as rain's drops do, T
     follows the phase's end back to one mover's moves.
 
-    ``keep`` takes the generator's answer for a state.  If every
-    two of its actions interfere, a T holding one of them holds all of them,
-    and a T holding none means the state is a dead end, so the answer is
-    kept whole with no closure; that test reads the actions' masks and is
-    cached per answer.  The per-fact tables are built on the first closure,
+    ``keep`` takes the generator's answer for a state, action indices, and
+    works on their bits: action i is bit ``1 << i``.  If every two of its
+    actions interfere, a T holding one of them holds all of them, and a T
+    holding none means the state is a dead end, so the answer is kept whole
+    with no closure; that test reads the actions' masks and is cached per
+    answer, by value.  The per-fact tables are built on the first closure,
     each action's interference set on its first need.  The closure is a
     fixpoint, so the order it visits actions in does not matter: the
     actions with an unmet gate literal, most of a compiled task in any one
@@ -448,46 +436,39 @@ class _StubbornSets:
         self.n_facts = len(task.facts)
         self.goal_pos, self.goal_neg = task.goal_pos, task.goal_neg
         self.gate_mask = _gates(task)
-        # id(answer) -> (answer, its actions' bits or None if every two of
-        # them interfere, their union); holding the answer keeps its id from
-        # being reused
-        self._answers: dict[int, tuple] = {}
-        self._index = {id(a): i for i, a in enumerate(task.actions)}
+        # answer -> the union of its actions' bits, or 0 if every two of them
+        # interfere
+        self._answers: dict[tuple[int, ...], int] = {}
         self._built = False
         self._interferes: list[Optional[int]] = [None] * len(task.actions)
         self._gated: dict[int, tuple] = {}  # true gates -> _gate_groups
 
-    def keep(self, state: int, answer: tuple[GroundAction, ...]
-             ) -> tuple[GroundAction, ...]:
+    def keep(self, state: int, answer: tuple[int, ...]) -> tuple[int, ...]:
         """The actions of ``answer`` in a strong stubborn set for ``state``,
         a non-goal state whose applicable actions are ``answer``, in order."""
-        entry = self._answers.get(id(answer))
-        if entry is None:
-            bits = self._bits_unless_interfering(answer)
-            entry = (answer, bits, sum(bits or ()))
-            self._answers[id(answer)] = entry
-        _, bits, applicable = entry
-        if bits is None:
+        applicable = self._answers.get(answer)
+        if applicable is None:
+            applicable = self._answers[answer] = self._union(answer)
+        if not applicable:
             return answer
         stubborn = self._closure(state, applicable)
         if not applicable & ~stubborn:
             return answer
-        return tuple(a for a, bit in zip(answer, bits) if stubborn & bit)
+        return tuple(i for i in answer if stubborn >> i & 1)
 
-    def _bits_unless_interfering(self, answer):
-        if len(answer) < 2:
-            return None
-        index = [self._index[id(a)] for a in answer]
-        reads = [self.reads[i] for i in index]
-        for j, b in enumerate(answer):
-            b_pos, b_neg = reads[j]
-            for a, (a_pos, a_neg) in zip(answer[:j], reads):
+    def _union(self, answer: tuple[int, ...]) -> int:
+        """The union of ``answer``'s bits; 0 if every two of them interfere."""
+        actions, reads = self.actions, self.reads
+        for j, i in enumerate(answer):
+            b, (b_pos, b_neg) = actions[i], reads[i]
+            for k in answer[:j]:
+                a, (a_pos, a_neg) = actions[k], reads[k]
                 if not (a.delete & (b_pos | b.add) or b.delete & (a_pos | a.add)
                         or a.add & b_neg or b.add & a_neg):
                     if not self._built:
                         self._build()
-                    return [1 << i for i in index]
-        return None
+                    return sum(1 << x for x in answer)
+        return 0
 
     def _build(self):
         n = self.n_facts
@@ -631,8 +612,8 @@ class _Symmetry:
     IJCAI 2015).  Touched members are never renamed: states are not mapped
     to a canonical form.
 
-    ``keep`` remembers its answer per (answer, untouched members) for one
-    search; holding the answer keeps its id from being reused.
+    ``keep`` takes and returns action indices, and remembers its answer per
+    (answer, untouched members) for one search.
     """
 
     def __init__(self, task: GroundedTask):
@@ -650,40 +631,40 @@ class _Symmetry:
         # (facts naming a member, their init, its bit)
         self.members = [(named[x], task.init & named[x], self.bit_of[x])
                         for x in self.names]
-        # (name, args) -> action, for the actions naming a member
-        self.by_ident = {a.ident: a for a in task.actions
+        self.actions = task.actions
+        # (name, args) -> index, for the actions naming a member
+        self.by_ident = {a.ident: i for i, a in enumerate(task.actions)
                          if not self.bit_of.keys().isdisjoint(a.args)}
-        # (id(answer), untouched members) -> (answer, the actions kept)
-        self._memo: dict[tuple[int, int], tuple] = {}
+        # (answer, untouched members) -> the actions kept
+        self._memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
 
-    def keep(self, state: int, answer: tuple[GroundAction, ...]
-             ) -> tuple[GroundAction, ...]:
+    def keep(self, state: int, answer: tuple[int, ...]) -> tuple[int, ...]:
         if len(answer) < 2:
             return answer
         untouched = 0
         for mask, value, bit in self.members:
             if state & mask == value:
                 untouched |= bit
-        key = (id(answer), untouched)
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._memo[key] = (answer, self._drop(untouched, answer))
-        return entry[1]
+        key = (answer, untouched)
+        kept = self._memo.get(key)
+        if kept is None:
+            kept = self._memo[key] = self._drop(untouched, answer)
+        return kept
 
     def _drop(self, untouched: int, answer):
-        ids = {id(a) for a in answer}
-        kept = tuple(a for a in answer
-                     if (image := self._image(a, untouched)) is a
-                     or id(image) not in ids)
+        kept = tuple(i for i in answer
+                     if (image := self._image(i, untouched)) == i
+                     or image not in answer)
         return answer if len(kept) == len(answer) else kept
 
-    def _image(self, action: GroundAction, untouched: int) -> GroundAction:
+    def _image(self, i: int, untouched: int) -> int:
+        action = self.actions[i]
         named = 0
         for x in action.args:
             named |= self.bit_of.get(x, 0)
         named &= untouched
         if not named:
-            return action
+            return i
         rename = {}
         for span in self.spans:
             mine = named & span
@@ -698,7 +679,7 @@ class _Symmetry:
                 if x != y:
                     rename[self.names[x]] = self.names[y]
         if not rename:
-            return action
+            return i
         return self.by_ident[action.name,
                              tuple(rename.get(x, x) for x in action.args)]
 
@@ -999,39 +980,40 @@ def solve(task: GroundedTask, cfg: SearchConfig = SearchConfig()) -> PlanResult:
         search = _bfs if cfg.mode is Mode.BLIND_BFS else _best_first
         symmetry = (_Symmetry(search_task) if search_task.interchangeable
                     else None)
-        result = search(search_task, reads, symmetry, cfg, stats, start,
-                        max(1000, cfg.memory_limit // 64))
-        if result.plan and search_task is not task:
-            own = dict(zip(map(id, search_task.actions), task.actions))
-            result.plan = tuple(own[id(a)] for a in result.plan)
-        return result
+        status, plan = search(search_task, reads, symmetry, cfg, stats,
+                              start, max(1000, cfg.memory_limit // 64))
+        return PlanResult(status, None if plan is None else tuple(
+            map(task.actions.__getitem__, plan)), stats)
     finally:
         stats.wall_time = time.perf_counter() - start
 
 
 def _bfs(task, reads, symmetry, cfg, stats, start, max_states
-         ) -> PlanResult:
-    """Breadth-first search.  ``parents`` maps each state found to the state
-    it was reached from, ints only, so the cyclic GC has nothing to walk
-    there (Fast Downward keeps a parent id per state; Helmert, JAIR 2006).
-    Best-first search keeps the same map, re-pointing a state it reaches at
-    a lower g.  ``_rebuild`` takes each step as the first action of
-    ``expand(parent)`` that leads to the child, where ``expand`` is the
-    expansion the search made: ``_Successors.applicable`` for BFS, its
-    stubborn-kept actions for best-first search, both answered from the
-    memo the search filled, each through ``symmetry`` if the task has
-    interchangeable objects.  The search kept that action and skipped the
-    rest as duplicates or as no cheaper."""
+         ) -> tuple[Status, Optional[tuple[int, ...]]]:
+    """Breadth-first search: the status, and the plan as action indices.
+    ``parents`` maps each state found to the state it was reached from,
+    ints only, so the cyclic GC has nothing to walk there (Fast Downward
+    keeps a parent id per state; Helmert, JAIR 2006).  Best-first search
+    keeps the same map, re-pointing a state it reaches at a lower g.
+    ``_rebuild`` takes each step as the first index of ``expand(parent)``
+    whose effects lead to the child, where ``expand`` is the expansion the
+    search made: ``_Successors.applicable`` for BFS, its stubborn-kept
+    actions for best-first search, both answered from the memo the search
+    filled, each through ``symmetry`` if the task has interchangeable
+    objects.  The search kept that action and skipped the rest as
+    duplicates or as no cheaper."""
     parents = {task.init: None}
     queue = deque([task.init])
     deadline = start + cfg.time_limit
     goal_pos, goal_neg = task.goal_pos, task.goal_neg
     applicable = _Successors(task, reads).applicable
+    adds = [a.add for a in task.actions]
+    dels = [a.delete for a in task.actions]
     expanded = generated = pruned = 0
     try:
         while queue:
             if expanded % 512 == 0 and time.perf_counter() > deadline:
-                return PlanResult(Status.TIMEOUT, None, stats)
+                return Status.TIMEOUT, None
             state = queue.popleft()
             expanded += 1
             answer = applicable(state)
@@ -1039,43 +1021,43 @@ def _bfs(task, reads, symmetry, cfg, stats, start, max_states
                 kept = symmetry.keep(state, answer)
                 pruned += len(answer) - len(kept)
                 answer = kept
-            for action in answer:
-                succ = (state & ~action.delete) | action.add
+            for i in answer:
+                succ = (state & ~dels[i]) | adds[i]
                 if succ in parents:
                     continue
                 parents[succ] = state
                 generated += 1
                 if succ & goal_pos == goal_pos and not succ & goal_neg:
-                    return PlanResult(Status.SOLVED, _rebuild(
+                    return Status.SOLVED, _rebuild(
                         parents, applicable if symmetry is None else
-                        lambda s: symmetry.keep(s, applicable(s)), succ),
-                        stats)
+                        lambda s: symmetry.keep(s, applicable(s)), succ,
+                        adds, dels)
                 if len(parents) > max_states:
-                    return PlanResult(Status.OUT_OF_MEMORY, None, stats)
+                    return Status.OUT_OF_MEMORY, None
                 queue.append(succ)
-        return PlanResult(Status.UNSOLVABLE, None, stats)
+        return Status.UNSOLVABLE, None
     finally:
         stats.expanded, stats.generated = expanded, generated
         stats.pruned = pruned
 
 
-def _rebuild(parents, expand, state) -> tuple[GroundAction, ...]:
+def _rebuild(parents, expand, state, adds, dels) -> tuple[int, ...]:
     plan = []
     while (parent := parents[state]) is not None:
-        plan.append(next(a for a in expand(parent)
-                         if (parent & ~a.delete) | a.add == state))
+        plan.append(next(i for i in expand(parent)
+                         if (parent & ~dels[i]) | adds[i] == state))
         state = parent
     plan.reverse()
     return tuple(plan)
 
 
 def _best_first(task, reads, symmetry, cfg, stats, start, max_states
-                ) -> PlanResult:
-    """Greedy (or A*) best-first search on h, with duplicate detection.
-    A popped non-goal state expands only the applicable actions of a strong
-    stubborn set (``_StubbornSets``), less those ``symmetry`` drops, which
-    keeps a plan from every solvable state; ``stats.pruned`` counts the
-    applicable actions left out."""
+                ) -> tuple[Status, Optional[tuple[int, ...]]]:
+    """Greedy (or A*) best-first search on h, with duplicate detection,
+    returning what ``_bfs`` returns.  A popped non-goal state expands only the
+    applicable actions of a strong stubborn set (``_StubbornSets``), less
+    those ``symmetry`` drops, which keeps a plan from every solvable state;
+    ``stats.pruned`` counts the applicable actions left out."""
     if cfg.mode is Mode.GOAL_COUNT:
         h = lambda s: _goal_count(task, s)  # noqa: E731
     else:
@@ -1091,6 +1073,8 @@ def _best_first(task, reads, symmetry, cfg, stats, start, max_states
     closed: set[int] = set()
     successors = _Successors(task, reads)
     stubborn = _StubbornSets(task, reads)
+    adds = [a.add for a in task.actions]
+    dels = [a.delete for a in task.actions]
 
     def expand(state, answer):
         kept = stubborn.keep(state, answer)
@@ -1098,22 +1082,22 @@ def _best_first(task, reads, symmetry, cfg, stats, start, max_states
 
     while open_heap:
         if stats.expanded % 256 == 0 and time.perf_counter() > deadline:
-            return PlanResult(Status.TIMEOUT, None, stats)
+            return Status.TIMEOUT, None
         _, _, _, state = heappop(open_heap)
         if state in closed:
             continue
         closed.add(state)
         stats.expanded += 1
         if goal_satisfied(task, state):
-            return PlanResult(Status.SOLVED, _rebuild(
+            return Status.SOLVED, _rebuild(
                 parents, lambda s: expand(s, successors.applicable(s)),
-                state), stats)
+                state, adds, dels)
         g = g_cost[state]
         applicable = successors.applicable(state)
         kept = expand(state, applicable)
         stats.pruned += len(applicable) - len(kept)
-        for action in kept:
-            succ = (state & ~action.delete) | action.add
+        for i in kept:
+            succ = (state & ~dels[i]) | adds[i]
             if succ in closed:
                 continue
             new_g = g + 1
@@ -1124,7 +1108,7 @@ def _best_first(task, reads, symmetry, cfg, stats, start, max_states
             parents[succ] = state
             stats.generated += 1
             if len(g_cost) > max_states:
-                return PlanResult(Status.OUT_OF_MEMORY, None, stats)
+                return Status.OUT_OF_MEMORY, None
             hs = h(succ)
             stats.evaluated += 1
             if hs >= INF:
@@ -1132,7 +1116,7 @@ def _best_first(task, reads, symmetry, cfg, stats, start, max_states
             counter += 1
             f = (new_g + hs) if astar else hs
             heappush(open_heap, (f, hs, counter ^ cfg.seed, succ))
-    return PlanResult(Status.UNSOLVABLE, None, stats)
+    return Status.UNSOLVABLE, None
 
 
 # -- validation ---------------------------------------------------------------------

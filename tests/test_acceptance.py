@@ -270,8 +270,8 @@ def _turn_ends(successors, state, gate):
         if s & gate:
             ends.add(s)
             continue
-        for action in successors.applicable(s):
-            nxt = apply(s, action)
+        for i in successors.applicable(s):
+            nxt = apply(s, successors.actions[i])
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -309,7 +309,8 @@ def test_c4_random_walks(name):
             for _ in range(60):
                 if sim.status is not E.GameStatus.ONGOING:
                     break
-                moves = [a for a in successors.applicable(state)
+                moves = [a for a in map(task.actions.__getitem__,
+                                        successors.applicable(state))
                          if is_avatar_action(a)]
                 assert moves, (name, level, seed, sim.turn)
                 action = rng.choice(moves)

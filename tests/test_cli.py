@@ -440,6 +440,18 @@ class TestDomainErrors:
         assert message in result.output
         assert not ran.exists()
 
+    def test_plan_on_a_malformed_domain(self, runner, tmp_path):
+        domain = tmp_path / "domain.pddl"
+        domain.write_text("(define (domain d) (:action a :parameters))")
+        problem = tmp_path / "problem.pddl"
+        problem.write_text("(define (problem p) (:domain d))")
+        result = runner.invoke(main, ["plan", "--domain", str(domain),
+                                      "--problem", str(problem)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: 1:31: :parameters has no value" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", ["validate-kb", "bench"])
     @pytest.mark.parametrize("text,message", [
         pytest.param("kb_dir: [\n", "while parsing", id="not-yaml"),

@@ -126,10 +126,40 @@ class TestReader:
         assert Atom("at", ("n0", "n1", "s1")) in problem.init
         assert isinstance(problem.goal, Forall)
 
-    def test_syntax_error_has_position(self):
+    # (reader, text, the column of the token or '(' the error names)
+    MALFORMED = [
+        pytest.param(read_domain, "(define (domain d) (:types a - ))", 30,
+                     id="dangling-dash"),
+        pytest.param(read_domain, "(define (domain d) foo)", 20,
+                     id="section-not-a-list"),
+        pytest.param(read_domain, "(define (domain d) ())", 20,
+                     id="empty-section"),
+        pytest.param(read_domain, "(define (domain d) (:predicates p))", 33,
+                     id="predicate-not-a-list"),
+        pytest.param(read_domain, "(define (domain d) (:predicates ()))", 33,
+                     id="empty-predicate"),
+        pytest.param(read_domain, "(define (domain d) (:action))", 20,
+                     id="action-without-name"),
+        pytest.param(read_domain,
+                     "(define (domain d) (:action a :parameters))", 31,
+                     id="parameters-without-value"),
+        pytest.param(read_domain,
+                     "(define (domain d) (:action a :parameters x))", 43,
+                     id="parameters-not-a-list"),
+        pytest.param(read_domain, "(define (domain d) (:action a "
+                     ":parameters (?x) :precondition))", 48,
+                     id="precondition-without-value"),
+        pytest.param(read_problem, "(define (problem p) (:domain))", 22,
+                     id="problem-domain-without-name"),
+        pytest.param(read_problem, "(define (problem p) (:goal))", 22,
+                     id="problem-goal-without-formula"),
+    ]
+
+    @pytest.mark.parametrize("reader,text,column", MALFORMED)
+    def test_syntax_error_has_position(self, reader, text, column):
         with pytest.raises(PddlSyntaxError) as exc:
-            read_domain("(define (domain d) (:types a - ))")
-        assert exc.value.line is not None
+            reader(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
 
     def test_unbalanced(self):
         with pytest.raises(PddlSyntaxError):

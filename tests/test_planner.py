@@ -161,20 +161,28 @@ class TestSolve:
                                           time_limit=0.05))
         assert result.status in (Status.TIMEOUT, Status.SOLVED)
 
-    def test_limits_report_the_search_so_far(self, monkeypatch):
-        task = level_task("zenpuzzle", 0)
-        # a clock one second later on every read: BFS reads it at the
-        # start and every 512 expansions, so it stops after 1,024
+    # a clock one second later on every read: the search reads it at the
+    # start and every `interval` expansions, so it stops after two
+    # intervals; BFS reads it every 512 expansions, best-first search
+    # every 256
+    @pytest.mark.parametrize("name,index,mode,interval", [
+        pytest.param("zenpuzzle", 0, Mode.BLIND_BFS, 512, id="bfs"),
+        pytest.param("digger", 1, Mode.GOAL_COUNT, 256, id="best-first"),
+    ])
+    def test_limits_report_the_search_so_far(self, name, index, mode,
+                                             interval, monkeypatch):
+        task = level_task(name, index)
         clock = iter(range(10 ** 6)).__next__
         monkeypatch.setattr(planner, "time",
                             type("Clock", (), {"perf_counter": clock}))
-        timeout = solve(task, SearchConfig(mode=Mode.BLIND_BFS,
-                                           time_limit=2.5)).stats
+        timeout = solve(task, SearchConfig(mode=mode, time_limit=2.5))
         monkeypatch.undo()
-        assert timeout.expanded == 1024 and timeout.generated > 0
-        oom = solve(task, SearchConfig(mode=Mode.BLIND_BFS,
-                                       memory_limit=1)).stats
-        assert oom.expanded > 0 and oom.generated == 1000
+        assert timeout.status is Status.TIMEOUT
+        assert timeout.stats.expanded == 2 * interval
+        assert timeout.stats.generated > 0
+        oom = solve(task, SearchConfig(mode=mode, memory_limit=1))
+        assert oom.status is Status.OUT_OF_MEMORY
+        assert oom.stats.expanded > 0 and oom.stats.generated == 1000
 
     def test_bfs_plan_takes_the_first_action_in_successor_order(self):
         # a0 and a1 lead from the initial state to one child; a1's gate f0
@@ -777,7 +785,7 @@ def assert_same_successors(task, states):
     successors = make_successors(task)
     yielded = 0
     for state in states:
-        got = list(successors.applicable(state))
+        got = [task.actions[i] for i in successors.applicable(state)]
         assert got == [a for a in task.actions if applicable(state, a)]
         yielded += len(got)
     return yielded
@@ -859,7 +867,7 @@ def projection(reads, state):
 
 class TestSuccessorMemo:
     def scan(self, task, state):
-        return [a for a in task.actions if applicable(state, a)]
+        return [i for i, a in enumerate(task.actions) if applicable(state, a)]
 
     def test_equal_projections_share_one_entry(self, monkeypatch):
         task, states, _, _ = expanded_states(
@@ -953,7 +961,7 @@ def known_facts(successors, state):
 
 class TestKeyFactEntries:
     def scan(self, task, state):
-        return [a for a in task.actions if applicable(state, a)]
+        return [i for i, a in enumerate(task.actions) if applicable(state, a)]
 
     def test_equal_known_facts_and_reads_share_one_answer(self, monkeypatch):
         """States that agree on their known facts and on what the entry's
@@ -1051,7 +1059,6 @@ class ReferenceStubborn:
         self.task = task
         self.gates = sum(1 << i for atom, i in task.fact_id.items()
                          if not atom.args)
-        self.index = {id(a): i for i, a in enumerate(task.actions)}
         self._achievers = {}
         self._interferes = {}
 
@@ -1088,9 +1095,9 @@ class ReferenceStubborn:
         return self._interferes[i]
 
     def kept(self, state, answer):
-        """What `keep` must return: the whole answer when every two of its
-        actions interfere or the set holds all of them, else the answer's
-        actions in the set."""
+        """What `keep` must return for the action indices `answer`: the
+        whole answer when every two of its actions interfere or the set
+        holds all of them, else the answer's actions in the set."""
         task = self.task
         stubborn = set(self.choose(state, task.goal_pos & ~state,
                                    task.goal_neg & state, ()))
@@ -1105,17 +1112,17 @@ class ReferenceStubborn:
                                   a.neg_pre & state, a.clauses)
             queue += new - stubborn
             stubborn |= new
-        ids = [self.index[id(a)] for a in answer]
-        if set(ids) <= stubborn or all(
-                interfere(a, b) for k, b in enumerate(answer)
-                for a in answer[:k]):
+        actions = [task.actions[i] for i in answer]
+        if set(answer) <= stubborn or all(
+                interfere(a, b) for k, b in enumerate(actions)
+                for a in actions[:k]):
             return answer
-        return tuple(a for a, i in zip(answer, ids) if i in stubborn)
+        return tuple(i for i in answer if i in stubborn)
 
 
 def gbfs_kept(task, monkeypatch):
     """(search task, [(state, applicable, kept)] for every state GBFS
-    expands, the result) for one GBFS run."""
+    expands, as action indices, the result) for one GBFS run."""
     seen = []
     made = {}
 
@@ -1150,8 +1157,8 @@ def stubborn_bfs(task):
         answer = successors.applicable(state)
         kept = stubborn.keep(state, answer)
         pruned += len(answer) - len(kept)
-        for action in kept:
-            succ = apply(state, action)
+        for i in kept:
+            succ = apply(state, task.actions[i])
             if succ in depth:
                 continue
             depth[succ] = depth[state] + 1
@@ -1232,9 +1239,10 @@ class TestStubbornSets:
         for state, answer, kept in seen:
             # an ordered sublist of the applicable actions
             rest = iter(answer)
-            assert all(action in rest for action in kept)
-            if all(interfere(a, b) for i, b in enumerate(answer)
-                   for a in answer[:i]):
+            assert all(i in rest for i in kept)
+            actions = [task.actions[i] for i in answer]
+            if all(interfere(a, b) for i, b in enumerate(actions)
+                   for a in actions[:i]):
                 assert kept == answer
             assert kept == reference.kept(state, answer)
             strict += len(kept) < len(answer)
@@ -1244,41 +1252,27 @@ class TestStubbornSets:
         state = task.init
         for action in result.plan:
             action = task.action(*action.ident)
-            assert action in kept_at[state]
+            assert task.actions.index(action) in kept_at[state]
             state = apply(state, action)
         assert goal_satisfied(task, state)
 
-    def test_keep_sees_only_interned_answers(self, monkeypatch):
-        """The plan is rebuilt from the successor memo, so every answer the
-        stubborn sets cache is the one copy `_Successors` keeps for its
-        action indices."""
-        made = {}
-
-        class Successors(planner._Successors):
-            def __init__(self, task, reads):
-                super().__init__(task, reads)
-                made["successors"] = self
-
-        class Stubborn(planner._StubbornSets):
-            def __init__(self, task, reads):
-                super().__init__(task, reads)
-                made["stubborn"] = self
-
-        with monkeypatch.context() as m:
-            m.setattr(planner, "_Successors", Successors)
-            m.setattr(planner, "_StubbornSets", Stubborn)
-            result = solve(level_task("rain", 1))
-        assert result.status is Status.SOLVED and result.plan
-        kept = {id(a) for a in made["successors"]._by_indices.values()}
-        answers = [entry[0] for entry in made["stubborn"]._answers.values()]
-        assert answers and all(id(a) in kept for a in answers)
+    def test_equal_answers_share_one_entry(self, monkeypatch):
+        """The stubborn sets remember an answer by value: a copy of an
+        answer GBFS asked about keeps the same actions and adds no entry."""
+        task, seen, _ = gbfs_kept(level_task("rain", 1), monkeypatch)
+        stubborn = make_stubborn(task)
+        for state, answer, kept in seen:
+            copy = tuple(list(answer))
+            assert copy == answer and (copy is not answer or not answer)
+            assert stubborn.keep(state, copy) == kept
+        distinct = {answer for _, answer, _ in seen}
+        assert len(stubborn._answers) == len(distinct) < len(seen)
 
     def test_interference_tables_match_pairwise_test(self, monkeypatch):
         task, seen, _ = gbfs_kept(level_task("rain", 1), monkeypatch)
         stubborn = make_stubborn(task)
         stubborn._build()
-        index = {id(a): i for i, a in enumerate(task.actions)}
-        movers = {index[id(a)] for _, answer, _ in seen for a in answer}
+        movers = {i for _, answer, _ in seen for i in answer}
         assert len(movers) > 10
         for i in movers:
             a = task.actions[i]
@@ -1336,8 +1330,8 @@ class TestStubbornSets:
                 kept = stubborn.keep(state, answer)
                 assert kept == reference.kept(state, answer)
                 strict += len(kept) < len(answer)
-                for action in answer:
-                    succ = apply(state, action)
+                for i in answer:
+                    succ = apply(state, task.actions[i])
                     if succ not in seen:
                         seen.add(succ)
                         queue.append(succ)
@@ -1357,7 +1351,7 @@ class TestStubbornSets:
                             False)
         assert interfere(a, b)
         assert not interfere(a, d) and not interfere(b, d)
-        assert make_stubborn(task).keep(task.init, (a, b, d)) == (a, b)
+        assert make_stubborn(task).keep(task.init, (0, 1, 2)) == (0, 1)
         result = solve(task, SearchConfig(mode=Mode.GBFS_HADD))
         assert result.status is Status.SOLVED and result.plan == (a, b)
         assert stubborn_bfs(task)[0] == 2
@@ -1373,7 +1367,8 @@ class TestStubbornSets:
             seen, queue = {task.init}, deque([task.init])
             while queue:
                 state = queue.popleft()
-                answer = successors.applicable(state)
+                answer = [task.actions[i]
+                          for i in successors.applicable(state)]
                 if not any(interfere(x, y) for i, y in enumerate(answer)
                            for x in answer[:i]):
                     answer = answer[:1]
