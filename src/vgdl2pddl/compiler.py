@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DuplicateActionNameError, GdfError, UnsupportedGoalError
-from .kb import DIRECTIONS, KnowledgeBase, TemplateSet
+from .kb import DIRECTIONS, KnowledgeBase, TemplateSet, shipped
 from .pddl import (
     Action,
     And,
@@ -202,7 +202,7 @@ def _never_applies(action: Action) -> Forall:
 
 def compile_game(model: GameModel,
                  kb: Optional[KnowledgeBase] = None) -> CompiledGame:
-    kb = kb or KnowledgeBase()
+    kb = kb or shipped()
     avatar = model.avatar()
     statics = static_sprites(model)
     movers = tuple(s.name for s in model.concrete_sprites()

@@ -11,15 +11,17 @@ below):
     ---
     (:action <S1>_<S2>_KILLSPRITE ...)
 
-Placeholders are written ``<NAME>`` and replaced textually; action-name heads
-are uppercased after substitution (SHOES_USER_COLLECTRESOURCE style), all
-other identifiers stay lowercase.  A ``holes:`` header declares holes: they
-are written ``<NAME>`` too, but bound to PDDL text, possibly empty, which the
-compiler computes from the game (a blocker test, the ammunition pool, the
-next phase, the turn core's guards and tick).  Fragments wrapped in ``(:per-direction ...)`` are written once
-and instantiated once per requested direction, with the grid geometry of that
-direction filled in from ``DIRECTION_TABLE`` after the binding, so a hole's
-text may use it too; a ``directions:`` header restricts a template to the directions it lists.
+``pddl``'s reader reads a body once, at the load, into token trees; a body
+it cannot read fails the load, naming the file and line.  Placeholders are
+written ``<NAME>``: a token that is exactly ``<NAME>`` is replaced by the
+tokens of its value, any other token has ``<NAME>`` replaced by the value's
+text.  Action-name heads are uppercased after that (SHOES_USER_COLLECTRESOURCE
+style).  Holes (a ``holes:`` header) are placeholders bound to PDDL text,
+possibly empty, which the compiler computes from the game.  Fragments in a
+``(:per-direction ...)`` block are instantiated once per requested direction
+from its ``DIRECTION_TABLE`` row, which also fills a hole's value before it
+is spliced in; a ``directions:`` header restricts a template to the
+directions it lists.  ``shipped`` loads the shipped templates once per process.
 Each template with behaviour ships with a micro domain/problem check
 (templates/checks/<id>.yaml) executed by ``validate_kb``: the instantiated
 action is grounded, applied to the check's initial state, and the state diff
@@ -27,15 +29,17 @@ compared with the hand-checked expectation.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import yaml
 
 from .errors import (
+    PddlSyntaxError,
     TemplateFormatError,
     UnboundPlaceholderError,
     UnknownTemplateError,
@@ -72,14 +76,18 @@ DIRECTIONS = tuple(d.upper() for d in DIRECTION_TABLE)
 _DIRECTION_PLACEHOLDERS = frozenset(
     {"D", "O1", "O2", "O3", "SUFFIX", *DIRECTION_TABLE["up"]})
 
-# A template section in file order; a nested tuple holds the fragments of one
-# (:per-direction ...) block.
-Section = tuple[Union[str, tuple[str, ...]], ...]
+# A template section in file order: a fragment's token tree, or a tuple of
+# the fragment trees of one (:per-direction ...) block.
+Section = tuple[Union[list, tuple[list, ...]], ...]
+
+# "<NAME>" -> (the value's text, its tokens)
+Values = dict[str, tuple[str, list]]
 
 
 @dataclass(frozen=True)
 class TemplateSet:
-    """One template file: fragments still carrying ``<NAME>`` holes."""
+    """One template file, read once: token trees still carrying ``<NAME>``
+    placeholders."""
 
     template_id: str
     kind: str
@@ -89,55 +97,11 @@ class TemplateSet:
     predicates: Section
     actions: Section
 
-    def text(self) -> str:
-        """Every fragment, per-direction ones written once."""
-        fragments: list[str] = []
-        for item in self.predicates + self.actions:
-            fragments.extend((item,) if isinstance(item, str) else item)
-        return "\n".join(fragments)
-
-    def used_placeholders(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER_RE.findall(self.text()))
-
 
 @dataclass(frozen=True)
 class Instantiated:
     predicates: tuple[Predicate, ...]
     actions: tuple[Action, ...]
-
-
-def _split_fragments(body: str, source: str) -> list[str]:
-    """Split a body into top-level parenthesized fragments, dropping
-    comments; text outside every fragment, or a parenthesis that does not
-    balance, is an error naming `source`."""
-    text = "\n".join(raw.split(";")[0] for raw in body.split("\n"))
-    fragments = []
-    depth = start = end = 0  # `end`: just after the last fragment
-    for i, ch in enumerate(text):
-        if ch == "(":
-            if depth == 0:
-                _outside(text[end:i], source)
-                start = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                break  # it closes nothing
-            if depth == 0:
-                fragments.append(text[start:i + 1])
-                end = i + 1
-    if depth != 0:
-        raise TemplateFormatError(
-            f"{source}: unbalanced parentheses in template body")
-    _outside(text[end:], source)
-    return fragments
-
-
-def _outside(text: str, source: str) -> None:
-    """Raise if `text`, found between fragments, is not blank."""
-    if text.strip():
-        raise TemplateFormatError(
-            f"{source}: text outside a fragment: {text.strip()[:40]!r}")
 
 
 def _parse_template(text: str, source: str) -> TemplateSet:
@@ -163,47 +127,86 @@ def _parse_template(text: str, source: str) -> TemplateSet:
     unknown = set(directions) - set(DIRECTIONS)
     if unknown:
         raise TemplateFormatError(f"{source}: unknown directions {sorted(unknown)}")
-    sections = _parse_sections(_split_fragments(body, source), source)
-    ts = TemplateSet(template_id=fields["id"], kind=fields["kind"],
-                     placeholders=placeholders, holes=holes,
-                     directions=directions,
-                     **{key: tuple(items) for key, items in sections.items()})
-    undeclared = (ts.used_placeholders() - placeholders - holes
-                  - _DIRECTION_PLACEHOLDERS)
+    try:  # the body read at its lines in the file, so errors name them
+        sections = _parse_sections(
+            pddl.read_all("\n" * header.count("\n") + body))
+    except PddlSyntaxError as exc:
+        raise TemplateFormatError(f"{source}:{exc}") from None
+    outside = _DIRECTION_PLACEHOLDERS.intersection(_placeholders(
+        item for section in sections.values() for item in section
+        if not isinstance(item, tuple)))
+    if outside:
+        raise TemplateFormatError(
+            f"{source}: direction placeholders {sorted(outside)} outside "
+            f"(:per-direction ...)")
+    undeclared = (set(_placeholders(sections.values())) - placeholders
+                  - holes - _DIRECTION_PLACEHOLDERS)
     if undeclared:
         raise TemplateFormatError(
             f"{source}: undeclared placeholders {sorted(undeclared)}")
-    return ts
+    return TemplateSet(template_id=fields["id"], kind=fields["kind"],
+                       placeholders=placeholders, holes=holes,
+                       directions=directions,
+                       **{key: tuple(items) for key, items in sections.items()})
 
 
-def _parse_sections(fragments: list[str], source: str,
-                    per_direction: bool = False) -> dict[str, list]:
+def _parse_sections(fragments: list, per_direction: bool = False
+                    ) -> dict[str, list]:
     """Sort fragments into predicates/actions; a per-direction block becomes
     one nested tuple in each section it contributes to."""
     sections: dict[str, list] = {"predicates": [], "actions": []}
     for fragment in fragments:
-        head = fragment[1:].split(None, 1)[0] if fragment[1:].split() else ""
-        inner = fragment[len(head) + 1:-1]
+        head = pddl._head(fragment)
         if head == ":predicates":
-            sections["predicates"].extend(_split_fragments(inner, source))
+            for predicate in fragment[1:]:
+                pddl._named(predicate, "a predicate (NAME ...)")
+            sections["predicates"].extend(fragment[1:])
         elif head == ":action":
             sections["actions"].append(fragment)
         elif head == ":per-direction" and not per_direction:
-            block = _parse_sections(_split_fragments(inner, source), source,
-                                    True)
-            for key, items in block.items():
+            for key, items in _parse_sections(fragment[1:], True).items():
                 if items:
                     sections[key].append(tuple(items))
         else:
-            raise TemplateFormatError(f"{source}: unexpected fragment {head!r}")
-        if not per_direction and head != ":per-direction":
-            used = set(_PLACEHOLDER_RE.findall(fragment))
-            if used & _DIRECTION_PLACEHOLDERS:
-                raise TemplateFormatError(
-                    f"{source}: direction placeholders "
-                    f"{sorted(used & _DIRECTION_PLACEHOLDERS)} outside "
-                    f"(:per-direction ...)")
+            raise pddl._error("expected (:predicates ...), (:action ...) or,"
+                              " outside a block, (:per-direction ...)",
+                              fragment)
     return sections
+
+
+def _placeholders(items):
+    """The NAME of every ``<NAME>`` in the tokens of `items`, which may nest
+    lists and tuples."""
+    for item in items:
+        if isinstance(item, (list, tuple)):
+            yield from _placeholders(item)
+        else:
+            yield from _PLACEHOLDER_RE.findall(item.text)
+
+
+def _fill(items, values: Values, row: Values, out: list) -> list:
+    """Append `items` to `out` with every placeholder filled: a token that
+    is exactly ``<NAME>`` becomes the value's tokens, filled from the
+    direction `row` first; any other token has each ``<NAME>`` replaced by
+    the value's text.  A placeholder without a value raises KeyError."""
+    for item in items:
+        if isinstance(item, list):
+            out.append(_fill(item, values, row, pddl._List(item)))
+        elif "<" not in item.text:
+            out.append(item)
+        elif item.text in values:
+            _fill(values[item.text][1], row, row, out)
+        else:
+            out.append(pddl._Token(_PLACEHOLDER_RE.sub(
+                lambda m: values[m.group()][0], item.text),
+                item.line, item.column))
+    return out
+
+
+def _values(binding: dict[str, str]) -> Values:
+    """Each value of `binding`, by its placeholder, as text and as tokens."""
+    return {f"<{name}>": (text, pddl.read_all(text))
+            for name, text in binding.items()}
 
 
 def _direction_rows(ts: TemplateSet,
@@ -220,24 +223,6 @@ def _direction_rows(ts: TemplateSet,
                      "O1": others[0], "O2": others[1], "O3": others[2],
                      "SUFFIX": f"_{name}" if len(names) > 1 else ""})
     return rows
-
-
-def _expand(section: Section, rows: list[dict[str, str]],
-            bind: Callable[[str], str]) -> list[str]:
-    """``bind`` applied to every fragment, then per-direction blocks once per
-    row, directions outermost."""
-    out: list[str] = []
-    for item in section:
-        if isinstance(item, str):
-            out.append(bind(item))
-            continue
-        bound = [bind(fragment) for fragment in item]
-        for row in rows:
-            for fragment in bound:
-                for name, value in row.items():
-                    fragment = fragment.replace(f"<{name}>", value)
-                out.append(fragment)
-    return out
 
 
 def default_template_dir() -> Path:
@@ -267,37 +252,45 @@ class KnowledgeBase:
 
     def instantiate(self, ts: TemplateSet, binding: dict[str, str],
                     directions: Optional[Iterable[str]] = None) -> Instantiated:
-        """Fill ``binding`` in, then instantiate per-direction blocks once
+        """Fill ``binding`` in, and instantiate per-direction blocks once
         for each of ``directions`` (default: the template's own), in the
         given order."""
         missing = (ts.placeholders | ts.holes) - set(binding)
         if missing:
             raise UnboundPlaceholderError(
                 f"{ts.template_id}: unbound placeholders {sorted(missing)}")
-
-        def bind(text: str) -> str:
-            for name, value in binding.items():
-                text = text.replace(f"<{name}>", value)
-            return text
-
-        def parsed(section: Section, parse: Callable) -> list:
-            out = []
-            for fragment in _expand(section, rows, bind):
-                leftover = _PLACEHOLDER_RE.search(fragment)
-                if leftover:
-                    raise UnboundPlaceholderError(
-                        f"{ts.template_id}: placeholder {leftover.group(0)} "
-                        "survives")
-                out.append(parse(fragment))
-            return out
-
+        values = _values(binding)
         rows = _direction_rows(
             ts, ts.directions if directions is None else directions)
-        actions = [Action(a.name.upper(), a.params, a.precondition, a.effect)
-                   for a in parsed(ts.actions, pddl.parse_fragment_action)]
+
+        def filled(section: Section) -> list:
+            out = []
+            for item in section:
+                if not isinstance(item, tuple):
+                    out.append(_fill(item, values, {}, pddl._List(item)))
+                    continue
+                for row in map(_values, rows):  # directions outermost
+                    both = {**values, **row}
+                    out.extend(_fill(fragment, both, row, pddl._List(fragment))
+                               for fragment in item)
+            return out
+
+        try:
+            predicates, actions = filled(ts.predicates), filled(ts.actions)
+        except KeyError as exc:
+            raise UnboundPlaceholderError(
+                f"{ts.template_id}: placeholder {exc.args[0]} is unbound"
+            ) from None
         return Instantiated(
-            tuple(parsed(ts.predicates, pddl.parse_fragment_predicate)),
-            tuple(actions))
+            tuple(map(pddl._parse_predicate, predicates)),
+            tuple(Action(a.name.upper(), a.params, a.precondition, a.effect)
+                  for a in map(pddl._parse_action, actions)))
+
+
+@functools.cache
+def shipped() -> KnowledgeBase:
+    """The shipped templates, loaded once per process."""
+    return KnowledgeBase()
 
 
 # -- per-template micro checks ---------------------------------------------------
@@ -354,8 +347,8 @@ def run_check(kb: KnowledgeBase, check: dict) -> CheckResult:
     template_id = check["template"]
     domain, problem = _micro_domain(kb, check)
     task = G.ground(domain, problem)
-    step = check["action"].strip()[1:-1].split()
-    action = task.action(step[0], tuple(step[1:]))
+    step = pddl.parse_fragment_atom(check["action"])
+    action = task.action(step.predicate, step.args)
     if action is None:
         return CheckResult(template_id, "fail",
                            f"action {check['action']} was not grounded: "
@@ -387,10 +380,14 @@ def validate_kb(kb: KnowledgeBase) -> list[CheckResult]:
     checked: set[str] = set()
     if checks_dir.is_dir():
         for path in sorted(checks_dir.glob("*.yaml")):
-            check = yaml.safe_load(path.read_text())
-            check_id = check["template"]
-            checked.add(check_id)
+            check_id = path.stem  # until the file names its template
             try:
+                check = yaml.safe_load(path.read_text())
+                if not isinstance(check, dict) or "template" not in check:
+                    raise TemplateFormatError(
+                        f"{path}: not a mapping with a 'template:' key")
+                check_id = str(check["template"])
+                checked.add(check_id)
                 result = run_check(kb, check)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 result = CheckResult(check_id, "fail", repr(exc))

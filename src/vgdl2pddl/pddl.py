@@ -312,6 +312,11 @@ def _parse_formula(sexpr) -> Formula:
     return Atom(head, tuple(args))
 
 
+def _parse_predicate(sexpr) -> Predicate:
+    return Predicate(_named(sexpr, "a predicate (NAME ...)"),
+                     _parse_typed_list(sexpr[1:]))
+
+
 def _parse_action(sexpr) -> Action:
     if not isinstance(sexpr, list) or len(sexpr) < 2:
         raise _error("expected (:action NAME ...)", sexpr)
@@ -376,9 +381,7 @@ def read_domain(text: str) -> Domain:
         elif head == ":constants":
             constants = _parse_typed_list(section[1:])
         elif head == ":predicates":
-            for p in section[1:]:
-                pname = _named(p, "a predicate (NAME ...)")
-                predicates.append(Predicate(pname, _parse_typed_list(p[1:])))
+            predicates.extend(map(_parse_predicate, section[1:]))
         elif head == ":action":
             actions.append(_parse_action(section))
         else:
@@ -414,16 +417,15 @@ def read_problem(text: str) -> Problem:
     return Problem(name, domain, objects, tuple(init), goal)
 
 
-# -- fragment parsing (used by the template knowledge base) ----------------------
+# -- fragments (template bodies, check files, configured goals) ---------------
 
-def parse_fragment_action(text: str) -> Action:
-    return _parse_action(_Reader(text).read_sexpr())
-
-
-def parse_fragment_predicate(text: str) -> Predicate:
-    parsed = _Reader(text).read_sexpr()
-    name = _named(parsed, "a predicate (NAME ...)")
-    return Predicate(name, _parse_typed_list(parsed[1:]))
+def read_all(text: str) -> list:
+    """Every s-expression of `text`, in order, as nested lists of tokens."""
+    reader = _Reader(text)
+    items = []
+    while reader.peek() is not None:
+        items.append(reader.read_sexpr())
+    return items
 
 
 def parse_fragment_atom(text: str) -> Atom:

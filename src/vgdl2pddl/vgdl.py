@@ -418,6 +418,26 @@ def _validate(model: GameModel) -> None:
         raise GdfError("game declares no winning termination")
 
 
+def _check_resources(model: GameModel, interactions) -> None:
+    """collectResource's receivers and killIfOtherHasMore's resource= must
+    be Resources, whose counters the domain declares; `interactions` are
+    (interaction, line) pairs."""
+    resources = {s.name for s in model.concrete_sprites()
+                 if s.vgdl_type is SpriteType.RESOURCE}
+    for inter, line in interactions:
+        if inter.kind is InteractionKind.COLLECT_RESOURCE:
+            named = [n for n in model.descendants(inter.receiver)
+                     if not model.sprite(n).is_abstract]
+        elif inter.kind is InteractionKind.KILL_IF_OTHER_HAS_MORE:
+            named = [inter.params["resource"]]
+        else:
+            continue
+        for sprite in named:
+            if sprite not in resources:
+                raise GdfError(f"{inter.kind.value}: {sprite!r} is not a "
+                               "Resource", line=line)
+
+
 def parse_gdf(text: str, name: str = "game") -> GameModel:
     """Parse GDF source into a GameModel. Section order is irrelevant."""
     if not text.strip():
@@ -445,7 +465,8 @@ def parse_gdf(text: str, name: str = "game") -> GameModel:
     terminations = _parse_terminations(sections["TerminationSet"].children)
 
     # Same (receiver, producer, kind) declared twice: last wins, with a warning.
-    deduped: dict[tuple[str, str, InteractionKind], InteractionDef] = {}
+    deduped: dict[tuple[str, str, InteractionKind],
+                  tuple[InteractionDef, int]] = {}
     for inter, line in raw_interactions:
         key = (inter.receiver, inter.producer, inter.kind)
         if key in deduped:
@@ -456,16 +477,17 @@ def parse_gdf(text: str, name: str = "game") -> GameModel:
                 f"{inter.kind.value} declared twice; last declaration wins",
                 stacklevel=3,
             )
-        deduped[key] = inter
+        deduped[key] = (inter, line)
 
     model = GameModel(
         name=name,
         sprites=tuple(sprites),
         level_mapping=mapping,
-        interactions=tuple(deduped.values()),
+        interactions=tuple(inter for inter, _ in deduped.values()),
         terminations=tuple(terminations),
     )
     _validate(model)
+    _check_resources(model, deduped.values())
     return model
 
 

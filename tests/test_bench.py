@@ -6,6 +6,7 @@ import time
 import pytest
 
 from vgdl2pddl import bench as bench_module
+from vgdl2pddl import kb as kb_module
 from vgdl2pddl.bench import (
     BUILTIN_PLANNERS,
     PlannerSpec,
@@ -19,7 +20,7 @@ from vgdl2pddl.bench import (
     score_satisficing,
 )
 from vgdl2pddl.compiler import compile_game
-from vgdl2pddl.games import load_game
+from vgdl2pddl.games import available_games, load_game
 from vgdl2pddl.kb import KnowledgeBase
 from vgdl2pddl.pddl import Domain
 from vgdl2pddl.planner import Mode
@@ -168,25 +169,28 @@ class TestHarness:
         # no duplicate rows were appended
         assert len(again.board.rows) == len(report.board.rows)
 
-    def test_one_template_load_per_suite(self, tmp_path, monkeypatch):
-        from vgdl2pddl import compiler
+    def test_shipped_templates_load_once_per_process(self, tmp_path,
+                                                     monkeypatch):
         planners = (PlannerSpec("gbfs-hadd", mode=Mode.GBFS_HADD),)
         games = ["sokoban", "keymaze"]
         with monkeypatch.context() as m:
-            # each game compiled on a load of its own
+            # each game compiled on a fresh load of its own
             m.setattr(bench_module, "compile_game",
-                      lambda model, kb: compile_game(model))
+                      lambda model: compile_game(model, KnowledgeBase()))
             alone = run_suite(planners=planners, games=games, time_limit=60,
                               out_dir=tmp_path / "alone")
         made = []
+        load = KnowledgeBase.__init__
 
-        class Counted(KnowledgeBase):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                super().__init__(*args, **kwargs)
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            load(self, *args, **kwargs)
 
-        monkeypatch.setattr(bench_module, "KnowledgeBase", Counted)
-        monkeypatch.setattr(compiler, "KnowledgeBase", Counted)
+        monkeypatch.setattr(KnowledgeBase, "__init__", counted)
+        kb_module.shipped.cache_clear()
+        for _ in range(2):
+            for name in available_games():
+                compile_game(load_game(name))
         report = run_suite(planners=planners, games=games, time_limit=60,
                            out_dir=tmp_path / "shared")
         assert len(made) == 1

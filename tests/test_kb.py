@@ -1,15 +1,19 @@
 """Knowledge-base template tests: lookup, instantiation, micro checks."""
 import re
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
+from vgdl2pddl import pddl
 from vgdl2pddl.cli import main
+from vgdl2pddl.compiler import compile_game
 from vgdl2pddl.errors import (
     TemplateFormatError,
     UnboundPlaceholderError,
     UnknownTemplateError,
 )
+from vgdl2pddl.games import available_games, load_game
 from vgdl2pddl.kb import (DIRECTION_TABLE, KIND_AVATAR, KnowledgeBase,
                           validate_kb)
 from vgdl2pddl.pddl import And, Atom, Not, format_formula
@@ -25,21 +29,32 @@ def kb():
     return KnowledgeBase()
 
 
+def texts(tree):
+    """A template token tree as nested lists of token texts."""
+    return [texts(item) if isinstance(item, list) else item.text
+            for item in tree]
+
+
 class TestLookup:
     def test_missile_template_contents(self, kb):
         ts = kb.lookup("sprite", "Missile")
-        text = ts.text()
-        assert "<T>_MOVE_<D>" in text
-        assert "<T>_MOVE_STOP<SUFFIX>" in text
-        assert "(<T>-moved ?o - <T>)" in text
-        assert "(turn-<T>-move)" in text
-        assert "(finished-turn-<T>-move)" in text
+        predicates, block_predicates = ts.predicates[:3], ts.predicates[3]
+        assert [texts(p) for p in predicates] == [
+            ["turn-<T>-move"], ["finished-turn-<T>-move"],
+            ["<T>-moved", "?o", "-", "<T>"]]
+        assert [texts(p) for p in block_predicates] == [
+            ["edge-<D>", "?n", "-", "num"]]
+        block, stop = ts.actions
+        assert [a[1].text for a in block] == [
+            "<T>_MOVE_<D>", "<T>_MOVE_STOP<SUFFIX>", "<T>_EXIT_<D>"]
+        assert stop[1].text == "STOP_<T>_MOVE"
 
     def test_collectresource_counter_update(self, kb):
         ts = kb.lookup("interaction", "collectResource")
-        text = "\n".join(ts.actions)
-        assert "<S1>_<S2>_COLLECTRESOURCE" in text
-        assert "got-resource-<S1>" in text
+        (action,) = ts.actions
+        assert action[1].text == "<S1>_<S2>_COLLECTRESOURCE"
+        assert ["got-resource-<S1>", "?r"] in texts(action[5])[1:]
+        assert ["got-resource-<S1>", "?r_next"] in texts(action[7])[1:]
 
     def test_immovable_has_no_behaviour(self, kb):
         ts = kb.lookup("sprite", "Immovable")
@@ -181,6 +196,18 @@ class TestInstantiate:
         with pytest.raises(UnboundPlaceholderError):
             kb.instantiate(ts, {"T": "rock", **holes}, ["DOWN"])
 
+    @pytest.mark.parametrize("hole", [
+        # STOP_<T>_MOVE is outside every per-direction block
+        pytest.param({"POOL": "(at <DEST> ?o)"}, id="direction-outside-block"),
+        # a hole is filled from the direction row, not from the binding
+        pytest.param({"FREE": "(not (is-wall <T>))"}, id="binding-name"),
+    ])
+    def test_hole_naming_an_unbound_placeholder_raises(self, kb, hole):
+        ts = kb.lookup("sprite", "Missile")
+        with pytest.raises(UnboundPlaceholderError, match="<"):
+            kb.instantiate(ts, {"T": "rock", **MISSILE_HOLES, **hole},
+                           ["DOWN"])
+
     def test_hole_text_expands_per_direction(self, kb):
         """A hole is filled before per-direction blocks expand, so its text
         may name the block's direction placeholders."""
@@ -194,6 +221,28 @@ class TestInstantiate:
             "AVATAR_ACTION_MOVE_LEFT": Not(Atom("is-wall", ("?new_x", "?y"))),
             "AVATAR_ACTION_MOVE_RIGHT": Not(Atom("is-wall", ("?new_x", "?y"))),
         }
+
+    def test_compile_tokenizes_values_only(self, kb, monkeypatch):
+        """Template text is read once, at the load: compiling tokenizes
+        binding values and direction columns, nothing else."""
+        bound = set()
+        instantiate = kb.instantiate
+
+        def recorded(ts, binding, directions=None):
+            bound.update(binding.values())
+            return instantiate(ts, binding, directions)
+
+        read = []
+        tokenize = pddl._tokenize
+        monkeypatch.setattr(kb, "instantiate", recorded)
+        monkeypatch.setattr(pddl, "_tokenize",
+                            lambda text: read.append(text) or tokenize(text))
+        for name in available_games():
+            compile_game(load_game(name), kb)
+        columns = {text for direction, row in DIRECTION_TABLE.items()
+                   for text in (direction, f"_{direction}", "",
+                                *row.values())}
+        assert read and set(read) <= bound | columns
 
     def test_instantiation_injective_on_bindings(self, kb):
         ts = kb.lookup("interaction", "killSprite")
@@ -279,6 +328,24 @@ class TestValidateKb:
         assert passed == {r.case for r in results if r.case} - failed
         assert {"sprite_missile_up", "sprite_missile_left",
                 "sprite_missile_right", "sprite_missile_omni"} <= passed
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("template: [\n", id="not-yaml"),
+        pytest.param("- template: sprite_missile\n", id="not-a-mapping"),
+        pytest.param("binding: {}\n", id="no-template"),
+    ])
+    def test_malformed_check_file_fails_its_row(self, kb, tmp_path, text):
+        copy = tmp_path / "templates"
+        shutil.copytree(kb.directory, copy)
+        (copy / "checks" / "broken.yaml").write_text(text)
+        results = validate_kb(KnowledgeBase(copy))
+        failed = [(r.template_id, r.case) for r in results
+                  if r.status == "fail"]
+        assert failed == [("broken", "broken")]
+        result = CliRunner().invoke(main, ["validate-kb", "--kb", str(copy)])
+        assert result.exit_code == 1, result.output
+        assert "FAIL     broken" in result.output
+        assert "error: 1 template check(s) failed" in result.output
 
     def test_empty_kb_vacuous_with_warning(self, tmp_path):
         empty = tmp_path / "kb"

@@ -219,6 +219,20 @@ class TestParseGdf:
                     if "killIfOtherHasMore" in row)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("old, new", [
+        ("key avatar > collectResource", "wall avatar > collectResource"),
+        ("resource=key", "resource=exit"),
+    ])
+    def test_resource_interactions_checked_at_parse(self, old, new):
+        """collectResource's receiver and killIfOtherHasMore's resource=
+        must be Resources; else the game would compile and then fail to
+        ground on an undeclared got-resource-<T>."""
+        text = (games_dir() / "keymaze" / "keymaze.txt").read_text()
+        assert old in text
+        with pytest.raises(GdfError, match="is not a Resource") as info:
+            parse_gdf(text.replace(old, new))
+        assert info.value.line == self._line_of(text, old)
+
     def test_killifotherhasmore_limit_text_is_canonical(self):
         """The domain's geq-<R>-<L> predicate and the problem's init name
         the limit alike, however the GDF writes it."""
